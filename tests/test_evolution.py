@@ -7,6 +7,7 @@ from qnls.bilinear import apply_bilinear, normal_form_pair, weighted_product
 from qnls.evolution import (
     BlowUpError,
     EvolutionConfig,
+    _integrate_core,
     decompose,
     direct_w_solve,
     integrate,
@@ -14,7 +15,6 @@ from qnls.evolution import (
     rhs,
     rhs_groups,
     substitution_check,
-    truncate_guard,
 )
 from qnls.roughdata import DataSpec, gen_rough_data
 from qnls.spectral import (
@@ -40,8 +40,6 @@ class TestEvolutionConfig:
             EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1, kind="cubic")
         with pytest.raises(ValueError):
             EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1, variables="q")
-        with pytest.raises(ValueError):
-            EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1, dealias="none")
         # dt not dividing t_final
         with pytest.raises(ValueError):
             EvolutionConfig(64, ALPHA, BETA, 3e-3, 0.1)
@@ -124,14 +122,81 @@ class TestIntegrate:
         assert info.value.t <= 2.0
         assert info.value.norm > info.value.initial_norm
 
+    def test_non_finite_stage_raises_blow_up(self):
+        # NaN compares False against the growth bound; it must still trip
+        g = Grid(64)
+        data = smooth_data(64)
+
+        def nan_stage(coeffs, _t):
+            return np.full_like(coeffs, np.nan)
+
+        with pytest.raises(BlowUpError, match="not finite") as info:
+            _integrate_core(g, data.coeffs, 1e-3, 10, nan_stage, 0.0, {0, 10})
+        assert info.value.t == pytest.approx(1e-3)
+        assert math.isnan(info.value.norm)
+
+    def test_non_finite_initial_data_rejected(self):
+        g = Grid(64)
+        c = smooth_data(64).coeffs.copy()
+        c[2] = np.nan
+        cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1)
+        with pytest.raises(ValueError, match="not finite"):
+            integrate(cfg, field_from_coeffs(g, c))
+
+
+def in_guard_band(g):
+    idx = np.arange(g.n)
+    return np.minimum(idx, g.n - idx) <= g.guard_index
+
+
+def random_guard_limited(n, seed):
+    """Seeded complex data on |j| <= n/4 with a mild decay."""
+    g = Grid(n)
+    rng = np.random.default_rng(seed)
+    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / (1.0 + np.abs(g.frequencies))
+    return field_from_coeffs(g, np.where(in_guard_band(g), c, 0.0))
+
+
+def truncate_guard(field):
+    return field_from_coeffs(field.grid, np.where(in_guard_band(field.grid), field.coeffs, 0.0))
+
+
+def rhs_oracle(cfg, f):
+    """The doubled-grid weighted product, truncated to the guard band."""
+    inner, outer = cfg.exponents
+    conj = {"u2": (False, False), "uubar": (False, True), "ubar2": (True, True)}[cfg.kind]
+    return truncate_guard(weighted_product(inner, outer, f, f, conj_first=conj[0], conj_second=conj[1]))
+
+
+def rel_l2(a, b):
+    return l2_norm(a - b) / l2_norm(b)
+
 
 class TestRhs:
     def test_uses_kind_conjugations(self):
-        g = Grid(64)
-        f = smooth_data(64, seed=9, amp=0.3)
-        out = rhs(EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1, kind="uubar"), f)
-        expect = truncate_guard(weighted_product(0.0, BETA, f, f, conj_second=True))
-        assert l2_norm(out - expect) == 0.0
+        # each kind matches its own conjugation pattern and no other one
+        f = random_guard_limited(64, seed=9)
+        kinds = ("u2", "uubar", "ubar2")
+        for kind in kinds:
+            out = rhs(EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1, kind=kind), f)
+            for other in kinds:
+                dev = rel_l2(out, rhs_oracle(EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1, kind=other), f))
+                if other == kind:
+                    assert dev <= 1e-13
+                else:
+                    assert dev > 1e-2
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("variables", ["u", "v", "z"])
+    @pytest.mark.parametrize("kind", ["u2", "uubar", "ubar2"])
+    def test_matches_doubled_grid_oracle(self, kind, variables, n):
+        cfg = EvolutionConfig(n, ALPHA, BETA, 1e-6, 1e-5, kind=kind, variables=variables)
+        f = random_guard_limited(n, seed=n)
+        out = rhs(cfg, f)
+        assert rel_l2(out, rhs_oracle(cfg, f)) <= 1e-13
+        g = cfg.grid
+        assert np.all(out.coeffs[~in_guard_band(g)] == 0.0)
+        assert out.coeffs[g.nyquist_index] == 0.0
 
     def test_rejects_wide_state(self):
         g = Grid(64)
