@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import acceptance, experiments
-from .config import ConfigError, load_config
+from .config import ConfigError, check_ranges, load_config
 from .evolution import BlowUpError
 from .reports import write_csv, write_gnuplot, write_report, write_trajectory
 
@@ -84,7 +84,8 @@ def _write_rates(res, cfg, out_dir):
     write_gnuplot(os.path.join(out_dir, "rates.dat"),
                   "median product ratio per dyadic level", ["k"] + kinds, table)
     write_report(os.path.join(out_dir, "rates.json"), "rates", cfg,
-                 {"slopes": {r[0]: r[1] for r in res["slope_rows"]}})
+                 {"slopes": {r[0]: r[1] for r in res["slope_rows"]},
+                  "health": res["health"], "timing": res["timing"]})
 
 
 def _write_mnorm(res, cfg, out_dir):
@@ -154,17 +155,17 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["run"]["seed"] = args.seed
+        if args.threads is not None:
+            cfg["run"]["threads"] = args.threads
+        check_ranges(cfg)
     except ConfigError as exc:
         print(f"qnls: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"qnls: cannot read config: {exc}", file=sys.stderr)
         return 2
-
-    if args.seed is not None:
-        cfg["run"]["seed"] = args.seed
-    if args.threads is not None:
-        cfg["run"]["threads"] = args.threads
     out_dir = args.out or os.environ.get("QNLS_OUT") or cfg["run"]["out"]
     cfg["run"]["out"] = out_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -2,12 +2,14 @@
 
 Comments start with '#'; values are typed by the schema below; unknown
 sections or keys and malformed lines are hard errors (exit code 2 at the
-command line), as is a duplicate key."""
+command line), as is a duplicate key or a value out of range."""
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+
+from .rates import KIND_ORDER
 
 
 class ConfigError(Exception):
@@ -177,7 +179,38 @@ def parse_config(path) -> dict:
             cfg[section][key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {section}.{key}: {exc}") from None
+    try:
+        check_ranges(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return cfg
+
+
+def check_ranges(cfg) -> None:
+    """Raise ConfigError for a value its parser accepts but the experiments
+    cannot run with."""
+    run, rates = cfg["run"], cfg["rates"]
+    bad = []
+    if run["seed"] < 0:
+        bad.append(f"[run] seed must be >= 0, got {run['seed']}")
+    if run["threads"] < 1:
+        bad.append(f"[run] threads must be >= 1, got {run['threads']}")
+    if rates["k_lo"] < 1:
+        bad.append(f"[rates] k_lo must be >= 1, got {rates['k_lo']}")
+    if rates["k_hi"] < rates["k_lo"]:
+        bad.append(f"[rates] k_hi must be >= k_lo = {rates['k_lo']}, got {rates['k_hi']}")
+    if rates["n_seeds"] < 1:
+        bad.append(f"[rates] n_seeds must be >= 1, got {rates['n_seeds']}")
+    if rates["n_t"] < 2 or rates["n_t"] % 2:
+        bad.append(f"[rates] n_t must be positive and even, got {rates['n_t']}")
+    kinds = rates["kinds"]
+    if kinds != ["all"]:
+        unknown = [k for k in kinds if k not in KIND_ORDER]
+        if unknown or not kinds:
+            bad.append(f"[rates] kinds must be `all` or names from {', '.join(KIND_ORDER)}, "
+                       f"got {', '.join(kinds) or 'nothing'}")
+    if bad:
+        raise ConfigError("; ".join(bad))
 
 
 def load_config(path=None) -> dict:

@@ -8,6 +8,7 @@ acceptance suite, which both call into this module."""
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -192,6 +193,8 @@ def run_rates(cfg) -> dict:
     reports = {}
     rows = []
     slope_rows = []
+    health = {}
+    start = time.perf_counter()
     for kind in kinds:
         rep = product_rate_experiment(
             kind,
@@ -211,7 +214,31 @@ def run_rates(cfg) -> dict:
         else:
             ok = (not rep.degenerate) and abs(rep.slope - target) <= tol
         slope_rows.append((kind, rep.slope, rep.stderr, target, tol if tol is not None else "", ok))
-    return {"reports": reports, "rows": rows, "slope_rows": slope_rows}
+        health[kind] = _ratio_health(rep)
+    return {
+        "reports": reports,
+        "rows": rows,
+        "slope_rows": slope_rows,
+        "health": health,
+        "timing": {"wall_s": time.perf_counter() - start},
+    }
+
+
+def _ratio_health(rep) -> dict:
+    """Spread of the rate ensemble: the IQR of the finite ratios at each k
+    (NaN when none is finite) and the number of non-finite cells."""
+    iqr = {}
+    non_finite = 0
+    for k, vals in rep.ratios.items():
+        vals = np.asarray(vals, dtype=np.float64)
+        finite = vals[np.isfinite(vals)]
+        non_finite += vals.size - finite.size
+        if finite.size:
+            q1, q3 = np.percentile(finite, [25.0, 75.0])
+            iqr[k] = float(q3 - q1)
+        else:
+            iqr[k] = float("nan")
+    return {"iqr": iqr, "non_finite_cells": int(non_finite)}
 
 
 # ----------------------------------------------------------------------------

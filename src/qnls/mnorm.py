@@ -180,7 +180,7 @@ def alternating_max(model: MnormModel, iters: int = 8, seed: int = 0, sweeps: in
             model.lo3, model.dmus[2], model.nneg3, n3[1])
     best = 0.0
     for restart in range(iters):
-        rng = np.random.default_rng([abs(int(seed)), restart])
+        rng = np.random.default_rng([int(seed), restart])
         u1 = _unit(rng, n1)
         u2 = _unit(rng, n2)
         val = 0.0

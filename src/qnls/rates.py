@@ -27,26 +27,31 @@ The eight kinds:
 
 Per-scale grids use n_x = 2^(k+3) points so every box and every product is
 representible; the time grid is fixed (default 256 points over one period).
+
+A cell works on space-time coefficients.  The window and the X^{0,b} norm
+act on tau alone, so each factor's time-axis transforms run only on the xi
+columns its box occupies, and one x-axis transform per factor gives the
+samples the product needs; the product then takes one x-axis transform and
+one time-axis transform on the columns the output multiplier keeps.
+Everything that does not depend on the seed (the masks on the occupied
+columns, the (1 + |tau - xi^2|)^(2b) weights, the window, the multiplier) is
+built once per (kind, k) and held for one (kind, k) at a time.  The dense
+SpaceTimeField composition in spacetime.py (synth_cells, apply_window,
+xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) computes the same
+ratio and is the reference the tests compare the cell against.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .spectral import Grid, lp_annulus, lp_bump
-from .spacetime import (
-    TWO_PI,
-    apply_window,
-    box_mask,
-    st_l2_norm,
-    st_product,
-    st_spatial_multiplier,
-    synth_cells,
-    xsb_norm,
-)
+from .spacetime import TWO_PI, box_mask, parabola_distance, window_weights
 
 # kind -> (conjugate second slot, v synth pattern, output projection pattern,
 #          v norm exponent tag, u side, v side)
@@ -123,30 +128,115 @@ def _v_mask(grid: Grid, n_t: int, t_total: float, pattern: str, k: int, side: st
     raise ValueError(f"unknown v pattern {pattern!r}")
 
 
-def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: float) -> float:
-    """Ratio for a single (kind, scale, seed) cell."""
-    conj2, v_pattern, out_pattern, vb_tag, u_side, v_side = KINDS[kind]
+def _column_runs(cols: np.ndarray) -> tuple:
+    """(destination, source) slice pairs of the maximal runs of consecutive
+    indices in cols: a scatter by slices is several times cheaper than a
+    fancy-indexed one."""
+    breaks = np.flatnonzero(np.diff(cols) != 1) + 1
+    starts = [0, *breaks.tolist()]
+    ends = [*breaks.tolist(), cols.size]
+    return tuple((slice(int(cols[a]), int(cols[b - 1]) + 1), slice(a, b)) for a, b in zip(starts, ends))
+
+
+def _side_table(mask: np.ndarray, weight_b: float, n_t: int, t_total: float, grid: Grid):
+    """(runs of occupied xi columns, mask on them, (1 + dist)^(2b) on them)
+    of one factor's box, Nyquist row and column excluded."""
+    mask = mask.copy()
+    mask[n_t // 2, :] = False
+    mask[:, grid.n // 2] = False
+    cols = np.flatnonzero(mask.any(axis=0))
+    if cols.size == 0:
+        raise ValueError("empty cell set for synthetic field")
+    sub = mask[:, cols]
+    weight = (1.0 + parabola_distance(n_t, t_total, grid.frequencies[cols])) ** (2.0 * weight_b)
+    sub.setflags(write=False)
+    weight.setflags(write=False)
+    return _column_runs(cols), sub, weight
+
+
+@lru_cache(maxsize=1)
+def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float):
+    """Everything of a rate cell that does not depend on the seed.
+
+    One entry: the sweep runs k-major, so each (kind, k) is built once and
+    dropped when the next one starts; every array is read-only because
+    worker threads share it."""
+    _conj2, v_pattern, out_pattern, vb_tag, u_side, v_side = KINDS[kind]
     grid = Grid(2 ** (k + 3))
-    kind_id = KIND_ORDER.index(kind)
-
-    u_mask = box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side)
-    v_mask = _v_mask(grid, n_t, t_total, v_pattern, k, v_side)
-    u = synth_cells(grid, n_t, t_total, u_mask, [seed_key, kind_id, k, 0])
-    v = synth_cells(grid, n_t, t_total, v_mask, [seed_key, kind_id, k, 1])
-
-    wu = apply_window(u)
-    wv = apply_window(v)
     bu = 0.5 + delta
     bv = 0.5 + delta if vb_tag == "plus" else 0.5 - delta
-    nu = xsb_norm(0.0, bu, wu)
-    nv = xsb_norm(0.0, bv, wv)
+    u_mask = box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side)
+    v_mask = _v_mask(grid, n_t, t_total, v_pattern, k, v_side)
+    mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
+    mult[grid.n // 2] = 0.0
+    out_cols = np.flatnonzero(mult)
+    out_mult = mult[out_cols]
+    window = window_weights(n_t, t_total)
+    for a in (out_cols, out_mult, window):
+        a.setflags(write=False)
+    return (
+        grid,
+        _side_table(u_mask, bu, n_t, t_total, grid),
+        _side_table(v_mask, bv, n_t, t_total, grid),
+        window,
+        out_cols,
+        out_mult,
+    )
+
+
+def _sq_sum(a: np.ndarray) -> float:
+    """sum |a|^2 of a C- or F-contiguous complex array."""
+    r = a.ravel(order="A").view(np.float64)
+    return float(r @ r)
+
+
+def _windowed_side(table, seed, window: np.ndarray, grid: Grid, t_total: float):
+    """Space-time samples (up to one constant factor) and X^{0,b} norm of
+    the windowed random field on one factor's box.
+
+    The window and the norm act on tau alone, so both run on the occupied
+    xi columns; only the product needs the samples in x.  The ratio is
+    scale-invariant in each factor, so the draws are not normalised."""
+    runs, sub, weight = table
+    n_t = sub.shape[0]
+    count = int(np.count_nonzero(sub))
+    rng = np.random.default_rng(seed)
+    draws = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / math.sqrt(2.0)
+    c = np.zeros(sub.shape, dtype=np.complex128)
+    c[sub] = draws
+    samples = np.fft.ifft(c, axis=0)
+    samples *= window[:, None]
+    cw = np.fft.fft(samples, axis=0)
+    cw[n_t // 2, :] = 0.0
+    norm = math.sqrt(t_total * grid.length * float(np.sum(weight * (cw.real**2 + cw.imag**2))))
+    full = np.zeros((n_t, grid.n), dtype=np.complex128)
+    for dest, src in runs:
+        full[:, dest] = samples[:, src]
+    return np.fft.ifft(full, axis=1), norm
+
+
+def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: float) -> float:
+    """Ratio for a single (kind, scale, seed) cell.
+
+    Draws the same cells as synth_cells on the box of each factor and
+    equals the SpaceTimeField composition (synth_cells, apply_window,
+    xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) up to
+    rounding; the tests keep that composition as the oracle."""
+    grid, u_table, v_table, window, out_cols, out_mult = _cell_tables(kind, k, delta, n_t, t_total)
+    kind_id = KIND_ORDER.index(kind)
+    u, nu = _windowed_side(u_table, [seed_key, kind_id, k, 0], window, grid, t_total)
+    v, nv = _windowed_side(v_table, [seed_key, kind_id, k, 1], window, grid, t_total)
     if nu == 0.0 or nv == 0.0:
         return float("nan")
-
-    prod = st_product(wu, wv, conj_second=conj2)
-    if out_pattern is not None:
-        prod = st_spatial_multiplier(prod, _output_multiplier(grid, out_pattern, k))
-    return st_l2_norm(prod) / (nu * nv)
+    if KINDS[kind][0]:
+        np.conjugate(v, out=v)
+    u *= v
+    # u and v above are ifft2 of the coefficients: each lacks a factor
+    # n_t * n_x, and the coefficients of the product are fft2 / (n_t * n_x)
+    coeffs = np.fft.fft(np.fft.fft(u, axis=1)[:, out_cols] * out_mult, axis=0)
+    coeffs[n_t // 2, :] = 0.0
+    l2 = math.sqrt(t_total * grid.length * _sq_sum(coeffs))
+    return n_t * grid.n * l2 / (nu * nv)
 
 
 def _fit_line(xs, ys):

@@ -42,7 +42,7 @@ def gen_rough_data(spec: DataSpec, grid: Grid) -> SpectralField:
         raise ValueError("need 0 < freq_lo <= freq_hi")
     xi = grid.frequencies
     support = (np.abs(xi) >= spec.freq_lo) & (np.abs(xi) <= spec.freq_hi)
-    rng = np.random.default_rng([abs(int(spec.seed)), 1315423911])
+    rng = np.random.default_rng([int(spec.seed), 1315423911])
     phases = np.exp(2j * math.pi * rng.random(grid.n))
     moduli = np.where(support, (1.0 + xi**2) ** (-(spec.sigma + 0.5) / 2.0), 0.0)
     coeffs = spec.amplitude * moduli * phases

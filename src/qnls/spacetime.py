@@ -162,11 +162,15 @@ def apply_window(stf: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(stf.grid, stf.t_total, stf.values * w[:, None], windowed=True)
 
 
-def _wrapped_parabola_distance(stf: SpaceTimeField, parabola_sign: int) -> np.ndarray:
-    tau = stf.tau()[:, None]
-    xi = stf.grid.frequencies[None, :]
-    period = stf.n_t * (TWO_PI / stf.t_total)
-    m = tau - float(parabola_sign) * xi**2
+def parabola_distance(n_t: int, t_total: float, xi, parabola_sign: int = 1) -> np.ndarray:
+    """(n_t, len(xi)) wrapped |tau - sign*xi^2|: the representative closest
+    to zero modulo the period n_t * dtau of the tau axis.
+
+    Elementwise in xi, so a subset of the frequencies gives bit-for-bit the
+    same values as the matching columns of the full table."""
+    tau = TWO_PI * np.fft.fftfreq(n_t, d=t_total / n_t)[:, None]
+    period = n_t * (TWO_PI / t_total)
+    m = tau - float(parabola_sign) * np.asarray(xi, dtype=np.float64)[None, :] ** 2
     return np.abs(m - period * np.round(m / period))
 
 
@@ -187,7 +191,7 @@ def xsb_norm(s: float, b: float, stf: SpaceTimeField, parabola_sign: int = 1) ->
     if b > 0 and not stf.windowed:
         raise ValueError("b > 0 requires a windowed field (apply_window first)")
     c = stf.spectral()
-    dist = _wrapped_parabola_distance(stf, parabola_sign)
+    dist = parabola_distance(stf.n_t, stf.t_total, stf.grid.frequencies, parabola_sign)
     w = (1.0 + stf.grid.frequencies[None, :] ** 2) ** s * (1.0 + dist) ** (2.0 * b)
     return math.sqrt(stf.t_total * stf.grid.length * float(np.sum(w * np.abs(c) ** 2)))
 
@@ -251,10 +255,7 @@ def box_mask(
         fsel = (xi <= -freq_lo) & (xi >= -freq_hi)
     else:
         raise ValueError(f"xi_side must be 'both', '+' or '-', got {xi_side!r}")
-    tau = TWO_PI * np.fft.fftfreq(n_t, d=t_total / n_t)[:, None]
-    period = n_t * (TWO_PI / t_total)
-    m = tau - float(parabola_sign) * xi**2
-    dist = np.abs(m - period * np.round(m / period))
+    dist = parabola_distance(n_t, t_total, grid.frequencies, parabola_sign)
     return fsel & (dist >= mod_lo) & (dist <= mod_hi)
 
 

@@ -78,6 +78,31 @@ class TestConfig:
     def test_load_config_default_path(self):
         assert load_config(None) == default_config()
 
+    def test_default_cfg_file_loads_unchanged(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
+        assert load_config(path) == default_config()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[run]\nseed = -1\n",
+            "[run]\nthreads = 0\n",
+            "[rates]\nk_lo = 0\n",
+            "[rates]\nk_lo = 5\nk_hi = 4\n",
+            "[rates]\nn_seeds = 0\n",
+            "[rates]\nn_t = 0\n",
+            "[rates]\nn_t = 63\n",
+            "[rates]\nkinds = gain1, nope\n",
+            "[rates]\nkinds = all, gain1\n",
+        ],
+    )
+    def test_out_of_range_rejected(self, tmp_path, text):
+        p = tmp_path / "a.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError):
+            parse_config(p)
+        assert main(["identity", "--config", str(p), "--out", str(tmp_path)]) == 2
+
 
 # ---------------------------------------------------------------------------
 # rough data synthesis
@@ -188,6 +213,28 @@ class TestCli:
         p.write_text("[run]\nbogus = 1\n")
         rc = main(["identity", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "0")])
+    def test_out_of_range_override_exit_2(self, tmp_path, flag, value):
+        assert main(["identity", flag, value, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "identity.csv").exists()
+
+    def test_rates_report_health_and_timing(self, tmp_path):
+        p = tmp_path / "small.cfg"
+        p.write_text("[rates]\nk_lo = 3\nk_hi = 4\nn_seeds = 3\nn_t = 64\nkinds = gain1, kkk1\n")
+        csv_bytes = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["rates", "--config", str(p), "--out", str(out)]) in (0, 1)
+            csv_bytes.append((out / "rates.csv").read_bytes() + (out / "rates_slopes.csv").read_bytes())
+        assert csv_bytes[0] == csv_bytes[1]  # timing stays out of the CSVs
+        results = json.loads((tmp_path / "a" / "rates.json").read_text())["results"]
+        assert results["timing"]["wall_s"] > 0
+        assert set(results["health"]) == {"gain1", "kkk1"}
+        for health in results["health"].values():
+            assert set(health["iqr"]) == {"3", "4"}
+            assert all(v > 0 for v in health["iqr"].values())
+            assert health["non_finite_cells"] == 0
 
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["identity", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])

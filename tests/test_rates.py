@@ -1,15 +1,59 @@
+import sys
+
 import numpy as np
 import pytest
 
 from qnls.rates import (
     KIND_ORDER,
     KINDS,
+    _cell_tables,
     _one_cell,
     _output_multiplier,
+    _v_mask,
     expected_slope,
     product_rate_experiment,
 )
+from qnls.spacetime import (
+    apply_window,
+    box_mask,
+    st_l2_norm,
+    st_product,
+    st_spatial_multiplier,
+    synth_cells,
+    xsb_norm,
+)
 from qnls.spectral import Grid, lp_annulus
+
+
+def oracle_cell(kind, k, delta, seed_key, n_t, t_total):
+    """The rate cell as a composition of SpaceTimeField operations on dense
+    (n_t, 2^(k+3)) fields: the slow, independent reference for _one_cell."""
+    conj2, v_pattern, out_pattern, vb_tag, u_side, v_side = KINDS[kind]
+    grid = Grid(2 ** (k + 3))
+    kind_id = KIND_ORDER.index(kind)
+
+    u_mask = box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side)
+    v_mask = _v_mask(grid, n_t, t_total, v_pattern, k, v_side)
+    u = synth_cells(grid, n_t, t_total, u_mask, [seed_key, kind_id, k, 0])
+    v = synth_cells(grid, n_t, t_total, v_mask, [seed_key, kind_id, k, 1])
+
+    wu = apply_window(u)
+    wv = apply_window(v)
+    bu = 0.5 + delta
+    bv = 0.5 + delta if vb_tag == "plus" else 0.5 - delta
+    nu = xsb_norm(0.0, bu, wu)
+    nv = xsb_norm(0.0, bv, wv)
+    if nu == 0.0 or nv == 0.0:
+        return float("nan")
+
+    prod = st_product(wu, wv, conj_second=conj2)
+    if out_pattern is not None:
+        prod = st_spatial_multiplier(prod, _output_multiplier(grid, out_pattern, k))
+    return st_l2_norm(prod) / (nu * nv)
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
 
 
 def test_kind_table_complete():
@@ -54,6 +98,56 @@ def test_one_cell_ratio_positive_and_deterministic():
         assert np.isfinite(r1) and r1 > 0
 
 
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_one_cell_matches_dense_oracle(kind):
+    for k in (3, 4, 5):
+        for n_t in (64, 256):
+            for seed_key in (3, 1000004):
+                fast = _one_cell(kind, k, 0.05, seed_key, n_t, 2 * np.pi)
+                slow = oracle_cell(kind, k, 0.05, seed_key, n_t, 2 * np.pi)
+                assert np.isfinite(slow) and slow > 0
+                assert _rel(fast, slow) <= 1e-13, (k, n_t, seed_key, fast, slow)
+
+
+def test_one_cell_matches_dense_oracle_large_and_off_lattice():
+    # k = 8 is the largest default scale; t_total != 2*pi puts tau off the
+    # integer lattice, so the boxes and weights differ from the default ones
+    for kind, k, n_t, t_total in (("kkk1", 8, 256, 2 * np.pi), ("gain2", 4, 64, 3.0)):
+        fast = _one_cell(kind, k, 0.05, 11, n_t, t_total)
+        slow = oracle_cell(kind, k, 0.05, 11, n_t, t_total)
+        assert np.isfinite(slow) and slow > 0
+        assert _rel(fast, slow) <= 1e-13, (kind, fast, slow)
+
+
+def test_empty_box_rejected():
+    # period n_t * dtau = 1: every wrapped modulation is <= 1/2, so no cell
+    # has modulation in [1, 2]
+    with pytest.raises(ValueError):
+        oracle_cell("gain1", 3, 0.05, 0, 4, 8 * np.pi)
+    with pytest.raises(ValueError):
+        _one_cell("gain1", 3, 0.05, 0, 4, 8 * np.pi)
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_table_masks_equal_box_mask(kind):
+    _conj2, v_pattern, _out, _vb, u_side, v_side = KINDS[kind]
+    for k, n_t, t_total in ((3, 64, 2 * np.pi), (6, 256, 2 * np.pi), (4, 64, 3.0)):
+        grid, u_table, v_table, _window, _cols, _mult = _cell_tables(kind, k, 0.05, n_t, t_total)
+        expected = (
+            box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side),
+            _v_mask(grid, n_t, t_total, v_pattern, k, v_side),
+        )
+        for (runs, sub, weight), mask in zip((u_table, v_table), expected):
+            mask = mask.copy()
+            mask[n_t // 2, :] = False
+            mask[:, grid.n // 2] = False
+            full = np.zeros_like(mask)
+            for dest, src in runs:
+                full[:, dest] = sub[:, src]
+            np.testing.assert_array_equal(full, mask)
+            assert not (sub.flags.writeable or weight.flags.writeable)
+
+
 def test_experiment_report_shape():
     rep = product_rate_experiment("gain3", (3, 5), 0.05, n_seeds=3, n_t=64, seed=5)
     assert rep.kind == "gain3"
@@ -66,9 +160,18 @@ def test_experiment_report_shape():
 
 
 def test_threads_do_not_change_values():
-    a = product_rate_experiment("kkk3", (3, 4), 0.05, n_seeds=3, n_t=64, seed=9, threads=1)
-    b = product_rate_experiment("kkk3", (3, 4), 0.05, n_seeds=3, n_t=64, seed=9, threads=3)
-    np.testing.assert_allclose(a.medians, b.medians, rtol=0, atol=0)
+    # k runs over three scales, so worker threads meet a table rebuild; a
+    # short switch interval makes them interleave inside the table cache
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for kind, threads in (("kkk3", 3), ("kkk1", 2), ("plusminus", 2)):
+            a = product_rate_experiment(kind, (3, 5), 0.05, n_seeds=3, n_t=64, seed=9, threads=1)
+            b = product_rate_experiment(kind, (3, 5), 0.05, n_seeds=3, n_t=64, seed=9, threads=threads)
+            assert a.ratios == b.ratios
+            assert a.medians == b.medians
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_unknown_kind_rejected():
