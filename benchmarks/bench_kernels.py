@@ -1,4 +1,5 @@
-"""Timing comparison of the compiled kernels against the pure-numpy twins.
+"""Timing comparison of the compiled bilinear contraction against its
+pure-numpy twin.
 
 Run with the compiled path (default) and with QNLS_DISABLE_NUMBA=1 to see
 both sides; this script times both twins in a single process regardless of
@@ -13,7 +14,6 @@ import numpy as np
 
 from qnls import _kernels
 from qnls.bilinear import t_symbol_uubar
-from qnls.mnorm import BoxSpec, build_model
 from qnls.roughdata import DataSpec, gen_rough_data
 from qnls.spectral import make_grid
 
@@ -46,50 +46,11 @@ def bench_bilinear():
             print(f"  {n:>6}  {t_np:>10.2e}  {'-':>10}  {'-':>8}")
 
 
-def bench_trilinear():
-    print("trilinear partial contractions (lattice triple sums)")
-    box = BoxSpec((1, 1, -1), (16.0, 8.0, 8.0), (4.0, 4.0, 256.0))
-    model = build_model(box, 256.0, n_tau=64, n_xi=64)
-    shapes = [(len(x), len(m)) for x, m in zip(model.xi_grids, model.mu_grids)]
-    rng = np.random.default_rng(7)
-    slots = [
-        (rng.standard_normal(s) + 1j * rng.standard_normal(s)).astype(np.complex128)
-        for s in shapes
-    ]
-    args = (
-        model.ix3,
-        model.shift,
-        model.mu_grids[0],
-        model.mu_grids[1],
-        model.lo3,
-        model.dmus[2],
-        model.nneg3,
-        shapes[2][1],
-    )
-    print(f"  instance: slot shapes {shapes}")
-    print(f"  {'partial':>8}  {'numpy':>10}  {'numba':>10}  {'speedup':>8}")
-    pairs = [
-        ("1", _kernels.trilinear_partial1_numpy, (slots[1], slots[2]), shapes[0][0]),
-        ("2", _kernels.trilinear_partial2_numpy, (slots[0], slots[2]), shapes[1][0]),
-        ("3", _kernels.trilinear_partial3_numpy, (slots[0], slots[1]), shapes[2][0]),
-    ]
-    for name, fn_np, (ua, ub), nxi in pairs:
-        t_np = _time(fn_np, ua, ub, *args, nxi)
-        if _kernels.HAS_NUMBA:
-            fn_nb = getattr(_kernels, f"trilinear_partial{name}_numba")
-            t_nb = _time(fn_nb, ua, ub, *args, nxi)
-            print(f"  {name:>8}  {t_np:>10.2e}  {t_nb:>10.2e}  {t_np / t_nb:>7.1f}x")
-        else:
-            print(f"  {name:>8}  {t_np:>10.2e}  {'-':>10}  {'-':>8}")
-
-
 def main():
     backend = "numba" if _kernels.USE_NUMBA else "numpy"
     print(f"active kernel backend: {backend} (HAS_NUMBA={_kernels.HAS_NUMBA})")
     print()
     bench_bilinear()
-    print()
-    bench_trilinear()
 
 
 if __name__ == "__main__":

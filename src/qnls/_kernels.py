@@ -1,17 +1,14 @@
-"""Hot numerical kernels: numba-jitted implementations with pure-numpy twins.
+"""Hot numerical kernels.
 
-Two operations dominate the run time of the whole package:
-
-* the dense bilinear symbol contraction  out[(i+j) % n] += sym[i,j]*u[i]*v[j]
+* The dense bilinear symbol contraction  out[(i+j) % n] += sym[i,j]*u[i]*v[j]
   (the normal-form symbols do not factor through FFTs, so this is a genuine
-  O(n^2) pass), and
-* the trilinear box contractions used by the alternating maximizer for the
-  multiplier lower bounds.
-
-Each kernel exists twice with identical semantics.  The jitted version is used
-when numba imports and the environment variable QNLS_DISABLE_NUMBA is unset
-(or "0"); otherwise the numpy version is selected.  Benchmarks comparing the
-two live in benchmarks/bench_kernels.py.
+  O(n^2) pass).  It exists twice with identical semantics: a numba-jitted
+  version, used when numba imports and the environment variable
+  QNLS_DISABLE_NUMBA is unset (or "0"), and a pure-numpy twin used otherwise.
+  benchmarks/bench_kernels.py times the two.
+* The trilinear box contractions of the alternating maximizer for the
+  multiplier lower bounds, in numpy only: each partial runs on the box's
+  precomputed index triples as one gather-multiply and one bincount.
 """
 
 import os
@@ -99,204 +96,44 @@ def bilinear_contract(sym, u, v):
 # trilinear box contractions (multiplier lower bounds)
 # ----------------------------------------------------------------------------
 #
-# Slot fields are dense complex arrays u_j[xi_cell, mu_cell].  The frequency
-# constraint fixes the slot-3 xi cell from the slot-1/2 cells via an index
-# lookup, and the modulation constraint fixes mu_3 = shift(m1, m2) - mu_1 -
-# mu_2 snapped to slot 3's mu lattice.  The caller precomputes:
-#
-#   ix3[m1, m2]   : slot-3 xi index, or -1 when no admissible xi_3 exists
-#                   (also encodes the H-window check),
-#   shift[m1, m2] : -(eps1*xi1^2 + eps2*xi2^2 + eps3*xi3^2) evaluated at the
-#                   cell centers,
-#   mu grids      : mu1g, mu2g (1-D lattices), and slot 3's lattice described
-#                   by (lo3, dmu3, nneg3, nmu3) for the snap:
-#                   values v with |v| in [lo3, lo3 + (nneg3-1)*dmu3] snap to
-#                   index round((|v|-lo3)/dmu3) + (0 if v<0 else nneg3).
-#
-# partial3 accumulates conj-free products into slot 3; partial1/partial2 are
-# the same contraction solved for the other slots.
+# Slot vectors are flat complex arrays over cells c = xi_index * n_mu +
+# mu_index.  The caller lists every admissible triple (c1, c2, c3) once; a
+# partial contracts two slots over that list into the third: one gather of
+# the two factors, one product, and one bincount that sums the product's
+# real and imaginary parts into interleaved bins 2c and 2c + 1, read back as
+# complex values.
 
 
-def _snap3_numpy(vals, lo3, dmu3, nneg3):
-    """Vectorized slot-3 mu snap; returns (index, valid) arrays."""
-    av = np.abs(vals)
-    sub = np.rint((av - lo3) / dmu3)
-    valid = (sub >= 0) & (sub < nneg3) & (np.abs(av - (lo3 + sub * dmu3)) <= 0.5 * dmu3 + 1e-9)
-    idx = sub.astype(np.int64)
-    idx = np.where(vals < 0, idx, idx + nneg3)
-    return np.where(valid, idx, -1), valid
+class Triples:
+    """Admissible triples as three equal-length arrays of flat cell indices,
+    with the number of cells of each slot."""
+
+    def __init__(self, cells, sizes):
+        self.cells = tuple(np.asarray(t, dtype=np.intp) for t in cells)
+        self.sizes = tuple(sizes)
+        # per slot: bins 2c and 2c + 1, interleaved, for the float64 view of a complex product
+        self.bins = tuple((2 * t[:, None] + np.arange(2)).ravel() for t in self.cells)
+
+    def __len__(self) -> int:
+        return len(self.cells[0])
 
 
-def trilinear_partial3_numpy(u1, u2, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi3):
-    """p3[i3, l3] = sum over admissible cells of u1[m1,l1]*u2[m2,l2]."""
-    p3 = np.zeros((nxi3, nmu3), dtype=np.complex128)
-    musum = np.add.outer(mu1g, mu2g)
-    for m1 in range(u1.shape[0]):
-        row = u1[m1]
-        if not row.any():
-            continue
-        for m2 in range(u2.shape[0]):
-            i3 = ix3[m1, m2]
-            if i3 < 0:
-                continue
-            col = u2[m2]
-            if not col.any():
-                continue
-            mu3 = shift[m1, m2] - musum
-            idx, valid = _snap3_numpy(mu3, lo3, dmu3, nneg3)
-            if not valid.any():
-                continue
-            vals = np.outer(row, col)[valid]
-            np.add.at(p3[i3], idx[valid], vals)
-    return p3
+def _contract(tri, a, sa, b, sb, out):
+    prod = a.ravel()[tri.cells[sa]] * b.ravel()[tri.cells[sb]]
+    sums = np.bincount(tri.bins[out], weights=prod.view(np.float64), minlength=2 * tri.sizes[out])
+    return sums.view(np.complex128)
 
 
-def trilinear_partial1_numpy(u2, u3, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi1):
-    """p1[m1, l1] = sum over admissible cells of u2[m2,l2]*u3[i3,l3]."""
-    p1 = np.zeros((nxi1, len(mu1g)), dtype=np.complex128)
-    musum = np.add.outer(mu1g, mu2g)
-    for m1 in range(nxi1):
-        acc = np.zeros(len(mu1g), dtype=np.complex128)
-        for m2 in range(u2.shape[0]):
-            i3 = ix3[m1, m2]
-            if i3 < 0:
-                continue
-            mu3 = shift[m1, m2] - musum
-            idx, valid = _snap3_numpy(mu3, lo3, dmu3, nneg3)
-            if not valid.any():
-                continue
-            contrib = np.where(valid, u3[i3][np.clip(idx, 0, nmu3 - 1)], 0.0)
-            acc += contrib @ u2[m2]
-        p1[m1] = acc
-    return p1
+def trilinear_partial3(u1, u2, tri):
+    """p3[c3] = sum over triples (c1, c2, c3) of u1[c1] * u2[c2]."""
+    return _contract(tri, u1, 0, u2, 1, 2)
 
 
-def trilinear_partial2_numpy(u1, u3, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi2):
-    """p2[m2, l2] = sum over admissible cells of u1[m1,l1]*u3[i3,l3]."""
-    p2 = np.zeros((nxi2, len(mu2g)), dtype=np.complex128)
-    musum = np.add.outer(mu1g, mu2g)
-    for m2 in range(nxi2):
-        acc = np.zeros(len(mu2g), dtype=np.complex128)
-        for m1 in range(u1.shape[0]):
-            i3 = ix3[m1, m2]
-            if i3 < 0:
-                continue
-            mu3 = shift[m1, m2] - musum
-            idx, valid = _snap3_numpy(mu3, lo3, dmu3, nneg3)
-            if not valid.any():
-                continue
-            contrib = np.where(valid, u3[i3][np.clip(idx, 0, nmu3 - 1)], 0.0)
-            acc += u1[m1] @ contrib
-        p2[m2] = acc
-    return p2
+def trilinear_partial1(u2, u3, tri):
+    """p1[c1] = sum over triples (c1, c2, c3) of u2[c2] * u3[c3]."""
+    return _contract(tri, u2, 1, u3, 2, 0)
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _snap3_nb(v, lo3, dmu3, nneg3):  # pragma: no cover - numba
-        av = abs(v)
-        sub = round((av - lo3) / dmu3)
-        if sub < 0 or sub >= nneg3:
-            return -1
-        if abs(av - (lo3 + sub * dmu3)) > 0.5 * dmu3 + 1e-9:
-            return -1
-        if v < 0:
-            return int(sub)
-        return int(sub) + nneg3
-
-    @njit(cache=True)
-    def _partial3_nb(u1, u2, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi3):  # pragma: no cover
-        p3 = np.zeros((nxi3, nmu3), dtype=np.complex128)
-        for m1 in range(u1.shape[0]):
-            for m2 in range(u2.shape[0]):
-                i3 = ix3[m1, m2]
-                if i3 < 0:
-                    continue
-                s = shift[m1, m2]
-                for l1 in range(mu1g.shape[0]):
-                    a = u1[m1, l1]
-                    if a == 0.0:
-                        continue
-                    for l2 in range(mu2g.shape[0]):
-                        b = u2[m2, l2]
-                        if b == 0.0:
-                            continue
-                        l3 = _snap3_nb(s - mu1g[l1] - mu2g[l2], lo3, dmu3, nneg3)
-                        if l3 >= 0:
-                            p3[i3, l3] += a * b
-        return p3
-
-    @njit(cache=True)
-    def _partial1_nb(u2, u3, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi1):  # pragma: no cover
-        p1 = np.zeros((nxi1, mu1g.shape[0]), dtype=np.complex128)
-        for m1 in range(nxi1):
-            for m2 in range(u2.shape[0]):
-                i3 = ix3[m1, m2]
-                if i3 < 0:
-                    continue
-                s = shift[m1, m2]
-                for l1 in range(mu1g.shape[0]):
-                    acc = 0.0 + 0.0j
-                    for l2 in range(mu2g.shape[0]):
-                        b = u2[m2, l2]
-                        if b == 0.0:
-                            continue
-                        l3 = _snap3_nb(s - mu1g[l1] - mu2g[l2], lo3, dmu3, nneg3)
-                        if l3 >= 0:
-                            acc += b * u3[i3, l3]
-                    p1[m1, l1] += acc
-        return p1
-
-    @njit(cache=True)
-    def _partial2_nb(u1, u3, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi2):  # pragma: no cover
-        p2 = np.zeros((nxi2, mu2g.shape[0]), dtype=np.complex128)
-        for m2 in range(nxi2):
-            for m1 in range(u1.shape[0]):
-                i3 = ix3[m1, m2]
-                if i3 < 0:
-                    continue
-                s = shift[m1, m2]
-                for l2 in range(mu2g.shape[0]):
-                    acc = 0.0 + 0.0j
-                    for l1 in range(mu1g.shape[0]):
-                        a = u1[m1, l1]
-                        if a == 0.0:
-                            continue
-                        l3 = _snap3_nb(s - mu1g[l1] - mu2g[l2], lo3, dmu3, nneg3)
-                        if l3 >= 0:
-                            acc += a * u3[i3, l3]
-                    p2[m2, l2] += acc
-        return p2
-
-    def trilinear_partial3_numba(u1, u2, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi3):
-        return _partial3_nb(u1, u2, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi3)
-
-    def trilinear_partial1_numba(u2, u3, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi1):
-        return _partial1_nb(u2, u3, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi1)
-
-    def trilinear_partial2_numba(u1, u3, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi2):
-        return _partial2_nb(u1, u3, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi2)
-
-else:
-    trilinear_partial3_numba = None
-    trilinear_partial1_numba = None
-    trilinear_partial2_numba = None
-
-
-def trilinear_partial3(*args):
-    if USE_NUMBA:
-        return trilinear_partial3_numba(*args)
-    return trilinear_partial3_numpy(*args)
-
-
-def trilinear_partial1(*args):
-    if USE_NUMBA:
-        return trilinear_partial1_numba(*args)
-    return trilinear_partial1_numpy(*args)
-
-
-def trilinear_partial2(*args):
-    if USE_NUMBA:
-        return trilinear_partial2_numba(*args)
-    return trilinear_partial2_numpy(*args)
+def trilinear_partial2(u1, u3, tri):
+    """p2[c2] = sum over triples (c1, c2, c3) of u1[c1] * u3[c3]."""
+    return _contract(tri, u1, 0, u3, 2, 1)

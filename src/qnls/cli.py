@@ -96,7 +96,8 @@ def _write_mnorm(res, cfg, out_dir):
               ["label", "alternating", "search", "rel_diff"], res["tiny_rows"])
     write_report(os.path.join(out_dir, "mnorm.json"), "mnorm", cfg,
                  {"family_c": res["family_c"], "max_tiny_reldiff": res["max_tiny_reldiff"],
-                  "ppm4_size_slope": res["ppm4_size_slope"]})
+                  "ppm4_size_slope": res["ppm4_size_slope"],
+                  "health": res["health"], "timing": res["timing"]})
 
 
 def _write_lipschitz(res, cfg, out_dir):

@@ -189,7 +189,7 @@ def parse_config(path) -> dict:
 def check_ranges(cfg) -> None:
     """Raise ConfigError for a value its parser accepts but the experiments
     cannot run with."""
-    run, rates = cfg["run"], cfg["rates"]
+    run, rates, mnorm = cfg["run"], cfg["rates"], cfg["mnorm"]
     bad = []
     if run["seed"] < 0:
         bad.append(f"[run] seed must be >= 0, got {run['seed']}")
@@ -209,6 +209,15 @@ def check_ranges(cfg) -> None:
         if unknown or not kinds:
             bad.append(f"[rates] kinds must be `all` or names from {', '.join(KIND_ORDER)}, "
                        f"got {', '.join(kinds) or 'nothing'}")
+    if mnorm["n_tau"] < 4:
+        bad.append(f"[mnorm] n_tau must be >= 4, got {mnorm['n_tau']}")
+    # the sweep's scales 2 N0 and N0 must both sit on a lattice of step 2 N0 / (n_xi // 4)
+    if mnorm["n_xi"] < 8 or (mnorm["n_xi"] // 4) % 2:
+        bad.append(f"[mnorm] n_xi must be >= 8 with n_xi // 4 even, got {mnorm['n_xi']}")
+    if mnorm["iters"] < 1:
+        bad.append(f"[mnorm] iters must be >= 1, got {mnorm['iters']}")
+    if mnorm["tiny_grid"] < 2:
+        bad.append(f"[mnorm] tiny_grid must be >= 2, got {mnorm['tiny_grid']}")
     if bad:
         raise ConfigError("; ".join(bad))
 

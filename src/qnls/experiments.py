@@ -265,8 +265,13 @@ _BOUNDS = {"ppm1": bound_ppm1, "ppm2": bound_ppm2, "ppm4": bound_ppm4}
 
 
 def run_mnorm(cfg) -> dict:
+    """Sweep and tiny-instance results; `health` (per sweep box: the restart
+    that found the best value, its value after each sweep, the triple count)
+    and `timing` belong in the JSON report only."""
+    start = time.perf_counter()
     c = cfg["mnorm"]
     sweep_rows = []
+    health = []
     family_c: dict = {}
     ppm4_points = []
     for family, n0, box, h in mnorm_sweep_configs():
@@ -277,6 +282,8 @@ def run_mnorm(cfg) -> dict:
         bound = _BOUNDS[family](box.freqs, box.mods)
         ratio = est.value / bound
         sweep_rows.append((family, n0, est.value, bound, ratio, est.n_triples, est.empty))
+        health.append({"family": family, "n0": n0, "best_restart": est.best_restart,
+                       "sweep_values": list(est.sweep_values), "n_triples": est.n_triples})
         family_c[family] = max(family_c.get(family, 0.0), ratio)
         if family == "ppm4" and est.value > 0:
             ppm4_points.append((math.log2(n0), math.log2(est.value)))
@@ -307,6 +314,8 @@ def run_mnorm(cfg) -> dict:
         "tiny_rows": tiny_rows,
         "max_tiny_reldiff": max_tiny,
         "ppm4_size_slope": size_slope,
+        "health": health,
+        "timing": {"wall_s": time.perf_counter() - start},
     }
 
 

@@ -20,6 +20,13 @@ The estimator restricts m's exact trilinear norm to the discrete cells, so
 it is a certified lower bound of the model norm; alternating maximization
 over the three slot vectors (each step solves its slot exactly) makes it
 monotone nondecreasing in the number of restarts.
+
+build_model lists the admissible triples (c1, c2, c3) of flat cell indices
+c = xi_index * n_mu + mu_index once, vectorised over all slot-1/slot-2 xi
+pairs.  Every single-slot step of the maximizer is a partial contraction on
+that list (one gather-multiply and one bincount, see _kernels), the triple
+count is its length, and the sphere-sweep oracle for tiny instances reads
+the same list.
 """
 
 from __future__ import annotations
@@ -29,12 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (
-    _snap3_numpy,
-    trilinear_partial1,
-    trilinear_partial2,
-    trilinear_partial3,
-)
+from ._kernels import Triples, trilinear_partial1, trilinear_partial2, trilinear_partial3
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,7 @@ class MnormModel:
     dmus: tuple
     lo3: float
     nneg3: int
+    triples: Triples  # every admissible (c1, c2, c3), c = xi_index * n_mu + mu_index
 
     @property
     def empty(self) -> bool:
@@ -75,7 +78,7 @@ class MnormModel:
 
     @property
     def cells(self) -> tuple:
-        return tuple(len(x) * len(m) for x, m in zip(self.xi_grids, self.mu_grids))
+        return self.triples.sizes
 
     @property
     def measure_factor(self) -> float:
@@ -91,8 +94,20 @@ def _signed_lattice(scale: float, step: float) -> np.ndarray:
     return np.concatenate([-mags, mags])
 
 
+def _snap(vals, lo, step, nneg):
+    """Index of each value on a signed lattice with nneg magnitudes
+    lo, lo + step, ... per side (negative side first), or -1 where the value
+    falls off the lattice."""
+    av = np.abs(vals)
+    sub = np.rint((av - lo) / step)
+    valid = (sub >= 0) & (sub < nneg) & (np.abs(av - (lo + sub * step)) <= 0.5 * step + 1e-9)
+    idx = np.where(vals < 0, sub, sub + nneg).astype(np.int64)
+    return np.where(valid, idx, -1)
+
+
 def build_model(box: BoxSpec, H: float, n_tau: int = 64, n_xi: int = 64) -> MnormModel:
-    """Lay down lattices and admissibility tables for one box triple."""
+    """Lay down lattices, admissibility tables and the admissible triples for
+    one box triple."""
     if H <= 0:
         raise ValueError("H must be positive")
     p_xi = max(1, n_xi // 4)
@@ -124,17 +139,23 @@ def build_model(box: BoxSpec, H: float, n_tau: int = 64, n_xi: int = 64) -> Mnor
     ok = on_lattice & window & (mag > 0)
     ix3 = np.where(ok, idx3, -1)
     shift = -level
+    lo3 = float(box.mods[2])
+    nneg3 = int(math.floor(box.mods[2] / dmus[2] + 1e-9)) + 1
+
+    # admissible triples, ordered by (m1, m2, l1, l2): for every admissible xi
+    # pair the slot-3 modulation shift - mu1 - mu2 must snap onto slot 3's lattice
+    n_mu = tuple(len(m) for m in mu_grids)
+    m1, m2 = np.nonzero(ix3 >= 0)
+    musum = np.add.outer(mu_grids[0], mu_grids[1])
+    l3 = _snap(shift[m1, m2][:, None, None] - musum, lo3, dmus[2], nneg3)
+    pair, l1, l2 = np.nonzero(l3 >= 0)
+    triples = Triples(
+        (m1[pair] * n_mu[0] + l1, m2[pair] * n_mu[1] + l2, ix3[m1, m2][pair] * n_mu[2] + l3[pair, l1, l2]),
+        tuple(len(x) * n for x, n in zip(xi_grids, n_mu)),
+    )
     return MnormModel(
-        box,
-        float(H),
-        xi_grids,
-        mu_grids,
-        ix3.astype(np.int64),
-        shift.astype(np.float64),
-        dxi,
-        dmus,
-        float(box.mods[2]),
-        int(math.floor(box.mods[2] / dmus[2] + 1e-9)) + 1,
+        box, float(H), xi_grids, mu_grids, ix3.astype(np.int64), shift.astype(np.float64),
+        dxi, dmus, lo3, nneg3, triples,
     )
 
 
@@ -146,21 +167,12 @@ class MnormEstimate:
     n_triples: int
     iters: int
     raw: float
+    best_restart: int = -1  # first restart reaching raw
+    sweep_values: tuple = ()  # that restart's value after each sweep
 
 
 def count_triples(model: MnormModel) -> int:
-    mu1, mu2 = model.mu_grids[0], model.mu_grids[1]
-    musum = np.add.outer(mu1, mu2)
-    total = 0
-    for m1 in range(len(model.xi_grids[0])):
-        for m2 in range(len(model.xi_grids[1])):
-            if model.ix3[m1, m2] < 0:
-                continue
-            _idx, valid = _snap3_numpy(
-                model.shift[m1, m2] - musum, model.lo3, model.dmus[2], model.nneg3
-            )
-            total += int(valid.sum())
-    return total
+    return len(model.triples)
 
 
 def _unit(rng, shape) -> np.ndarray:
@@ -168,43 +180,46 @@ def _unit(rng, shape) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def alternating_max(model: MnormModel, iters: int = 8, seed: int = 0, sweeps: int = 10) -> float:
+def alternating_max(
+    model: MnormModel, iters: int = 8, seed: int = 0, sweeps: int = 10, history: list | None = None
+) -> float:
     """Best trilinear value over unit slot vectors found by alternating
-    exact single-slot maximization, maximized over seeded restarts."""
+    exact single-slot maximization, maximized over seeded restarts.
+
+    When a list is passed as history, each restart appends to it the list of
+    its values after every sweep."""
     if model.empty:
         return 0.0
-    n1 = (len(model.xi_grids[0]), len(model.mu_grids[0]))
-    n2 = (len(model.xi_grids[1]), len(model.mu_grids[1]))
-    n3 = (len(model.xi_grids[2]), len(model.mu_grids[2]))
-    args = (model.ix3, model.shift, model.mu_grids[0], model.mu_grids[1],
-            model.lo3, model.dmus[2], model.nneg3, n3[1])
+    tri = model.triples
     best = 0.0
     for restart in range(iters):
         rng = np.random.default_rng([int(seed), restart])
-        u1 = _unit(rng, n1)
-        u2 = _unit(rng, n2)
-        val = 0.0
+        u1 = _unit(rng, tri.sizes[0])
+        u2 = _unit(rng, tri.sizes[1])
+        values = []
         for _ in range(sweeps):
-            p3 = trilinear_partial3(u1, u2, *args, n3[0])
+            p3 = trilinear_partial3(u1, u2, tri)
             nrm = np.linalg.norm(p3)
             if nrm == 0.0:
-                val = 0.0
+                values.append(0.0)
                 break
             u3 = np.conj(p3) / nrm
-            p1 = trilinear_partial1(u2, u3, *args, n1[0])
+            p1 = trilinear_partial1(u2, u3, tri)
             nrm = np.linalg.norm(p1)
             if nrm == 0.0:
-                val = 0.0
+                values.append(0.0)
                 break
             u1 = np.conj(p1) / nrm
-            p2 = trilinear_partial2(u1, u3, *args, n2[0])
+            p2 = trilinear_partial2(u1, u3, tri)
             nrm = np.linalg.norm(p2)
             if nrm == 0.0:
-                val = 0.0
+                values.append(0.0)
                 break
             u2 = np.conj(p2) / nrm
-            val = float(nrm)
-        best = max(best, val)
+            values.append(float(nrm))
+        if history is not None:
+            history.append(values)
+        best = max(best, values[-1] if values else 0.0)
     return best
 
 
@@ -220,14 +235,18 @@ def multiplier_lower_bound(
 
     An incompatible box triple (no admissible cells) yields value 0 with
     the empty flag set.  The value is monotone nondecreasing in iters for
-    a fixed seed.
+    a fixed seed.  The estimate also names the first restart that reached
+    the best value and that restart's value after each sweep.
     """
     model = build_model(box, H, n_tau, n_xi)
     if model.empty:
         return MnormEstimate(0.0, True, model.cells, 0, iters, 0.0)
-    raw = alternating_max(model, iters=iters, seed=seed)
+    runs = []
+    raw = alternating_max(model, iters=iters, seed=seed, history=runs)
+    best = next((i for i, r in enumerate(runs) if r and r[-1] == raw), -1)
     return MnormEstimate(
-        model.measure_factor * raw, False, model.cells, count_triples(model), iters, raw
+        model.measure_factor * raw, False, model.cells, count_triples(model), iters, raw,
+        best, tuple(runs[best]) if best >= 0 else (),
     )
 
 
@@ -235,37 +254,7 @@ def multiplier_lower_bound(
 # exhaustive oracle for tiny instances
 # ----------------------------------------------------------------------------
 
-def _triple_lists(model: MnormModel):
-    """Flattened admissible triples (c1, c2, c3) with cell index
-    c = xi_index * n_mu + mu_index."""
-    mu1, mu2 = model.mu_grids[0], model.mu_grids[1]
-    nmu1, nmu2, nmu3 = (len(m) for m in model.mu_grids)
-    musum = np.add.outer(mu1, mu2)
-    l1_idx, l2_idx = np.meshgrid(np.arange(nmu1), np.arange(nmu2), indexing="ij")
-    out1, out2, out3 = [], [], []
-    for m1 in range(len(model.xi_grids[0])):
-        for m2 in range(len(model.xi_grids[1])):
-            i3 = model.ix3[m1, m2]
-            if i3 < 0:
-                continue
-            idx, valid = _snap3_numpy(
-                model.shift[m1, m2] - musum, model.lo3, model.dmus[2], model.nneg3
-            )
-            if not valid.any():
-                continue
-            out1.append(m1 * nmu1 + l1_idx[valid])
-            out2.append(m2 * nmu2 + l2_idx[valid])
-            out3.append(i3 * nmu3 + idx[valid])
-    if not out1:
-        return (np.zeros(0, np.int64),) * 3
-    return (
-        np.concatenate(out1).astype(np.int64),
-        np.concatenate(out2).astype(np.int64),
-        np.concatenate(out3).astype(np.int64),
-    )
-
-
-def trilinear_sphere_max(t1, t2, t3, cells, grid_points: int = 96) -> float:
+def trilinear_sphere_max(t1, t2, t3, grid_points: int = 96) -> float:
     """Global maximum of |sum over triples of u1[a] u2[b] u3[c]| over unit
     vectors, for 0/1 triple weights where one slot touches at most two cells.
 
@@ -275,30 +264,31 @@ def trilinear_sphere_max(t1, t2, t3, cells, grid_points: int = 96) -> float:
     slots are solved exactly by a singular value decomposition.  Because the
     value is 1-Lipschitz relative to its own maximum along the sphere, the
     grid resolution bounds the relative error (well under one percent here).
+
+    Only the cells some triple touches (the active cells) enter the
+    matrices: the others would add zero rows and columns, which leave the
+    singular values unchanged.
     """
-    t1 = np.asarray(t1, np.int64)
-    t2 = np.asarray(t2, np.int64)
-    t3 = np.asarray(t3, np.int64)
-    if t1.size == 0:
+    ts = [np.asarray(t, np.int64) for t in (t1, t2, t3)]
+    if ts[0].size == 0:
         return 0.0
-    active = [np.unique(t) for t in (t1, t2, t3)]
+    # per slot: the active cells, and each triple's position among them
+    active, pos = zip(*(np.unique(t, return_inverse=True) for t in ts))
     j = int(np.argmin([a.size for a in active]))
     if active[j].size > 2:
         raise ValueError(
             "sphere-sweep oracle needs a slot with at most two active cells "
             f"(got {[a.size for a in active]})"
         )
-    tj = (t1, t2, t3)[j]
-    ta, tb = (t for i, t in enumerate((t1, t2, t3)) if i != j)
-    da, db = (c for i, c in enumerate(cells) if i != j)
+    a, b = (i for i in range(3) if i != j)
 
     # per-active-cell slices of the tensor, as (slot_a x slot_b) matrices
     slices = []
-    for cell in active[j]:
-        a = np.zeros((da, db), dtype=np.complex128)
-        sel = tj == cell
-        np.add.at(a, (ta[sel], tb[sel]), 1.0)
-        slices.append(a)
+    for cell in range(active[j].size):
+        mat = np.zeros((active[a].size, active[b].size), dtype=np.complex128)
+        sel = pos[j] == cell
+        np.add.at(mat, (pos[a][sel], pos[b][sel]), 1.0)
+        slices.append(mat)
 
     if len(slices) == 1:
         return float(np.linalg.svd(slices[0], compute_uv=False)[0])
@@ -334,8 +324,7 @@ def exhaustive_max(model: MnormModel, grid_points: int = 96) -> float:
         return 0.0
     if max(model.cells) > 400:
         raise ValueError("search oracle is restricted to tiny instances")
-    t1, t2, t3 = _triple_lists(model)
-    return trilinear_sphere_max(t1, t2, t3, model.cells, grid_points)
+    return trilinear_sphere_max(*model.triples.cells, grid_points=grid_points)
 
 
 def exhaustive_lower_bound(
@@ -357,11 +346,6 @@ def bound_ppm2(freqs, mods) -> float:
     n1, n2, _n3 = freqs
     l1, l2, l3 = mods
     return math.sqrt(min(l1 * l3 / n2, l2 * l3 / n1))
-
-
-def bound_ppm3(freqs, mods) -> float:
-    ls = sorted(mods)
-    return math.sqrt(ls[0]) * math.sqrt(ls[1]) / math.sqrt(max(freqs))
 
 
 def bound_ppm4(freqs, mods) -> float:

@@ -94,6 +94,11 @@ class TestConfig:
             "[rates]\nn_t = 63\n",
             "[rates]\nkinds = gain1, nope\n",
             "[rates]\nkinds = all, gain1\n",
+            "[mnorm]\nn_tau = 3\n",
+            "[mnorm]\nn_xi = 4\n",
+            "[mnorm]\nn_xi = 12\n",
+            "[mnorm]\niters = 0\n",
+            "[mnorm]\ntiny_grid = 1\n",
         ],
     )
     def test_out_of_range_rejected(self, tmp_path, text):
@@ -236,6 +241,29 @@ class TestCli:
             assert all(v > 0 for v in health["iqr"].values())
             assert health["non_finite_cells"] == 0
 
+    def test_mnorm_report_health_and_timing(self, tmp_path):
+        p = tmp_path / "small.cfg"
+        p.write_text("[mnorm]\nn_tau = 16\nn_xi = 16\niters = 3\ntiny_grid = 16\n")
+        csv_bytes = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["mnorm", "--config", str(p), "--out", str(out)]) in (0, 1)
+            csv_bytes.append((out / "mnorm_sweep.csv").read_bytes() + (out / "mnorm_tiny.csv").read_bytes())
+        assert csv_bytes[0] == csv_bytes[1]  # timing stays out of the CSVs
+        results = json.loads((tmp_path / "a" / "mnorm.json").read_text())["results"]
+        assert results["timing"]["wall_s"] > 0
+        sweep = (tmp_path / "a" / "mnorm_sweep.csv").read_text().splitlines()[1:]
+        assert len(results["health"]) == len(sweep) == 9
+        for box, row in zip(results["health"], sweep):
+            family, n0, estimate, _bound, _ratio, n_triples, _empty = row.split(",")
+            assert set(box) == {"family", "n0", "best_restart", "sweep_values", "n_triples"}
+            assert (box["family"], box["n0"], box["n_triples"]) == (family, int(n0), int(n_triples))
+            assert 0 <= box["best_restart"] < 3
+            assert len(box["sweep_values"]) == 10
+            # alternating maximization never decreases within a restart
+            assert all(b >= a * (1 - 1e-12) for a, b in zip(box["sweep_values"], box["sweep_values"][1:]))
+            assert box["n_triples"] > 0 and float(estimate) > 0
+
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["identity", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
         assert rc == 2
@@ -297,29 +325,3 @@ class TestKernels:
         a = _kernels._bilinear_contract_nb(sym, u, v)
         b = _kernels.bilinear_contract_numpy(sym, u, v)
         np.testing.assert_allclose(a, b, atol=1e-12 * np.max(np.abs(b)))
-
-    def test_trilinear_twins_agree(self):
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable in this interpreter")
-        from qnls.mnorm import BoxSpec, build_model
-
-        box = BoxSpec((1, 1, -1), (4.0, 2.0, 2.0), (1.0, 2.0, 16.0))
-        m = build_model(box, 16.0, n_tau=8, n_xi=16)
-        assert not m.empty
-        rng = np.random.default_rng(3)
-        n1 = (len(m.xi_grids[0]), len(m.mu_grids[0]))
-        n2 = (len(m.xi_grids[1]), len(m.mu_grids[1]))
-        n3 = (len(m.xi_grids[2]), len(m.mu_grids[2]))
-        u1 = rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
-        u2 = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
-        u3 = rng.standard_normal(n3) + 1j * rng.standard_normal(n3)
-        args = (m.ix3, m.shift, m.mu_grids[0], m.mu_grids[1], m.lo3, m.dmus[2], m.nneg3, n3[1])
-        p3a = _kernels._partial3_nb(u1, u2, *args, n3[0])
-        p3b = _kernels.trilinear_partial3_numpy(u1, u2, *args, n3[0])
-        np.testing.assert_allclose(p3a, p3b, atol=1e-12 * max(1.0, np.max(np.abs(p3b))))
-        p1a = _kernels._partial1_nb(u2, u3, *args, n1[0])
-        p1b = _kernels.trilinear_partial1_numpy(u2, u3, *args, n1[0])
-        np.testing.assert_allclose(p1a, p1b, atol=1e-12 * max(1.0, np.max(np.abs(p1b))))
-        p2a = _kernels._partial2_nb(u1, u3, *args, n2[0])
-        p2b = _kernels.trilinear_partial2_numpy(u1, u3, *args, n2[0])
-        np.testing.assert_allclose(p2a, p2b, atol=1e-12 * max(1.0, np.max(np.abs(p2b))))
