@@ -10,12 +10,14 @@ plus acceptance suite wired to the ``qnls`` command."""
 from .bilinear import (
     BilinearSymbol,
     apply_bilinear,
+    apply_lift,
     apply_pair_g_fast,
     dealiased_product,
     g_symbol,
     g_symbol_restricted,
     leibniz_residual,
     normal_form_pair,
+    padded_weighted_product,
     t_symbol_u2,
     t_symbol_ubar2,
     t_symbol_uubar,
@@ -57,19 +59,14 @@ from .spectral import (
     Grid,
     SpectralField,
     bessel_potential,
-    field_from_coeffs,
     free_propagate,
     l2_norm,
     lp_annulus,
     lp_bump,
-    lp_low,
-    lp_project,
-    make_grid,
     max_band,
     sign_project,
     to_physical,
     to_spectral,
-    zero_field,
 )
 
 __version__ = "0.1.0"

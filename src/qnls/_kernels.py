@@ -1,11 +1,12 @@
 """Hot numerical kernels.
 
-* The dense bilinear symbol contraction  out[(i+j) % n] += sym[i,j]*u[i]*v[j]
-  (the normal-form symbols do not factor through FFTs, so this is a genuine
-  O(n^2) pass).  It exists twice with identical semantics: a numba-jitted
-  version, used when numba imports and the environment variable
-  QNLS_DISABLE_NUMBA is unset (or "0"), and a pure-numpy twin used otherwise.
-  benchmarks/bench_kernels.py times the two.
+* The dense bilinear symbol contraction  out[(i+j) % n] += sym[i,j]*u[i]*v[j],
+  an O(n^2) pass.  The lift symbols of u2 and uubar factor through FFTs
+  (bilinear.apply_lift), so it runs for the ubar2 lift, whose mismatch does
+  not factor, and for the dense reference symbols.  It exists twice with
+  identical semantics: a numba-jitted version, used when numba imports and
+  the environment variable QNLS_DISABLE_NUMBA is unset (or "0"), and a
+  pure-numpy twin used otherwise.
 * The trilinear box contractions of the alternating maximizer for the
   multiplier lower bounds, in numpy only: each partial runs on the box's
   precomputed index triples as one gather-multiply and one bincount.

@@ -27,6 +27,19 @@ responds at (xi+eta)^2, so
 
 Dividing by i*mismatch makes d/dt + i d^2/dx^2 of the transformed pair land
 exactly on the weighted product, which is what leibniz_residual checks.
+
+For u2 and uubar the mismatch factors (-2 xi eta and -2 eta (xi+eta)), so
+the lift is a multiplier on each slot times a multiplier on the output, and
+apply_lift evaluates it as one FFT product on the n-point grid; only ubar2,
+whose mismatch -(xi^2 + eta^2 + (xi+eta)^2) does not factor, goes through
+the dense contraction.  The dense matrices stay as the reference that the
+tests and criterion 8 compare the factored route against.
+
+FFT products come at three paddings, set by the band limits of the inputs:
+n points for guard-limited inputs (|j| <= n/4, apply_lift and
+apply_pair_g_fast), 3n/2 points for inputs anywhere below the Nyquist index
+(padded_weighted_product, Orszag's 3/2 rule), and the doubled grid of
+dealiased_product / weighted_product, kept as the oracle of both.
 """
 
 from __future__ import annotations
@@ -84,10 +97,8 @@ class BilinearSymbol:
 
 def _check_guard(field: SpectralField):
     grid = field.grid
-    idx = np.arange(grid.n)
-    mag = np.minimum(idx, grid.n - idx)
-    beyond = mag > grid.guard_index
-    if np.any(field.coeffs[beyond] != 0.0):
+    # slots guard_index + 1 .. n - guard_index - 1 hold the indices beyond the guard
+    if np.any(field.coeffs[grid.guard_index + 1 : grid.n - grid.guard_index] != 0.0):
         raise ValueError(
             f"bilinear input carries frequencies beyond the guard index {grid.guard_index}"
         )
@@ -252,31 +263,126 @@ def weighted_product(
     return bessel_potential(outer, prod)
 
 
+def padded_weighted_product(
+    inner: float,
+    outer: float,
+    u: SpectralField,
+    v: SpectralField,
+    conj_first: bool = False,
+    conj_second: bool = False,
+) -> SpectralField:
+    """weighted_product on a 3n/2-point grid.
+
+    The inputs may reach |j| = n/2 - 1, so their product reaches |j| = n - 2;
+    on 3n/2 points a sum that wraps lands at |j| >= n/2 + 2, beyond every
+    output slot (Orszag's 3/2 rule).  The result equals weighted_product to
+    rounding on the whole n-point band at three FFTs of 3n/2 points in place
+    of three of 2n."""
+    if u.grid != v.grid:
+        raise ValueError("field grids do not match")
+    grid = u.grid
+    n = grid.n
+    m = 3 * n // 2
+    half = n // 2
+    w_in = _bracket(grid.frequencies, inner)
+    padded = []
+    for field, conj in ((u, conj_first), (v, conj_second)):
+        c = (field.conj() if conj else field).coeffs * w_in
+        big = np.zeros(m, dtype=np.complex128)
+        big[:half] = c[:half]
+        big[m - half + 1 :] = c[half + 1 :]
+        padded.append(big)
+    d = m * np.fft.fft(np.fft.ifft(padded[0]) * np.fft.ifft(padded[1]))
+    out = np.zeros(n, dtype=np.complex128)
+    out[:half] = d[:half]
+    out[half + 1 :] = d[m - half + 1 :]
+    return SpectralField(grid, out * _bracket(grid.frequencies, outer))
+
+
+def _factored_product(grid: Grid, a, m1, c, m2, m_out) -> SpectralField:
+    """The contraction with symbol m1(xi) m2(eta) m_out(xi + eta) of slot
+    arrays a and c, as one n-point FFT product.  Alias-free for guard-limited
+    slots: their sums reach |j| = n/2 only at the Nyquist slot, which
+    SpectralField zeroes, as the dense contraction does."""
+    p = np.fft.ifft(m1 * a) * np.fft.ifft(m2 * c)
+    return SpectralField(grid, grid.n * m_out * np.fft.fft(p))
+
+
 def apply_pair_g_fast(kind: str, alpha: float, beta: float, u: SpectralField, v: SpectralField) -> SpectralField:
-    """FFT evaluation of g_symbol_restricted: the sharp cutoffs of each kind
-    factor into per-slot projections plus at most a rank-one correction."""
+    """FFT evaluation of g_symbol_restricted on guard-limited fields: the
+    sharp cutoffs of each kind factor into per-slot and output cutoffs, plus
+    for ubar2 a correction at the single excluded (0, 0) cell."""
+    if u.grid != v.grid:
+        raise ValueError("field grids do not match")
+    _check_guard(u)
+    _check_guard(v)
     grid = u.grid
     xi = grid.frequencies
     tol = math.pi / grid.length
+    w_in = _bracket(xi, alpha)
+    w_out = _bracket(xi, beta - alpha)
+    pos = np.where(xi > tol, w_in, 0.0)
     if kind == "u2":
-        up = SpectralField(grid, np.where(xi > tol, u.coeffs, 0.0))
-        vp = SpectralField(grid, np.where(xi > tol, v.coeffs, 0.0))
-        return weighted_product(alpha, beta - alpha, up, vp)
+        return _factored_product(grid, u.coeffs, pos, v.coeffs, pos, w_out)
     if kind == "uubar":
-        up = SpectralField(grid, np.where(xi > tol, u.coeffs, 0.0))
-        # effective-frequency cutoff eta != 0 kills the conjugated slot's zero mode
-        vnz = SpectralField(grid, np.where(np.abs(xi) > tol, v.coeffs, 0.0))
-        out = weighted_product(alpha, beta - alpha, up, vnz, conj_second=True)
-        trimmed = out.coeffs.copy()
-        trimmed[0] = 0.0
-        return SpectralField(grid, trimmed)
+        # effective-frequency cutoffs eta != 0 and xi + eta != 0
+        nonzero = np.abs(xi) > tol
+        return _factored_product(
+            grid, u.coeffs, pos, v.conj().coeffs, np.where(nonzero, w_in, 0.0), np.where(nonzero, w_out, 0.0)
+        )
     if kind == "ubar2":
-        out = weighted_product(alpha, beta - alpha, u, v, conj_first=True, conj_second=True)
-        trimmed = out.coeffs.copy()
+        a, c = u.conj().coeffs, v.conj().coeffs
+        out = _factored_product(grid, a, w_in, c, w_in, w_out).coeffs.copy()
         # remove the single excluded (0,0) cell: weight there is 1
-        trimmed[0] -= np.conj(u.coeffs[0]) * np.conj(v.coeffs[0])
-        return SpectralField(grid, trimmed)
+        out[0] -= a[0] * c[0]
+        return SpectralField(grid, out)
     raise ValueError(f"unknown interaction kind {kind!r}")
+
+
+_LIFT_SYMBOLS: dict = {}
+
+
+def apply_lift(kind: str, alpha: float, beta: float, u: SpectralField, v: SpectralField) -> SpectralField:
+    """T(u, v) for the kind's normal-form symbol, on guard-limited fields.
+
+    Equals apply_bilinear(normal_form_pair(kind, alpha, beta)[0], u, v) to
+    rounding.  For u2 and uubar the symbol factors, and this is one n-point
+    FFT product:
+
+        u2:    <xi>^a / xi 1{xi>0}  *  <eta>^a / eta 1{eta>0}
+               * <zeta>^(b-a) / (-2i)
+        uubar: <xi>^a 1{xi>0}  *  <eta>^a / eta 1{eta!=0}  (eta effective)
+               * <zeta>^(b-a) / zeta 1{zeta!=0} / (-2i)
+
+    with zeta = xi + eta.  ubar2 goes through the dense contraction with the
+    symbol built once per (alpha, beta)."""
+    if u.grid != v.grid:
+        raise ValueError("field grids do not match")
+    if kind == "ubar2":
+        key = (float(alpha), float(beta))
+        sym = _LIFT_SYMBOLS.get(key)
+        if sym is None:
+            sym = _LIFT_SYMBOLS[key] = t_symbol_ubar2(alpha, beta)
+        return apply_bilinear(sym, u, v)
+    if kind not in ("u2", "uubar"):
+        raise ValueError(f"unknown interaction kind {kind!r}")
+    _check_guard(u)
+    _check_guard(v)
+    grid = u.grid
+    xi = grid.frequencies
+    tol = math.pi / grid.length
+    w_in = _bracket(xi, alpha)
+    w_out = _bracket(xi, beta - alpha) / -2j
+    pos = xi > tol
+    nonzero = np.abs(xi) > tol
+    safe_xi = np.where(nonzero, xi, 1.0)
+    over_xi = np.where(nonzero, w_in / safe_xi, 0.0)
+    if kind == "u2":
+        m1 = np.where(pos, over_xi, 0.0)
+        return _factored_product(grid, u.coeffs, m1, v.coeffs, m1, w_out)
+    return _factored_product(
+        grid, u.coeffs, np.where(pos, w_in, 0.0), v.conj().coeffs, over_xi, np.where(nonzero, w_out / safe_xi, 0.0)
+    )
 
 
 # ----------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a checked threshold fails (or the field
-blows up), 2 on usage or configuration errors."""
+blows up), 2 on usage or configuration errors and for nothing else: every
+config value is range-checked when it loads, so any other exception is a
+fault of the program and surfaces with its traceback."""
 
 from __future__ import annotations
 
@@ -181,9 +183,6 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"qnls: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"qnls: invalid setup: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

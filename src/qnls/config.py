@@ -9,7 +9,10 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .evolution import EvolutionConfig
+from .experiments import ROUTE_FREQ_HI
 from .rates import KIND_ORDER
+from .spectral import Grid, max_band
 
 
 class ConfigError(Exception):
@@ -218,8 +221,93 @@ def check_ranges(cfg) -> None:
         bad.append(f"[mnorm] iters must be >= 1, got {mnorm['iters']}")
     if mnorm["tiny_grid"] < 2:
         bad.append(f"[mnorm] tiny_grid must be >= 2, got {mnorm['tiny_grid']}")
+    bad.extend(_flow_problems(cfg))
     if bad:
         raise ConfigError("; ".join(bad))
+
+
+# section -> (grid key, data-support key, (dt, t_final, n_saves) keys or None
+# for a section that integrates no flow)
+_GRID_SECTIONS = {
+    "identity": ("n_points", "band_limit", None),
+    "smoothing": ("n_points", "freq_hi", None),
+    "simulate": ("n_points", "freq_hi", ("dt", "t_final", "n_saves")),
+    "decompose": ("n_points", "freq_hi", ("dt", "t_final", "n_saves")),
+    "lipschitz": ("n_points", "freq_hi", ("dt", "t_final", "n_saves")),
+    "subst": ("n_points", "freq_hi", ("dt", "t_final", "n_saves")),
+    "infra": ("order_n", "order_freq_hi", ("order_dt", "order_t_final", None)),
+}
+
+
+def _flow_problems(cfg) -> list:
+    """Range problems of the sections that build grids, draw data and
+    integrate flows: each grid must be one Grid accepts, each data support
+    must lie in [1, guard frequency], each flow must be one EvolutionConfig
+    accepts (positive dt dividing t_final, dt resolving the guard phase,
+    n_saves >= 2, a known kind and variable set), and each fit window must
+    hold the four bands a regularity fit needs, below max_band and within
+    the data's reach."""
+    run = cfg["run"]
+    bad = []
+
+    def grid_of(sec, key):
+        try:
+            return Grid(cfg[sec][key])
+        except ValueError:
+            bad.append(f"[{sec}] {key} must be a power of two >= 16, got {cfg[sec][key]}")
+            return None
+
+    def flow(sec, label, n_key, dt, t_final, n_saves, **kw):
+        try:
+            EvolutionConfig(cfg[sec][n_key], run["alpha"], run["beta"], dt, t_final, n_saves=n_saves, **kw)
+        except ValueError as exc:
+            bad.append(f"[{sec}] {label}{exc}")
+
+    for sec, (n_key, freq_key, flow_keys) in _GRID_SECTIONS.items():
+        c = cfg[sec]
+        grid = grid_of(sec, n_key)
+        if grid is None:
+            continue
+        if not 1.0 <= c[freq_key] <= grid.guard_frequency:
+            bad.append(f"[{sec}] {freq_key} must lie in [1, {grid.guard_frequency:g}] "
+                       f"(the guard frequency of {n_key} = {grid.n}), got {c[freq_key]:g}")
+        if flow_keys is not None:
+            dt_key, t_key, saves_key = flow_keys
+            extra = {"kind": c["kind"], "variables": c["variables"]} if sec == "simulate" else {}
+            label = "order flow: " if sec == "infra" else ""
+            flow(sec, label, n_key, c[dt_key], c[t_key], c[saves_key] if saves_key else 2, **extra)
+        if "fit_lo" in c:
+            lo, hi = c["fit_lo"], c["fit_hi"]
+            if hi - max(lo, 1) < 3:
+                bad.append(f"[{sec}] fit window [fit_lo, fit_hi] must hold at least 4 bands >= 1, "
+                           f"got [{lo}, {hi}]")
+            if hi > max_band(grid):
+                bad.append(f"[{sec}] fit_hi must be <= {max_band(grid)} (max_band of n_points = "
+                           f"{grid.n}), got {hi}")
+            # band k holds the frequencies 2^(k-1) < |xi| < 2^(k+1); the data
+            # must reach the window's fourth band for the fit to have four
+            fourth = max(lo, 1) + 3
+            if c[freq_key] < 2 ** (fourth - 1) + 1:
+                bad.append(f"[{sec}] {freq_key} must be >= {2 ** (fourth - 1) + 1} to reach band "
+                           f"{fourth} of the fit window, got {c[freq_key]:g}")
+
+    infra = cfg["infra"]
+    grid = grid_of("infra", "n_points")
+    if grid is not None:
+        if grid.guard_frequency < ROUTE_FREQ_HI:
+            bad.append(f"[infra] n_points must reach a guard frequency of {ROUTE_FREQ_HI:g} "
+                       f"for the route check's data, got {grid.n}")
+        flow("infra", "route flow: ", "n_points", infra["route_dt"], infra["route_t_final"], 6)
+
+    if cfg["identity"]["dt"] <= 0:
+        bad.append(f"[identity] dt must be positive, got {cfg['identity']['dt']:g}")
+    for sec, key in (("identity", "n_pairs"), ("smoothing", "n_seeds")):
+        if cfg[sec][key] < 1:
+            bad.append(f"[{sec}] {key} must be >= 1, got {cfg[sec][key]}")
+    eps = cfg["lipschitz"]["epsilons"]
+    if not eps or any(e <= 0 for e in eps):
+        bad.append(f"[lipschitz] epsilons must be positive, got {', '.join(f'{e:g}' for e in eps) or 'nothing'}")
+    return bad
 
 
 def load_config(path=None) -> dict:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .bilinear import apply_bilinear, apply_pair_g_fast, t_symbol_u2, t_symbol_uubar, t_symbol_ubar2, weighted_product
+from .bilinear import apply_lift, apply_pair_g_fast, padded_weighted_product
 from .spectral import (
     Grid,
     SpectralField,
@@ -184,7 +184,9 @@ def rhs(config: EvolutionConfig, state: SpectralField) -> SpectralField:
 def _integrate_core(grid: Grid, u0: np.ndarray, dt: float, n_steps: int, nonlin, t0: float, save_steps):
     """Integrating-factor RK4 on raw coefficient arrays.
 
-    nonlin(coeffs, t) -> coeffs must return guard-limited arrays."""
+    nonlin(coeffs, t) -> coeffs must return guard-limited arrays.  Stage
+    times are computed from the step index, so stages 2 and 3 get the same
+    float, and stage 4 the float that stage 1 of the next step gets."""
     L = 1j * grid.frequencies**2
     e_full = np.exp(L * dt)
     e_half = np.exp(L * (0.5 * dt))
@@ -197,15 +199,16 @@ def _integrate_core(grid: Grid, u0: np.ndarray, dt: float, n_steps: int, nonlin,
     if 0 in save_steps:
         saves[0] = u.copy()
     for step in range(n_steps):
-        t = t0 + step * dt
-        g1 = nonlin(u, t)
-        g2 = e_half_i * nonlin(e_half * (u + 0.5 * dt * g1), t + 0.5 * dt)
-        g3 = e_half_i * nonlin(e_half * (u + 0.5 * dt * g2), t + 0.5 * dt)
-        g4 = e_full_i * nonlin(e_full * (u + dt * g3), t + dt)
+        t_mid = t0 + (step + 0.5) * dt
+        t_end = t0 + (step + 1) * dt
+        g1 = nonlin(u, t0 + step * dt)
+        g2 = e_half_i * nonlin(e_half * (u + 0.5 * dt * g1), t_mid)
+        g3 = e_half_i * nonlin(e_half * (u + 0.5 * dt * g2), t_mid)
+        g4 = e_full_i * nonlin(e_full * (u + dt * g3), t_end)
         u = e_full * (u + (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4))
         norm = math.sqrt(grid.length) * float(np.linalg.norm(u))
         if not math.isfinite(norm) or norm > BLOWUP_FACTOR * ref:
-            raise BlowUpError(t + dt, norm, ref)
+            raise BlowUpError(t_end, norm, ref)
         if step + 1 in save_steps:
             saves[step + 1] = u.copy()
     return saves
@@ -244,28 +247,13 @@ def integrate(config: EvolutionConfig, initial: SpectralField) -> Trajectory:
 # normal-form pipeline
 # ----------------------------------------------------------------------------
 
-_T_SYMBOLS = {"u2": t_symbol_u2, "uubar": t_symbol_uubar, "ubar2": t_symbol_ubar2}
-_T_CACHE: dict = {}
-
-
-def _t_symbol_cached(kind, alpha, beta):
-    key = (kind, float(alpha), float(beta))
-    sym = _T_CACHE.get(key)
-    if sym is None:
-        sym = _T_SYMBOLS[kind](alpha, beta)
-        _T_CACHE[key] = sym
-    return sym
-
-
 def normal_form_h(f: SpectralField, t: float, alpha: float, beta: float, kind: str = "u2") -> SpectralField:
     """The transformed pair h(t) = T(F(t), F(t)) of the free wave F = e^{it
     d^2/dx^2-ish} f; solves the inhomogeneous linear flow forced by the
-    frequency-restricted weight of the kind."""
-    if kind not in _T_SYMBOLS:
-        raise ValueError(f"unknown interaction kind {kind!r}")
-    sym = _t_symbol_cached(kind, alpha, beta)
+    frequency-restricted weight of the kind (apply_lift: factored for u2
+    and uubar, dense for ubar2)."""
     big_f = free_propagate(t, f)
-    return apply_bilinear(sym, big_f, big_f)
+    return apply_lift(kind, alpha, beta, big_f, big_f)
 
 
 @dataclass
@@ -316,9 +304,10 @@ def rhs_groups(
         4: 2 G(F_+, h_+)                 8: G(w_+, w_+)
 
     Their sum telescopes to G(v, v) - G(F_+, F_+), the full remainder
-    forcing."""
+    forcing.  v reaches past the guard band (h does), so each G is the
+    3n/2-padded product."""
     def g(a, b):
-        return weighted_product(alpha, beta - alpha, a, b)
+        return padded_weighted_product(alpha, beta - alpha, a, b)
 
     big_f = free_propagate(t, f)
     v = big_f + h_field + w_field
@@ -348,7 +337,10 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     The remainder forcing is G(v, v) - G_pair(F, F) with v = F + h + w,
     valid for every interaction kind; for the plain-square kind, summing
     the eight groups gives the same field (the group-sum consistency
-    check)."""
+    check).  v reaches past the guard band, so G(v, v) is the 3n/2-padded
+    product.  F + h and G_pair(F, F) depend on the stage time alone and are
+    kept for the last two stage times, which covers the shared time of
+    stages 2 and 3 and the end of a step, where the next step starts."""
     if config.variables != "v":
         raise ValueError("the remainder equation lives in the v-form variables")
     grid = config.grid
@@ -357,15 +349,24 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     alpha, beta = config.alpha, config.beta
     c1, c2 = _KIND_CONJ[config.kind]
     gmask = _guard_mask(grid)
+    by_time: dict = {}
+
+    def forcing_terms(t):
+        terms = by_time.get(t)
+        if terms is None:
+            big_f = free_propagate(t, f)
+            lifted = (big_f + normal_form_h(f, t, alpha, beta, config.kind)).coeffs
+            paired = apply_pair_g_fast(config.kind, alpha, beta, big_f, big_f).coeffs
+            if len(by_time) == 2:
+                del by_time[next(iter(by_time))]
+            terms = by_time[t] = (lifted, paired)
+        return terms
 
     def nonlin(coeffs, t):
-        w_field = SpectralField(grid, coeffs)
-        big_f = free_propagate(t, f)
-        h_field = normal_form_h(f, t, alpha, beta, config.kind)
-        v = big_f + h_field + w_field
-        full = weighted_product(alpha, beta - alpha, v, v, conj_first=c1, conj_second=c2)
-        paired = apply_pair_g_fast(config.kind, alpha, beta, big_f, big_f)
-        return np.where(gmask, full.coeffs - paired.coeffs, 0.0)
+        lifted, paired = forcing_terms(t)
+        v = SpectralField(grid, lifted + coeffs)
+        full = padded_weighted_product(alpha, beta - alpha, v, v, conj_first=c1, conj_second=c2)
+        return np.where(gmask, full.coeffs - paired, 0.0)
 
     w0 = -1.0 * normal_form_h(f, 0.0, alpha, beta, config.kind)
     save_steps = _save_schedule(config.n_steps, config.n_saves)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .bilinear import apply_bilinear, g_symbol, leibniz_residual, normal_form_pair, weighted_product
+from .bilinear import apply_bilinear, apply_lift, g_symbol, leibniz_residual, normal_form_pair, weighted_product
 from .evolution import (
     EvolutionConfig,
     decompose,
@@ -442,19 +442,21 @@ def measure_partition_deviation(n_points: int = 1024) -> float:
 
 
 def measure_bilinear_oracle_deviation(cfg) -> float:
-    run = cfg["run"]
+    """Largest relative deviation from the plain double loop over the dense
+    symbol matrix: of the dense contraction for the smoothing weight, and of
+    the route normal_form_h takes (apply_lift) for each lift symbol."""
+    alpha, beta = cfg["run"]["alpha"], cfg["run"]["beta"]
     grid = Grid(64)
     worst = 0.0
-    for idx, make in enumerate((
-        lambda: g_symbol(run["alpha"], run["beta"]),
-        lambda: normal_form_pair("u2", run["alpha"], run["beta"])[0],
-        lambda: normal_form_pair("uubar", run["alpha"], run["beta"])[0],
-        lambda: normal_form_pair("ubar2", run["alpha"], run["beta"])[0],
-    )):
-        sym = make()
+    for idx, kind in enumerate(("g", "u2", "uubar", "ubar2")):
         f = gen_rough_data(DataSpec(0.5, 16.0, seed=_seed(cfg, "infra", 100 + idx)), grid)
         g = gen_rough_data(DataSpec(0.5, 16.0, seed=_seed(cfg, "infra", 200 + idx)), grid)
-        fast = apply_bilinear(sym, f, g)
+        if kind == "g":
+            sym = g_symbol(alpha, beta)
+            fast = apply_bilinear(sym, f, g)
+        else:
+            sym = normal_form_pair(kind, alpha, beta)[0]
+            fast = apply_lift(kind, alpha, beta, f, g)
         slow = reference_apply_bilinear(sym, f, g)
         scale = max(l2_norm(slow), 1e-300)
         worst = max(worst, l2_norm(fast - slow) / scale)
@@ -482,6 +484,10 @@ def measure_group_sum_deviation(cfg) -> float:
     return l2_norm(total - target) / max(l2_norm(target), 1e-300)
 
 
+# support |xi| <= ROUTE_FREQ_HI of the route check's data, on [infra] n_points
+ROUTE_FREQ_HI = 8.0
+
+
 def measure_route_equivalence(cfg) -> list:
     c = cfg["infra"]
     run = cfg["run"]
@@ -489,7 +495,7 @@ def measure_route_equivalence(cfg) -> list:
     rows = []
     for kind_idx, kind in enumerate(("u2", "uubar", "ubar2")):
         data = gen_rough_data(
-            DataSpec(3.0, 8.0, amplitude=0.3, seed=_seed(cfg, "infra", 400 + kind_idx)), grid
+            DataSpec(3.0, ROUTE_FREQ_HI, amplitude=0.3, seed=_seed(cfg, "infra", 400 + kind_idx)), grid
         )
         ecfg = EvolutionConfig(
             c["n_points"], run["alpha"], run["beta"], c["route_dt"], c["route_t_final"],

@@ -15,7 +15,6 @@ Conventions (used consistently everywhere in the package):
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -61,11 +60,6 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(n_points={self.n}, length={self.length!r})"
-
-
-def make_grid(n_points: int, length: float = TWO_PI) -> Grid:
-    """Build a periodic grid; see Grid for validation rules."""
-    return Grid(n_points, length)
 
 
 class SpectralField:
@@ -131,14 +125,6 @@ def _reversal(n: int):
         return rev
 
 
-def field_from_coeffs(grid: Grid, coeffs) -> SpectralField:
-    return SpectralField(grid, coeffs)
-
-
-def zero_field(grid: Grid) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.n, dtype=np.complex128))
-
-
 def to_physical(field: SpectralField) -> np.ndarray:
     """Collocation samples u(x_j) of the field."""
     return field.grid.n * np.fft.ifft(field.coeffs)
@@ -190,10 +176,6 @@ def lp_annulus(x) -> np.ndarray:
     return lp_bump(x) - lp_bump(2.0 * np.asarray(x, dtype=np.float64))
 
 
-def _band_symbol(grid: Grid, k: int) -> np.ndarray:
-    return lp_annulus(grid.frequencies / float(2**k))
-
-
 def max_band(grid: Grid) -> int:
     """Largest k whose dyadic band is fully resolved on the grid.
 
@@ -202,45 +184,6 @@ def max_band(grid: Grid) -> int:
     """
     top = TWO_PI * grid.nyquist_index / grid.length
     return int(math.floor(math.log2(top))) - 1
-
-
-def lp_project(k: int, field: SpectralField) -> SpectralField:
-    """Dyadic band projection, k >= 1."""
-    if int(k) != k or k < 1:
-        raise ValueError(f"band index must be an integer >= 1, got {k}")
-    if k > max_band(field.grid):
-        raise ValueError(f"band {k} is not resolved on grid n={field.grid.n}")
-    return SpectralField(field.grid, field.coeffs * _band_symbol(field.grid, int(k)))
-
-
-def lp_low(field: SpectralField) -> SpectralField:
-    """The low block of the dyadic partition (profile lp_bump at unit scale)."""
-    return SpectralField(field.grid, field.coeffs * lp_bump(field.grid.frequencies))
-
-
-def lp_range(predicate: Callable[[int], bool], field: SpectralField) -> SpectralField:
-    """Sum of dyadic pieces whose index satisfies the predicate.
-
-    The predicate receives 0 for the low block and k = 1, 2, ... for the
-    dyadic bands resolved on the grid.
-    """
-    sym = np.zeros(field.grid.n)
-    if predicate(0):
-        sym += lp_bump(field.grid.frequencies)
-    for k in range(1, max_band(field.grid) + 1):
-        if predicate(k):
-            sym += _band_symbol(field.grid, k)
-    return SpectralField(field.grid, field.coeffs * sym)
-
-
-def project_similar(k: int, field: SpectralField) -> SpectralField:
-    """Bands within distance 3 of k (the comparable-frequency projection)."""
-    return lp_range(lambda j: j >= 1 and abs(j - k) <= 3, field)
-
-
-def project_much_less(k: int, field: SpectralField) -> SpectralField:
-    """Low block plus bands j <= k - 6 (the much-smaller-frequency projection)."""
-    return lp_range(lambda j: j == 0 or j <= k - 6, field)
 
 
 def sign_project(sign: str, field: SpectralField) -> SpectralField:

@@ -4,31 +4,33 @@ import pytest
 from qnls.bilinear import (
     BilinearSymbol,
     apply_bilinear,
+    apply_lift,
     apply_pair_g_fast,
     dealiased_product,
     g_symbol,
     g_symbol_restricted,
     leibniz_residual,
     normal_form_pair,
+    padded_weighted_product,
     t_symbol_u2,
     t_symbol_ubar2,
     t_symbol_uubar,
     weighted_product,
 )
-from qnls.spectral import Grid, field_from_coeffs, l2_norm, to_physical
+from qnls.spectral import Grid, SpectralField, l2_norm, to_physical
 
 
 def single_mode(grid, k, amp=1.0):
     c = np.zeros(grid.n, dtype=complex)
     c[k % grid.n] = amp
-    return field_from_coeffs(grid, c)
+    return SpectralField(grid, c)
 
 
 def band_limited(grid, seed, width):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     c[np.abs(grid.frequencies) > width] = 0
-    return field_from_coeffs(grid, c)
+    return SpectralField(grid, c)
 
 
 class TestWeightSymbol:
@@ -143,8 +145,8 @@ class TestWeightedProduct:
         prod = dealiased_product(u, v)
         # compare against the physical-space product evaluated on a finer grid
         fine = Grid(256)
-        uf = field_from_coeffs(fine, np.concatenate([u.coeffs[:32], np.zeros(192), u.coeffs[32:]]))
-        vf = field_from_coeffs(fine, np.concatenate([v.coeffs[:32], np.zeros(192), v.coeffs[32:]]))
+        uf = SpectralField(fine, np.concatenate([u.coeffs[:32], np.zeros(192), u.coeffs[32:]]))
+        vf = SpectralField(fine, np.concatenate([v.coeffs[:32], np.zeros(192), v.coeffs[32:]]))
         from qnls.spectral import to_spectral
 
         pf = to_spectral(fine, to_physical(uf) * to_physical(vf))
@@ -169,6 +171,130 @@ class TestPairRestrictedProduct:
         fast = apply_pair_g_fast(kind, 0.6, 0.2, u, v)
         slow = apply_bilinear(g_symbol_restricted(kind, 0.6, 0.2), u, v)
         assert l2_norm(fast - slow) <= 1e-12 * max(l2_norm(slow), 1e-300)
+
+
+def guard_limited(grid, seed):
+    """Seeded complex data on every slot |j| <= n/4, guard edge included."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    idx = np.arange(grid.n)
+    c[np.minimum(idx, grid.n - idx) > grid.guard_index] = 0
+    return SpectralField(grid, c)
+
+
+class TestFactoredLift:
+    """apply_lift against the dense contraction of the lift symbol."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("alpha, beta", [(0.6, 0.2), (0.5, 0.0), (0.3, 0.45)])
+    @pytest.mark.parametrize("kind", ["u2", "uubar"])
+    def test_matches_dense_symbol(self, kind, alpha, beta, n):
+        g = Grid(n)
+        u = guard_limited(g, 1000 + n)
+        v = guard_limited(g, 2000 + n)
+        dense = apply_bilinear(normal_form_pair(kind, alpha, beta)[0], u, v)
+        fast = apply_lift(kind, alpha, beta, u, v)
+        assert l2_norm(fast - dense) <= 1e-13 * l2_norm(dense)
+
+    def test_ubar2_is_the_dense_contraction(self):
+        g = Grid(64)
+        u, v = guard_limited(g, 5), guard_limited(g, 6)
+        dense = apply_bilinear(t_symbol_ubar2(0.6, 0.2), u, v)
+        np.testing.assert_array_equal(apply_lift("ubar2", 0.6, 0.2, u, v).coeffs, dense.coeffs)
+
+    # single modes (xi, eta) as grid indices, eta before conjugation; each
+    # sits on a cutoff of the kind or beside one
+    @pytest.mark.parametrize(
+        "kind, p, q",
+        [
+            ("u2", 0, 3),  # xi = 0
+            ("u2", 3, 0),  # eta = 0
+            ("u2", -3, 5),  # xi < 0
+            ("u2", 3, 5),  # admissible
+            ("u2", 1, 1),  # smallest admissible pair
+            ("u2", 16, 16),  # guard edge: the sum is the Nyquist index
+            ("u2", 16, 15),  # guard edge, inside the band
+            ("uubar", 0, 3),  # xi = 0
+            ("uubar", 3, 0),  # eta = 0
+            ("uubar", 3, 3),  # xi + eta = 0 (the slot is conjugated)
+            ("uubar", -3, 5),  # xi < 0
+            ("uubar", 3, 5),  # admissible, output -2
+            ("uubar", 3, -5),  # admissible, output 8
+            ("uubar", 16, -16),  # guard edge: the sum is the Nyquist index
+            ("uubar", 16, -15),  # guard edge, inside the band
+            ("uubar", 1, 16),  # guard edge of the conjugated slot
+        ],
+    )
+    def test_single_modes_on_cutoffs(self, kind, p, q):
+        g = Grid(64)
+        u, v = single_mode(g, p, amp=0.5 + 1j), single_mode(g, q, amp=2.0 - 0.25j)
+        t_sym, g_sym = normal_form_pair(kind, 0.6, 0.2)
+        for fast, dense in (
+            (apply_lift(kind, 0.6, 0.2, u, v), apply_bilinear(t_sym, u, v)),
+            (apply_pair_g_fast(kind, 0.6, 0.2, u, v), apply_bilinear(g_sym, u, v)),
+        ):
+            atol = 1e-14 * max(np.max(np.abs(dense.coeffs)), 1.0)
+            np.testing.assert_allclose(fast.coeffs, dense.coeffs, rtol=0, atol=atol)
+            assert fast.coeffs[g.nyquist_index] == 0
+            assert np.sum(np.abs(fast.coeffs) > atol) <= 1
+
+    def test_rejects_wide_input(self):
+        g = Grid(64)
+        for kind in ("u2", "uubar"):
+            with pytest.raises(ValueError):
+                apply_lift(kind, 0.6, 0.2, single_mode(g, 17), single_mode(g, 1))
+            with pytest.raises(ValueError):
+                apply_pair_g_fast(kind, 0.6, 0.2, single_mode(g, 1), single_mode(g, -17))
+
+    def test_unknown_kind(self):
+        g = Grid(64)
+        with pytest.raises(ValueError):
+            apply_lift("cubic", 0.6, 0.2, single_mode(g, 1), single_mode(g, 2))
+
+
+def full_band(grid, seed):
+    """Seeded complex data on every slot below the Nyquist index."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    return SpectralField(grid, c)
+
+
+class TestPaddedProduct:
+    """The 3n/2-point product against the doubled-grid oracle, for inputs
+    reaching |j| = n/2 - 1."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_matches_dealiased_product(self, n):
+        g = Grid(n)
+        u, v = full_band(g, 3 * n), full_band(g, 3 * n + 1)
+        assert u.coeffs[n // 2 - 1] != 0 and u.coeffs[n // 2 + 1] != 0
+        oracle = dealiased_product(u, v)
+        fast = padded_weighted_product(0.0, 0.0, u, v)
+        guard = np.abs(g.frequencies) <= g.guard_frequency
+        scale = np.linalg.norm(oracle.coeffs)
+        assert np.linalg.norm((fast.coeffs - oracle.coeffs)[guard]) <= 1e-13 * scale
+        # the 3/2 rule keeps the whole band below the Nyquist index exact
+        assert np.linalg.norm(fast.coeffs - oracle.coeffs) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("conj_first, conj_second", [(False, False), (False, True), (True, True)])
+    def test_matches_weighted_product(self, conj_first, conj_second):
+        g = Grid(256)
+        u, v = full_band(g, 41), full_band(g, 42)
+        oracle = weighted_product(0.6, -0.4, u, v, conj_first, conj_second)
+        fast = padded_weighted_product(0.6, -0.4, u, v, conj_first, conj_second)
+        assert l2_norm(fast - oracle) <= 1e-13 * l2_norm(oracle)
+
+    @pytest.mark.parametrize("p, q, out", [(31, 31, None), (31, 1, None), (31, -31, 0), (31, -1, 30), (-31, -2, None)])
+    def test_edge_modes(self, p, q, out):
+        # sums beyond the band are dropped, never wrapped onto an output slot
+        g = Grid(64)
+        fast = padded_weighted_product(0.0, 0.0, single_mode(g, p), single_mode(g, q))
+        expect = np.zeros(64, dtype=complex)
+        if out is not None:
+            expect[out % 64] = 1.0
+        np.testing.assert_allclose(fast.coeffs, expect, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dealiased_product(single_mode(g, p), single_mode(g, q)).coeffs, expect,
+                                   rtol=0, atol=1e-14)
 
 
 class TestLeibnizresidual:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qnls.bilinear import apply_bilinear, normal_form_pair, weighted_product
+from qnls import evolution
+from qnls.bilinear import apply_bilinear, g_symbol_restricted, normal_form_pair, weighted_product
 from qnls.evolution import (
     BlowUpError,
     EvolutionConfig,
@@ -19,12 +20,11 @@ from qnls.evolution import (
 from qnls.roughdata import DataSpec, gen_rough_data
 from qnls.spectral import (
     Grid,
+    SpectralField,
     bessel_potential,
-    field_from_coeffs,
     free_propagate,
     l2_norm,
     sign_project,
-    zero_field,
 )
 
 ALPHA, BETA = 0.6, 0.2
@@ -67,7 +67,7 @@ class TestEvolutionConfig:
 class TestIntegrate:
     def test_zero_data_stays_zero(self):
         c = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1)
-        traj = integrate(c, zero_field(Grid(64)))
+        traj = integrate(c, SpectralField(Grid(64), np.zeros(64)))
         assert traj.l2_history[-1] == 0.0
 
     def test_linear_limit_matches_free_propagation(self):
@@ -111,7 +111,7 @@ class TestIntegrate:
         c[20] = 1.0  # beyond guard index 16
         cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1)
         with pytest.raises(ValueError):
-            integrate(cfg, field_from_coeffs(g, c))
+            integrate(cfg, SpectralField(g, c))
 
     def test_blow_up_raises(self):
         # quadratic growth: huge data blows past the guard within the run
@@ -141,7 +141,7 @@ class TestIntegrate:
         c[2] = np.nan
         cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1)
         with pytest.raises(ValueError, match="not finite"):
-            integrate(cfg, field_from_coeffs(g, c))
+            integrate(cfg, SpectralField(g, c))
 
 
 def in_guard_band(g):
@@ -154,11 +154,11 @@ def random_guard_limited(n, seed):
     g = Grid(n)
     rng = np.random.default_rng(seed)
     c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / (1.0 + np.abs(g.frequencies))
-    return field_from_coeffs(g, np.where(in_guard_band(g), c, 0.0))
+    return SpectralField(g, np.where(in_guard_band(g), c, 0.0))
 
 
 def truncate_guard(field):
-    return field_from_coeffs(field.grid, np.where(in_guard_band(field.grid), field.coeffs, 0.0))
+    return SpectralField(field.grid, np.where(in_guard_band(field.grid), field.coeffs, 0.0))
 
 
 def rhs_oracle(cfg, f):
@@ -204,7 +204,7 @@ class TestRhs:
         c[25] = 1.0
         cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1)
         with pytest.raises(ValueError):
-            rhs(cfg, field_from_coeffs(g, c))
+            rhs(cfg, SpectralField(g, c))
 
 
 class TestNormalFormH:
@@ -263,6 +263,65 @@ class TestRoutes:
         dec = decompose(integrate(cfg, data), data)
         h0 = normal_form_h(data, 0.0, ALPHA, BETA, "u2")
         assert l2_norm(dec.w[0] + h0) <= 1e-12 * l2_norm(h0)
+
+
+def uncached_direct_w_solve(cfg, f):
+    """The remainder equation from dense and doubled-grid oracles, with h and
+    the paired forcing recomputed in every stage."""
+    grid = cfg.grid
+    t_sym, g_sym = normal_form_pair(cfg.kind, cfg.alpha, cfg.beta)
+    conj = (t_sym.conj_first, t_sym.conj_second)
+    guard = in_guard_band(grid)
+
+    def nonlin(coeffs, t):
+        big_f = free_propagate(t, f)
+        v = big_f + apply_bilinear(t_sym, big_f, big_f) + SpectralField(grid, coeffs)
+        full = weighted_product(cfg.alpha, cfg.beta - cfg.alpha, v, v, *conj)
+        paired = apply_bilinear(g_sym, big_f, big_f)
+        return np.where(guard, full.coeffs - paired.coeffs, 0.0)
+
+    w0 = -1.0 * apply_bilinear(t_sym, f, f)
+    steps = set(evolution._save_schedule(cfg.n_steps, cfg.n_saves))
+    saves = _integrate_core(grid, w0.coeffs, cfg.dt, cfg.n_steps, nonlin, 0.0, steps)
+    return [SpectralField(grid, saves[k]) for k in sorted(saves)]
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("kind", ["u2", "uubar", "ubar2"])
+    def test_one_lift_per_stage_time(self, kind, monkeypatch):
+        data = smooth_data(64, seed=9, amp=0.3)
+        cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.02, kind=kind, variables="v", n_saves=3)
+        calls = []
+        original = evolution.normal_form_h
+
+        def counting(f, t, *args):
+            calls.append(t)
+            return original(f, t, *args)
+
+        monkeypatch.setattr(evolution, "normal_form_h", counting)
+        direct = direct_w_solve(cfg, data)
+        monkeypatch.undo()
+        # w(0) = -h(0), then the start of the first step and two new stage times per step
+        assert len(calls) <= 2 * cfg.n_steps + 2
+        for got, want in zip(direct.states, uncached_direct_w_solve(cfg, data), strict=True):
+            assert l2_norm(got - want) <= 1e-13 * l2_norm(want)
+
+    def test_stage_times_shared(self):
+        times = []
+
+        def stage(coeffs, t):
+            times.append(t)
+            return np.zeros_like(coeffs)
+
+        dt = 0.1
+        _integrate_core(Grid(16), np.zeros(16, complex), dt, 7, stage, 0.3, set())
+        per_step = [times[4 * s : 4 * s + 4] for s in range(7)]
+        for s, (t1, t2, t3, t4) in enumerate(per_step):
+            assert t2 == t3
+            assert t1 == pytest.approx(0.3 + s * dt, abs=1e-15)
+            assert t4 == pytest.approx(0.3 + (s + 1) * dt, abs=1e-15)
+            if s + 1 < len(per_step):
+                assert per_step[s + 1][0] == t4
 
 
 class TestSubstitution:

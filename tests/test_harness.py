@@ -99,6 +99,35 @@ class TestConfig:
             "[mnorm]\nn_xi = 12\n",
             "[mnorm]\niters = 0\n",
             "[mnorm]\ntiny_grid = 1\n",
+            "[simulate]\nn_points = 7\n",
+            "[simulate]\nn_points = 6\n",
+            "[decompose]\nn_points = 24\n",
+            "[identity]\nn_points = 8\n",
+            "[infra]\norder_n = 100\n",
+            "[lipschitz]\ndt = 0\n",
+            "[subst]\ndt = -2.5e-4\n",
+            "[decompose]\ndt = 3e-5\n",
+            "[infra]\nroute_t_final = 0.0501\n",
+            "[lipschitz]\ndt = 1e-2\n",
+            "[simulate]\nn_points = 1024\n",
+            "[simulate]\nn_saves = 1\n",
+            "[decompose]\nn_saves = 0\n",
+            "[smoothing]\nfit_lo = 6\nfit_hi = 3\n",
+            "[decompose]\nfit_lo = 4\nfit_hi = 6\n",
+            "[smoothing]\nfit_hi = 9\n",
+            "[smoothing]\nfreq_hi = 32\n",
+            "[decompose]\nfit_lo = 2\nfreq_hi = 16\n",
+            "[decompose]\nn_points = 256\nfreq_hi = 65\n",
+            "[lipschitz]\nepsilons = 1e-3, 0\n",
+            "[lipschitz]\nepsilons = -1e-3\n",
+            "[simulate]\nkind = cubic\n",
+            "[simulate]\nvariables = w\n",
+            "[smoothing]\nfreq_hi = 512\n",
+            "[identity]\nband_limit = 0.5\n",
+            "[infra]\nn_points = 16\n",
+            "[identity]\ndt = 0\n",
+            "[identity]\nn_pairs = 0\n",
+            "[smoothing]\nn_seeds = 0\n",
         ],
     )
     def test_out_of_range_rejected(self, tmp_path, text):
@@ -263,6 +292,17 @@ class TestCli:
             # alternating maximization never decreases within a restart
             assert all(b >= a * (1 - 1e-12) for a, b in zip(box["sweep_values"], box["sweep_values"][1:]))
             assert box["n_triples"] > 0 and float(estimate) > 0
+
+    def test_internal_value_error_is_not_exit_2(self, tmp_path, monkeypatch):
+        # a fault of the program surfaces with its traceback, not as a usage error
+        from qnls import experiments
+
+        def broken(cfg):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(experiments, "run_identity", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["identity", "--out", str(tmp_path)])
 
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["identity", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])

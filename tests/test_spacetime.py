@@ -21,7 +21,7 @@ from qnls.spacetime import (
     window_weights,
     xsb_norm,
 )
-from qnls.spectral import Grid, field_from_coeffs
+from qnls.spectral import Grid, SpectralField
 
 TWO_PI = 2 * np.pi
 
@@ -37,7 +37,7 @@ class TestSobolevAndProfile:
         g = Grid(64)
         c = np.zeros(64, complex)
         c[3] = 2.0
-        f = field_from_coeffs(g, c)
+        f = SpectralField(g, c)
         assert sobolev_norm(1.5, f) == pytest.approx(2 * math.sqrt(TWO_PI) * 10**0.75)
 
     def test_profile_blocks(self):
@@ -45,7 +45,7 @@ class TestSobolevAndProfile:
         c = np.zeros(256, complex)
         c[0] = 1.0   # low block
         c[4] = 1.0   # exactly on the band-2 plateau (4 / 2^2 = 1)
-        f = field_from_coeffs(g, c)
+        f = SpectralField(g, c)
         ks, norms = dyadic_profile(f)
         assert list(ks[:3]) == [0, 1, 2]
         assert norms[0] == pytest.approx(math.sqrt(TWO_PI), rel=1e-12)
@@ -59,7 +59,7 @@ class TestSobolevAndProfile:
         for sigma in (0.0, 0.7):
             c = (1.0 + xi**2) ** (-0.5 * (sigma + 0.5)) + 0j
             c[0] = 1.0
-            f = field_from_coeffs(g, c)
+            f = SpectralField(g, c)
             fit = fitted_regularity(f, 3, 7)
             assert fit.sigma == pytest.approx(sigma, abs=0.05)
 

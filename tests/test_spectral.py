@@ -5,29 +5,21 @@ from qnls.spectral import (
     Grid,
     SpectralField,
     bessel_potential,
-    field_from_coeffs,
     free_propagate,
     l2_norm,
     lp_annulus,
     lp_bump,
-    lp_low,
-    lp_project,
-    lp_range,
-    make_grid,
     max_band,
-    project_much_less,
-    project_similar,
     sign_project,
     to_physical,
     to_spectral,
-    zero_field,
 )
 
 
 def single_mode(grid, k, amp=1.0):
     c = np.zeros(grid.n, dtype=complex)
     c[k % grid.n] = amp
-    return field_from_coeffs(grid, c)
+    return SpectralField(grid, c)
 
 
 def random_field(grid, seed=0, width=None):
@@ -36,7 +28,7 @@ def random_field(grid, seed=0, width=None):
     if width is not None:
         keep = np.abs(grid.frequencies) <= width
         c = np.where(keep, c, 0)
-    return field_from_coeffs(grid, c)
+    return SpectralField(grid, c)
 
 
 class TestGrid:
@@ -62,7 +54,7 @@ class TestGrid:
         assert g.guard_frequency == pytest.approx(8.0)
 
     def test_grid_equality_and_hash(self):
-        assert make_grid(64) == Grid(64)
+        assert Grid(64) == Grid(64)
         assert hash(Grid(64)) == hash(Grid(64))
         assert Grid(64) != Grid(128)
         assert Grid(64) != Grid(64, length=np.pi)
@@ -96,7 +88,7 @@ class TestTransforms:
     def test_nyquist_always_zero(self):
         g = Grid(32)
         c = np.ones(32, dtype=complex)
-        f = field_from_coeffs(g, c)
+        f = SpectralField(g, c)
         assert f.coeffs[16] == 0
 
 
@@ -204,41 +196,15 @@ class TestLittlewoodPaley:
         assert max_band(Grid(64)) == 4
 
     def test_projection_reconstruction(self):
+        # the low block and the resolved bands reassemble a field whose
+        # support they cover
         g = Grid(256)
         f = random_field(g, 5, width=60)
-        total = lp_low(f)
-        for k in range(1, max_band(g) + 1):
-            total = total + lp_project(k, f)
-        np.testing.assert_allclose(total.coeffs, f.coeffs, atol=1e-12)
-
-    def test_band_resolution_guard(self):
-        g = Grid(64)
-        f = random_field(g, 5)
-        with pytest.raises(ValueError):
-            lp_project(max_band(g) + 1, f)
-        with pytest.raises(ValueError):
-            lp_project(0, f)
-
-    def test_similar_and_much_less(self):
-        g = Grid(1024)
-        f = random_field(g, 6)
-        sim = project_similar(5, f)
         xi = g.frequencies
-        # content strictly outside 2^(5-3-1) .. 2^(5+3+1) must vanish
-        assert np.all(sim.coeffs[np.abs(xi) > 2.0**9] == 0)
-        assert np.all(sim.coeffs[np.abs(xi) <= 2.0**1] == 0)
-        low = project_much_less(8, f)
-        assert np.all(low.coeffs[np.abs(xi) > 2.0**3] == 0)
-        assert low.coeffs[0] == f.coeffs[0]
-
-    def test_lp_range_matches_manual_sum(self):
-        g = Grid(256)
-        f = random_field(g, 7)
-        manual = lp_low(f)
-        for k in (1, 2, 3):
-            manual = manual + lp_project(k, f)
-        ranged = lp_range(lambda k: k <= 3, f)
-        np.testing.assert_allclose(ranged.coeffs, manual.coeffs, atol=1e-13)
+        total = f.coeffs * lp_bump(xi)
+        for k in range(1, max_band(g) + 1):
+            total = total + f.coeffs * lp_annulus(xi / 2.0**k)
+        np.testing.assert_allclose(total, f.coeffs, atol=1e-12)
 
 
 class TestSignProjection:
@@ -263,6 +229,6 @@ class TestSignProjection:
 
 def test_zero_field():
     g = Grid(32)
-    z = zero_field(g)
+    z = SpectralField(g, np.zeros(g.n))
     assert l2_norm(z) == 0.0
     assert z.grid is g
