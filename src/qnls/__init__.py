@@ -30,6 +30,7 @@ from .evolution import (
     decompose,
     direct_w_solve,
     integrate,
+    integrate_batch,
     lipschitz_experiment,
     normal_form_h,
     rhs_groups,

@@ -72,7 +72,8 @@ def _write_decompose(res, cfg, out_dir):
     write_csv(os.path.join(out_dir, "decompose_u.csv"),
               ["t", "fit_difference", "difference_l2"], res["u_rows"])
     write_report(os.path.join(out_dir, "decompose.json"), "decompose", cfg,
-                 {k: res[k] for k in ("min_margin", "min_u_fit", "u_data_fit", "w0_check")})
+                 {k: res[k] for k in ("min_margin", "min_u_fit", "u_data_fit", "w0_check",
+                                      "health", "timing")})
 
 
 def _write_rates(res, cfg, out_dir):
@@ -105,13 +106,13 @@ def _write_mnorm(res, cfg, out_dir):
 def _write_lipschitz(res, cfg, out_dir):
     write_csv(os.path.join(out_dir, "lipschitz.csv"), ["epsilon", "ratio"], res["rows"])
     write_report(os.path.join(out_dir, "lipschitz.json"), "lipschitz", cfg,
-                 {"spread": res["spread"]})
+                 {k: res[k] for k in ("spread", "nonlinear_share", "health", "timing")})
 
 
 def _write_subst(res, cfg, out_dir):
     write_csv(os.path.join(out_dir, "subst.csv"), ["dt", "sup_diff"], res["rows"])
     write_report(os.path.join(out_dir, "subst.json"), "subst", cfg,
-                 {"max_sup": res["max_sup"]})
+                 {k: res[k] for k in ("max_sup", "health", "timing")})
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ nonlinear term is therefore evaluated on the n-point grid itself -- one
 inverse FFT, the kind's pointwise (conjugate) square, one forward FFT --
 and truncated back to the guard band, which is what the doubled-grid
 weighted_product gives; that slower route stays as the tests' oracle.
+
+integrate_batch steps several flows as the rows of one (B, n) coefficient
+array: each RK4 update broadcasts, and each stage is one inverse and one
+forward FFT over all rows.  The rows must share grid, dt, t_final, kind
+and save schedule; their variables (u, v, z), and so their exponents, may
+differ.  numpy's FFT of a row of a stacked array is bit-identical to the
+FFT of that row alone, so a batched flow saves the same states as the flow
+run by itself through integrate, which passes the 1-D array.
 """
 
 from __future__ import annotations
@@ -62,17 +70,19 @@ BLOWUP_FACTOR = 1.0e6
 
 class BlowUpError(RuntimeError):
     """L2 mass exceeded the blow-up guard, or stopped being finite, during
-    integration."""
+    integration.  row is the index of the flow that tripped in a batch
+    (0 for a single flow)."""
 
-    def __init__(self, t, norm, initial_norm):
+    def __init__(self, t, norm, initial_norm, row=0):
         if math.isfinite(norm):
             what = f"exceeds {BLOWUP_FACTOR:.0e} x initial {initial_norm:.3e}"
         else:
             what = "is not finite"
-        super().__init__(f"blow-up guard tripped at t={t:.6g}: L2 norm {norm:.3e} {what}")
+        super().__init__(f"blow-up guard tripped at t={t:.6g} in row {row}: L2 norm {norm:.3e} {what}")
         self.t = t
         self.norm = norm
         self.initial_norm = initial_norm
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -145,20 +155,30 @@ def _guard_mask(grid: Grid) -> np.ndarray:
     return mag <= grid.guard_index
 
 
-def _stage(config: EvolutionConfig):
-    """The nonlinear term of the configured evolution as a function on raw
-    coefficient arrays, nonlin(coeffs, t) -> coeffs.
+def _stage(configs):
+    """The nonlinear term of the configured evolutions as a function on raw
+    coefficient arrays, nonlin(coeffs, t) -> coeffs, with row b of a (B, n)
+    array evolving under configs[b]; a single config acts on a 1-D array.
 
-    The multipliers are built once: w_in = <xi>^inner on the input, and
-    w_out = <xi>^outer on the guard band, zero beyond it (the Nyquist slot
-    included).  Each call is two n-point FFTs; the input must be
-    guard-limited for the product to be alias-free on the guard band."""
-    grid = config.grid
-    inner, outer = config.exponents
+    The multipliers are built once per row: w_in = <xi>^inner on the input,
+    and w_out = <xi>^outer on the guard band, zero beyond it (the Nyquist
+    slot included).  Each call is one inverse and one forward n-point FFT
+    along the last axis; the input must be guard-limited for the product
+    to be alias-free on the guard band.  The rows share the grid and the
+    kind."""
+    grid = configs[0].grid
     n = grid.n
-    w_in = (1.0 + grid.frequencies**2) ** (0.5 * inner)
-    w_out = np.where(_guard_mask(grid), (1.0 + grid.frequencies**2) ** (0.5 * outer), 0.0)
-    product = _KIND_PRODUCT[config.kind]
+    guard = _guard_mask(grid)
+    w_in, w_out = [], []
+    for config in configs:
+        inner, outer = config.exponents
+        w_in.append((1.0 + grid.frequencies**2) ** (0.5 * inner))
+        w_out.append(np.where(guard, (1.0 + grid.frequencies**2) ** (0.5 * outer), 0.0))
+    if len(configs) == 1:
+        w_in, w_out = w_in[0], w_out[0]
+    else:
+        w_in, w_out = np.stack(w_in), np.stack(w_out)
+    product = _KIND_PRODUCT[configs[0].kind]
 
     def nonlin(coeffs, _t):
         # numpy.fft is looked up per call, so a patched transform is seen
@@ -178,22 +198,26 @@ def rhs(config: EvolutionConfig, state: SpectralField) -> SpectralField:
         raise ValueError("state grid does not match the configuration")
     if np.any(state.coeffs[~_guard_mask(grid)] != 0.0):
         raise ValueError("state carries frequencies beyond the guard index")
-    return SpectralField(grid, _stage(config)(state.coeffs, 0.0))
+    return SpectralField(grid, _stage([config])(state.coeffs, 0.0))
 
 
 def _integrate_core(grid: Grid, u0: np.ndarray, dt: float, n_steps: int, nonlin, t0: float, save_steps):
-    """Integrating-factor RK4 on raw coefficient arrays.
+    """Integrating-factor RK4 on raw coefficient arrays: u0 is one flow's
+    1-D array or a (B, n) array of B flows, one per row.
 
-    nonlin(coeffs, t) -> coeffs must return guard-limited arrays.  Stage
-    times are computed from the step index, so stages 2 and 3 get the same
-    float, and stage 4 the float that stage 1 of the next step gets."""
+    nonlin(coeffs, t) -> coeffs must return guard-limited arrays of the
+    same shape.  Stage times are computed from the step index, so stages 2
+    and 3 get the same float, and stage 4 the float that stage 1 of the
+    next step gets.  The blow-up guard checks each row's L2 norm after each
+    step and raises for the first row that trips."""
     L = 1j * grid.frequencies**2
     e_full = np.exp(L * dt)
     e_half = np.exp(L * (0.5 * dt))
     e_half_i = np.conj(e_half)
     e_full_i = np.conj(e_full)
 
-    ref = max(math.sqrt(grid.length) * float(np.linalg.norm(u0)), 1e-300)
+    scale = math.sqrt(grid.length)
+    refs = [max(scale * float(np.linalg.norm(r)), 1e-300) for r in _rows(u0)]
     saves = {}
     u = u0.copy()
     if 0 in save_steps:
@@ -206,12 +230,18 @@ def _integrate_core(grid: Grid, u0: np.ndarray, dt: float, n_steps: int, nonlin,
         g3 = e_half_i * nonlin(e_half * (u + 0.5 * dt * g2), t_mid)
         g4 = e_full_i * nonlin(e_full * (u + dt * g3), t_end)
         u = e_full * (u + (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4))
-        norm = math.sqrt(grid.length) * float(np.linalg.norm(u))
-        if not math.isfinite(norm) or norm > BLOWUP_FACTOR * ref:
-            raise BlowUpError(t_end, norm, ref)
+        for row, (r, ref) in enumerate(zip(_rows(u), refs)):
+            norm = scale * float(np.linalg.norm(r))
+            if not math.isfinite(norm) or norm > BLOWUP_FACTOR * ref:
+                raise BlowUpError(t_end, norm, ref, row)
         if step + 1 in save_steps:
             saves[step + 1] = u.copy()
     return saves
+
+
+def _rows(u: np.ndarray):
+    """The flows of a 1-D or (B, n) coefficient array, as 1-D arrays."""
+    return (u,) if u.ndim == 1 else u
 
 
 def _save_schedule(n_steps: int, n_saves: int):
@@ -219,13 +249,7 @@ def _save_schedule(n_steps: int, n_saves: int):
     return idx
 
 
-def integrate(config: EvolutionConfig, initial: SpectralField) -> Trajectory:
-    """Run the configured evolution from the given initial data.
-
-    Raises BlowUpError if the L2 norm grows by the guard factor or stops
-    being finite, and ValueError if the initial data is not finite or not
-    guard-band-limited."""
-    grid = config.grid
+def _check_initial(grid: Grid, initial: SpectralField):
     if initial.grid != grid:
         raise ValueError("initial data grid does not match the configuration")
     if not np.all(np.isfinite(initial.coeffs)):
@@ -233,14 +257,48 @@ def integrate(config: EvolutionConfig, initial: SpectralField) -> Trajectory:
     if np.any(initial.coeffs[~_guard_mask(grid)] != 0.0):
         raise ValueError("initial data carries frequencies beyond the guard index")
 
-    save_steps = _save_schedule(config.n_steps, config.n_saves)
-    saves = _integrate_core(
-        grid, initial.coeffs, config.dt, config.n_steps, _stage(config), 0.0, set(save_steps)
-    )
-    times = [s * config.dt for s in save_steps]
-    states = [SpectralField(grid, saves[s]) for s in save_steps]
-    history = [l2_norm(st) for st in states]
-    return Trajectory(config, times, states, history)
+
+def integrate_batch(configs, initials) -> list:
+    """Run configs[b] from initials[b] for every b as one batch and return
+    the trajectories in that order.
+
+    The configs must share grid, dt, t_final, kind and n_saves; their
+    variables (and alpha, beta) may differ.  Each trajectory is the one
+    integrate gives for its flow alone.  Raises BlowUpError (with the
+    row that tripped) if an L2 norm grows by the guard factor or stops
+    being finite, and ValueError for mismatched configs or initial data
+    that is not finite or not guard-band-limited."""
+    configs, initials = list(configs), list(initials)
+    if not configs or len(configs) != len(initials):
+        raise ValueError("need one initial datum per config, and at least one flow")
+    first = configs[0]
+    shared = (first.grid, first.dt, first.t_final, first.kind, first.n_saves)
+    for config in configs[1:]:
+        if (config.grid, config.dt, config.t_final, config.kind, config.n_saves) != shared:
+            raise ValueError("batched flows must share grid, dt, t_final, kind and n_saves")
+    grid = first.grid
+    for initial in initials:
+        _check_initial(grid, initial)
+
+    u0 = initials[0].coeffs if len(initials) == 1 else np.stack([f.coeffs for f in initials])
+    save_steps = _save_schedule(first.n_steps, first.n_saves)
+    saves = _integrate_core(grid, u0, first.dt, first.n_steps, _stage(configs), 0.0, set(save_steps))
+    times = [s * first.dt for s in save_steps]
+    out = []
+    for row, config in enumerate(configs):
+        states = [SpectralField(grid, _rows(saves[s])[row]) for s in save_steps]
+        out.append(Trajectory(config, list(times), states, [l2_norm(st) for st in states]))
+    return out
+
+
+def integrate(config: EvolutionConfig, initial: SpectralField) -> Trajectory:
+    """Run the configured evolution from the given initial data (a batch of
+    one flow, on the 1-D coefficient array).
+
+    Raises BlowUpError if the L2 norm grows by the guard factor or stops
+    being finite, and ValueError if the initial data is not finite or not
+    guard-band-limited."""
+    return integrate_batch([config], [initial])[0]
 
 
 # ----------------------------------------------------------------------------
@@ -384,6 +442,10 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
 class LipschitzReport:
     epsilons: list
     ratios: list
+    # sup_t ||u(t) - e^{-it d^2} f||_{H^-1/2} / ||f||_{H^-1/2} of the base flow
+    nonlinear_share: float = float("nan")
+    # the base flow, then one perturbed flow per epsilon
+    flows: list = dataclass_field(default_factory=list)
 
     @property
     def spread(self) -> float:
@@ -397,28 +459,39 @@ def lipschitz_experiment(f: SpectralField, g: SpectralField, eps_list, config: E
     For each eps, integrates data f and f + eps*g and records
     sup_t ||u_eps(t) - u(t)||_{H^-1/2} / (eps ||g||_{H^-1/2}); a roughly
     constant ratio across decades of eps is the numerical signature of the
-    Lipschitz property."""
+    Lipschitz property.  The base flow and every perturbed flow run as one
+    batch."""
     from .spacetime import sobolev_norm  # local import avoids a cycle
 
-    base = integrate(config, f)
     g_norm = sobolev_norm(-0.5, g)
     if g_norm == 0:
         raise ValueError("perturbation direction has zero H^-1/2 norm")
+    eps_list = [float(eps) for eps in eps_list]
+    flows = integrate_batch(
+        [config] * (1 + len(eps_list)), [f] + [f + eps * g for eps in eps_list]
+    )
+    base = flows[0]
     ratios = []
-    for eps in eps_list:
-        pert = integrate(config, f + float(eps) * g)
+    for eps, pert in zip(eps_list, flows[1:]):
         worst = 0.0
         for su, sp in zip(base.states, pert.states):
             diff = sobolev_norm(-0.5, sp - su)
-            worst = max(worst, diff / (float(eps) * g_norm))
+            worst = max(worst, diff / (eps * g_norm))
         ratios.append(worst)
-    return LipschitzReport([float(e) for e in eps_list], ratios)
+    f_norm = sobolev_norm(-0.5, f)
+    share = float("nan")
+    if f_norm > 0:
+        nonlinear = (sobolev_norm(-0.5, su - free_propagate(t, f)) for t, su in zip(base.times, base.states))
+        share = max(nonlinear) / f_norm
+    return LipschitzReport(eps_list, ratios, share, flows)
 
 
 @dataclass
 class SubstitutionReport:
     dts: list
     sup_diffs: list
+    # z-form and u-form flow at each dt, in that order
+    flows: list = dataclass_field(default_factory=list)
 
 
 def substitution_check(z0: SpectralField, beta: float, config: EvolutionConfig) -> SubstitutionReport:
@@ -426,23 +499,22 @@ def substitution_check(z0: SpectralField, beta: float, config: EvolutionConfig) 
 
     Route one integrates the z-form equation and lifts each snapshot by
     <D>^beta; route two integrates the u-form equation from the lifted
-    data.  The report records sup_t ||u(t) - <D>^beta z(t)||_L2 at the
-    configured dt and at dt/2."""
-    sups, dts = [], []
+    data.  The two flows at one dt run as one batch.  The report records
+    sup_t ||u(t) - <D>^beta z(t)||_L2 at the configured dt and at dt/2."""
+    sups, dts, flows = [], [], []
     for dt in (config.dt, 0.5 * config.dt):
-        cfg_z = EvolutionConfig(
-            config.n_points, config.alpha, beta, dt, config.t_final,
-            kind=config.kind, variables="z", length=config.length, n_saves=config.n_saves,
+        cfg_z, cfg_u = (
+            EvolutionConfig(
+                config.n_points, config.alpha, beta, dt, config.t_final,
+                kind=config.kind, variables=variables, length=config.length, n_saves=config.n_saves,
+            )
+            for variables in ("z", "u")
         )
-        cfg_u = EvolutionConfig(
-            config.n_points, config.alpha, beta, dt, config.t_final,
-            kind=config.kind, variables="u", length=config.length, n_saves=config.n_saves,
-        )
-        traj_z = integrate(cfg_z, z0)
-        traj_u = integrate(cfg_u, bessel_potential(beta, z0))
+        traj_z, traj_u = integrate_batch([cfg_z, cfg_u], [z0, bessel_potential(beta, z0)])
         worst = 0.0
         for zu, uu in zip(traj_z.states, traj_u.states):
             worst = max(worst, l2_norm(uu - bessel_potential(beta, zu)))
         sups.append(worst)
         dts.append(dt)
-    return SubstitutionReport(dts, sups)
+        flows += [traj_z, traj_u]
+    return SubstitutionReport(dts, sups, flows)

@@ -18,6 +18,7 @@ from .evolution import (
     decompose,
     direct_w_solve,
     integrate,
+    integrate_batch,
     lipschitz_experiment,
     normal_form_h,
     rhs_groups,
@@ -124,22 +125,44 @@ def run_smoothing(cfg) -> dict:
 # flow decomposition: free wave + quadratic lift + smoother remainder
 # ----------------------------------------------------------------------------
 
+def _flow_health(traj, **labels) -> dict:
+    """Integrator health of one flow: RK4 steps, nonlinear-term (RHS)
+    evaluations and the largest L2 norm at a save over the initial one."""
+    l2 = traj.l2_history
+    growth = max(l2) / l2[0] if l2[0] > 0 else float("nan")
+    steps = traj.config.n_steps
+    return {**labels, "steps": steps, "rhs_evals": 4 * steps, "max_l2_over_initial": growth}
+
+
 def run_decompose(cfg) -> dict:
+    """The v-form decomposition and the u-form route difference; the two
+    flows run as one batch.  `health` (per flow) and `timing` belong in the
+    JSON report only."""
+    start = time.perf_counter()
     c = cfg["decompose"]
     run = cfg["run"]
     grid = Grid(c["n_points"])
     alpha, beta = run["alpha"], run["beta"]
 
-    # v-form: free + normal form + smoother remainder
+    # v-form data (free + normal form + smoother remainder) and u-form data
+    # (the rough route, measured against its own free evolution)
     f = gen_rough_data(
         DataSpec(c["sigma"], c["freq_hi"], amplitude=c["amplitude"], seed=_seed(cfg, "decompose", 0)),
         grid,
     )
-    vcfg = EvolutionConfig(
-        c["n_points"], alpha, beta, c["dt"], c["t_final"],
-        kind="u2", variables="v", n_saves=c["n_saves"],
+    fu = gen_rough_data(
+        DataSpec(c["u_sigma"], c["freq_hi"], amplitude=c["u_amplitude"], seed=_seed(cfg, "decompose", 1)),
+        grid,
     )
-    traj = integrate(vcfg, f)
+    vcfg, ucfg = (
+        EvolutionConfig(
+            c["n_points"], alpha, beta, c["dt"], c["t_final"],
+            kind="u2", variables=variables, n_saves=c["n_saves"],
+        )
+        for variables in ("v", "u")
+    )
+    traj, traj_u = integrate_batch([vcfg, ucfg], [f, fu])
+
     dec = decompose(traj, f)
     h0 = normal_form_h(f, 0.0, alpha, beta, "u2")
     w0_check = l2_norm(dec.w[0] + h0) / max(l2_norm(h0), 1e-300)
@@ -152,16 +175,6 @@ def run_decompose(cfg) -> dict:
         v_rows.append((t, fit_free, fit_h, fit_w, fit_w - fit_free, l2_norm(ww)))
     min_margin = min(r[4] for r in v_rows)
 
-    # u-form: the rough route, measured against its own free evolution
-    fu = gen_rough_data(
-        DataSpec(c["u_sigma"], c["freq_hi"], amplitude=c["u_amplitude"], seed=_seed(cfg, "decompose", 1)),
-        grid,
-    )
-    ucfg = EvolutionConfig(
-        c["n_points"], alpha, beta, c["dt"], c["t_final"],
-        kind="u2", variables="u", n_saves=c["n_saves"],
-    )
-    traj_u = integrate(ucfg, fu)
     u_data_fit = fitted_regularity(fu, c["fit_lo"], c["fit_hi"]).sigma
     u_rows = []
     for t, state in zip(traj_u.times, traj_u.states):
@@ -179,6 +192,8 @@ def run_decompose(cfg) -> dict:
         "u_rows": u_rows,
         "u_data_fit": u_data_fit,
         "min_u_fit": min_u_fit,
+        "health": [_flow_health(traj, flow="v"), _flow_health(traj_u, flow="u")],
+        "timing": {"wall_s": time.perf_counter() - start},
     }
 
 
@@ -324,6 +339,10 @@ def run_mnorm(cfg) -> dict:
 # ----------------------------------------------------------------------------
 
 def run_lipschitz(cfg) -> dict:
+    """Difference-quotient ratios over the epsilons; the base flow and the
+    perturbed flows run as one batch.  `health` (per flow), the base flow's
+    `nonlinear_share` and `timing` belong in the JSON report only."""
+    start = time.perf_counter()
     c = cfg["lipschitz"]
     run = cfg["run"]
     grid = Grid(c["n_points"])
@@ -341,10 +360,25 @@ def run_lipschitz(cfg) -> dict:
     )
     rep = lipschitz_experiment(f, g, c["epsilons"], ecfg)
     rows = list(zip(rep.epsilons, rep.ratios))
-    return {"rows": rows, "spread": rep.spread, "ratios": rep.ratios}
+    health = [_flow_health(rep.flows[0], flow="base")]
+    health += [
+        _flow_health(traj, flow="perturbed", epsilon=eps) for eps, traj in zip(rep.epsilons, rep.flows[1:])
+    ]
+    return {
+        "rows": rows,
+        "spread": rep.spread,
+        "ratios": rep.ratios,
+        "nonlinear_share": rep.nonlinear_share,
+        "health": health,
+        "timing": {"wall_s": time.perf_counter() - start},
+    }
 
 
 def run_subst(cfg) -> dict:
+    """Substitution defect at dt and dt/2; the z-form and u-form flows at
+    one dt run as one batch.  `health` (per flow) and `timing` belong in the
+    JSON report only."""
+    start = time.perf_counter()
     c = cfg["subst"]
     run = cfg["run"]
     grid = Grid(c["n_points"])
@@ -358,7 +392,13 @@ def run_subst(cfg) -> dict:
     )
     rep = substitution_check(z0, c["beta"], ecfg)
     rows = list(zip(rep.dts, rep.sup_diffs))
-    return {"rows": rows, "max_sup": max(rep.sup_diffs)}
+    health = [_flow_health(traj, flow=traj.config.variables, dt=traj.config.dt) for traj in rep.flows]
+    return {
+        "rows": rows,
+        "max_sup": max(rep.sup_diffs),
+        "health": health,
+        "timing": {"wall_s": time.perf_counter() - start},
+    }
 
 
 def run_simulate(cfg):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from qnls.evolution import (
     decompose,
     direct_w_solve,
     integrate,
+    integrate_batch,
+    lipschitz_experiment,
     normal_form_h,
     rhs,
     rhs_groups,
@@ -142,6 +145,75 @@ class TestIntegrate:
         cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1)
         with pytest.raises(ValueError, match="not finite"):
             integrate(cfg, SpectralField(g, c))
+
+
+class TestIntegrateBatch:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    @pytest.mark.parametrize("kind", ["u2", "uubar", "ubar2"])
+    def test_rows_equal_single_flows(self, kind, batch, n):
+        # rows cycle through the u, v and z variables, so their exponents differ
+        configs = [
+            EvolutionConfig(n, ALPHA, BETA, 5e-4, 5e-3, kind=kind, variables="uvz"[b % 3], n_saves=3)
+            for b in range(batch)
+        ]
+        initials = [smooth_data(n, seed=20 + b, amp=0.3, width=n / 8) for b in range(batch)]
+        batched = integrate_batch(configs, initials)
+        assert len(batched) == batch
+        for cfg, data, got in zip(configs, initials, batched):
+            want = integrate(cfg, data)
+            assert got.config == cfg
+            assert got.times == want.times
+            assert got.l2_history == want.l2_history
+            for a, b in zip(got.states, want.states, strict=True):
+                assert np.array_equal(a.coeffs, b.coeffs)
+            # the flow moved away from the free wave, so the rows test the nonlinearity
+            free = free_propagate(cfg.t_final, data)
+            assert l2_norm(got.final - free) > 1e-6 * l2_norm(free)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"n_points": 128}, {"dt": 2.5e-4}, {"t_final": 0.02}, {"kind": "uubar"}, {"n_saves": 4}],
+        ids=["grid", "dt", "t_final", "kind", "n_saves"],
+    )
+    def test_mismatched_configs_rejected(self, change):
+        cfg = EvolutionConfig(64, ALPHA, BETA, 5e-4, 0.01, n_saves=3)
+        other = dataclasses.replace(cfg, **change)
+        data = smooth_data(64)
+        with pytest.raises(ValueError, match="must share"):
+            integrate_batch([cfg, other], [data, data])
+
+    def test_bad_initial_rejected(self):
+        cfg = EvolutionConfig(64, ALPHA, BETA, 5e-4, 0.01, n_saves=3)
+        good = smooth_data(64)
+        wide = np.zeros(64, complex)
+        wide[20] = 1.0  # beyond guard index 16
+        nan = good.coeffs.copy()
+        nan[2] = np.nan
+        for bad, match in (
+            (SpectralField(Grid(64), wide), "beyond the guard"),
+            (SpectralField(Grid(64), nan), "not finite"),
+            (smooth_data(128), "grid"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                integrate_batch([cfg, cfg], [good, bad])
+        with pytest.raises(ValueError):
+            integrate_batch([cfg, cfg], [good])
+        with pytest.raises(ValueError):
+            integrate_batch([], [])
+
+    def test_blow_up_names_the_row(self):
+        explosive = smooth_data(64, amp=2000.0, width=4.0)
+        cfg = EvolutionConfig(64, ALPHA, BETA, 2e-3, 2.0)
+        with pytest.raises(BlowUpError) as alone:
+            integrate(cfg, explosive)
+        with pytest.raises(BlowUpError, match="in row 1") as batched:
+            integrate_batch([cfg, cfg], [smooth_data(64), explosive])
+        assert alone.value.row == 0
+        assert batched.value.row == 1
+        assert batched.value.t == alone.value.t
+        assert batched.value.norm == alone.value.norm
+        assert batched.value.initial_norm == alone.value.initial_norm
 
 
 def in_guard_band(g):
@@ -322,6 +394,24 @@ class TestDirectSolve:
             assert t4 == pytest.approx(0.3 + (s + 1) * dt, abs=1e-15)
             if s + 1 < len(per_step):
                 assert per_step[s + 1][0] == t4
+
+
+class TestLipschitz:
+    def test_nonlinear_share_and_flows(self):
+        cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.02, n_saves=3)
+        g = smooth_data(64, seed=12, amp=1.0)
+        shares = []
+        for amp in (1e-9, 0.5):
+            f = smooth_data(64, seed=11, amp=amp)
+            rep = lipschitz_experiment(f, g, [1e-3, 1e-2], cfg)
+            assert len(rep.flows) == 3
+            for flow, data in zip(rep.flows, [f, f + 1e-3 * g, f + 1e-2 * g]):
+                want = integrate(cfg, data)
+                assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(flow.states, want.states))
+            shares.append(rep.nonlinear_share)
+        # the share scales with the amplitude: quadratic nonlinearity over linear data
+        assert shares[0] < 1e-8
+        assert shares[1] > 1e-3
 
 
 class TestSubstitution:

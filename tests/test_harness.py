@@ -293,6 +293,42 @@ class TestCli:
             assert all(b >= a * (1 - 1e-12) for a, b in zip(box["sweep_values"], box["sweep_values"][1:]))
             assert box["n_triples"] > 0 and float(estimate) > 0
 
+    def test_flow_reports_health_and_timing(self, tmp_path):
+        p = tmp_path / "small.cfg"
+        p.write_text(
+            "[decompose]\nn_points = 256\ndt = 1e-3\nt_final = 0.01\nn_saves = 3\nfreq_hi = 64\n"
+            "[lipschitz]\nn_points = 128\ndt = 1e-3\nt_final = 0.01\nn_saves = 3\nfreq_hi = 32\n"
+            "[subst]\nn_points = 64\ndt = 1e-3\nt_final = 0.01\nn_saves = 3\n"
+        )
+        csvs = {"decompose": ("decompose_v.csv", "decompose_u.csv"),
+                "lipschitz": ("lipschitz.csv",), "subst": ("subst.csv",)}
+        csv_bytes = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            for command in csvs:
+                assert main([command, "--config", str(p), "--out", str(out)]) in (0, 1)
+            csv_bytes.append([(out / name).read_bytes() for names in csvs.values() for name in names])
+        assert csv_bytes[0] == csv_bytes[1]  # timing stays out of the CSVs
+        results = {c: json.loads((tmp_path / "a" / f"{c}.json").read_text())["results"] for c in csvs}
+        flows = {
+            "decompose": [{"flow": "v"}, {"flow": "u"}],
+            "lipschitz": [{"flow": "base"}]
+            + [{"flow": "perturbed", "epsilon": e} for e in (1e-4, 1e-3, 1e-2, 1e-1)],
+            "subst": [{"flow": v, "dt": dt} for dt in (1e-3, 5e-4) for v in ("z", "u")],
+        }
+        for command, res in results.items():
+            assert res["timing"]["wall_s"] > 0
+            assert len(res["health"]) == len(flows[command])
+            for health, labels in zip(res["health"], flows[command]):
+                assert set(health) == set(labels) | {"steps", "rhs_evals", "max_l2_over_initial"}
+                assert {k: health[k] for k in labels} == pytest.approx(labels)
+                steps = round(0.01 / health.get("dt", 1e-3))
+                assert (health["steps"], health["rhs_evals"]) == (steps, 4 * steps)
+                assert 1.0 <= health["max_l2_over_initial"] < 1.1
+        # the base flow moves away from the free wave, but by a small share
+        assert 0.0 < results["lipschitz"]["nonlinear_share"] < 1.0
+        assert results["lipschitz"]["spread"] >= 1.0
+
     def test_internal_value_error_is_not_exit_2(self, tmp_path, monkeypatch):
         # a fault of the program surfaces with its traceback, not as a usage error
         from qnls import experiments
