@@ -123,6 +123,8 @@ def cmd_simulate(cfg, out_dir) -> int:
     res, traj = experiments.run_simulate(cfg)
     write_trajectory(out_dir, "trajectory", traj)
     write_csv(os.path.join(out_dir, "simulate_l2.csv"), ["t", "l2"], res["rows"])
+    write_report(os.path.join(out_dir, "simulate.json"), "simulate", cfg,
+                 {k: res[k] for k in ("final_l2", "health", "timing")})
     print(f"integrated to t={traj.times[-1]:.6g}; final L2 norm {res['final_l2']:.6e}")
     return 0
 

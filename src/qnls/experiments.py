@@ -241,7 +241,8 @@ def run_rates(cfg) -> dict:
 
 def _ratio_health(rep) -> dict:
     """Spread of the rate ensemble: the IQR of the finite ratios at each k
-    (NaN when none is finite) and the number of non-finite cells."""
+    (NaN when none is finite), the number of non-finite cells and the
+    points of the x-grid the cells transform on at each k."""
     iqr = {}
     non_finite = 0
     for k, vals in rep.ratios.items():
@@ -253,7 +254,7 @@ def _ratio_health(rep) -> dict:
             iqr[k] = float(q3 - q1)
         else:
             iqr[k] = float("nan")
-    return {"iqr": iqr, "non_finite_cells": int(non_finite)}
+    return {"iqr": iqr, "non_finite_cells": int(non_finite), "grid_n": dict(rep.grid_n)}
 
 
 # ----------------------------------------------------------------------------
@@ -402,6 +403,9 @@ def run_subst(cfg) -> dict:
 
 
 def run_simulate(cfg):
+    """One flow and its L2 history; `health` and `timing` belong in the
+    JSON report only."""
+    start = time.perf_counter()
     c = cfg["simulate"]
     run = cfg["run"]
     grid = Grid(c["n_points"])
@@ -415,7 +419,12 @@ def run_simulate(cfg):
     )
     traj = integrate(ecfg, data)
     rows = list(zip(traj.times, traj.l2_history))
-    return {"rows": rows, "final_l2": traj.l2_history[-1]}, traj
+    return {
+        "rows": rows,
+        "final_l2": traj.l2_history[-1],
+        "health": [_flow_health(traj, flow=c["variables"])],
+        "timing": {"wall_s": time.perf_counter() - start},
+    }, traj
 
 
 # ----------------------------------------------------------------------------

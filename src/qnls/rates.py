@@ -25,28 +25,36 @@ The eight kinds:
     kkkk1      kkk1 with the v norm at b = 1/2 - delta instead of 1/2 + delta
     plusminus  (u+_{~k} v-_{~k})_{~k} positive-frequency u, negative v
 
-Per-scale grids use n_x = 2^(k+3) points so every box and every product is
-representible; the time grid is fixed (default 256 points over one period).
+The boxes and the output multiplier are defined on n_x = 2^(k+3) points,
+where every box and every product is representable; the time grid is fixed
+(default 256 points over one period).
 
 A cell works on space-time coefficients.  The window and the X^{0,b} norm
 act on tau alone, so each factor's time-axis transforms run only on the xi
-columns its box occupies, and one x-axis transform per factor gives the
-samples the product needs; the product then takes one x-axis transform and
-one time-axis transform on the columns the output multiplier keeps.
-Everything that does not depend on the seed (the masks on the occupied
-columns, the (1 + |tau - xi^2|)^(2b) weights, the window, the multiplier) is
-built once per (kind, k) and held for one (kind, k) at a time.  The dense
-SpaceTimeField composition in spacetime.py (synth_cells, apply_window,
-xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) computes the same
-ratio and is the reference the tests compare the cell against.
+columns its box occupies.  The x-axis transforms run on the smallest even
+5-smooth grid, at most 2^(k+3) points, that is alias-free on the output
+columns the multiplier keeps (Orszag 1971): the sums of the occupied
+frequencies that fold onto such a column must be that column itself.  One
+x-axis transform per factor gives the samples, one more the product's
+coefficients, and the projected L2 norm follows from Parseval along t
+without a time-axis transform.  Everything that does not depend on the seed
+(the masks on the occupied columns, the (1 + |tau - xi^2|)^(2b) weights, the
+window, the transform grid, the multiplier on it) is built once per
+(kind, k) and held for one (kind, k) at a time.  The dense SpaceTimeField
+composition in spacetime.py (synth_cells, apply_window, xsb_norm,
+st_product, st_spatial_multiplier, st_l2_norm) on the 2^(k+3) grid computes
+the same ratio and is the reference the tests compare the cell against.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +106,7 @@ class RateReport:
     n_seeds: int
     degenerate: bool = False
     ratios: dict = field(default_factory=dict)  # k -> list over seeds
+    grid_n: dict = field(default_factory=dict)  # k -> transform grid points
 
 
 def _output_multiplier(grid: Grid, pattern: str, k: int) -> np.ndarray:
@@ -132,15 +141,57 @@ def _column_runs(cols: np.ndarray) -> tuple:
     """(destination, source) slice pairs of the maximal runs of consecutive
     indices in cols: a scatter by slices is several times cheaper than a
     fancy-indexed one."""
+    if cols.size == 0:
+        return ()
     breaks = np.flatnonzero(np.diff(cols) != 1) + 1
     starts = [0, *breaks.tolist()]
     ends = [*breaks.tolist(), cols.size]
     return tuple((slice(int(cols[a]), int(cols[b - 1]) + 1), slice(a, b)) for a, b in zip(starts, ends))
 
 
+def _signed(cols: np.ndarray, n: int) -> np.ndarray:
+    """Signed frequency indices of the FFT-order columns cols of an n-point grid."""
+    return np.where(cols < n // 2, cols, cols - n)
+
+
+def _smooth(m: int) -> bool:
+    """True when m has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def _transform_grid(u_freqs: np.ndarray, v_freqs: np.ndarray, mult: np.ndarray) -> tuple:
+    """(M, kept) for the product of factors with signed frequencies u_freqs
+    and v_freqs (v already negated for a conjugate slot) and the output
+    multiplier mult on the mult.size-point grid.
+
+    kept are the signed frequencies inside the span [s_lo, s_hi] of the sums
+    where mult is nonzero, K the largest |m| among them.  M is the smallest
+    even 5-smooth grid size on which the product is alias-free there: M > 2K
+    keeps every kept column off the Nyquist column and distinct mod M;
+    M > K - s_lo and M > s_hi + K keep every shifted span [s_lo, s_hi] + jM
+    (j != 0) out of [-K, K] (Orszag 1971); M larger than each factor's spread
+    keeps its columns distinct.  mult.size itself always qualifies, so it
+    caps the search."""
+    n_max = mult.size
+    s_lo = int(u_freqs.min() + v_freqs.min())
+    s_hi = int(u_freqs.max() + v_freqs.max())
+    freqs = _signed(np.flatnonzero(mult), n_max)
+    kept = freqs[(freqs >= s_lo) & (freqs <= s_hi)]
+    big_k = int(np.abs(kept).max()) if kept.size else 0
+    spread = max(int(np.ptp(u_freqs)), int(np.ptp(v_freqs)))
+    m = max(2 * big_k, big_k - s_lo, s_hi + big_k, spread) + 1
+    m += m % 2
+    while m < n_max and not _smooth(m):
+        m += 2
+    return min(m, n_max), kept
+
+
 def _side_table(mask: np.ndarray, weight_b: float, n_t: int, t_total: float, grid: Grid):
-    """(runs of occupied xi columns, mask on them, (1 + dist)^(2b) on them)
-    of one factor's box, Nyquist row and column excluded."""
+    """(occupied xi columns, mask on them, (1 + dist)^(2b) on them) of one
+    factor's box on grid, Nyquist row and column excluded."""
     mask = mask.copy()
     mask[n_t // 2, :] = False
     mask[:, grid.n // 2] = False
@@ -151,17 +202,36 @@ def _side_table(mask: np.ndarray, weight_b: float, n_t: int, t_total: float, gri
     weight = (1.0 + parabola_distance(n_t, t_total, grid.frequencies[cols])) ** (2.0 * weight_b)
     sub.setflags(write=False)
     weight.setflags(write=False)
-    return _column_runs(cols), sub, weight
+    return cols, sub, weight
+
+
+class _CellTables(NamedTuple):
+    """The seed-independent part of one (kind, k) rate cell.
+
+    n is the transform grid (_transform_grid), u and v are (runs of the
+    occupied columns on it, mask on them, X^{0,b} weight on them), mult is
+    the output multiplier on it and out_runs holds (slice of the product's
+    float64 view, mult^2 repeated for the real and imaginary parts) for
+    each run of columns where mult is nonzero."""
+
+    n: int
+    u: tuple
+    v: tuple
+    window: np.ndarray
+    mult: np.ndarray
+    out_runs: tuple
 
 
 @lru_cache(maxsize=1)
-def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float):
+def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float) -> _CellTables:
     """Everything of a rate cell that does not depend on the seed.
 
-    One entry: the sweep runs k-major, so each (kind, k) is built once and
-    dropped when the next one starts; every array is read-only because
-    worker threads share it."""
-    _conj2, v_pattern, out_pattern, vb_tag, u_side, v_side = KINDS[kind]
+    The boxes and the multiplier are built on the 2^(k+3)-point grid and
+    moved onto the smallest transform grid that is alias-free on the kept
+    output columns.  One entry: the sweep runs k-major, so each (kind, k)
+    is built once and dropped when the next one starts; every array is
+    read-only because worker threads share it."""
+    conj2, v_pattern, out_pattern, vb_tag, u_side, v_side = KINDS[kind]
     grid = Grid(2 ** (k + 3))
     bu = 0.5 + delta
     bv = 0.5 + delta if vb_tag == "plus" else 0.5 - delta
@@ -169,34 +239,54 @@ def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float):
     v_mask = _v_mask(grid, n_t, t_total, v_pattern, k, v_side)
     mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
     mult[grid.n // 2] = 0.0
-    out_cols = np.flatnonzero(mult)
-    out_mult = mult[out_cols]
+    u_cols, u_sub, u_weight = _side_table(u_mask, bu, n_t, t_total, grid)
+    v_cols, v_sub, v_weight = _side_table(v_mask, bv, n_t, t_total, grid)
+    u_freqs = _signed(u_cols, grid.n)
+    v_freqs = _signed(v_cols, grid.n)
+    n, kept = _transform_grid(u_freqs, -v_freqs if conj2 else v_freqs, mult)
+    mult_n = np.zeros(n)
+    mult_n[kept % n] = mult[kept % grid.n]
+    out_runs = tuple(
+        (slice(2 * dest.start, 2 * dest.stop), np.repeat(mult_n[dest] ** 2, 2))
+        for dest, _src in _column_runs(np.flatnonzero(mult_n))
+    )
     window = window_weights(n_t, t_total)
-    for a in (out_cols, out_mult, window):
+    for a in (mult_n, window, *(w for _s, w in out_runs)):
         a.setflags(write=False)
-    return (
-        grid,
-        _side_table(u_mask, bu, n_t, t_total, grid),
-        _side_table(v_mask, bv, n_t, t_total, grid),
+    return _CellTables(
+        n,
+        (_column_runs(u_freqs % n), u_sub, u_weight),
+        (_column_runs(v_freqs % n), v_sub, v_weight),
         window,
-        out_cols,
-        out_mult,
+        mult_n,
+        out_runs,
     )
 
 
-def _sq_sum(a: np.ndarray) -> float:
-    """sum |a|^2 of a C- or F-contiguous complex array."""
-    r = a.ravel(order="A").view(np.float64)
-    return float(r @ r)
+_scatter = threading.local()
 
 
-def _windowed_side(table, seed, window: np.ndarray, grid: Grid, t_total: float):
+def _scatter_buffers(tables: _CellTables, n_t: int) -> tuple:
+    """This thread's two (n_t, tables.n) scatter buffers for tables.
+
+    Each call writes the same occupied columns of the same tables, so every
+    other column stays zero without re-zeroing; new tables get new
+    buffers."""
+    if getattr(_scatter, "tables", None) is not tables:
+        _scatter.buffers = (np.zeros((n_t, tables.n), dtype=np.complex128),
+                            np.zeros((n_t, tables.n), dtype=np.complex128))
+        _scatter.tables = tables
+    return _scatter.buffers
+
+
+def _windowed_side(table, seed, window: np.ndarray, full: np.ndarray, t_total: float):
     """Space-time samples (up to one constant factor) and X^{0,b} norm of
     the windowed random field on one factor's box.
 
     The window and the norm act on tau alone, so both run on the occupied
     xi columns; only the product needs the samples in x.  The ratio is
-    scale-invariant in each factor, so the draws are not normalised."""
+    scale-invariant in each factor, so the draws are not normalised.  full
+    is a scatter buffer that is zero off the occupied columns."""
     runs, sub, weight = table
     n_t = sub.shape[0]
     count = int(np.count_nonzero(sub))
@@ -208,8 +298,7 @@ def _windowed_side(table, seed, window: np.ndarray, grid: Grid, t_total: float):
     samples *= window[:, None]
     cw = np.fft.fft(samples, axis=0)
     cw[n_t // 2, :] = 0.0
-    norm = math.sqrt(t_total * grid.length * float(np.sum(weight * (cw.real**2 + cw.imag**2))))
-    full = np.zeros((n_t, grid.n), dtype=np.complex128)
+    norm = math.sqrt(t_total * TWO_PI * float(np.sum(weight * (cw.real**2 + cw.imag**2))))
     for dest, src in runs:
         full[:, dest] = samples[:, src]
     return np.fft.ifft(full, axis=1), norm
@@ -222,21 +311,32 @@ def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: floa
     equals the SpaceTimeField composition (synth_cells, apply_window,
     xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) up to
     rounding; the tests keep that composition as the oracle."""
-    grid, u_table, v_table, window, out_cols, out_mult = _cell_tables(kind, k, delta, n_t, t_total)
+    tables = _cell_tables(kind, k, delta, n_t, t_total)
+    u_full, v_full = _scatter_buffers(tables, n_t)
     kind_id = KIND_ORDER.index(kind)
-    u, nu = _windowed_side(u_table, [seed_key, kind_id, k, 0], window, grid, t_total)
-    v, nv = _windowed_side(v_table, [seed_key, kind_id, k, 1], window, grid, t_total)
+    u, nu = _windowed_side(tables.u, [seed_key, kind_id, k, 0], tables.window, u_full, t_total)
+    v, nv = _windowed_side(tables.v, [seed_key, kind_id, k, 1], tables.window, v_full, t_total)
     if nu == 0.0 or nv == 0.0:
         return float("nan")
     if KINDS[kind][0]:
         np.conjugate(v, out=v)
     u *= v
-    # u and v above are ifft2 of the coefficients: each lacks a factor
-    # n_t * n_x, and the coefficients of the product are fft2 / (n_t * n_x)
-    coeffs = np.fft.fft(np.fft.fft(u, axis=1)[:, out_cols] * out_mult, axis=0)
-    coeffs[n_t // 2, :] = 0.0
-    l2 = math.sqrt(t_total * grid.length * _sq_sum(coeffs))
-    return n_t * grid.n * l2 / (nu * nv)
+    # X = fft_x(u v) on the n-point transform grid.  Summed over tau, the
+    # squared coefficients of mult * X are (Parseval along t) n_t times
+    # sum_t |mult X|^2 less the zeroed Nyquist row, |sum_t (-1)^t mult X|^2.
+    x = np.fft.fft(u, axis=1).view(np.float64)
+    alt = np.ones(n_t)
+    alt[1::2] = -1.0
+    sq = 0.0
+    for cols, w in tables.out_runs:
+        block = x[:, cols]
+        flip = alt @ block
+        sq += n_t * float(np.einsum("ij,ij->j", block, block) @ w) - float((flip * flip) @ w)
+    l2 = math.sqrt(t_total * TWO_PI * sq)
+    # u and v above are ifft2 of the coefficients on the (n_t, n) grid: each
+    # lacks a factor n_t * n, and the coefficients of the product are
+    # fft2 / (n_t * n)
+    return n_t * tables.n * l2 / (nu * nv)
 
 
 def _fit_line(xs, ys):
@@ -274,21 +374,17 @@ def product_rate_experiment(
     if k_lo < 1 or k_hi < k_lo:
         raise ValueError(f"bad k_range {k_range!r}")
     ks = list(range(k_lo, k_hi + 1))
-    cells = [(k, i) for k in ks for i in range(n_seeds)]
 
-    def work(cell):
-        k, i = cell
+    def work(k, i):
         return _one_cell(kind, k, delta, seed * 1000003 + i, n_t, t_total)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(work, cells))
-    else:
-        flat = [work(c) for c in cells]
-
-    ratios = {k: [] for k in ks}
-    for (k, _i), val in zip(cells, flat):
-        ratios[k].append(float(val))
+    # k-major: each scale's tables are built once, here, before its cells run
+    ratios, grid_n = {}, {}
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        run = pool.map if pool is not None else map
+        for k in ks:
+            grid_n[k] = _cell_tables(kind, k, delta, n_t, t_total).n
+            ratios[k] = [float(v) for v in run(work, [k] * n_seeds, range(n_seeds))]
 
     medians = [float(np.median(ratios[k])) for k in ks]
     degenerate = any((not np.isfinite(m)) or m <= 0.0 for m in medians)
@@ -296,4 +392,4 @@ def product_rate_experiment(
         slope, stderr = float("nan"), float("nan")
     else:
         slope, stderr = _fit_line(ks, np.log2(medians))
-    return RateReport(kind, delta, ks, medians, slope, stderr, n_seeds, degenerate, ratios)
+    return RateReport(kind, delta, ks, medians, slope, stderr, n_seeds, degenerate, ratios, grid_n)

@@ -269,6 +269,9 @@ class TestCli:
             assert set(health["iqr"]) == {"3", "4"}
             assert all(v > 0 for v in health["iqr"].values())
             assert health["non_finite_cells"] == 0
+        # the transform grids: even, at most 2^(k+3), and fixed by the kind
+        assert results["health"]["gain1"]["grid_n"] == {"3": 40, "4": 72}
+        assert results["health"]["kkk1"]["grid_n"] == {"3": 48, "4": 96}
 
     def test_mnorm_report_health_and_timing(self, tmp_path):
         p = tmp_path / "small.cfg"
@@ -354,6 +357,24 @@ class TestCli:
         rc = main(["simulate"])
         assert rc == 0
         assert (tmp_path / "envdir" / "trajectory.csv").exists()
+
+    def test_simulate_report_health_and_timing(self, tmp_path):
+        p = tmp_path / "small.cfg"
+        p.write_text("[simulate]\nn_points = 64\ndt = 1e-3\nt_final = 0.01\nn_saves = 3\nfreq_hi = 16\n")
+        csv_bytes = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+            csv_bytes.append((out / "simulate_l2.csv").read_bytes())
+        assert csv_bytes[0] == csv_bytes[1]  # timing stays out of the CSV
+        results = json.loads((tmp_path / "a" / "simulate.json").read_text())["results"]
+        assert results["timing"]["wall_s"] > 0
+        (health,) = results["health"]
+        assert set(health) == {"flow", "steps", "rhs_evals", "max_l2_over_initial"}
+        assert (health["steps"], health["rhs_evals"]) == (10, 40)
+        assert 1.0 <= health["max_l2_over_initial"] < 1.1
+        l2 = [float(row.split(",")[1]) for row in csv_bytes[0].decode().splitlines()[1:]]
+        assert results["final_l2"] == l2[-1]
 
     def test_simulate_sidecar_consistent(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path)])

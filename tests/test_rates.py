@@ -1,4 +1,5 @@
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -111,12 +112,60 @@ def test_one_cell_matches_dense_oracle(kind):
 
 def test_one_cell_matches_dense_oracle_large_and_off_lattice():
     # k = 8 is the largest default scale; t_total != 2*pi puts tau off the
-    # integer lattice, so the boxes and weights differ from the default ones
-    for kind, k, n_t, t_total in (("kkk1", 8, 256, 2 * np.pi), ("gain2", 4, 64, 3.0)):
+    # integer lattice, so the boxes and weights differ from the default ones.
+    # plusminus (540 of 2048 points at k = 8), gain3 (800 of 1024 at k = 7)
+    # and kkk2 (1080 of 2048 at k = 8) transform on the grids that depart
+    # most from 2^(k+3)
+    cases = (
+        ("kkk1", 8, 256, 2 * np.pi),
+        ("gain2", 4, 64, 3.0),
+        ("plusminus", 8, 256, 2 * np.pi),
+        ("gain3", 7, 256, 2 * np.pi),
+        ("kkk2", 8, 256, 2 * np.pi),
+    )
+    for kind, k, n_t, t_total in cases:
         fast = _one_cell(kind, k, 0.05, 11, n_t, t_total)
         slow = oracle_cell(kind, k, 0.05, 11, n_t, t_total)
         assert np.isfinite(slow) and slow > 0
         assert _rel(fast, slow) <= 1e-13, (kind, fast, slow)
+
+
+def _occupied_freqs(mask, n_t):
+    """Signed frequencies of the columns a box occupies, Nyquist row and
+    column excluded."""
+    mask = mask.copy()
+    n = mask.shape[1]
+    mask[n_t // 2, :] = False
+    mask[:, n // 2] = False
+    cols = np.flatnonzero(mask.any(axis=0))
+    return np.where(cols < n // 2, cols, cols - n)
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_cell_grid_alias_free(kind):
+    conj2, v_pattern, out_pattern, _vb, u_side, v_side = KINDS[kind]
+    for k in range(1, 11):
+        grid = Grid(2 ** (k + 3))
+        full_mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
+        full_mult[grid.n // 2] = 0.0
+        for n_t in (64, 256):
+            tables = _cell_tables(kind, k, 0.05, n_t, 2 * np.pi)
+            m = tables.n
+            assert m % 2 == 0 and m <= grid.n and tables.mult.shape == (m,)
+            u = _occupied_freqs(box_mask(grid, n_t, 2 * np.pi, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
+            v = _occupied_freqs(_v_mask(grid, n_t, 2 * np.pi, v_pattern, k, v_side), n_t)
+            if conj2:
+                v = -v
+            # the sumset by brute force: every pair of occupied columns
+            sums = np.unique(np.add.outer(u, v))
+            lands = tables.mult[sums % m] != 0
+            # a sum that lands on a kept column is that column itself, in the
+            # base range of the m-point grid, with the multiplier it has on
+            # the 2^(k+3) grid
+            assert np.all((sums[lands] >= -m // 2) & (sums[lands] < m // 2)), (k, n_t)
+            np.testing.assert_array_equal(tables.mult[sums[lands] % m], full_mult[sums[lands] % grid.n])
+            # and no sum that the 2^(k+3) grid keeps is dropped
+            assert np.all(lands[full_mult[sums % grid.n] != 0]), (k, n_t)
 
 
 def test_empty_box_rejected():
@@ -132,20 +181,26 @@ def test_empty_box_rejected():
 def test_table_masks_equal_box_mask(kind):
     _conj2, v_pattern, _out, _vb, u_side, v_side = KINDS[kind]
     for k, n_t, t_total in ((3, 64, 2 * np.pi), (6, 256, 2 * np.pi), (4, 64, 3.0)):
-        grid, u_table, v_table, _window, _cols, _mult = _cell_tables(kind, k, 0.05, n_t, t_total)
+        tables = _cell_tables(kind, k, 0.05, n_t, t_total)
+        grid = Grid(2 ** (k + 3))
         expected = (
             box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side),
             _v_mask(grid, n_t, t_total, v_pattern, k, v_side),
         )
-        for (runs, sub, weight), mask in zip((u_table, v_table), expected):
+        for (runs, sub, weight), mask in zip((tables.u, tables.v), expected):
             mask = mask.copy()
             mask[n_t // 2, :] = False
             mask[:, grid.n // 2] = False
-            full = np.zeros_like(mask)
+            # the runs place each column at its signed frequency mod n, once
+            full = np.zeros((n_t, tables.n), dtype=int)
             for dest, src in runs:
-                full[:, dest] = sub[:, src]
-            np.testing.assert_array_equal(full, mask)
+                full[:, dest] += sub[:, src]
+            freqs = np.where(np.arange(grid.n) < grid.n // 2, np.arange(grid.n), np.arange(grid.n) - grid.n)
+            moved = np.zeros_like(full)
+            np.add.at(moved, (slice(None), freqs % tables.n), mask.astype(int))
+            np.testing.assert_array_equal(full, moved)
             assert not (sub.flags.writeable or weight.flags.writeable)
+        assert not (tables.mult.flags.writeable or tables.window.flags.writeable)
 
 
 def test_experiment_report_shape():
@@ -156,22 +211,44 @@ def test_experiment_report_shape():
     assert all(m > 0 for m in rep.medians)
     assert not rep.degenerate
     assert len(rep.ratios[3]) == 3
+    assert rep.grid_n == {k: _cell_tables("gain3", k, 0.05, 64, 2 * np.pi).n for k in (3, 4, 5)}
     assert np.isfinite(rep.slope) and np.isfinite(rep.stderr)
 
 
 def test_threads_do_not_change_values():
-    # k runs over three scales, so worker threads meet a table rebuild; a
-    # short switch interval makes them interleave inside the table cache
+    # k runs over three scales, so every worker thread switches tables and
+    # scatter buffers; a short switch interval makes the threads interleave.
+    # gain1's v side occupies few columns of its buffer, so a column left
+    # over from another table would change its values
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for kind, threads in (("kkk3", 3), ("kkk1", 2), ("plusminus", 2)):
+        for kind, threads in (("kkk3", 3), ("kkk1", 2), ("plusminus", 2), ("gain1", 3)):
             a = product_rate_experiment(kind, (3, 5), 0.05, n_seeds=3, n_t=64, seed=9, threads=1)
             b = product_rate_experiment(kind, (3, 5), 0.05, n_seeds=3, n_t=64, seed=9, threads=threads)
             assert a.ratios == b.ratios
             assert a.medians == b.medians
+            assert a.grid_n == b.grid_n
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_scatter_buffers_do_not_leak_between_tables():
+    # one thread runs gain1 -> kkk1 -> gain1 -> gain2 -> gain1 at k = 8, then
+    # switches k; gain1 and gain2 share the 1080-point grid but gain2's v
+    # side fills about fifty times more columns than gain1's.  Each cell
+    # must equal the same cell computed first in a fresh cache, on a fresh
+    # thread that holds no scatter buffers yet
+    sequence = [("gain1", 8), ("kkk1", 8), ("gain1", 8), ("gain2", 8), ("gain1", 8), ("gain1", 7)]
+    after = [_one_cell(kind, k, 0.05, 5, 256, 2 * np.pi) for kind, k in sequence]
+    fresh = []
+    for kind, k in sequence:
+        _cell_tables.cache_clear()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            fresh.append(pool.submit(_one_cell, kind, k, 0.05, 5, 256, 2 * np.pi).result(timeout=60))
+    assert after == fresh
+    grids = {kind: _cell_tables(kind, 8, 0.05, 256, 2 * np.pi).n for kind in ("gain1", "gain2")}
+    assert grids == {"gain1": 1080, "gain2": 1080}
 
 
 def test_unknown_kind_rejected():
