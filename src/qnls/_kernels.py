@@ -7,14 +7,16 @@
   identical semantics: a numba-jitted version, used when numba imports and
   the environment variable QNLS_DISABLE_NUMBA is unset (or "0"), and a
   pure-numpy twin used otherwise: one bincount over the product's float64
-  view into wrap bins built once per n, the same idiom as Triples.
+  view into wrap bins built once per n.
 * The trilinear box contractions of the alternating maximizer for the
   multiplier lower bounds, in numpy only: each partial runs on the box's
-  precomputed index triples as one gather-multiply and one bincount.
+  index triples, sorted once by the output slot's cell, as one
+  gather-multiply and one segment sum (np.add.reduceat).
 """
 
 import functools
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,42 +112,72 @@ def bilinear_contract(sym, u, v):
 #
 # Slot vectors are flat complex arrays over cells c = xi_index * n_mu +
 # mu_index.  The caller lists every admissible triple (c1, c2, c3) once; a
-# partial contracts two slots over that list into the third: one gather of
-# the two factors, one product, and one bincount that sums the product's
-# real and imaginary parts into interleaved bins 2c and 2c + 1, read back as
-# complex values.
+# partial contracts two slots over that list into the third.  For each
+# output slot the triples are kept sorted by that slot's cell, so a partial
+# is one gather of the two factors, one product, and one segment sum over
+# the runs of equal output cell, scattered into the touched cells.
+
+
+class Segments(NamedTuple):
+    """The triples sorted by one output slot: the other two slots' cells in
+    that order (lower slot first), the start of each run of equal output
+    cell, and that run's output cell."""
+
+    first: np.ndarray
+    second: np.ndarray
+    starts: np.ndarray
+    cells: np.ndarray
+
+
+def _segments(cells, out) -> Segments:
+    order = np.argsort(cells[out], kind="stable")
+    key = cells[out][order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    a, b = (cells[i][order] for i in range(3) if i != out)
+    seg = Segments(a, b, starts, key[starts])
+    for arr in seg:
+        arr.setflags(write=False)
+    return seg
 
 
 class Triples:
     """Admissible triples as three equal-length arrays of flat cell indices,
-    with the number of cells of each slot."""
+    with the number of cells of each slot, and per output slot the triples
+    sorted into segments of equal output cell."""
 
     def __init__(self, cells, sizes):
         self.cells = tuple(np.asarray(t, dtype=np.intp) for t in cells)
         self.sizes = tuple(sizes)
-        # per slot: bins 2c and 2c + 1, interleaved, for the float64 view of a complex product
-        self.bins = tuple((2 * t[:, None] + np.arange(2)).ravel() for t in self.cells)
+        self.segments = tuple(_segments(self.cells, out) for out in range(3))
 
     def __len__(self) -> int:
         return len(self.cells[0])
 
 
-def _contract(tri, a, sa, b, sb, out):
-    prod = a.ravel()[tri.cells[sa]] * b.ravel()[tri.cells[sb]]
-    sums = np.bincount(tri.bins[out], weights=prod.view(np.float64), minlength=2 * tri.sizes[out])
-    return sums.view(np.complex128)
+def _contract(tri, a, b, out):
+    """Sum over triples of a[c_lo] * b[c_hi] into slot out's cells, where
+    c_lo and c_hi are the triple's cells in the other two slots, lower
+    slot first."""
+    seg = tri.segments[out]
+    res = np.zeros(tri.sizes[out], dtype=np.complex128)
+    if seg.starts.size == 0:  # no triples: reduceat needs one start
+        return res
+    prod = np.take(np.asarray(a, dtype=np.complex128).ravel(), seg.first)
+    prod *= np.take(np.asarray(b, dtype=np.complex128).ravel(), seg.second)
+    res[seg.cells] = np.add.reduceat(prod, seg.starts)
+    return res
 
 
 def trilinear_partial3(u1, u2, tri):
     """p3[c3] = sum over triples (c1, c2, c3) of u1[c1] * u2[c2]."""
-    return _contract(tri, u1, 0, u2, 1, 2)
+    return _contract(tri, u1, u2, 2)
 
 
 def trilinear_partial1(u2, u3, tri):
     """p1[c1] = sum over triples (c1, c2, c3) of u2[c2] * u3[c3]."""
-    return _contract(tri, u2, 1, u3, 2, 0)
+    return _contract(tri, u2, u3, 0)
 
 
 def trilinear_partial2(u1, u3, tri):
     """p2[c2] = sum over triples (c1, c2, c3) of u1[c1] * u3[c3]."""
-    return _contract(tri, u1, 0, u3, 2, 1)
+    return _contract(tri, u1, u3, 1)

@@ -24,9 +24,10 @@ monotone nondecreasing in the number of restarts.
 build_model lists the admissible triples (c1, c2, c3) of flat cell indices
 c = xi_index * n_mu + mu_index once, vectorised over all slot-1/slot-2 xi
 pairs.  Every single-slot step of the maximizer is a partial contraction on
-that list (one gather-multiply and one bincount, see _kernels), the triple
-count is its length, and the sphere-sweep oracle for tiny instances reads
-the same list.
+that list (one gather-multiply and one segment sum over the triples sorted
+by the output cell, see _kernels), the triple count is its length, and the
+sphere-sweep oracle for tiny instances reads the same list and splits the
+two swept slots into the connected blocks the triples link.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ class MnormModel:
 
     @property
     def empty(self) -> bool:
-        return not np.any(self.ix3 >= 0)
+        """No admissible triple: no xi pair in the window, or none whose
+        slot-3 modulation snaps onto slot 3's lattice."""
+        return len(self.triples) == 0
 
     @property
     def cells(self) -> tuple:
@@ -267,7 +270,13 @@ def trilinear_sphere_max(t1, t2, t3, grid_points: int = 96) -> float:
 
     Only the cells some triple touches (the active cells) enter the
     matrices: the others would add zero rows and columns, which leave the
-    singular values unchanged.
+    singular values unchanged.  The (slot_a, slot_b) pairs that the triples
+    link split the active rows and columns into connected blocks; every
+    combination of the two slices is block diagonal on them after a
+    permutation, so its top singular value is the largest over the blocks,
+    and each grid point runs one small SVD per block.  A block that only one
+    slice touches scales with that slice's coefficient, so its value is the
+    coefficient's modulus times the block's top singular value.
     """
     ts = [np.asarray(t, np.int64) for t in (t1, t2, t3)]
     if ts[0].size == 0:
@@ -294,6 +303,9 @@ def trilinear_sphere_max(t1, t2, t3, grid_points: int = 96) -> float:
         return float(np.linalg.svd(slices[0], compute_uv=False)[0])
 
     mat_a, mat_b = slices
+    blocks = [(mat_a[np.ix_(r, c)], mat_b[np.ix_(r, c)])
+              for r, c in _blocks(pos[a], pos[b], *mat_a.shape)]
+    tops = [tuple(float(np.linalg.svd(m, compute_uv=False)[0]) for m in blk) for blk in blocks]
 
     def sweep(th_lo, th_hi, ph_lo, ph_hi, n_th, n_ph):
         th = np.linspace(th_lo, th_hi, n_th)
@@ -301,8 +313,16 @@ def trilinear_sphere_max(t1, t2, t3, grid_points: int = 96) -> float:
         tt, pp = np.meshgrid(th, ph, indexing="ij")
         co = np.cos(tt).ravel()
         si = (np.sin(tt) * np.exp(1j * pp)).ravel()
-        stack = co[:, None, None] * mat_a[None] + si[:, None, None] * mat_b[None]
-        vals = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        vals = np.zeros(co.size)
+        for (blk_a, blk_b), (top_a, top_b) in zip(blocks, tops):
+            if top_b == 0.0:  # a block in one slice only: sigma(c A) = |c| sigma(A)
+                top = np.abs(co) * top_a
+            elif top_a == 0.0:
+                top = np.abs(si) * top_b
+            else:
+                stack = co[:, None, None] * blk_a[None] + si[:, None, None] * blk_b[None]
+                top = np.linalg.svd(stack, compute_uv=False)[:, 0]
+            np.maximum(vals, top, out=vals)
         k = int(np.argmax(vals))
         return float(vals[k]), float(tt.ravel()[k]), float(pp.ravel()[k])
 
@@ -315,6 +335,25 @@ def trilinear_sphere_max(t1, t2, t3, grid_points: int = 96) -> float:
         d_th /= 12.0
         d_ph /= 12.0
     return best
+
+
+def _blocks(rows, cols, n_rows, n_cols):
+    """Connected components of the bipartite graph on n_rows rows and
+    n_cols columns with one edge per (rows[k], cols[k]), by union-find: for
+    each, its rows and its columns, both increasing."""
+    parent = list(range(n_rows + n_cols))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r, c in zip(rows.tolist(), (cols + n_rows).tolist()):
+        parent[root(r)] = root(c)
+    roots = np.array([root(x) for x in range(len(parent))])
+    return [(members[members < n_rows], members[members >= n_rows] - n_rows)
+            for members in (np.flatnonzero(roots == r) for r in np.unique(roots))]
 
 
 def exhaustive_max(model: MnormModel, grid_points: int = 96) -> float:

@@ -283,7 +283,11 @@ class TestCli:
             csv_bytes.append((out / "mnorm_sweep.csv").read_bytes() + (out / "mnorm_tiny.csv").read_bytes())
         assert csv_bytes[0] == csv_bytes[1]  # timing stays out of the CSVs
         results = json.loads((tmp_path / "a" / "mnorm.json").read_text())["results"]
-        assert results["timing"]["wall_s"] > 0
+        timing = results["timing"]
+        assert set(timing) == {"wall_s", "sweep_s", "tiny_alternating_s", "tiny_search_s"}
+        assert all(v > 0 for v in timing.values())
+        # the three phases are disjoint parts of the run
+        assert timing["sweep_s"] + timing["tiny_alternating_s"] + timing["tiny_search_s"] <= timing["wall_s"]
         sweep = (tmp_path / "a" / "mnorm_sweep.csv").read_text().splitlines()[1:]
         assert len(results["health"]) == len(sweep) == 9
         for box, row in zip(results["health"], sweep):

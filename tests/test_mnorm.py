@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qnls._kernels import trilinear_partial1, trilinear_partial2, trilinear_partial3
+from mnorm_oracle import contract_bincount, contract_loop, dense_sphere_max
+from qnls._kernels import Triples, trilinear_partial1, trilinear_partial2, trilinear_partial3
 from qnls.experiments import mnorm_sweep_configs
 from qnls.mnorm import (
+    _blocks,
     BoxSpec,
     alternating_max,
     bound_ppm1,
@@ -22,6 +25,10 @@ from qnls.mnorm import (
 TINY_A = (BoxSpec((1, 1, -1), (2.0, 1.0, 1.0), (1.0, 1.0, 8.0)), 2.0)
 TINY_B = (BoxSpec((1, 1, -1), (1.0, 1.0, 1.0), (1.0, 1.0, 8.0)), 4.0)
 TINY_C = (BoxSpec((1, 1, -1), (2.0, 2.0, 1.0), (1.0, 1.0, 4.0)), 8.0)
+TINY = {"tiny-a": TINY_A, "tiny-b": TINY_B, "tiny-c": TINY_C}
+
+# each partial with its output slot and its two factor slots
+PARTIALS = [(trilinear_partial3, 2, 0, 1), (trilinear_partial1, 0, 1, 2), (trilinear_partial2, 1, 0, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +164,17 @@ class TestBuildModel:
         est = multiplier_lower_bound(box, 1000.0, n_tau=4, n_xi=8)
         assert est.empty and est.value == 0.0
 
+    def test_no_triples_is_empty(self):
+        # two xi pairs sit in the window, but no slot-3 modulation snaps
+        # onto a lattice that starts at 1000: no admissible triple
+        box = BoxSpec((1, 1, -1), (2.0, 1.0, 1.0), (1.0, 1.0, 1000.0))
+        m = build_model(box, 2.0, n_tau=4, n_xi=8)
+        assert np.any(m.ix3 >= 0) and len(m.triples) == 0
+        assert m.empty
+        est = multiplier_lower_bound(box, 2.0, n_tau=4, n_xi=8)
+        assert est.empty and est.value == 0.0 and est.n_triples == 0
+        assert alternating_max(m) == 0.0 and exhaustive_max(m) == 0.0
+
     def test_triples_known_instance(self):
         box, h = TINY_A
         m = build_model(box, h, n_tau=4, n_xi=8)
@@ -196,12 +214,76 @@ class TestPartials:
         p2 = trilinear_partial2(u1.ravel(), u3.ravel(), tri)
         assert _rel(p2, _partial2(u1, u3, *args, shapes[1][0]).ravel()) <= 1e-13
 
+    def test_sweep_box_matches_bincount_oracle(self):
+        _f, _n0, box, h = mnorm_sweep_configs()[4]  # ppm2 at N0 = 16, 76,296 triples
+        tri = build_model(box, h).triples
+        rng = np.random.default_rng(4)
+        us = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in tri.sizes]
+        for fn, out, sa, sb in PARTIALS:
+            got = fn(us[sa], us[sb], tri)
+            assert _rel(got, contract_bincount(tri.cells, tri.sizes, us[sa], sa, us[sb], sb, out)) <= 1e-13
+
     def test_sweep_triple_counts(self):
         # triple counts of the nine sweep boxes at n_tau = n_xi = 64, as
         # enumerated by the per-cell-pair loop the triples replaced
         counts = [count_triples(build_model(box, h)) for _f, _n0, box, h in mnorm_sweep_configs()]
         assert counts == [76080, 75648, 74798] + [76296] * 6
         assert sum(counts) == 684302
+
+
+class TestPartialProperties:
+    """Seeded random triple lists against the bincount and scalar-loop
+    oracles: unsorted and repeated triples, cells no triple touches, a slot
+    of one cell, no triples at all."""
+
+    @staticmethod
+    def _random_triples(rng, sizes, n):
+        # draw from a subset of each slot's cells so some stay untouched
+        pools = [rng.choice(s, size=max(1, (2 * s + 2) // 3), replace=False) for s in sizes]
+        cells = [rng.choice(pool, size=n) for pool in pools]
+        if n > 4:  # repeat a few triples, out of order
+            dup = rng.choice(n, size=n // 4)
+            cells = [np.concatenate([c, c[dup]]) for c in cells]
+            perm = rng.permutation(len(cells[0]))
+            cells = [c[perm] for c in cells]
+        return Triples(cells, sizes)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_triples_match_oracles(self, seed):
+        rng = np.random.default_rng([2025, seed])
+        sizes = tuple(int(s) for s in rng.integers(1, 40, size=3))
+        sizes = sizes[:seed % 3] + (1,) + sizes[seed % 3 + 1:] if seed % 4 == 0 else sizes
+        tri = self._random_triples(rng, sizes, int(rng.integers(1, 300)))
+        us = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in sizes]
+        touched = [np.isin(np.arange(s), c) for s, c in zip(sizes, tri.cells)]
+        for fn, out, sa, sb in PARTIALS:
+            got = fn(us[sa], us[sb], tri)
+            assert got.shape == (sizes[out],) and got.dtype == np.complex128
+            assert np.all(got[~touched[out]] == 0)
+            for oracle in (contract_bincount, contract_loop):
+                want = oracle(tri.cells, sizes, us[sa], sa, us[sb], sb, out)
+                assert _rel(got, want) <= 1e-13
+
+    def test_no_triples_gives_zeros(self):
+        tri = Triples(([], [], []), (5, 1, 7))
+        us = [np.ones(s, dtype=np.complex128) for s in tri.sizes]
+        for fn, out, sa, sb in PARTIALS:
+            got = fn(us[sa], us[sb], tri)
+            assert got.shape == (tri.sizes[out],) and not np.any(got)
+
+    def test_segments_are_sorted_and_read_only(self):
+        rng = np.random.default_rng(7)
+        tri = self._random_triples(rng, (9, 4, 6), 50)
+        for out, seg in enumerate(tri.segments):
+            key = np.repeat(seg.cells, np.diff(np.r_[seg.starts, len(tri)]))
+            assert np.all(np.diff(seg.cells) > 0)
+            # the same multiset of triples, regrouped by the output cell
+            others = [i for i in range(3) if i != out]
+            regrouped = sorted(zip(key, seg.first, seg.second))
+            original = sorted(zip(tri.cells[out], *(tri.cells[i] for i in others)))
+            assert regrouped == original
+            for arr in seg:
+                assert not arr.flags.writeable
 
 
 class TestSphereMax:
@@ -235,6 +317,61 @@ class TestSphereMax:
 
     def test_empty(self):
         assert trilinear_sphere_max([], [], []) == 0.0
+
+
+class TestSphereBlocks:
+    """The block-split sphere sweep against the single-stack dense sweep."""
+
+    @pytest.mark.parametrize(
+        "label, shapes",
+        [("tiny-a", [(4, 4)] * 2), ("tiny-b", [(4, 4)] * 4), ("tiny-c", [(2, 2)] * 4)],
+    )
+    def test_tiny_matches_dense_sweep(self, label, shapes):
+        box, h = TINY[label]
+        cells = build_model(box, h, n_tau=4, n_xi=8).triples.cells
+        pos = [np.unique(t, return_inverse=True)[1] for t in cells]
+        # slot 3 is the two-cell slot; slots 1 and 2 split into the blocks
+        blocks = _blocks(pos[0], pos[1], pos[0].max() + 1, pos[1].max() + 1)
+        assert sorted((len(r), len(c)) for r, c in blocks) == shapes
+        got = trilinear_sphere_max(*cells)
+        assert got == pytest.approx(dense_sphere_max(*cells), rel=1e-12)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["connected", "split"])
+    @pytest.mark.parametrize("small_slot", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_matches_dense_sweep(self, seed, small_slot, split):
+        rng = np.random.default_rng([31, seed, small_slot, split])
+        n_a, n_b = 6, 5
+        masks = rng.random((2, n_a, n_b)) < 0.4
+        groups = [(slice(0, n_a), slice(0, n_b))]
+        if split:  # the second block lies in the first slice only
+            groups = [(slice(0, 3), slice(0, 2)), (slice(3, n_a), slice(2, n_b))]
+            masks[:, :3, 2:] = False
+            masks[:, 3:, :2] = False
+            masks[1, 3:, 2:] = False
+        for rows, cols in groups:  # one full row and column per group link it
+            masks[0, rows.start, cols] = True
+            masks[0, rows, cols.start] = True
+        small, a, b = np.nonzero(masks)
+        labels = [rng.choice(50, size=n, replace=False) for n in (2, n_a, n_b)]
+        other = [labels[1][a], labels[2][b]]
+        perm = rng.permutation(small.size)
+        slots = other[:small_slot] + [labels[0][small]] + other[small_slot:]
+        t1, t2, t3 = (s[perm] for s in slots)
+        assert len(_blocks(a, b, n_a, n_b)) == len(groups)
+        got = trilinear_sphere_max(t1, t2, t3, grid_points=32)
+        assert got == pytest.approx(dense_sphere_max(t1, t2, t3, grid_points=32), rel=1e-12)
+
+    def test_tiny_b_search_memory(self):
+        # the single-stack sweep peaks at about 145 MiB of traced allocation
+        box, h = TINY_B
+        tracemalloc.start()
+        try:
+            exhaustive_lower_bound(box, h, n_tau=4, n_xi=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestAlternating:
