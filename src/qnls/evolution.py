@@ -12,27 +12,38 @@ variable:
     variables "v": (alpha, beta-alpha) smoothed route
     variables "z": (beta, 0)           both derivatives on the inputs
 
-The integrator is an integrating-factor Runge-Kutta 4 scheme: the linear
-phase exp(i xi^2 t) is applied exactly and the classical RK4 tableau acts on
-the rotated nonlinearity, so a vanishing nonlinearity reproduces the free
-propagator to rounding error and the local error is O(dt^5).
+The integrator is an integrating-factor Runge-Kutta 4 scheme (Lawson 1967):
+the linear phase exp(i xi^2 t) is applied exactly and the classical RK4
+tableau acts on the rotated nonlinearity, so a vanishing nonlinearity
+reproduces the free propagator to rounding error and the local error is
+O(dt^5).
 
 States stay band-limited to the guard index n/4, so the product of two of
-them lives in |j| <= n/2.  The n-point grid holds each of those frequencies
-except that +n/2 and -n/2 share the Nyquist slot, so the only alias lands
-at |j| = n/2, outside the guard band (the 2/3 rule; Orszag 1971).  The
-nonlinear term is therefore evaluated on the n-point grid itself -- one
-inverse FFT, the kind's pointwise (conjugate) square, one forward FFT --
-and truncated back to the guard band, which is what the doubled-grid
-weighted_product gives; that slower route stays as the tests' oracle.
+them lives in |j| <= n/2.  A grid of m > 3n/4 points holds every guard
+frequency in its own slot, and the copies of the span |j| <= n/2 shifted
+by a multiple of m miss the guard band, so the product folds nothing onto
+it (the 3K+1 rule; Orszag 1971).  The flows are therefore stepped on the
+smallest even 5-smooth m above 3n/4 (800, 400, 200 points at n = 1024,
+512, 256; n itself at n = 16): each row's guard band is moved into the
+m slots once at the start, and the saves are moved back to the n-point
+grid.  A stage is one inverse m-point FFT, the kind's pointwise
+(conjugate) square, one forward m-point FFT, and truncation to the guard
+band; the weights <xi>^inner and <xi>^outer and the integrating factor of
+the stage are folded into one table before and one after the transforms.
+The doubled-grid weighted_product and the n-point stepping with separate
+phase multiplies (tests/evolution_oracle.py) are the tests' oracles.
 
-integrate_batch steps several flows as the rows of one (B, n) coefficient
+integrate_batch steps several flows as the rows of one (B, m) coefficient
 array: each RK4 update broadcasts, and each stage is one inverse and one
 forward FFT over all rows.  The rows must share grid, dt, t_final, kind
 and save schedule; their variables (u, v, z), and so their exponents, may
 differ.  numpy's FFT of a row of a stacked array is bit-identical to the
 FFT of that row alone, so a batched flow saves the same states as the flow
-run by itself through integrate, which passes the 1-D array.
+run by itself through integrate, a batch of one.
+
+direct_w_solve steps the remainder equation on the n-point grid: its
+input v = F + h + w reaches past the guard band, so its product is the
+3n/2-padded one, with the integrating factor applied around it.
 """
 
 from __future__ import annotations
@@ -47,17 +58,18 @@ from .spectral import (
     Grid,
     SpectralField,
     bessel_potential,
+    fft_size,
     free_propagate,
     l2_norm,
     sign_project,
 )
 
 _KIND_CONJ = {"u2": (False, False), "uubar": (False, True), "ubar2": (True, True)}
-# the pointwise product of each kind on physical samples p
-_KIND_PRODUCT = {
-    "u2": lambda p: p * p,
-    "uubar": lambda p: p * np.conj(p),
-    "ubar2": lambda p: np.conj(p * p),
+# the pointwise product of each kind, in place on physical samples p
+_KIND_SQUARE = {
+    "u2": lambda p: np.multiply(p, p, out=p),
+    "uubar": lambda p: np.multiply(p, np.conj(p), out=p),
+    "ubar2": lambda p: np.conjugate(np.multiply(p, p, out=p), out=p),
 }
 _VARIABLE_EXPONENTS = {
     "u": lambda a, b: (0.0, b),
@@ -155,93 +167,170 @@ def _guard_mask(grid: Grid) -> np.ndarray:
     return mag <= grid.guard_index
 
 
+class _StageGrid:
+    """The m-point coefficient layout the flows are stepped on.
+
+    m is the smallest even 5-smooth size above 3n/4 (n itself when nothing
+    smaller qualifies).  Signed index j of the guard band |j| <= n/4 of the
+    n-point grid sits in slot j mod m, and the slots between the two runs
+    stay empty.  The product of two guard-limited states reaches |j| <= n/2,
+    and a shift by m moves that span wholly out of the guard band, so the
+    product folds nothing onto it (the 3K+1 rule; Orszag 1971).
+    frequencies holds each slot's grid frequency (0 in the empty slots) and
+    mask the guard band, so a Grid and a _StageGrid both give the RK4 loop
+    the frequencies and the length it needs."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.length = grid.length
+        self.m = m = fft_size(3 * grid.n // 4, grid.n)
+        g = grid.guard_index
+        self._runs = ((slice(0, g + 1), slice(0, g + 1)), (slice(m - g, m), slice(grid.n - g, grid.n)))
+        self.frequencies = self.embed(grid.frequencies).real.copy()
+        self.mask = self.embed(np.ones(grid.n)).real == 1.0
+        self.frequencies.setflags(write=False)
+        self.mask.setflags(write=False)
+
+    def embed(self, coeffs: np.ndarray) -> np.ndarray:
+        """Guard-band coefficients (..., n) moved into the slots (..., m)."""
+        out = np.zeros(coeffs.shape[:-1] + (self.m,), dtype=np.complex128)
+        for dest, src in self._runs:
+            out[..., dest] = coeffs[..., src]
+        return out
+
+    def extract(self, coeffs: np.ndarray) -> np.ndarray:
+        """The slots (..., m) back on the n-point grid (..., n)."""
+        out = np.zeros(coeffs.shape[:-1] + (self.grid.n,), dtype=np.complex128)
+        for src, dest in self._runs:
+            out[..., dest] = coeffs[..., src]
+        return out
+
+
+def _phases(frequencies: np.ndarray, dt: float):
+    """(e_half, e_full) = exp(i xi^2 dt/2), exp(i xi^2 dt): the integrating
+    factor over half a step and over a step."""
+    L = 1j * frequencies**2
+    return np.exp(L * (0.5 * dt)), np.exp(L * dt)
+
+
 def _stage(configs):
-    """The nonlinear term of the configured evolutions as a function on raw
-    coefficient arrays, nonlin(coeffs, t) -> coeffs, with row b of a (B, n)
-    array evolving under configs[b]; a single config acts on a 1-D array.
+    """The stage grid of the configured evolutions and their RK4 stage on
+    it, stage(x, t, k) -> coeffs, with row b of a (B, m) array evolving
+    under configs[b].  The rows share the grid, dt and the kind.
 
-    The multipliers are built once per row: w_in = <xi>^inner on the input,
-    and w_out = <xi>^outer on the guard band, zero beyond it (the Nyquist
-    slot included).  Each call is one inverse and one forward n-point FFT
-    along the last axis; the input must be guard-limited for the product
-    to be alias-free on the guard band.  The rows share the grid and the
-    kind."""
-    grid = configs[0].grid
-    n = grid.n
-    guard = _guard_mask(grid)
-    w_in, w_out = [], []
-    for config in configs:
-        inner, outer = config.exponents
-        w_in.append((1.0 + grid.frequencies**2) ** (0.5 * inner))
-        w_out.append(np.where(guard, (1.0 + grid.frequencies**2) ** (0.5 * outer), 0.0))
-    if len(configs) == 1:
-        w_in, w_out = w_in[0], w_out[0]
-    else:
-        w_in, w_out = np.stack(w_in), np.stack(w_out)
-    product = _KIND_PRODUCT[configs[0].kind]
+    stage(x, t, k) is e_k^-1 N(e_k x), with N the nonlinear term and e_k the
+    integrating factor over k half steps (k = 0, 1, 2).  Each multiplier is
+    folded into one table before the inverse and one after the forward
+    transform: w_in e_k with w_in = <xi>^inner, and m w_out e_k^-1 with
+    w_out = <xi>^outer on the guard band and zero beyond it.  A call is one
+    inverse and one forward m-point FFT along the last axis and the kind's
+    pointwise (conjugate) square in place; the input must be guard-limited
+    for the product to be alias-free on the guard band."""
+    sg = _StageGrid(configs[0].grid)
+    weight = 1.0 + sg.frequencies**2
+    w_in = np.stack([weight ** (0.5 * config.exponents[0]) for config in configs])
+    w_out = np.stack([np.where(sg.mask, sg.m * weight ** (0.5 * config.exponents[1]), 0.0) for config in configs])
+    e_half, e_full = _phases(sg.frequencies, configs[0].dt)
+    pre = (w_in, e_half * w_in, e_full * w_in)
+    post = (w_out, np.conj(e_half) * w_out, np.conj(e_full) * w_out)
+    square = _KIND_SQUARE[configs[0].kind]
 
-    def nonlin(coeffs, _t):
+    def stage(x, _t, k):
         # numpy.fft is looked up per call, so a patched transform is seen
-        p = np.fft.ifft(coeffs * w_in)
-        return n * w_out * np.fft.fft(product(p))
+        p = np.fft.ifft(x * pre[k])
+        square(p)
+        q = np.fft.fft(p)
+        q *= post[k]
+        return q
 
-    return nonlin
+    return sg, stage
+
+
+def _phased(frequencies: np.ndarray, dt: float, nonlin):
+    """The RK4 stage of a nonlinear term nonlin(coeffs, t) -> coeffs, with
+    the integrating factor applied around it as separate multiplies."""
+    e_half, e_full = _phases(frequencies, dt)
+    factors = (None, (e_half, np.conj(e_half)), (e_full, np.conj(e_full)))
+
+    def stage(x, t, k):
+        if k == 0:
+            return nonlin(x, t)
+        e, e_inv = factors[k]
+        return e_inv * nonlin(e * x, t)
+
+    return stage
 
 
 def rhs(config: EvolutionConfig, state: SpectralField) -> SpectralField:
     """Nonlinear term of the configured evolution (autonomous).
 
     The state must be band-limited to the guard index; the result is
-    truncated back to the guard band.  This is the stage integrate runs."""
+    truncated back to the guard band.  This is the stage integrate runs,
+    on the same stage grid."""
     grid = state.grid
     if grid != config.grid:
         raise ValueError("state grid does not match the configuration")
     if np.any(state.coeffs[~_guard_mask(grid)] != 0.0):
         raise ValueError("state carries frequencies beyond the guard index")
-    return SpectralField(grid, _stage([config])(state.coeffs, 0.0))
+    sg, stage = _stage([config])
+    return SpectralField(grid, sg.extract(stage(sg.embed(state.coeffs), 0.0, 0))[0])
 
 
-def _integrate_core(grid: Grid, u0: np.ndarray, dt: float, n_steps: int, nonlin, t0: float, save_steps):
-    """Integrating-factor RK4 on raw coefficient arrays: u0 is one flow's
-    1-D array or a (B, n) array of B flows, one per row.
+def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, t0: float, save_steps):
+    """Integrating-factor RK4 (Lawson 1967) on raw coefficient arrays: u0 is
+    one flow's 1-D array or a (B, m) array of B flows, one per row, laid out
+    on layout (a Grid, or the flows' _StageGrid: its frequencies and length).
 
-    nonlin(coeffs, t) -> coeffs must return guard-limited arrays of the
-    same shape.  Stage times are computed from the step index, so stages 2
+    stage(x, t, k) -> coeffs is e_k^-1 N(e_k x, t) for the integrating
+    factor e_k = exp(i xi^2 k dt/2) over k = 0, 1 or 2 half steps; it must
+    return a new guard-limited array of the same shape, which the loop
+    overwrites.  Stage times are computed from the step index, so stages 2
     and 3 get the same float, and stage 4 the float that stage 1 of the
-    next step gets.  The blow-up guard checks each row's L2 norm after each
+    next step gets.  The blow-up guard takes every row's L2 norm after each
     step and raises for the first row that trips."""
-    L = 1j * grid.frequencies**2
-    e_full = np.exp(L * dt)
-    e_half = np.exp(L * (0.5 * dt))
-    e_half_i = np.conj(e_half)
-    e_full_i = np.conj(e_full)
-
-    scale = math.sqrt(grid.length)
-    refs = [max(scale * float(np.linalg.norm(r)), 1e-300) for r in _rows(u0)]
-    saves = {}
+    e_full = _phases(layout.frequencies, dt)[1]
+    scale = math.sqrt(layout.length)
     u = u0.copy()
+    refs = np.maximum(scale * _row_norms(u), 1e-300)
+    saves = {}
     if 0 in save_steps:
         saves[0] = u.copy()
     for step in range(n_steps):
         t_mid = t0 + (step + 0.5) * dt
         t_end = t0 + (step + 1) * dt
-        g1 = nonlin(u, t0 + step * dt)
-        g2 = e_half_i * nonlin(e_half * (u + 0.5 * dt * g1), t_mid)
-        g3 = e_half_i * nonlin(e_half * (u + 0.5 * dt * g2), t_mid)
-        g4 = e_full_i * nonlin(e_full * (u + dt * g3), t_end)
-        u = e_full * (u + (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4))
-        for row, (r, ref) in enumerate(zip(_rows(u), refs)):
-            norm = scale * float(np.linalg.norm(r))
-            if not math.isfinite(norm) or norm > BLOWUP_FACTOR * ref:
-                raise BlowUpError(t_end, norm, ref, row)
+        # acc collects g1 + 2 g2 + 2 g3 + g4, x holds each stage's input
+        acc = stage(u, t0 + step * dt, 0)
+        x = np.multiply(acc, 0.5 * dt)
+        x += u
+        g = stage(x, t_mid, 1)
+        np.multiply(g, 0.5 * dt, out=x)
+        x += u
+        g *= 2.0
+        acc += g
+        g = stage(x, t_mid, 1)
+        np.multiply(g, dt, out=x)
+        x += u
+        g *= 2.0
+        acc += g
+        acc += stage(x, t_end, 2)
+        acc *= dt / 6.0
+        u += acc
+        u *= e_full
+        norms = scale * _row_norms(u)
+        tripped = ~(norms <= BLOWUP_FACTOR * refs)  # a NaN norm trips too
+        if tripped.any():
+            row = int(np.argmax(tripped))
+            raise BlowUpError(t_end, float(norms[row]), float(refs[row]), row)
         if step + 1 in save_steps:
             saves[step + 1] = u.copy()
     return saves
 
 
-def _rows(u: np.ndarray):
-    """The flows of a 1-D or (B, n) coefficient array, as 1-D arrays."""
-    return (u,) if u.ndim == 1 else u
+def _row_norms(u: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row of a contiguous 1-D or (B, m) complex array,
+    as a 1-D array."""
+    pairs = u.view(np.float64)
+    return np.atleast_1d(np.sqrt(np.einsum("...j,...j->...", pairs, pairs)))
 
 
 def _save_schedule(n_steps: int, n_saves: int):
@@ -280,13 +369,15 @@ def integrate_batch(configs, initials) -> list:
     for initial in initials:
         _check_initial(grid, initial)
 
-    u0 = initials[0].coeffs if len(initials) == 1 else np.stack([f.coeffs for f in initials])
+    sg, stage = _stage(configs)
+    u0 = sg.embed(np.stack([f.coeffs for f in initials]))
     save_steps = _save_schedule(first.n_steps, first.n_saves)
-    saves = _integrate_core(grid, u0, first.dt, first.n_steps, _stage(configs), 0.0, set(save_steps))
+    saves = _integrate_core(sg, u0, first.dt, first.n_steps, stage, 0.0, set(save_steps))
+    saves = {s: sg.extract(saves[s]) for s in save_steps}
     times = [s * first.dt for s in save_steps]
     out = []
     for row, config in enumerate(configs):
-        states = [SpectralField(grid, _rows(saves[s])[row]) for s in save_steps]
+        states = [SpectralField(grid, saves[s][row]) for s in save_steps]
         out.append(Trajectory(config, list(times), states, [l2_norm(st) for st in states]))
     return out
 
@@ -428,7 +519,8 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
 
     w0 = -1.0 * normal_form_h(f, 0.0, alpha, beta, config.kind)
     save_steps = _save_schedule(config.n_steps, config.n_saves)
-    saves = _integrate_core(grid, w0.coeffs, config.dt, config.n_steps, nonlin, 0.0, set(save_steps))
+    stage = _phased(grid.frequencies, config.dt, nonlin)
+    saves = _integrate_core(grid, w0.coeffs, config.dt, config.n_steps, stage, 0.0, set(save_steps))
     times = [s * config.dt for s in save_steps]
     states = [SpectralField(grid, saves[s]) for s in save_steps]
     return Trajectory(config, times, states, [l2_norm(st) for st in states])

@@ -127,11 +127,25 @@ def run_smoothing(cfg) -> dict:
 
 def _flow_health(traj, **labels) -> dict:
     """Integrator health of one flow: RK4 steps, nonlinear-term (RHS)
-    evaluations and the largest L2 norm at a save over the initial one."""
+    evaluations, the largest L2 norm at a save over the initial one, and the
+    largest share of a save's L2 energy in the top octave of the guard band,
+    n/8 < |j| <= n/4 (0 for a zero state): a share near 1 means the flow's
+    energy sits at the truncation."""
     l2 = traj.l2_history
     growth = max(l2) / l2[0] if l2[0] > 0 else float("nan")
     steps = traj.config.n_steps
-    return {**labels, "steps": steps, "rhs_evals": 4 * steps, "max_l2_over_initial": growth}
+    grid = traj.config.grid
+    idx = np.arange(grid.n)
+    mag = np.minimum(idx, grid.n - idx)
+    top = (mag > grid.guard_index // 2) & (mag <= grid.guard_index)
+    share = 0.0
+    for state in traj.states:
+        energy = np.abs(state.coeffs) ** 2
+        total = float(energy.sum())
+        if total > 0.0:
+            share = max(share, float(energy[top].sum()) / total)
+    return {**labels, "steps": steps, "rhs_evals": 4 * steps, "max_l2_over_initial": growth,
+            "max_top_octave_share": share}
 
 
 def run_decompose(cfg) -> dict:

@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import Grid, lp_annulus, lp_bump
+from .spectral import Grid, fft_size, lp_annulus, lp_bump
 from .spacetime import TWO_PI, box_mask, parabola_distance, window_weights
 
 # kind -> (conjugate second slot, v synth pattern, output projection pattern,
@@ -154,14 +154,6 @@ def _signed(cols: np.ndarray, n: int) -> np.ndarray:
     return np.where(cols < n // 2, cols, cols - n)
 
 
-def _smooth(m: int) -> bool:
-    """True when m has no prime factor above 5."""
-    for p in (2, 3, 5):
-        while m % p == 0:
-            m //= p
-    return m == 1
-
-
 def _transform_grid(u_freqs: np.ndarray, v_freqs: np.ndarray, mult: np.ndarray) -> tuple:
     """(M, kept) for the product of factors with signed frequencies u_freqs
     and v_freqs (v already negated for a conjugate slot) and the output
@@ -182,11 +174,7 @@ def _transform_grid(u_freqs: np.ndarray, v_freqs: np.ndarray, mult: np.ndarray) 
     kept = freqs[(freqs >= s_lo) & (freqs <= s_hi)]
     big_k = int(np.abs(kept).max()) if kept.size else 0
     spread = max(int(np.ptp(u_freqs)), int(np.ptp(v_freqs)))
-    m = max(2 * big_k, big_k - s_lo, s_hi + big_k, spread) + 1
-    m += m % 2
-    while m < n_max and not _smooth(m):
-        m += 2
-    return min(m, n_max), kept
+    return fft_size(max(2 * big_k, big_k - s_lo, s_hi + big_k, spread), n_max), kept
 
 
 def _side_table(mask: np.ndarray, weight_b: float, n_t: int, t_total: float, grid: Grid):

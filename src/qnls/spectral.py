@@ -125,6 +125,24 @@ def _reversal(n: int):
         return rev
 
 
+def fft_size(floor: int, cap: int) -> int:
+    """The smallest even 5-smooth integer above floor, capped at cap, which
+    must itself be 5-smooth (a power of two is): the size of a transform
+    grid that needs only to exceed an alias-free bound."""
+    m = floor + 1 + (floor + 1) % 2
+    while m < cap and not _smooth(m):
+        m += 2
+    return min(m, cap)
+
+
+def _smooth(m: int) -> bool:
+    """True when m has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
 def to_physical(field: SpectralField) -> np.ndarray:
     """Collocation samples u(x_j) of the field."""
     return field.grid.n * np.fft.ifft(field.coeffs)

@@ -1,0 +1,72 @@
+"""The n-point stepping path of the flows, kept as an oracle for the
+stage-grid integrator in qnls.evolution.
+
+nonlinear_term is the guard-limited nonlinearity on the n-point grid
+itself: one inverse FFT, the kind's pointwise (conjugate) square, one
+forward FFT, truncation to the guard band.  rk4_loop is the
+integrating-factor RK4 loop with the phases applied as separate multiplies
+around each stage, and integrate_flow runs one flow through both.
+"""
+
+import numpy as np
+
+_KIND_PRODUCT = {
+    "u2": lambda p: p * p,
+    "uubar": lambda p: p * np.conj(p),
+    "ubar2": lambda p: np.conj(p * p),
+}
+
+
+def guard_mask(grid):
+    idx = np.arange(grid.n)
+    return np.minimum(idx, grid.n - idx) <= grid.guard_index
+
+
+def nonlinear_term(config):
+    """nonlin(coeffs, t) -> coeffs of the configured evolution on the n-point grid."""
+    grid = config.grid
+    inner, outer = config.exponents
+    w_in = (1.0 + grid.frequencies**2) ** (0.5 * inner)
+    w_out = np.where(guard_mask(grid), (1.0 + grid.frequencies**2) ** (0.5 * outer), 0.0)
+    product = _KIND_PRODUCT[config.kind]
+
+    def nonlin(coeffs, _t):
+        p = np.fft.ifft(coeffs * w_in)
+        return grid.n * w_out * np.fft.fft(product(p))
+
+    return nonlin
+
+
+def rk4_loop(grid, u0, dt, n_steps, nonlin, t0, save_steps):
+    """The states at save_steps of integrating-factor RK4 from u0 at t0."""
+    L = 1j * grid.frequencies**2
+    e_full = np.exp(L * dt)
+    e_half = np.exp(L * (0.5 * dt))
+    e_half_i = np.conj(e_half)
+    e_full_i = np.conj(e_full)
+    saves = {}
+    u = u0.copy()
+    if 0 in save_steps:
+        saves[0] = u.copy()
+    for step in range(n_steps):
+        t_mid = t0 + (step + 0.5) * dt
+        t_end = t0 + (step + 1) * dt
+        g1 = nonlin(u, t0 + step * dt)
+        g2 = e_half_i * nonlin(e_half * (u + 0.5 * dt * g1), t_mid)
+        g3 = e_half_i * nonlin(e_half * (u + 0.5 * dt * g2), t_mid)
+        g4 = e_full_i * nonlin(e_full * (u + dt * g3), t_end)
+        u = e_full * (u + (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4))
+        if step + 1 in save_steps:
+            saves[step + 1] = u.copy()
+    return saves
+
+
+def save_schedule(n_steps, n_saves):
+    return sorted({int(round(j * n_steps / (n_saves - 1))) for j in range(n_saves)})
+
+
+def integrate_flow(config, initial):
+    """The coefficient arrays the flow saves, in time order."""
+    steps = save_schedule(config.n_steps, config.n_saves)
+    saves = rk4_loop(config.grid, initial.coeffs, config.dt, config.n_steps, nonlinear_term(config), 0.0, set(steps))
+    return [saves[s] for s in steps]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from evolution_oracle import integrate_flow, rk4_loop
 
 from qnls import evolution
 from qnls.bilinear import apply_bilinear, g_symbol_restricted, normal_form_pair, weighted_product
@@ -130,7 +131,7 @@ class TestIntegrate:
         g = Grid(64)
         data = smooth_data(64)
 
-        def nan_stage(coeffs, _t):
+        def nan_stage(coeffs, _t, _k):
             return np.full_like(coeffs, np.nan)
 
         with pytest.raises(BlowUpError, match="not finite") as info:
@@ -215,6 +216,93 @@ class TestIntegrateBatch:
         assert batched.value.norm == alone.value.norm
         assert batched.value.initial_norm == alone.value.initial_norm
 
+    def test_tripping_rows_name_the_lowest(self):
+        # rows 1 and 2 blow up at the same step; the error names row 1
+        explosive = smooth_data(64, amp=2000.0, width=4.0)
+        cfg = EvolutionConfig(64, ALPHA, BETA, 2e-3, 2.0)
+        with pytest.raises(BlowUpError, match="in row 1") as info:
+            integrate_batch([cfg] * 4, [smooth_data(64), explosive, explosive, smooth_data(64)])
+        assert info.value.row == 1
+
+    def test_nan_row_is_not_finite(self):
+        g = Grid(64)
+        rows = np.stack([smooth_data(64, seed=s).coeffs for s in (1, 2, 3)])
+
+        def stage(coeffs, _t, _k):
+            out = np.zeros_like(coeffs)
+            out[2, 3] = np.nan
+            return out
+
+        with pytest.raises(BlowUpError, match="in row 2.*not finite") as info:
+            _integrate_core(g, rows, 1e-3, 10, stage, 0.0, set())
+        assert info.value.row == 2
+        assert info.value.t == pytest.approx(1e-3)
+        assert math.isnan(info.value.norm)
+        assert info.value.initial_norm == pytest.approx(l2_norm(smooth_data(64, seed=3)), rel=1e-14)
+
+
+class TestStageGrid:
+    @staticmethod
+    def smallest_size(n):
+        """Brute force: the smallest even integer above 3n/4 with no prime
+        factor beyond 5, at most n."""
+        for m in range(3 * n // 4 + 1, n):
+            rest = m
+            for p in (2, 3, 5):
+                while rest % p == 0:
+                    rest //= p
+            if m % 2 == 0 and rest == 1:
+                return m
+        return n
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 256, 512, 1024, 4096])
+    def test_size_table(self, n):
+        m = evolution._StageGrid(Grid(n)).m
+        assert m == self.smallest_size(n)
+        assert m == {16: 16, 32: 30, 64: 50, 256: 200, 512: 400, 1024: 800, 4096: 3200}[n]
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_embed_round_trip(self, n):
+        g = Grid(n)
+        sg = evolution._StageGrid(g)
+        f = random_guard_limited(n, seed=4)
+        slots = sg.embed(f.coeffs)
+        assert np.array_equal(sg.extract(slots), f.coeffs)
+        assert np.all(slots[~sg.mask] == 0.0)
+        signed = np.where(np.arange(sg.m) < sg.m // 2, np.arange(sg.m), np.arange(sg.m) - sg.m)
+        assert np.array_equal(sg.frequencies[sg.mask], g.frequencies[signed[sg.mask] % n])
+        assert np.count_nonzero(sg.mask) == 2 * g.guard_index + 1
+
+
+class TestSteppingOracle:
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("variables", ["u", "v", "z"])
+    @pytest.mark.parametrize("kind", ["u2", "uubar", "ubar2"])
+    def test_matches_n_point_stepping(self, kind, variables, n):
+        cfg = EvolutionConfig(n, ALPHA, BETA, 1e-4, 2e-3, kind=kind, variables=variables, n_saves=3)
+        # data on the whole guard band, so the products reach |j| = n/2
+        data = 0.3 * random_guard_limited(n, seed=n + 1)
+        got = integrate(cfg, data)
+        want = integrate_flow(cfg, data)
+        assert len(got.states) == len(want) == 3
+        for state, ref in zip(got.states, want):
+            assert np.linalg.norm(state.coeffs - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.all(state.coeffs[~in_guard_band(cfg.grid)] == 0.0)
+        # the flow moved away from the free wave, so the comparison tests the stage
+        free = free_propagate(cfg.t_final, data)
+        assert l2_norm(got.final - free) > 1e-6 * l2_norm(free)
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_stage_output_stays_in_the_guard_band(self, n):
+        cfgs = [EvolutionConfig(n, ALPHA, BETA, 1e-4, 2e-3, variables=v) for v in "uvz"]
+        sg, stage = evolution._stage(cfgs)
+        x = sg.embed(np.stack([random_guard_limited(n, seed=s).coeffs for s in range(3)]))
+        for k in (0, 1, 2):
+            out = stage(x, 0.0, k)
+            assert out.shape == (3, sg.m)
+            assert np.all(out[:, ~sg.mask] == 0.0)
+            assert np.all(out[:, sg.mask] != 0.0)
+
 
 def in_guard_band(g):
     idx = np.arange(g.n)
@@ -269,6 +357,23 @@ class TestRhs:
         g = cfg.grid
         assert np.all(out.coeffs[~in_guard_band(g)] == 0.0)
         assert out.coeffs[g.nyquist_index] == 0.0
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("variables", ["u", "v", "z"])
+    @pytest.mark.parametrize("kind", ["u2", "uubar", "ubar2"])
+    def test_edge_modes_fold_nothing_onto_the_guard_band(self, kind, variables, n):
+        # only +-n/4 and +-(n/4 - 1): their sums reach |j| = n/2, the largest
+        # span the stage grid must keep off the guard band
+        g = Grid(n)
+        q = g.guard_index
+        c = np.zeros(n, complex)
+        for j, a in ((q, 1.0 + 0.5j), (-q, -0.7 + 0.2j), (q - 1, 0.3 - 0.9j), (1 - q, 0.8 + 0.1j)):
+            c[j % n] = a
+        f = SpectralField(g, c)
+        cfg = EvolutionConfig(n, ALPHA, BETA, 1e-6, 1e-5, kind=kind, variables=variables)
+        out = rhs(cfg, f)
+        assert rel_l2(out, rhs_oracle(cfg, f)) <= 1e-14
+        assert np.all(out.coeffs[~in_guard_band(g)] == 0.0)
 
     def test_rejects_wide_state(self):
         g = Grid(64)
@@ -354,7 +459,7 @@ def uncached_direct_w_solve(cfg, f):
 
     w0 = -1.0 * apply_bilinear(t_sym, f, f)
     steps = set(evolution._save_schedule(cfg.n_steps, cfg.n_saves))
-    saves = _integrate_core(grid, w0.coeffs, cfg.dt, cfg.n_steps, nonlin, 0.0, steps)
+    saves = rk4_loop(grid, w0.coeffs, cfg.dt, cfg.n_steps, nonlin, 0.0, steps)
     return [SpectralField(grid, saves[k]) for k in sorted(saves)]
 
 
@@ -381,7 +486,7 @@ class TestDirectSolve:
     def test_stage_times_shared(self):
         times = []
 
-        def stage(coeffs, t):
+        def stage(coeffs, t, _k):
             times.append(t)
             return np.zeros_like(coeffs)
 

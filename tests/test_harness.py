@@ -327,14 +327,31 @@ class TestCli:
             assert res["timing"]["wall_s"] > 0
             assert len(res["health"]) == len(flows[command])
             for health, labels in zip(res["health"], flows[command]):
-                assert set(health) == set(labels) | {"steps", "rhs_evals", "max_l2_over_initial"}
+                assert set(health) == set(labels) | {"steps", "rhs_evals", "max_l2_over_initial",
+                                                     "max_top_octave_share"}
                 assert {k: health[k] for k in labels} == pytest.approx(labels)
                 steps = round(0.01 / health.get("dt", 1e-3))
                 assert (health["steps"], health["rhs_evals"]) == (steps, 4 * steps)
                 assert 1.0 <= health["max_l2_over_initial"] < 1.1
+                assert 0.0 <= health["max_top_octave_share"] <= 1.0
         # the base flow moves away from the free wave, but by a small share
         assert 0.0 < results["lipschitz"]["nonlinear_share"] < 1.0
         assert results["lipschitz"]["spread"] >= 1.0
+
+    def test_top_octave_share(self):
+        # |j| = 8 = n/8 lies below the top octave of the n = 64 guard band, |j| = 16 = n/4 in it
+        from qnls.evolution import EvolutionConfig, Trajectory
+        from qnls.experiments import _flow_health
+        from qnls.spectral import SpectralField, l2_norm
+
+        cfg = EvolutionConfig(64, 0.6, 0.2, 1e-3, 0.01, n_saves=3)
+        low, top = np.zeros(64, complex), np.zeros(64, complex)
+        low[8] = 1.0
+        top[-16] = 2.0
+        states = [SpectralField(cfg.grid, c) for c in (low, low + top, np.zeros(64))]
+        traj = Trajectory(cfg, [0.0, 0.005, 0.01], states, [l2_norm(st) for st in states])
+        assert _flow_health(traj)["max_top_octave_share"] == pytest.approx(0.8, rel=1e-15)
+        assert _flow_health(Trajectory(cfg, [0.0], states[:1], [1.0]))["max_top_octave_share"] == 0.0
 
     def test_internal_value_error_is_not_exit_2(self, tmp_path, monkeypatch):
         # a fault of the program surfaces with its traceback, not as a usage error
@@ -374,9 +391,10 @@ class TestCli:
         results = json.loads((tmp_path / "a" / "simulate.json").read_text())["results"]
         assert results["timing"]["wall_s"] > 0
         (health,) = results["health"]
-        assert set(health) == {"flow", "steps", "rhs_evals", "max_l2_over_initial"}
+        assert set(health) == {"flow", "steps", "rhs_evals", "max_l2_over_initial", "max_top_octave_share"}
         assert (health["steps"], health["rhs_evals"]) == (10, 40)
         assert 1.0 <= health["max_l2_over_initial"] < 1.1
+        assert 0.0 <= health["max_top_octave_share"] <= 1.0
         l2 = [float(row.split(",")[1]) for row in csv_bytes[0].decode().splitlines()[1:]]
         assert results["final_l2"] == l2[-1]
 

@@ -168,6 +168,25 @@ def test_cell_grid_alias_free(kind):
             assert np.all(lands[full_mult[sums % grid.n] != 0]), (k, n_t)
 
 
+# each kind's transform grid at k = 3..8 (delta 0.05, n_t 256, one period):
+# the sizes rates.json reports as grid_n
+CELL_GRID_N = {
+    "gain1": [40, 72, 144, 270, 540, 1080],
+    "gain2": [36, 72, 144, 270, 540, 1080],
+    "gain3": [50, 100, 200, 400, 800, 1600],
+    "kkk1": [48, 96, 192, 384, 768, 1536],
+    "kkk2": [36, 72, 144, 270, 540, 1080],
+    "kkk3": [50, 100, 200, 400, 800, 1600],
+    "kkkk1": [48, 96, 192, 384, 768, 1536],
+    "plusminus": [18, 36, 72, 144, 270, 540],
+}
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_cell_grid_sizes(kind):
+    assert [_cell_tables(kind, k, 0.05, 256, 2 * np.pi).n for k in range(3, 9)] == CELL_GRID_N[kind]
+
+
 def test_empty_box_rejected():
     # period n_t * dtau = 1: every wrapped modulation is <= 1/2, so no cell
     # has modulation in [1, 2]

@@ -5,6 +5,7 @@ from qnls.spectral import (
     Grid,
     SpectralField,
     bessel_potential,
+    fft_size,
     free_propagate,
     l2_norm,
     lp_annulus,
@@ -232,3 +233,16 @@ def test_zero_field():
     z = SpectralField(g, np.zeros(g.n))
     assert l2_norm(z) == 0.0
     assert z.grid is g
+
+
+def test_fft_size_is_smallest_even_smooth_above_floor():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for cap in (16, 64, 1024):
+        for floor in range(0, cap + 3):
+            want = next((m for m in range(floor + 1, cap) if m % 2 == 0 and smooth(m)), cap)
+            assert fft_size(floor, cap) == want, (floor, cap)
