@@ -12,15 +12,11 @@ from .bilinear import (
     apply_bilinear,
     apply_lift,
     apply_pair_g_fast,
-    dealiased_product,
     g_symbol,
     g_symbol_restricted,
     leibniz_residual,
     normal_form_pair,
-    padded_weighted_product,
-    t_symbol_u2,
     t_symbol_ubar2,
-    t_symbol_uubar,
     weighted_product,
 )
 from .evolution import (
@@ -50,7 +46,6 @@ from .spacetime import (
     SpaceTimeField,
     dyadic_profile,
     fitted_regularity,
-    mixed_norm,
     sobolev_norm,
     st_l2_norm,
     synth_boxed,

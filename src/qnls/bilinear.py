@@ -35,11 +35,11 @@ whose mismatch -(xi^2 + eta^2 + (xi+eta)^2) does not factor, goes through
 the dense contraction.  The dense matrices stay as the reference that the
 tests and criterion 8 compare the factored route against.
 
-FFT products come at three paddings, set by the band limits of the inputs:
-n points for guard-limited inputs (|j| <= n/4, apply_lift and
-apply_pair_g_fast), 3n/2 points for inputs anywhere below the Nyquist index
-(padded_weighted_product, Orszag's 3/2 rule), and the doubled grid of
-dealiased_product / weighted_product, kept as the oracle of both.
+The factored products run on spectral.BandGrid, which sizes the transform
+from the band limits of the inputs and of the kept output: guard-limited
+slots (|j| <= n/4) and the whole band below the Nyquist index out give n
+points.  The doubled grid of dealiased_product / weighted_product is not
+sized that way; it stays the independent oracle of every product.
 """
 
 from __future__ import annotations
@@ -50,11 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import bilinear_contract
-from .spectral import Grid, SpectralField, bessel_potential, free_propagate, l2_norm
-
-
-def _bracket(x, s):
-    return (1.0 + np.asarray(x, dtype=np.float64) ** 2) ** (0.5 * s)
+from .spectral import BandGrid, Grid, SpectralField, bessel_potential, bracket, free_propagate, l2_norm
 
 
 class BilinearSymbol:
@@ -95,13 +91,17 @@ class BilinearSymbol:
         return f"BilinearSymbol({self.name!r}, slots={flags})"
 
 
-def _check_guard(field: SpectralField):
-    grid = field.grid
-    # slots guard_index + 1 .. n - guard_index - 1 hold the indices beyond the guard
-    if np.any(field.coeffs[grid.guard_index + 1 : grid.n - grid.guard_index] != 0.0):
-        raise ValueError(
-            f"bilinear input carries frequencies beyond the guard index {grid.guard_index}"
-        )
+def _check_guarded(u: SpectralField, v: SpectralField):
+    """Raise ValueError unless u and v share a grid and both are guard-limited."""
+    if u.grid != v.grid:
+        raise ValueError("field grids do not match")
+    grid = u.grid
+    for field in (u, v):
+        # slots guard_index + 1 .. n - guard_index - 1 hold the indices beyond the guard
+        if np.any(field.coeffs[grid.guard_index + 1 : grid.n - grid.guard_index] != 0.0):
+            raise ValueError(
+                f"bilinear input carries frequencies beyond the guard index {grid.guard_index}"
+            )
 
 
 def _slot_coeffs(field: SpectralField, conj: bool) -> np.ndarray:
@@ -112,10 +112,7 @@ def _slot_coeffs(field: SpectralField, conj: bool) -> np.ndarray:
 
 def apply_bilinear(sym: BilinearSymbol, u: SpectralField, v: SpectralField) -> SpectralField:
     """Evaluate the symbol contraction of two guard-band-limited fields."""
-    if u.grid != v.grid:
-        raise ValueError("field grids do not match")
-    _check_guard(u)
-    _check_guard(v)
+    _check_guarded(u, v)
     a = _slot_coeffs(u, sym.conj_first)
     c = _slot_coeffs(v, sym.conj_second)
     out = bilinear_contract(sym.matrix(u.grid), a, c)
@@ -130,14 +127,15 @@ def g_symbol(alpha: float, beta: float) -> BilinearSymbol:
     """The quadratic nonlinearity's weight, both slots plain, no cutoffs."""
 
     def fill(XI, ETA, tol):
-        return (_bracket(XI, alpha) * _bracket(ETA, alpha) * _bracket(XI + ETA, beta - alpha)).astype(
+        return (bracket(XI, alpha) * bracket(ETA, alpha) * bracket(XI + ETA, beta - alpha)).astype(
             np.complex128
         )
 
     return BilinearSymbol(f"g(a={alpha:g},b={beta:g})", fill)
 
 
-_KIND_FLAGS = {"u2": (False, False), "uubar": (False, True), "ubar2": (True, True)}
+# (first slot conjugated, second slot conjugated) of each interaction kind
+KIND_FLAGS = {"u2": (False, False), "uubar": (False, True), "ubar2": (True, True)}
 
 
 def _admissible_mask(kind, XI, ETA, tol):
@@ -151,41 +149,30 @@ def _admissible_mask(kind, XI, ETA, tol):
 
 
 def _mismatch(kind, XI, ETA):
-    s1 = -1.0 if _KIND_FLAGS[kind][0] else 1.0
-    s2 = -1.0 if _KIND_FLAGS[kind][1] else 1.0
+    s1 = -1.0 if KIND_FLAGS[kind][0] else 1.0
+    s2 = -1.0 if KIND_FLAGS[kind][1] else 1.0
     return s1 * XI * XI + s2 * ETA * ETA - (XI + ETA) ** 2
 
 
 def _t_symbol(kind, alpha, beta):
-    conj1, conj2 = _KIND_FLAGS[kind]
+    """The kind's normal-form symbol: the smoothing weight divided by
+    i * mismatch on the admissible set.
+
+        u2:    divides by -2i xi eta, supported on xi > 0, eta > 0;
+        uubar: divides by -2i eta (xi + eta) at the effective second
+               frequency, supported on xi > 0, eta != 0, xi + eta != 0;
+        ubar2: see t_symbol_ubar2."""
+    conj1, conj2 = KIND_FLAGS[kind]
 
     def fill(XI, ETA, tol):
         mask = _admissible_mask(kind, XI, ETA, tol)
-        w = _bracket(XI, alpha) * _bracket(ETA, alpha) * _bracket(XI + ETA, beta - alpha)
+        w = bracket(XI, alpha) * bracket(ETA, alpha) * bracket(XI + ETA, beta - alpha)
         mis = _mismatch(kind, XI, ETA)
         safe = np.where(mask, mis, 1.0)
         mat = np.where(mask, w / (1j * safe), 0.0)
         return mat
 
     return BilinearSymbol(f"t_{kind}(a={alpha:g},b={beta:g})", fill, conj1, conj2)
-
-
-def t_symbol_u2(alpha: float, beta: float) -> BilinearSymbol:
-    """Normal-form symbol for the plain square interaction.
-
-    Equals the smoothing weight divided by -2i*xi*eta, supported on
-    xi > 0, eta > 0.
-    """
-    return _t_symbol("u2", alpha, beta)
-
-
-def t_symbol_uubar(alpha: float, beta: float) -> BilinearSymbol:
-    """Normal-form symbol for the mixed conjugate interaction.
-
-    Division by -2i*eta*(xi+eta) at the effective second frequency;
-    supported on xi > 0, eta != 0, xi + eta != 0.
-    """
-    return _t_symbol("uubar", alpha, beta)
 
 
 def t_symbol_ubar2(alpha: float, beta: float) -> BilinearSymbol:
@@ -200,11 +187,11 @@ def t_symbol_ubar2(alpha: float, beta: float) -> BilinearSymbol:
 def g_symbol_restricted(kind: str, alpha: float, beta: float) -> BilinearSymbol:
     """Smoothing weight carrying exactly the admissible set of the kind's
     normal-form symbol, with matching slot conjugations."""
-    conj1, conj2 = _KIND_FLAGS[kind]
+    conj1, conj2 = KIND_FLAGS[kind]
 
     def fill(XI, ETA, tol):
         mask = _admissible_mask(kind, XI, ETA, tol)
-        w = _bracket(XI, alpha) * _bracket(ETA, alpha) * _bracket(XI + ETA, beta - alpha)
+        w = bracket(XI, alpha) * bracket(ETA, alpha) * bracket(XI + ETA, beta - alpha)
         return np.where(mask, w, 0.0).astype(np.complex128)
 
     return BilinearSymbol(f"gpair_{kind}(a={alpha:g},b={beta:g})", fill, conj1, conj2)
@@ -212,7 +199,7 @@ def g_symbol_restricted(kind: str, alpha: float, beta: float) -> BilinearSymbol:
 
 def normal_form_pair(kind: str, alpha: float, beta: float):
     """(T symbol, matching restricted weight) for one interaction kind."""
-    if kind not in _KIND_FLAGS:
+    if kind not in KIND_FLAGS:
         raise ValueError(f"unknown interaction kind {kind!r}")
     return _t_symbol(kind, alpha, beta), g_symbol_restricted(kind, alpha, beta)
 
@@ -263,64 +250,26 @@ def weighted_product(
     return bessel_potential(outer, prod)
 
 
-def padded_weighted_product(
-    inner: float,
-    outer: float,
-    u: SpectralField,
-    v: SpectralField,
-    conj_first: bool = False,
-    conj_second: bool = False,
-) -> SpectralField:
-    """weighted_product on a 3n/2-point grid.
-
-    The inputs may reach |j| = n/2 - 1, so their product reaches |j| = n - 2;
-    on 3n/2 points a sum that wraps lands at |j| >= n/2 + 2, beyond every
-    output slot (Orszag's 3/2 rule).  The result equals weighted_product to
-    rounding on the whole n-point band at three FFTs of 3n/2 points in place
-    of three of 2n."""
-    if u.grid != v.grid:
-        raise ValueError("field grids do not match")
-    grid = u.grid
-    n = grid.n
-    m = 3 * n // 2
-    half = n // 2
-    w_in = _bracket(grid.frequencies, inner)
-    padded = []
-    for field, conj in ((u, conj_first), (v, conj_second)):
-        c = (field.conj() if conj else field).coeffs * w_in
-        big = np.zeros(m, dtype=np.complex128)
-        big[:half] = c[:half]
-        big[m - half + 1 :] = c[half + 1 :]
-        padded.append(big)
-    d = m * np.fft.fft(np.fft.ifft(padded[0]) * np.fft.ifft(padded[1]))
-    out = np.zeros(n, dtype=np.complex128)
-    out[:half] = d[:half]
-    out[half + 1 :] = d[m - half + 1 :]
-    return SpectralField(grid, out * _bracket(grid.frequencies, outer))
-
-
 def _factored_product(grid: Grid, a, m1, c, m2, m_out) -> SpectralField:
-    """The contraction with symbol m1(xi) m2(eta) m_out(xi + eta) of slot
-    arrays a and c, as one n-point FFT product.  Alias-free for guard-limited
-    slots: their sums reach |j| = n/2 only at the Nyquist slot, which
-    SpectralField zeroes, as the dense contraction does."""
-    p = np.fft.ifft(m1 * a) * np.fft.ifft(m2 * c)
-    return SpectralField(grid, grid.n * m_out * np.fft.fft(p))
+    """The contraction with symbol m1(xi) m2(eta) m_out(xi + eta) of
+    guard-limited slot arrays a and c, as one FFT product on the band grid
+    of guard-limited inputs and the whole band out (n points: the sums
+    reach |j| = n/2 only at the Nyquist slot, which the dense contraction
+    drops too)."""
+    band = BandGrid(grid, grid.guard_index, grid.nyquist_index - 1)
+    return SpectralField(grid, m_out * band.product(m1 * a, m2 * c))
 
 
 def apply_pair_g_fast(kind: str, alpha: float, beta: float, u: SpectralField, v: SpectralField) -> SpectralField:
     """FFT evaluation of g_symbol_restricted on guard-limited fields: the
     sharp cutoffs of each kind factor into per-slot and output cutoffs, plus
     for ubar2 a correction at the single excluded (0, 0) cell."""
-    if u.grid != v.grid:
-        raise ValueError("field grids do not match")
-    _check_guard(u)
-    _check_guard(v)
+    _check_guarded(u, v)
     grid = u.grid
     xi = grid.frequencies
     tol = math.pi / grid.length
-    w_in = _bracket(xi, alpha)
-    w_out = _bracket(xi, beta - alpha)
+    w_in = bracket(xi, alpha)
+    w_out = bracket(xi, beta - alpha)
     pos = np.where(xi > tol, w_in, 0.0)
     if kind == "u2":
         return _factored_product(grid, u.coeffs, pos, v.coeffs, pos, w_out)
@@ -356,8 +305,6 @@ def apply_lift(kind: str, alpha: float, beta: float, u: SpectralField, v: Spectr
 
     with zeta = xi + eta.  ubar2 goes through the dense contraction with the
     symbol built once per (alpha, beta)."""
-    if u.grid != v.grid:
-        raise ValueError("field grids do not match")
     if kind == "ubar2":
         key = (float(alpha), float(beta))
         sym = _LIFT_SYMBOLS.get(key)
@@ -366,13 +313,12 @@ def apply_lift(kind: str, alpha: float, beta: float, u: SpectralField, v: Spectr
         return apply_bilinear(sym, u, v)
     if kind not in ("u2", "uubar"):
         raise ValueError(f"unknown interaction kind {kind!r}")
-    _check_guard(u)
-    _check_guard(v)
+    _check_guarded(u, v)
     grid = u.grid
     xi = grid.frequencies
     tol = math.pi / grid.length
-    w_in = _bracket(xi, alpha)
-    w_out = _bracket(xi, beta - alpha) / -2j
+    w_in = bracket(xi, alpha)
+    w_out = bracket(xi, beta - alpha) / -2j
     pos = xi > tol
     nonzero = np.abs(xi) > tol
     safe_xi = np.where(nonzero, xi, 1.0)

@@ -18,20 +18,18 @@ tableau acts on the rotated nonlinearity, so a vanishing nonlinearity
 reproduces the free propagator to rounding error and the local error is
 O(dt^5).
 
-States stay band-limited to the guard index n/4, so the product of two of
-them lives in |j| <= n/2.  A grid of m > 3n/4 points holds every guard
-frequency in its own slot, and the copies of the span |j| <= n/2 shifted
-by a multiple of m miss the guard band, so the product folds nothing onto
-it (the 3K+1 rule; Orszag 1971).  The flows are therefore stepped on the
-smallest even 5-smooth m above 3n/4 (800, 400, 200 points at n = 1024,
-512, 256; n itself at n = 16): each row's guard band is moved into the
-m slots once at the start, and the saves are moved back to the n-point
-grid.  A stage is one inverse m-point FFT, the kind's pointwise
-(conjugate) square, one forward m-point FFT, and truncation to the guard
-band; the weights <xi>^inner and <xi>^outer and the integrating factor of
-the stage are folded into one table before and one after the transforms.
-The doubled-grid weighted_product and the n-point stepping with separate
-phase multiplies (tests/evolution_oracle.py) are the tests' oracles.
+States stay band-limited to the guard index n/4, so the flows are stepped
+on the band grid of guard-limited inputs and output (spectral.BandGrid,
+the 3K+1 rule: the smallest even 5-smooth m above 3n/4, 800, 400, 200
+points at n = 1024, 512, 256; n itself at n = 16): each row's guard band
+is moved into the m slots once at the start, and the saves are moved
+back to the n-point grid.  A stage is one inverse m-point FFT, the kind's
+pointwise (conjugate) square, one forward m-point FFT, and truncation to
+the guard band; the weights <xi>^inner and <xi>^outer and the integrating
+factor of the stage are folded into one table before and one after the
+transforms.  The doubled-grid weighted_product and the n-point stepping
+with separate phase multiplies (tests/evolution_oracle.py) are the tests'
+oracles.
 
 integrate_batch steps several flows as the rows of one (B, m) coefficient
 array: each RK4 update broadcasts, and each stage is one inverse and one
@@ -41,9 +39,12 @@ differ.  numpy's FFT of a row of a stacked array is bit-identical to the
 FFT of that row alone, so a batched flow saves the same states as the flow
 run by itself through integrate, a batch of one.
 
-direct_w_solve steps the remainder equation on the n-point grid: its
-input v = F + h + w reaches past the guard band, so its product is the
-3n/2-padded one, with the integrating factor applied around it.
+direct_w_solve steps the remainder equation on the n-point grid, with the
+integrating factor applied around its stage.  Its input v = F + h + w
+reaches past the guard band (h does) and its output is kept on the guard
+band, so its product G(v, v) runs on the band grid of full-band inputs and
+a guard-band output (5n/4 points); rhs_groups keeps the whole band out
+(3n/2 points, Orszag's 3/2 rule).
 """
 
 from __future__ import annotations
@@ -53,18 +54,18 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .bilinear import apply_lift, apply_pair_g_fast, padded_weighted_product
+from .bilinear import KIND_FLAGS, apply_lift, apply_pair_g_fast
 from .spectral import (
+    BandGrid,
     Grid,
     SpectralField,
     bessel_potential,
-    fft_size,
+    bracket,
     free_propagate,
     l2_norm,
     sign_project,
 )
 
-_KIND_CONJ = {"u2": (False, False), "uubar": (False, True), "ubar2": (True, True)}
 # the pointwise product of each kind, in place on physical samples p
 _KIND_SQUARE = {
     "u2": lambda p: np.multiply(p, p, out=p),
@@ -117,7 +118,7 @@ class EvolutionConfig:
     n_saves: int = 11
 
     def __post_init__(self):
-        if self.kind not in _KIND_CONJ:
+        if self.kind not in KIND_FLAGS:
             raise ValueError(f"unknown interaction kind {self.kind!r}")
         if self.variables not in _VARIABLE_EXPONENTS:
             raise ValueError(f"variables must be 'u', 'v' or 'z', got {self.variables!r}")
@@ -167,45 +168,6 @@ def _guard_mask(grid: Grid) -> np.ndarray:
     return mag <= grid.guard_index
 
 
-class _StageGrid:
-    """The m-point coefficient layout the flows are stepped on.
-
-    m is the smallest even 5-smooth size above 3n/4 (n itself when nothing
-    smaller qualifies).  Signed index j of the guard band |j| <= n/4 of the
-    n-point grid sits in slot j mod m, and the slots between the two runs
-    stay empty.  The product of two guard-limited states reaches |j| <= n/2,
-    and a shift by m moves that span wholly out of the guard band, so the
-    product folds nothing onto it (the 3K+1 rule; Orszag 1971).
-    frequencies holds each slot's grid frequency (0 in the empty slots) and
-    mask the guard band, so a Grid and a _StageGrid both give the RK4 loop
-    the frequencies and the length it needs."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.length = grid.length
-        self.m = m = fft_size(3 * grid.n // 4, grid.n)
-        g = grid.guard_index
-        self._runs = ((slice(0, g + 1), slice(0, g + 1)), (slice(m - g, m), slice(grid.n - g, grid.n)))
-        self.frequencies = self.embed(grid.frequencies).real.copy()
-        self.mask = self.embed(np.ones(grid.n)).real == 1.0
-        self.frequencies.setflags(write=False)
-        self.mask.setflags(write=False)
-
-    def embed(self, coeffs: np.ndarray) -> np.ndarray:
-        """Guard-band coefficients (..., n) moved into the slots (..., m)."""
-        out = np.zeros(coeffs.shape[:-1] + (self.m,), dtype=np.complex128)
-        for dest, src in self._runs:
-            out[..., dest] = coeffs[..., src]
-        return out
-
-    def extract(self, coeffs: np.ndarray) -> np.ndarray:
-        """The slots (..., m) back on the n-point grid (..., n)."""
-        out = np.zeros(coeffs.shape[:-1] + (self.grid.n,), dtype=np.complex128)
-        for src, dest in self._runs:
-            out[..., dest] = coeffs[..., src]
-        return out
-
-
 def _phases(frequencies: np.ndarray, dt: float):
     """(e_half, e_full) = exp(i xi^2 dt/2), exp(i xi^2 dt): the integrating
     factor over half a step and over a step."""
@@ -214,9 +176,10 @@ def _phases(frequencies: np.ndarray, dt: float):
 
 
 def _stage(configs):
-    """The stage grid of the configured evolutions and their RK4 stage on
-    it, stage(x, t, k) -> coeffs, with row b of a (B, m) array evolving
-    under configs[b].  The rows share the grid, dt and the kind.
+    """The stage grid of the configured evolutions (the BandGrid of
+    guard-limited inputs and output) and their RK4 stage on it,
+    stage(x, t, k) -> coeffs, with row b of a (B, m) array evolving under
+    configs[b].  The rows share the grid, dt and the kind.
 
     stage(x, t, k) is e_k^-1 N(e_k x), with N the nonlinear term and e_k the
     integrating factor over k half steps (k = 0, 1, 2).  Each multiplier is
@@ -226,10 +189,10 @@ def _stage(configs):
     inverse and one forward m-point FFT along the last axis and the kind's
     pointwise (conjugate) square in place; the input must be guard-limited
     for the product to be alias-free on the guard band."""
-    sg = _StageGrid(configs[0].grid)
-    weight = 1.0 + sg.frequencies**2
-    w_in = np.stack([weight ** (0.5 * config.exponents[0]) for config in configs])
-    w_out = np.stack([np.where(sg.mask, sg.m * weight ** (0.5 * config.exponents[1]), 0.0) for config in configs])
+    guard = configs[0].grid.guard_index
+    sg = BandGrid(configs[0].grid, guard, guard)
+    w_in = np.stack([bracket(sg.frequencies, config.exponents[0]) for config in configs])
+    w_out = np.stack([np.where(sg.mask, sg.m * bracket(sg.frequencies, config.exponents[1]), 0.0) for config in configs])
     e_half, e_full = _phases(sg.frequencies, configs[0].dt)
     pre = (w_in, e_half * w_in, e_full * w_in)
     post = (w_out, np.conj(e_half) * w_out, np.conj(e_full) * w_out)
@@ -261,25 +224,11 @@ def _phased(frequencies: np.ndarray, dt: float, nonlin):
     return stage
 
 
-def rhs(config: EvolutionConfig, state: SpectralField) -> SpectralField:
-    """Nonlinear term of the configured evolution (autonomous).
-
-    The state must be band-limited to the guard index; the result is
-    truncated back to the guard band.  This is the stage integrate runs,
-    on the same stage grid."""
-    grid = state.grid
-    if grid != config.grid:
-        raise ValueError("state grid does not match the configuration")
-    if np.any(state.coeffs[~_guard_mask(grid)] != 0.0):
-        raise ValueError("state carries frequencies beyond the guard index")
-    sg, stage = _stage([config])
-    return SpectralField(grid, sg.extract(stage(sg.embed(state.coeffs), 0.0, 0))[0])
-
-
 def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, t0: float, save_steps):
     """Integrating-factor RK4 (Lawson 1967) on raw coefficient arrays: u0 is
     one flow's 1-D array or a (B, m) array of B flows, one per row, laid out
-    on layout (a Grid, or the flows' _StageGrid: its frequencies and length).
+    on layout (a Grid, or the flows' stage BandGrid: its frequencies and
+    length).
 
     stage(x, t, k) -> coeffs is e_k^-1 N(e_k x, t) for the integrating
     factor e_k = exp(i xi^2 k dt/2) over k = 0, 1 or 2 half steps; it must
@@ -453,10 +402,15 @@ def rhs_groups(
         4: 2 G(F_+, h_+)                 8: G(w_+, w_+)
 
     Their sum telescopes to G(v, v) - G(F_+, F_+), the full remainder
-    forcing.  v reaches past the guard band (h does), so each G is the
-    3n/2-padded product."""
+    forcing.  v reaches past the guard band (h does), so each G runs on the
+    band grid of full-band inputs and output (3n/2 points)."""
+    grid = f.grid
+    band = BandGrid(grid, grid.nyquist_index - 1, grid.nyquist_index - 1)
+    w_in = bracket(grid.frequencies, alpha)
+    w_out = bracket(grid.frequencies, beta - alpha)
+
     def g(a, b):
-        return padded_weighted_product(alpha, beta - alpha, a, b)
+        return SpectralField(grid, band.product(a.coeffs * w_in, b.coeffs * w_in) * w_out)
 
     big_f = free_propagate(t, f)
     v = big_f + h_field + w_field
@@ -486,17 +440,21 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     The remainder forcing is G(v, v) - G_pair(F, F) with v = F + h + w,
     valid for every interaction kind; for the plain-square kind, summing
     the eight groups gives the same field (the group-sum consistency
-    check).  v reaches past the guard band, so G(v, v) is the 3n/2-padded
-    product.  F + h and G_pair(F, F) depend on the stage time alone and are
-    kept for the last two stage times, which covers the shared time of
-    stages 2 and 3 and the end of a step, where the next step starts."""
+    check).  v reaches past the guard band and the forcing is kept on the
+    guard band, so G(v, v) runs on the band grid of full-band inputs and a
+    guard-band output (5n/4 points).  F + h and G_pair(F, F), masked to
+    the guard band, depend on the stage time alone and are kept for the
+    last two stage times, which covers the shared time of stages 2 and 3
+    and the end of a step, where the next step starts."""
     if config.variables != "v":
         raise ValueError("the remainder equation lives in the v-form variables")
     grid = config.grid
     if f.grid != grid:
         raise ValueError("data grid does not match the configuration")
     alpha, beta = config.alpha, config.beta
-    c1, c2 = _KIND_CONJ[config.kind]
+    band = BandGrid(grid, grid.nyquist_index - 1, grid.guard_index)
+    w_in = bracket(grid.frequencies, alpha)
+    w_out = bracket(grid.frequencies, beta - alpha)
     gmask = _guard_mask(grid)
     by_time: dict = {}
 
@@ -505,7 +463,7 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
         if terms is None:
             big_f = free_propagate(t, f)
             lifted = (big_f + normal_form_h(f, t, alpha, beta, config.kind)).coeffs
-            paired = apply_pair_g_fast(config.kind, alpha, beta, big_f, big_f).coeffs
+            paired = np.where(gmask, apply_pair_g_fast(config.kind, alpha, beta, big_f, big_f).coeffs, 0.0)
             if len(by_time) == 2:
                 del by_time[next(iter(by_time))]
             terms = by_time[t] = (lifted, paired)
@@ -514,8 +472,8 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     def nonlin(coeffs, t):
         lifted, paired = forcing_terms(t)
         v = SpectralField(grid, lifted + coeffs)
-        full = padded_weighted_product(alpha, beta - alpha, v, v, conj_first=c1, conj_second=c2)
-        return np.where(gmask, full.coeffs - paired, 0.0)
+        a, c = ((v.conj() if conj else v).coeffs * w_in for conj in KIND_FLAGS[config.kind])
+        return band.product(a, c) * w_out - paired
 
     w0 = -1.0 * normal_form_h(f, 0.0, alpha, beta, config.kind)
     save_steps = _save_schedule(config.n_steps, config.n_saves)

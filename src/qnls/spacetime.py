@@ -196,20 +196,6 @@ def xsb_norm(s: float, b: float, stf: SpaceTimeField, parabola_sign: int = 1) ->
     return math.sqrt(stf.t_total * stf.grid.length * float(np.sum(w * np.abs(c) ** 2)))
 
 
-def mixed_norm(q: float, r: float, stf: SpaceTimeField) -> float:
-    """L^q in time of the L^r spatial norm, with inf meaning the maximum."""
-    dx = stf.grid.length / stf.grid.n
-    dt = stf.t_total / stf.n_t
-    a = np.abs(stf.values)
-    if math.isinf(r):
-        slice_norms = a.max(axis=1)
-    else:
-        slice_norms = (np.sum(a**r, axis=1) * dx) ** (1.0 / r)
-    if math.isinf(q):
-        return float(slice_norms.max())
-    return float((np.sum(slice_norms**q) * dt) ** (1.0 / q))
-
-
 # ----------------------------------------------------------------------------
 # synthetic box-localized fields
 # ----------------------------------------------------------------------------

@@ -143,6 +143,75 @@ def _smooth(m: int) -> bool:
     return m == 1
 
 
+class BandGrid:
+    """The transform grid of a product of band-limited coefficient arrays.
+
+    The inputs are kept on |j| <= k_in and the output on |j| <= k_out.  The
+    product reaches |j| <= 2 k_in, and a sum that wraps on m points lands
+    m away from where it belongs, so the kept band is alias-free when
+    m > 2 k_in + k_out (Orszag 1971): the 3K+1 rule for guard-limited inputs
+    (k_in = k_out = n/4, m > 3n/4) and the 3/2 rule for full-band ones
+    (k_in = k_out = n/2 - 1).  m is the smallest even 5-smooth size above
+    that bound.  Signed index j of either band sits in slot j mod m.
+
+    frequencies holds the grid frequency of each input-band slot (0 in the
+    other slots) and mask the output band, so a Grid and a BandGrid both
+    give the RK4 loop the frequencies and the length it needs.  One
+    instance is built per (grid, k_in, k_out); its arrays are read-only.
+    """
+
+    _built: dict = {}
+
+    def __new__(cls, grid: Grid, k_in: int, k_out: int):
+        key = (grid, int(k_in), int(k_out))
+        self = cls._built.get(key)
+        if self is None:
+            self = super().__new__(cls)
+            self._build(*key)
+            cls._built[key] = self
+        return self
+
+    def _build(self, grid: Grid, k_in: int, k_out: int):
+        n = grid.n
+        if not (0 <= k_in < n // 2 and 0 <= k_out <= min(2 * k_in, n // 2 - 1)):
+            raise ValueError(f"bands k_in={k_in}, k_out={k_out} do not fit a product on n={n}")
+        self.grid = grid
+        self.length = grid.length
+        self.m = m = fft_size(2 * k_in + k_out, 2 * n)
+        # (slots, grid indices) of the runs 0..k and -k..-1 of each band
+        self._in, self._out = (((slice(0, k + 1),) * 2, (slice(m - k, m), slice(n - k, n))) for k in (k_in, k_out))
+        self.frequencies = self.embed(grid.frequencies).real.copy()
+        self.mask = _moved(np.ones(n), self._out, m).real == 1.0
+        self.frequencies.setflags(write=False)
+        self.mask.setflags(write=False)
+
+    def embed(self, coeffs: np.ndarray) -> np.ndarray:
+        """The input band of coefficients (..., n) moved into the slots (..., m)."""
+        return _moved(coeffs, self._in, self.m)
+
+    def extract(self, coeffs: np.ndarray) -> np.ndarray:
+        """The output band of the slots (..., m) moved back to the n-point
+        grid (..., n)."""
+        return _moved(coeffs, [run[::-1] for run in self._out], self.grid.n)
+
+    def product(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The output band, on the n-point grid, of the product of the fields
+        with n-point coefficient arrays a and c; content of a and c beyond
+        the input band is not seen."""
+        # numpy.fft is looked up per call, so a patched transform is seen
+        p = np.fft.ifft(self.embed(a)) * np.fft.ifft(self.embed(c))
+        return self.extract(self.m * np.fft.fft(p))
+
+
+def _moved(coeffs: np.ndarray, runs, size: int) -> np.ndarray:
+    """A zero array (..., size) with coeffs[..., src] copied to [..., dest]
+    for each (dest, src) in runs."""
+    out = np.zeros(coeffs.shape[:-1] + (size,), dtype=np.complex128)
+    for dest, src in runs:
+        out[..., dest] = coeffs[..., src]
+    return out
+
+
 def to_physical(field: SpectralField) -> np.ndarray:
     """Collocation samples u(x_j) of the field."""
     return field.grid.n * np.fft.ifft(field.coeffs)
@@ -161,9 +230,14 @@ def l2_norm(field: SpectralField) -> float:
     return math.sqrt(field.grid.length * float(np.sum(np.abs(field.coeffs) ** 2)))
 
 
+def bracket(x, s: float) -> np.ndarray:
+    """The Japanese bracket <x>^s = (1 + x^2)^(s/2)."""
+    return (1.0 + np.asarray(x, dtype=np.float64) ** 2) ** (0.5 * s)
+
+
 def bessel_potential(s: float, field: SpectralField) -> SpectralField:
-    """Smoothing/roughening multiplier (1 + xi^2)^(s/2)."""
-    w = (1.0 + field.grid.frequencies**2) ** (0.5 * s)
+    """Smoothing/roughening multiplier <xi>^s = (1 + xi^2)^(s/2)."""
+    w = bracket(field.grid.frequencies, s)
     return SpectralField(field.grid, field.coeffs * w)
 
 

@@ -11,13 +11,10 @@ from qnls.bilinear import (
     g_symbol_restricted,
     leibniz_residual,
     normal_form_pair,
-    padded_weighted_product,
-    t_symbol_u2,
     t_symbol_ubar2,
-    t_symbol_uubar,
     weighted_product,
 )
-from qnls.spectral import Grid, SpectralField, l2_norm, to_physical
+from qnls.spectral import BandGrid, Grid, SpectralField, bracket, l2_norm, to_physical
 
 
 def single_mode(grid, k, amp=1.0):
@@ -66,12 +63,12 @@ class TestLiftSymbols:
     def test_frozen_magnitude(self):
         # same-sign square interaction at (4, 4): weight / |2 * 4 * 4|
         g = Grid(64)
-        t = t_symbol_u2(0.6, 0.0).matrix(g)
+        t = normal_form_pair("u2", 0.6, 0.0)[0].matrix(g)
         assert abs(t[4, 4]) == pytest.approx(0.04889285159519051, abs=1e-14)
 
     def test_u2_excludes_nonpositive_pairs(self):
         g = Grid(64)
-        t = t_symbol_u2(0.6, 0.2).matrix(g)
+        t = normal_form_pair("u2", 0.6, 0.2)[0].matrix(g)
         assert np.all(t[0, :] == 0)
         assert np.all(t[:, 0] == 0)
         # negative-frequency rows live in the upper index range
@@ -80,7 +77,7 @@ class TestLiftSymbols:
 
     def test_uubar_exclusions(self):
         g = Grid(64)
-        t = t_symbol_uubar(0.6, 0.2).matrix(g)
+        t = normal_form_pair("uubar", 0.6, 0.2)[0].matrix(g)
         assert np.all(t[0, :] == 0)  # first slot must be positive
         assert np.all(t[:, 0] == 0)  # second effective frequency nonzero
         assert t[3, (-3) % 64] == 0  # output frequency zero excluded
@@ -252,49 +249,93 @@ class TestFactoredLift:
             apply_lift("cubic", 0.6, 0.2, single_mode(g, 1), single_mode(g, 2))
 
 
-def full_band(grid, seed):
-    """Seeded complex data on every slot below the Nyquist index."""
+def full_band(grid, seed, k=None):
+    """Seeded complex data on every slot |j| <= k (default: below the
+    Nyquist index)."""
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    if k is not None:
+        idx = np.arange(grid.n)
+        c[np.minimum(idx, grid.n - idx) > k] = 0
     return SpectralField(grid, c)
 
 
-class TestPaddedProduct:
-    """The 3n/2-point product against the doubled-grid oracle, for inputs
-    reaching |j| = n/2 - 1."""
+# (k_in, k_out) of each product path on n points
+BANDS = {
+    "stage": lambda n: (n // 4, n // 4),  # the RK4 stage
+    "lift": lambda n: (n // 4, n // 2 - 1),  # the factored lifts and pair-g
+    "wide": lambda n: (n // 2 - 1, n // 2 - 1),  # rhs_groups
+    "remainder": lambda n: (n // 2 - 1, n // 4),  # direct_w_solve's G(v, v)
+}
 
-    @pytest.mark.parametrize("n", [64, 256, 1024])
-    def test_matches_dealiased_product(self, n):
+
+def kept(grid, k):
+    idx = np.arange(grid.n)
+    return np.minimum(idx, grid.n - idx) <= k
+
+
+def edge_cases(band, n):
+    """Single-mode pairs at the input band edge +-k_in, with the output index
+    they must land on (None when the sum leaves the kept band): the largest
+    sums +-2 k_in and 2 k_in - 1, the sum 0, and a sum on the output edge."""
+    k_in, k_out = BANDS[band](n)
+    for p, q in ((k_in, k_in), (-k_in, -k_in), (k_in, k_in - 1), (k_in, -k_in), (k_in, k_out - k_in)):
+        out = p + q if abs(p + q) <= k_out else None
+        yield pytest.param(band, n, p, q, out, id=f"{band}-{n}-{p}-{q}")
+
+
+class TestPaddedProduct:
+    """BandGrid.product against the doubled-grid oracle, for inputs on the
+    whole input band of each product path."""
+
+    @pytest.mark.parametrize(
+        "band, n",
+        [
+            pytest.param(band, n, id=str(n) if band == "wide" and n > 16 else f"{band}-{n}")
+            for band in BANDS
+            for n in (16, 64, 256, 1024)
+        ],
+    )
+    def test_matches_dealiased_product(self, band, n):
         g = Grid(n)
-        u, v = full_band(g, 3 * n), full_band(g, 3 * n + 1)
-        assert u.coeffs[n // 2 - 1] != 0 and u.coeffs[n // 2 + 1] != 0
-        oracle = dealiased_product(u, v)
-        fast = padded_weighted_product(0.0, 0.0, u, v)
-        guard = np.abs(g.frequencies) <= g.guard_frequency
-        scale = np.linalg.norm(oracle.coeffs)
-        assert np.linalg.norm((fast.coeffs - oracle.coeffs)[guard]) <= 1e-13 * scale
-        # the 3/2 rule keeps the whole band below the Nyquist index exact
-        assert np.linalg.norm(fast.coeffs - oracle.coeffs) <= 1e-13 * scale
+        k_in, k_out = BANDS[band](n)
+        u, v = full_band(g, 3 * n, k_in), full_band(g, 3 * n + 1, k_in)
+        assert u.coeffs[k_in] != 0 and u.coeffs[-k_in] != 0
+        oracle = dealiased_product(u, v).coeffs
+        fast = BandGrid(g, k_in, k_out).product(u.coeffs, v.coeffs)
+        inside = kept(g, k_out)
+        assert np.linalg.norm((fast - oracle)[inside]) <= 1e-13 * np.linalg.norm(oracle[inside])
+        assert np.all(fast[~inside] == 0.0)
 
     @pytest.mark.parametrize("conj_first, conj_second", [(False, False), (False, True), (True, True)])
     def test_matches_weighted_product(self, conj_first, conj_second):
         g = Grid(256)
         u, v = full_band(g, 41), full_band(g, 42)
         oracle = weighted_product(0.6, -0.4, u, v, conj_first, conj_second)
-        fast = padded_weighted_product(0.6, -0.4, u, v, conj_first, conj_second)
+        w_in = bracket(g.frequencies, 0.6)
+        a, c = ((f.conj() if conj else f).coeffs * w_in for f, conj in ((u, conj_first), (v, conj_second)))
+        fast = SpectralField(g, BandGrid(g, *BANDS["wide"](g.n)).product(a, c) * bracket(g.frequencies, -0.4))
         assert l2_norm(fast - oracle) <= 1e-13 * l2_norm(oracle)
 
-    @pytest.mark.parametrize("p, q, out", [(31, 31, None), (31, 1, None), (31, -31, 0), (31, -1, 30), (-31, -2, None)])
-    def test_edge_modes(self, p, q, out):
-        # sums beyond the band are dropped, never wrapped onto an output slot
-        g = Grid(64)
-        fast = padded_weighted_product(0.0, 0.0, single_mode(g, p), single_mode(g, q))
-        expect = np.zeros(64, dtype=complex)
+    @pytest.mark.parametrize(
+        "band, n, p, q, out",
+        [
+            pytest.param("wide", 64, p, q, out, id=f"{p}-{q}-{out}")
+            for p, q, out in [(31, 31, None), (31, 1, None), (31, -31, 0), (31, -1, 30), (-31, -2, None)]
+        ]
+        + [case for band in BANDS for n in (16, 64, 256) for case in edge_cases(band, n)],
+    )
+    def test_edge_modes(self, band, n, p, q, out):
+        # sums beyond the kept band are dropped, never wrapped onto it
+        g = Grid(n)
+        k_in, k_out = BANDS[band](n)
+        fast = BandGrid(g, k_in, k_out).product(single_mode(g, p).coeffs, single_mode(g, q).coeffs)
+        expect = np.zeros(n, dtype=complex)
         if out is not None:
-            expect[out % 64] = 1.0
-        np.testing.assert_allclose(fast.coeffs, expect, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(dealiased_product(single_mode(g, p), single_mode(g, q)).coeffs, expect,
-                                   rtol=0, atol=1e-14)
+            expect[out % n] = 1.0
+        np.testing.assert_allclose(fast, expect, rtol=0, atol=1e-14)
+        oracle = dealiased_product(single_mode(g, p), single_mode(g, q)).coeffs
+        np.testing.assert_allclose(np.where(kept(g, k_out), oracle, 0.0), expect, rtol=0, atol=1e-14)
 
 
 class TestLeibnizresidual:

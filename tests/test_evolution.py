@@ -17,12 +17,12 @@ from qnls.evolution import (
     integrate_batch,
     lipschitz_experiment,
     normal_form_h,
-    rhs,
     rhs_groups,
     substitution_check,
 )
 from qnls.roughdata import DataSpec, gen_rough_data
 from qnls.spectral import (
+    BandGrid,
     Grid,
     SpectralField,
     bessel_potential,
@@ -241,37 +241,68 @@ class TestIntegrateBatch:
         assert info.value.initial_norm == pytest.approx(l2_norm(smooth_data(64, seed=3)), rel=1e-14)
 
 
+# (k_in, k_out) of each product path on n points
+BANDS = {
+    "stage": lambda n: (n // 4, n // 4),  # the RK4 stage
+    "lift": lambda n: (n // 4, n // 2 - 1),  # the factored lifts and pair-g
+    "wide": lambda n: (n // 2 - 1, n // 2 - 1),  # rhs_groups
+    "remainder": lambda n: (n // 2 - 1, n // 4),  # direct_w_solve's G(v, v)
+}
+
+
+def band_cases(sizes):
+    """(band, n) cases; the stage band keeps the bare size as its id."""
+    return [pytest.param(band, n, id=str(n) if band == "stage" else f"{band}-{n}") for band in BANDS for n in sizes]
+
+
 class TestStageGrid:
     @staticmethod
-    def smallest_size(n):
-        """Brute force: the smallest even integer above 3n/4 with no prime
-        factor beyond 5, at most n."""
-        for m in range(3 * n // 4 + 1, n):
+    def smallest_size(floor):
+        """Brute force: the smallest even integer above floor with no prime
+        factor beyond 5."""
+        m = floor + 1
+        while True:
             rest = m
             for p in (2, 3, 5):
                 while rest % p == 0:
                     rest //= p
             if m % 2 == 0 and rest == 1:
                 return m
-        return n
+            m += 1
 
-    @pytest.mark.parametrize("n", [16, 32, 64, 256, 512, 1024, 4096])
-    def test_size_table(self, n):
-        m = evolution._StageGrid(Grid(n)).m
-        assert m == self.smallest_size(n)
-        assert m == {16: 16, 32: 30, 64: 50, 256: 200, 512: 400, 1024: 800, 4096: 3200}[n]
+    @pytest.mark.parametrize("band, n", band_cases([16, 32, 64, 128, 256, 512, 1024, 2048, 4096]))
+    def test_size_table(self, band, n):
+        k_in, k_out = BANDS[band](n)
+        bg = BandGrid(Grid(n), k_in, k_out)
+        assert bg.m == self.smallest_size(2 * k_in + k_out)
+        stage = {16: 16, 32: 30, 64: 50, 128: 100, 256: 200, 512: 400, 1024: 800, 2048: 1600, 4096: 3200}
+        assert bg.m == {"stage": stage[n], "lift": n, "wide": 3 * n // 2, "remainder": 5 * n // 4}[band]
+        assert bg is BandGrid(Grid(n), k_in, k_out)
 
-    @pytest.mark.parametrize("n", [16, 64, 1024])
-    def test_embed_round_trip(self, n):
+    @pytest.mark.parametrize("band, n", band_cases([16, 64, 1024]))
+    def test_embed_round_trip(self, band, n):
         g = Grid(n)
-        sg = evolution._StageGrid(g)
-        f = random_guard_limited(n, seed=4)
-        slots = sg.embed(f.coeffs)
-        assert np.array_equal(sg.extract(slots), f.coeffs)
-        assert np.all(slots[~sg.mask] == 0.0)
-        signed = np.where(np.arange(sg.m) < sg.m // 2, np.arange(sg.m), np.arange(sg.m) - sg.m)
-        assert np.array_equal(sg.frequencies[sg.mask], g.frequencies[signed[sg.mask] % n])
-        assert np.count_nonzero(sg.mask) == 2 * g.guard_index + 1
+        k_in, k_out = BANDS[band](n)
+        bg = BandGrid(g, k_in, k_out)
+        signed = np.where(np.arange(bg.m) < bg.m // 2, np.arange(bg.m), np.arange(bg.m) - bg.m)
+        in_slots = np.abs(signed) <= k_in
+        f = SpectralField(g, np.random.default_rng(4).standard_normal(n) + 0j)
+        slots = bg.embed(f.coeffs)
+        assert np.array_equal(slots[in_slots], f.coeffs[signed[in_slots] % n])
+        assert np.all(slots[~in_slots] == 0.0)
+        both = np.minimum(np.arange(n), n - np.arange(n)) <= min(k_in, k_out)
+        assert np.array_equal(bg.extract(slots), np.where(both, f.coeffs, 0.0))
+        assert np.array_equal(bg.mask, np.abs(signed) <= k_out)
+        assert np.array_equal(bg.frequencies[in_slots], g.frequencies[signed[in_slots] % n])
+        assert np.all(bg.frequencies[~in_slots] == 0.0)
+        assert not (bg.frequencies.flags.writeable or bg.mask.flags.writeable)
+
+    @pytest.mark.parametrize("k_in, k_out", [(8, 4), (4, 9), (-1, 0), (7, -1)])
+    def test_rejects_bands_that_do_not_fit(self, k_in, k_out):
+        # on n = 16: an input band reaching the Nyquist index, an output band
+        # wider than the product, and negative bands
+        with pytest.raises(ValueError):
+            BandGrid(Grid(16), k_in, k_out)
 
 
 class TestSteppingOracle:
@@ -332,13 +363,20 @@ def rel_l2(a, b):
     return l2_norm(a - b) / l2_norm(b)
 
 
+def stage_rhs(cfg, f):
+    """The nonlinear term N(f) of the configured evolution: the stage at
+    k = 0 on the stage grid, moved back to the n-point grid."""
+    sg, stage = evolution._stage([cfg])
+    return SpectralField(f.grid, sg.extract(stage(sg.embed(f.coeffs), 0.0, 0))[0])
+
+
 class TestRhs:
     def test_uses_kind_conjugations(self):
         # each kind matches its own conjugation pattern and no other one
         f = random_guard_limited(64, seed=9)
         kinds = ("u2", "uubar", "ubar2")
         for kind in kinds:
-            out = rhs(EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1, kind=kind), f)
+            out = stage_rhs(EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1, kind=kind), f)
             for other in kinds:
                 dev = rel_l2(out, rhs_oracle(EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1, kind=other), f))
                 if other == kind:
@@ -352,7 +390,7 @@ class TestRhs:
     def test_matches_doubled_grid_oracle(self, kind, variables, n):
         cfg = EvolutionConfig(n, ALPHA, BETA, 1e-6, 1e-5, kind=kind, variables=variables)
         f = random_guard_limited(n, seed=n)
-        out = rhs(cfg, f)
+        out = stage_rhs(cfg, f)
         assert rel_l2(out, rhs_oracle(cfg, f)) <= 1e-13
         g = cfg.grid
         assert np.all(out.coeffs[~in_guard_band(g)] == 0.0)
@@ -371,17 +409,9 @@ class TestRhs:
             c[j % n] = a
         f = SpectralField(g, c)
         cfg = EvolutionConfig(n, ALPHA, BETA, 1e-6, 1e-5, kind=kind, variables=variables)
-        out = rhs(cfg, f)
+        out = stage_rhs(cfg, f)
         assert rel_l2(out, rhs_oracle(cfg, f)) <= 1e-14
         assert np.all(out.coeffs[~in_guard_band(g)] == 0.0)
-
-    def test_rejects_wide_state(self):
-        g = Grid(64)
-        c = np.zeros(64, complex)
-        c[25] = 1.0
-        cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.1)
-        with pytest.raises(ValueError):
-            rhs(cfg, SpectralField(g, c))
 
 
 class TestNormalFormH:
@@ -400,21 +430,23 @@ class TestNormalFormH:
 class TestGroups:
     def test_eight_groups_sum_to_remainder_forcing(self):
         g = Grid(256)
-        f = gen_rough_data(DataSpec(0.0, 32.0, amplitude=0.2, seed=11), g)
-        h_field = normal_form_h(f, 0.37, ALPHA, BETA, "u2")
-        w_field = gen_rough_data(DataSpec(1.0, 32.0, amplitude=0.1, seed=12), g)
-        groups = rhs_groups(f, h_field, w_field, 0.37, ALPHA, BETA)
-        assert len(groups) == 8
-        total = groups[0]
-        for piece in groups[1:]:
-            total = total + piece
-        big_f = free_propagate(0.37, f)
-        v = big_f + h_field + w_field
-        full = weighted_product(ALPHA, BETA - ALPHA, v, v)
-        fplus = sign_project("+", big_f)
-        paired = weighted_product(ALPHA, BETA - ALPHA, fplus, fplus)
-        target = full - paired
-        assert l2_norm(total - target) <= 1e-10 * l2_norm(target)
+        # at width 64 (the guard index) h reaches |j| = n/2 - 1
+        for width in (32.0, 64.0):
+            f = gen_rough_data(DataSpec(0.0, width, amplitude=0.2, seed=11), g)
+            h_field = normal_form_h(f, 0.37, ALPHA, BETA, "u2")
+            w_field = gen_rough_data(DataSpec(1.0, width, amplitude=0.1, seed=12), g)
+            groups = rhs_groups(f, h_field, w_field, 0.37, ALPHA, BETA)
+            assert len(groups) == 8
+            total = groups[0]
+            for piece in groups[1:]:
+                total = total + piece
+            big_f = free_propagate(0.37, f)
+            v = big_f + h_field + w_field
+            full = weighted_product(ALPHA, BETA - ALPHA, v, v)
+            fplus = sign_project("+", big_f)
+            paired = weighted_product(ALPHA, BETA - ALPHA, fplus, fplus)
+            target = full - paired
+            assert l2_norm(total - target) <= 1e-10 * l2_norm(target)
 
 
 class TestRoutes:
@@ -464,9 +496,15 @@ def uncached_direct_w_solve(cfg, f):
 
 
 class TestDirectSolve:
-    @pytest.mark.parametrize("kind", ["u2", "uubar", "ubar2"])
-    def test_one_lift_per_stage_time(self, kind, monkeypatch):
-        data = smooth_data(64, seed=9, amp=0.3)
+    @pytest.mark.parametrize(
+        "kind, wide",
+        [pytest.param(kind, wide, id=f"{kind}-guard-band" if wide else kind) for wide in (False, True)
+         for kind in ("u2", "uubar", "ubar2")],
+    )
+    def test_one_lift_per_stage_time(self, kind, wide, monkeypatch):
+        # wide: data on the whole guard band, so h and v reach |j| = n/2 - 1
+        # and the paired forcing leaves the guard band
+        data = 0.1 * random_guard_limited(64, seed=9) if wide else smooth_data(64, seed=9, amp=0.3)
         cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.02, kind=kind, variables="v", n_saves=3)
         calls = []
         original = evolution.normal_form_h

@@ -4,16 +4,25 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qnls
 from qnls import _kernels
 from qnls.cli import main
 from qnls.config import ConfigError, default_config, load_config, parse_config
 from qnls.reports import config_sha256, fmt, write_csv, write_report
 from qnls.roughdata import DataSpec, gen_rough_data
 from qnls.spectral import Grid
+
+
+def child_env(**extra):
+    """The environment of a child interpreter that imports the qnls under test."""
+    src = str(Path(qnls.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +422,7 @@ class TestCli:
             [sys.executable, "-m", "qnls", "identity", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
@@ -424,7 +434,7 @@ class TestCli:
 
 class TestKernels:
     def test_env_flag_honored(self):
-        env = dict(os.environ, QNLS_DISABLE_NUMBA="1")
+        env = child_env(QNLS_DISABLE_NUMBA="1")
         out = subprocess.run(
             [sys.executable, "-c", "from qnls import _kernels; print(_kernels.USE_NUMBA)"],
             capture_output=True,

@@ -10,7 +10,6 @@ from qnls.spacetime import (
     dyadic_profile,
     fitted_regularity,
     from_spacetime_coeffs,
-    mixed_norm,
     regularity_fit,
     sobolev_norm,
     st_l2_norm,
@@ -134,24 +133,6 @@ class TestXsbNorm:
             xsb_norm(0.0, 0.3, f, +1)
         with pytest.raises(ValueError):
             xsb_norm(0.0, 0.3, f, 0)
-
-
-class TestMixedNorm:
-    def test_single_mode_values(self):
-        g = Grid(64)
-        f = st_single_mode(g, 32, 5, 3, amp=2.0)
-        # |u| = 2 everywhere
-        assert mixed_norm(float("inf"), 2.0, f) == pytest.approx(2 * math.sqrt(TWO_PI))
-        assert mixed_norm(2.0, 2.0, f) == pytest.approx(st_l2_norm(f), rel=1e-12)
-        assert mixed_norm(float("inf"), float("inf"), f) == pytest.approx(2.0)
-
-    def test_holder_ordering(self):
-        g = Grid(64)
-        u = synth_boxed(8.0, 4.0, +1, [9], g, n_t=32, t_total=TWO_PI)
-        # L4 in time dominates L2 in time over a unit-length circle... scaled
-        l42 = mixed_norm(4.0, 2.0, u)
-        l22 = mixed_norm(2.0, 2.0, u)
-        assert l42 * TWO_PI ** (1 / 2 - 1 / 4) >= l22 * 0.999
 
 
 class TestWindow:
