@@ -48,7 +48,6 @@ from .spacetime import (
     fitted_regularity,
     sobolev_norm,
     st_l2_norm,
-    synth_boxed,
     xsb_norm,
 )
 from .spectral import (
@@ -61,8 +60,6 @@ from .spectral import (
     lp_bump,
     max_band,
     sign_project,
-    to_physical,
-    to_spectral,
 )
 
 __version__ = "0.1.0"

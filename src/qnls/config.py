@@ -200,8 +200,8 @@ def check_ranges(cfg) -> None:
         bad.append(f"[run] threads must be >= 1, got {run['threads']}")
     if rates["k_lo"] < 1:
         bad.append(f"[rates] k_lo must be >= 1, got {rates['k_lo']}")
-    if rates["k_hi"] < rates["k_lo"]:
-        bad.append(f"[rates] k_hi must be >= k_lo = {rates['k_lo']}, got {rates['k_hi']}")
+    if rates["k_hi"] < rates["k_lo"] + 1:  # the slope fit needs two scales
+        bad.append(f"[rates] k_hi must be >= k_lo + 1 = {rates['k_lo'] + 1}, got {rates['k_hi']}")
     if rates["n_seeds"] < 1:
         bad.append(f"[rates] n_seeds must be >= 1, got {rates['n_seeds']}")
     if rates["n_t"] < 2 or rates["n_t"] % 2:

@@ -249,7 +249,10 @@ def run_rates(cfg) -> dict:
         "rows": rows,
         "slope_rows": slope_rows,
         "health": health,
-        "timing": {"wall_s": time.perf_counter() - start},
+        "timing": {
+            "wall_s": time.perf_counter() - start,
+            "tables_s": sum(rep.tables_s for rep in reports.values()),
+        },
     }
 
 

@@ -29,27 +29,34 @@ The boxes and the output multiplier are defined on n_x = 2^(k+3) points,
 where every box and every product is representable; the time grid is fixed
 (default 256 points over one period).
 
-A cell works on space-time coefficients.  The window and the X^{0,b} norm
-act on tau alone, so each factor's time-axis transforms run only on the xi
-columns its box occupies.  The x-axis transforms run on the smallest even
+A cell works on space-time coefficients and runs no time-axis transform.
+Each occupied xi column of a factor's box holds its draws on a few rows
+tau0 + r, 0 <= r < R (R = 5 at t_total = 2*pi: tau - xi^2 in {-2, -1, 1,
+2}), so its windowed time samples are a rank-R synthesis, (cis[:, :R] @ C)
+times the column's phase and window, and its X^{0,b} norm is a quadratic
+form C^H Q C whose R x R blocks come from the circularly shifted
+coefficients of the window.  The x-axis transforms run on the smallest even
 5-smooth grid, at most 2^(k+3) points, that is alias-free on the output
 columns the multiplier keeps (Orszag 1971): the sums of the occupied
 frequencies that fold onto such a column must be that column itself.  One
-x-axis transform per factor gives the samples, one more the product's
-coefficients, and the projected L2 norm follows from Parseval along t
-without a time-axis transform.  Everything that does not depend on the seed
-(the masks on the occupied columns, the (1 + |tau - xi^2|)^(2b) weights, the
-window, the transform grid, the multiplier on it) is built once per
-(kind, k) and held for one (kind, k) at a time.  The dense SpaceTimeField
-composition in spacetime.py (synth_cells, apply_window, xsb_norm,
-st_product, st_spatial_multiplier, st_l2_norm) on the 2^(k+3) grid computes
-the same ratio and is the reference the tests compare the cell against.
+x-axis transform per factor gives the samples and one more the product's
+coefficients; the projected L2 norm follows from Parseval along t.  Where
+the multiplier is 1 on every column the product can reach (gain3, kkk3) the
+norm follows from Parseval along x as well and the last transform is
+skipped.  Everything that does not depend on the seed (each column's start
+row, the place of each draw, Q, the transform grid, the multiplier on it)
+is built once per (kind, k) and held for one (kind, k) at a time.  The
+dense SpaceTimeField composition in spacetime.py (synth_cells,
+apply_window, xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) on
+the 2^(k+3) grid computes the same ratio and is the reference the tests
+compare the cell against.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -107,6 +114,7 @@ class RateReport:
     degenerate: bool = False
     ratios: dict = field(default_factory=dict)  # k -> list over seeds
     grid_n: dict = field(default_factory=dict)  # k -> transform grid points
+    tables_s: float = 0.0  # time spent building the seed-independent tables
 
 
 def _output_multiplier(grid: Grid, pattern: str, k: int) -> np.ndarray:
@@ -154,6 +162,18 @@ def _signed(cols: np.ndarray, n: int) -> np.ndarray:
     return np.where(cols < n // 2, cols, cols - n)
 
 
+def _occupied(mask: np.ndarray, n_t: int) -> tuple:
+    """(copy of a box mask with its Nyquist row and column cleared, the
+    columns it occupies); an empty box raises."""
+    mask = mask.copy()
+    mask[n_t // 2, :] = False
+    mask[:, mask.shape[1] // 2] = False
+    cols = np.flatnonzero(mask.any(axis=0))
+    if cols.size == 0:
+        raise ValueError("empty cell set for synthetic field")
+    return mask, cols
+
+
 def _transform_grid(u_freqs: np.ndarray, v_freqs: np.ndarray, mult: np.ndarray) -> tuple:
     """(M, kept) for the product of factors with signed frequencies u_freqs
     and v_freqs (v already negated for a conjugate slot) and the output
@@ -177,37 +197,104 @@ def _transform_grid(u_freqs: np.ndarray, v_freqs: np.ndarray, mult: np.ndarray) 
     return fft_size(max(2 * big_k, big_k - s_lo, s_hi + big_k, spread), n_max), kept
 
 
-def _side_table(mask: np.ndarray, weight_b: float, n_t: int, t_total: float, grid: Grid):
-    """(occupied xi columns, mask on them, (1 + dist)^(2b) on them) of one
-    factor's box on grid, Nyquist row and column excluded."""
-    mask = mask.copy()
-    mask[n_t // 2, :] = False
-    mask[:, grid.n // 2] = False
-    cols = np.flatnonzero(mask.any(axis=0))
-    if cols.size == 0:
-        raise ValueError("empty cell set for synthetic field")
+# rows of the left factor per BLAS call in _thin_matmul
+_BLAS_ROWS = 8
+
+
+def _thin_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, one BLAS call per block of _BLAS_ROWS rows of a.
+
+    The rate sweep makes thousands of these products, each too small to gain
+    from threads.  Small calls keep a threaded BLAS on one thread; a threaded
+    call leaves its idle threads spinning for about 0.1 s, which doubled the
+    CPU time of an unpinned sweep."""
+    rows = a.shape[0]
+    pad = -rows % _BLAS_ROWS
+    if pad:
+        a = np.concatenate((a, np.zeros((pad, a.shape[1]), dtype=a.dtype)))
+    return (a.reshape(-1, _BLAS_ROWS, a.shape[1]) @ b).reshape(rows + pad, -1)[:rows]
+
+
+@lru_cache(maxsize=4)
+def _time_tables(n_t: int, t_total: float) -> tuple:
+    """(cis, cisw, what) of one time grid: cis[t, tau] = exp(2 pi i tau t / n_t),
+    cisw = (window / n_t) * cis, and what the window's discrete Fourier
+    coefficients fft(window) / n_t.  Read-only; worker threads share them."""
+    t = np.arange(n_t)
+    cis = np.exp((2j * math.pi / n_t) * (np.outer(t, t) % n_t))
+    window = window_weights(n_t, t_total)
+    cisw = cis * (window / n_t)[:, None]
+    what = np.fft.fft(window) / n_t
+    for a in (cis, cisw, what):
+        a.setflags(write=False)
+    return cis, cisw, what
+
+
+class _Side(NamedTuple):
+    """One factor's box on the transform grid.
+
+    runs are the (destination, source) slices of its occupied columns,
+    tau0[j] is column j's cyclic start row: every occupied row of the column
+    is tau0[j] + r (mod n_t) with 0 <= r < R.  place holds the flat index
+    into the (R, columns) coefficient block C of each draw, in the row-major
+    order of the box mask that synth_cells fills, and q the (columns, R, R)
+    quadratic form with ||W u||^2_{X^{0,b}} = sum_j C_j^H q_j C_j (up to the
+    factor t_total * 2 pi)."""
+
+    runs: tuple
+    tau0: np.ndarray
+    place: np.ndarray
+    q: np.ndarray
+
+
+def _side_table(mask: np.ndarray, cols: np.ndarray, weight_b: float, n_t: int, t_total: float,
+                grid: Grid, n: int) -> _Side:
+    """The _Side of one factor's box (mask and cols from _occupied) on grid,
+    placed on the n-point transform grid."""
     sub = mask[:, cols]
+    rows, col = np.nonzero(sub)  # row-major: the order of the draws
+    # each column starts on the row after its widest cyclic gap between
+    # occupied rows, so a column whose rows wrap past tau = 0 stays compact
+    by_col, by_row = np.nonzero(sub.T)
+    starts = np.searchsorted(by_col, np.arange(cols.size))
+    prev = np.roll(by_row, 1)
+    prev[starts] = by_row[np.r_[starts[1:], by_row.size] - 1] - n_t
+    gap = by_row - prev
+    after = np.lexsort((-gap, by_col))[starts]
+    tau0 = by_row[after]
+    span = n_t + 1 - int(gap[after].min())
+    place = ((rows - tau0[col]) % n_t) * cols.size + col
+    # q_j = sum_sigma wsh[j, sigma] conj(what[sigma - r]) what[sigma - s]: the
+    # windowed coefficient of row tau0_j + sigma is sum_r what[sigma - r] C_rj
+    _cis, _cisw, what = _time_tables(n_t, t_total)
     weight = (1.0 + parabola_distance(n_t, t_total, grid.frequencies[cols])) ** (2.0 * weight_b)
-    sub.setflags(write=False)
-    weight.setflags(write=False)
-    return cols, sub, weight
+    weight[n_t // 2, :] = 0.0
+    sigma = np.arange(n_t)
+    wsh = np.take(weight, (sigma[None, :] + tau0[:, None]) % n_t * cols.size + np.arange(cols.size)[:, None])
+    shifted = what[(sigma[:, None] - np.arange(span)[None, :]) % n_t]
+    pairs = (np.conj(shifted)[:, :, None] * shifted[:, None, :]).reshape(n_t, span * span)
+    q = _thin_matmul(wsh, pairs.view(np.float64)).view(np.complex128).reshape(cols.size, span, span)
+    for a in (tau0, place, q):
+        a.setflags(write=False)
+    return _Side(_column_runs(_signed(cols, grid.n) % n), tau0, place, q)
 
 
 class _CellTables(NamedTuple):
     """The seed-independent part of one (kind, k) rate cell.
 
-    n is the transform grid (_transform_grid), u and v are (runs of the
-    occupied columns on it, mask on them, X^{0,b} weight on them), mult is
-    the output multiplier on it and out_runs holds (slice of the product's
-    float64 view, mult^2 repeated for the real and imaginary parts) for
-    each run of columns where mult is nonzero."""
+    n is the transform grid (_transform_grid), u and v the two factors'
+    _Side tables on it, mult the output multiplier on it and out_runs holds
+    (slice of the product's float64 view, mult^2 repeated for the real and
+    imaginary parts) for each run of columns where mult is nonzero.
+    parseval is set when mult is 1 on every column the product can reach:
+    the projected L2 norm is then the plain one, taken in x."""
 
     n: int
-    u: tuple
-    v: tuple
-    window: np.ndarray
+    u: _Side
+    v: _Side
     mult: np.ndarray
     out_runs: tuple
+    parseval: bool
 
 
 @lru_cache(maxsize=1)
@@ -227,27 +314,29 @@ def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float) -> _
     v_mask = _v_mask(grid, n_t, t_total, v_pattern, k, v_side)
     mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
     mult[grid.n // 2] = 0.0
-    u_cols, u_sub, u_weight = _side_table(u_mask, bu, n_t, t_total, grid)
-    v_cols, v_sub, v_weight = _side_table(v_mask, bv, n_t, t_total, grid)
+    u_mask, u_cols = _occupied(u_mask, n_t)
+    v_mask, v_cols = _occupied(v_mask, n_t)
     u_freqs = _signed(u_cols, grid.n)
     v_freqs = _signed(v_cols, grid.n)
-    n, kept = _transform_grid(u_freqs, -v_freqs if conj2 else v_freqs, mult)
+    if conj2:
+        v_freqs = -v_freqs
+    n, kept = _transform_grid(u_freqs, v_freqs, mult)
     mult_n = np.zeros(n)
     mult_n[kept % n] = mult[kept % grid.n]
+    reach = np.arange(u_freqs.min() + v_freqs.min(), u_freqs.max() + v_freqs.max() + 1)
     out_runs = tuple(
         (slice(2 * dest.start, 2 * dest.stop), np.repeat(mult_n[dest] ** 2, 2))
         for dest, _src in _column_runs(np.flatnonzero(mult_n))
     )
-    window = window_weights(n_t, t_total)
-    for a in (mult_n, window, *(w for _s, w in out_runs)):
+    for a in (mult_n, *(w for _s, w in out_runs)):
         a.setflags(write=False)
     return _CellTables(
         n,
-        (_column_runs(u_freqs % n), u_sub, u_weight),
-        (_column_runs(v_freqs % n), v_sub, v_weight),
-        window,
+        _side_table(u_mask, u_cols, bu, n_t, t_total, grid, n),
+        _side_table(v_mask, v_cols, bv, n_t, t_total, grid, n),
         mult_n,
         out_runs,
+        bool(np.all(mult_n[reach % n] == 1.0)),
     )
 
 
@@ -267,28 +356,28 @@ def _scatter_buffers(tables: _CellTables, n_t: int) -> tuple:
     return _scatter.buffers
 
 
-def _windowed_side(table, seed, window: np.ndarray, full: np.ndarray, t_total: float):
+def _windowed_side(side: _Side, seed, n_t: int, t_total: float, full: np.ndarray):
     """Space-time samples (up to one constant factor) and X^{0,b} norm of
     the windowed random field on one factor's box.
 
-    The window and the norm act on tau alone, so both run on the occupied
-    xi columns; only the product needs the samples in x.  The ratio is
-    scale-invariant in each factor, so the draws are not normalised.  full
-    is a scatter buffer that is zero off the occupied columns."""
-    runs, sub, weight = table
-    n_t = sub.shape[0]
-    count = int(np.count_nonzero(sub))
+    Column j holds the draws C_j on rows tau0_j + r, so its windowed samples
+    are (cis[:, :R] @ C)_j times the phase cisw[:, tau0_j], written straight
+    into the scatter buffer full (zero off the occupied columns); the norm is
+    the quadratic form q.  No time-axis transform runs.  The ratio is
+    scale-invariant in each factor, so the draws are not normalised."""
+    runs, tau0, place, q = side
+    span = q.shape[1]
+    cis, cisw, _what = _time_tables(n_t, t_total)
     rng = np.random.default_rng(seed)
-    draws = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / math.sqrt(2.0)
-    c = np.zeros(sub.shape, dtype=np.complex128)
-    c[sub] = draws
-    samples = np.fft.ifft(c, axis=0)
-    samples *= window[:, None]
-    cw = np.fft.fft(samples, axis=0)
-    cw[n_t // 2, :] = 0.0
-    norm = math.sqrt(t_total * TWO_PI * float(np.sum(weight * (cw.real**2 + cw.imag**2))))
+    c = np.zeros((span, tau0.size), dtype=np.complex128)
+    parts = c.reshape(-1).view(np.float64).reshape(-1, 2)
+    parts[place, 0] = rng.standard_normal(place.size)
+    parts[place, 1] = rng.standard_normal(place.size)
+    norm = math.sqrt(t_total * TWO_PI * float(np.einsum("rj,jrs,sj->", c.conj(), q, c).real))
+    samples = _thin_matmul(cis[:, :span], c)
+    phase = cisw[:, tau0]
     for dest, src in runs:
-        full[:, dest] = samples[:, src]
+        np.multiply(samples[:, src], phase[:, src], out=full[:, dest])
     return np.fft.ifft(full, axis=1), norm
 
 
@@ -302,8 +391,8 @@ def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: floa
     tables = _cell_tables(kind, k, delta, n_t, t_total)
     u_full, v_full = _scatter_buffers(tables, n_t)
     kind_id = KIND_ORDER.index(kind)
-    u, nu = _windowed_side(tables.u, [seed_key, kind_id, k, 0], tables.window, u_full, t_total)
-    v, nv = _windowed_side(tables.v, [seed_key, kind_id, k, 1], tables.window, v_full, t_total)
+    u, nu = _windowed_side(tables.u, [seed_key, kind_id, k, 0], n_t, t_total, u_full)
+    v, nv = _windowed_side(tables.v, [seed_key, kind_id, k, 1], n_t, t_total, v_full)
     if nu == 0.0 or nv == 0.0:
         return float("nan")
     if KINDS[kind][0]:
@@ -312,14 +401,22 @@ def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: floa
     # X = fft_x(u v) on the n-point transform grid.  Summed over tau, the
     # squared coefficients of mult * X are (Parseval along t) n_t times
     # sum_t |mult X|^2 less the zeroed Nyquist row, |sum_t (-1)^t mult X|^2.
-    x = np.fft.fft(u, axis=1).view(np.float64)
-    alt = np.ones(n_t)
-    alt[1::2] = -1.0
-    sq = 0.0
-    for cols, w in tables.out_runs:
-        block = x[:, cols]
-        flip = alt @ block
-        sq += n_t * float(np.einsum("ij,ij->j", block, block) @ w) - float((flip * flip) @ w)
+    if tables.parseval:
+        # mult is 1 wherever X can be nonzero, so Parseval along x gives both
+        # sums from the samples u v without the transform
+        flat = u.view(np.float64).reshape(-1)
+        even, odd = u.reshape(n_t // 2, 2, -1).sum(axis=0)
+        flip = (even - odd).view(np.float64)
+        sq = tables.n * (n_t * float(np.einsum("i,i->", flat, flat)) - float(np.einsum("i,i->", flip, flip)))
+    else:
+        alt = np.ones(n_t)
+        alt[1::2] = -1.0
+        x = np.fft.fft(u, axis=1).view(np.float64)
+        sq = 0.0
+        for cols, w in tables.out_runs:
+            block = x[:, cols]
+            flip = alt @ block
+            sq += n_t * float(np.einsum("ij,ij->j", block, block) @ w) - float((flip * flip) @ w)
     l2 = math.sqrt(t_total * TWO_PI * sq)
     # u and v above are ifft2 of the coefficients on the (n_t, n) grid: each
     # lacks a factor n_t * n, and the coefficients of the product are
@@ -359,8 +456,8 @@ def product_rate_experiment(
     if kind not in KINDS:
         raise ValueError(f"unknown rate kind {kind!r}")
     k_lo, k_hi = int(k_range[0]), int(k_range[1])
-    if k_lo < 1 or k_hi < k_lo:
-        raise ValueError(f"bad k_range {k_range!r}")
+    if k_lo < 1 or k_hi < k_lo + 1:
+        raise ValueError(f"bad k_range {k_range!r}: the slope fit needs k_lo >= 1 and two scales or more")
     ks = list(range(k_lo, k_hi + 1))
 
     def work(k, i):
@@ -368,10 +465,13 @@ def product_rate_experiment(
 
     # k-major: each scale's tables are built once, here, before its cells run
     ratios, grid_n = {}, {}
+    tables_s = 0.0
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = pool.map if pool is not None else map
         for k in ks:
+            start = time.perf_counter()
             grid_n[k] = _cell_tables(kind, k, delta, n_t, t_total).n
+            tables_s += time.perf_counter() - start
             ratios[k] = [float(v) for v in run(work, [k] * n_seeds, range(n_seeds))]
 
     medians = [float(np.median(ratios[k])) for k in ks]
@@ -380,4 +480,4 @@ def product_rate_experiment(
         slope, stderr = float("nan"), float("nan")
     else:
         slope, stderr = _fit_line(ks, np.log2(medians))
-    return RateReport(kind, delta, ks, medians, slope, stderr, n_seeds, degenerate, ratios, grid_n)
+    return RateReport(kind, delta, ks, medians, slope, stderr, n_seeds, degenerate, ratios, grid_n, tables_s)

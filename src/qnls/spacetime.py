@@ -245,21 +245,6 @@ def box_mask(
     return fsel & (dist >= mod_lo) & (dist <= mod_hi)
 
 
-def synth_boxed(
-    N: float,
-    L: float,
-    parabola_sign: int,
-    seed,
-    grid: Grid,
-    n_t: int = 256,
-    t_total: float = TWO_PI,
-    xi_side: str = "both",
-) -> SpaceTimeField:
-    """Unit-norm random field on the dyadic box |xi| ~ N, |tau -+ xi^2| ~ L."""
-    mask = box_mask(grid, n_t, t_total, N, 2.0 * N, L, 2.0 * L, parabola_sign, xi_side)
-    return synth_cells(grid, n_t, t_total, mask, seed)
-
-
 # ----------------------------------------------------------------------------
 # slice-wise spatial operations (used by the rate experiments)
 # ----------------------------------------------------------------------------

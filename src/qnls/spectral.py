@@ -4,9 +4,9 @@ Conventions (used consistently everywhere in the package):
 
 * fields are expansions u(x) = sum_xi uhat(xi) exp(i xi x) over the grid
   frequencies xi_j = 2*pi*j / length, stored in numpy FFT index order;
-* to_physical multiplies the inverse FFT by n, to_spectral divides the
-  forward FFT by n, so a unit single-mode coefficient gives exp(i xi x)
-  with peak amplitude 1;
+* collocation samples are n times the inverse FFT of the coefficients and
+  coefficients the forward FFT of the samples divided by n, so a unit
+  single-mode coefficient gives exp(i xi x) with peak amplitude 1;
 * the Nyquist coefficient (index n/2) is always zero: constructors drop it
   and every operator preserves that;
 * ||u||_L2^2 = length * sum |uhat|^2.
@@ -210,19 +210,6 @@ def _moved(coeffs: np.ndarray, runs, size: int) -> np.ndarray:
     for dest, src in runs:
         out[..., dest] = coeffs[..., src]
     return out
-
-
-def to_physical(field: SpectralField) -> np.ndarray:
-    """Collocation samples u(x_j) of the field."""
-    return field.grid.n * np.fft.ifft(field.coeffs)
-
-
-def to_spectral(grid: Grid, samples) -> SpectralField:
-    """Field whose coefficients interpolate the given collocation samples."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.shape != (grid.n,):
-        raise ValueError(f"sample shape {samples.shape} does not match grid n={grid.n}")
-    return SpectralField(grid, np.fft.fft(samples) / grid.n)
 
 
 def l2_norm(field: SpectralField) -> float:

@@ -98,6 +98,7 @@ class TestConfig:
             "[run]\nthreads = 0\n",
             "[rates]\nk_lo = 0\n",
             "[rates]\nk_lo = 5\nk_hi = 4\n",
+            "[rates]\nk_lo = 3\nk_hi = 3\n",
             "[rates]\nn_seeds = 0\n",
             "[rates]\nn_t = 0\n",
             "[rates]\nn_t = 63\n",
@@ -262,6 +263,13 @@ class TestCli:
         assert main(["identity", flag, value, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "identity.csv").exists()
 
+    def test_one_scale_rate_sweep_exit_2(self, tmp_path):
+        # one scale leaves the slope fit nothing to fit
+        p = tmp_path / "one.cfg"
+        p.write_text("[rates]\nk_lo = 3\nk_hi = 3\n")
+        assert main(["rates", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "rates.csv").exists()
+
     def test_rates_report_health_and_timing(self, tmp_path):
         p = tmp_path / "small.cfg"
         p.write_text("[rates]\nk_lo = 3\nk_hi = 4\nn_seeds = 3\nn_t = 64\nkinds = gain1, kkk1\n")
@@ -272,7 +280,9 @@ class TestCli:
             csv_bytes.append((out / "rates.csv").read_bytes() + (out / "rates_slopes.csv").read_bytes())
         assert csv_bytes[0] == csv_bytes[1]  # timing stays out of the CSVs
         results = json.loads((tmp_path / "a" / "rates.json").read_text())["results"]
-        assert results["timing"]["wall_s"] > 0
+        timing = results["timing"]
+        assert set(timing) == {"wall_s", "tables_s"}
+        assert 0 < timing["tables_s"] < timing["wall_s"]
         assert set(results["health"]) == {"gain1", "kkk1"}
         for health in results["health"].values():
             assert set(health["iqr"]) == {"3", "4"}

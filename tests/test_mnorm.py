@@ -26,6 +26,10 @@ TINY_A = (BoxSpec((1, 1, -1), (2.0, 1.0, 1.0), (1.0, 1.0, 8.0)), 2.0)
 TINY_B = (BoxSpec((1, 1, -1), (1.0, 1.0, 1.0), (1.0, 1.0, 8.0)), 4.0)
 TINY_C = (BoxSpec((1, 1, -1), (2.0, 2.0, 1.0), (1.0, 1.0, 4.0)), 8.0)
 TINY = {"tiny-a": TINY_A, "tiny-b": TINY_B, "tiny-c": TINY_C}
+# slot 3 holds two cells, (xi3, mu3) = (1, -2) and (-1, -2), and triples of
+# both share slot-1 cells: xi1 = 3 pairs with xi2 = -4 (level 26, mu2 = -24)
+# and with xi2 = -2 (level 14, mu2 = -12), so one block links both slices
+TINY_LINKED = (BoxSpec((1, 1, 1), (2.0, 2.0, 1.0), (0.25, 12.0, 2.0)), 13.0)
 
 # each partial with its output slot and its two factor slots
 PARTIALS = [(trilinear_partial3, 2, 0, 1), (trilinear_partial1, 0, 1, 2), (trilinear_partial2, 1, 0, 2)]
@@ -386,6 +390,20 @@ class TestAlternating:
             est = multiplier_lower_bound(box, h, n_tau=4, n_xi=8, iters=24, seed=1)
             exh = exhaustive_lower_bound(box, h, n_tau=4, n_xi=8)
             assert est.value == pytest.approx(exh, rel=1e-9)
+
+    def test_linked_slices_match_dense_sweep(self):
+        box, h = TINY_LINKED
+        m = build_model(box, h, n_tau=4, n_xi=8)
+        cells = m.triples.cells
+        pos = [np.unique(t, return_inverse=True)[1] for t in cells]
+        assert pos[2].max() == 1  # the swept slot is slot 3, with two cells
+        blocks = _blocks(pos[0], pos[1], pos[0].max() + 1, pos[1].max() + 1)
+        slices = [set(pos[2][np.isin(pos[0], r) & np.isin(pos[1], c)].tolist()) for r, c in blocks]
+        assert {0, 1} in slices
+        dense = dense_sphere_max(*cells)
+        assert trilinear_sphere_max(*cells) == pytest.approx(dense, rel=1e-12)
+        # the gap criterion 5 gates on its tiny instances
+        assert alternating_max(m, iters=8, seed=1) == pytest.approx(dense, rel=0.05)
 
     def test_estimate_fields(self):
         box, h = TINY_A

@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,17 +11,21 @@ from qnls.rates import (
     _cell_tables,
     _one_cell,
     _output_multiplier,
+    _time_tables,
     _v_mask,
+    _windowed_side,
     expected_slope,
     product_rate_experiment,
 )
 from qnls.spacetime import (
     apply_window,
     box_mask,
+    parabola_distance,
     st_l2_norm,
     st_product,
     st_spatial_multiplier,
     synth_cells,
+    window_weights,
     xsb_norm,
 )
 from qnls.spectral import Grid, lp_annulus
@@ -55,6 +60,51 @@ def oracle_cell(kind, k, delta, seed_key, n_t, t_total):
 
 def _rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def _boxes(kind, k, delta, n_t, t_total):
+    """(mask, b) of the u and v factors of a kind on the 2^(k+3)-point grid,
+    Nyquist row and column cleared."""
+    _conj2, v_pattern, _out, vb_tag, u_side, v_side = KINDS[kind]
+    grid = Grid(2 ** (k + 3))
+    masks = (
+        box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side),
+        _v_mask(grid, n_t, t_total, v_pattern, k, v_side),
+    )
+    for mask in masks:
+        mask[n_t // 2, :] = False
+        mask[:, grid.n // 2] = False
+    bv = 0.5 + delta if vb_tag == "plus" else 0.5 - delta
+    return grid, ((masks[0], 0.5 + delta), (masks[1], bv))
+
+
+def fft_side(mask, b, seed, grid, n_t, t_total, n):
+    """One factor's windowed samples, scattered onto the n-point transform
+    grid, and its X^{0,b} norm, by an inverse and a forward time-axis FFT on
+    the occupied columns: the rate cell's arithmetic before the quadratic
+    form.  The draws fill the mask in row-major order, unnormalised, as the
+    cell draws them."""
+    cols = np.flatnonzero(mask.any(axis=0))
+    sub = mask[:, cols]
+    weight = (1.0 + parabola_distance(n_t, t_total, grid.frequencies[cols])) ** (2.0 * b)
+    count = int(np.count_nonzero(sub))
+    rng = np.random.default_rng(seed)
+    c = np.zeros(sub.shape, dtype=np.complex128)
+    c[sub] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    samples = np.fft.ifft(c, axis=0)
+    samples *= window_weights(n_t, t_total)[:, None]
+    cw = np.fft.fft(samples, axis=0)
+    cw[n_t // 2, :] = 0.0
+    norm = math.sqrt(t_total * 2 * np.pi * float(np.sum(weight * (cw.real**2 + cw.imag**2))))
+    full = np.zeros((n_t, n), dtype=np.complex128)
+    full[:, np.where(cols < grid.n // 2, cols, cols - grid.n) % n] = samples
+    return full, norm
+
+
+def _span(rows, n_t):
+    """Length of the shortest cyclic window of n_t rows holding every row in
+    rows, by trying each row as the start."""
+    return min(int(np.max((rows - start) % n_t)) + 1 for start in rows)
 
 
 def test_kind_table_complete():
@@ -198,28 +248,116 @@ def test_empty_box_rejected():
 
 @pytest.mark.parametrize("kind", KIND_ORDER)
 def test_table_masks_equal_box_mask(kind):
-    _conj2, v_pattern, _out, _vb, u_side, v_side = KINDS[kind]
-    for k, n_t, t_total in ((3, 64, 2 * np.pi), (6, 256, 2 * np.pi), (4, 64, 3.0)):
+    for k, n_t, t_total in ((3, 64, 2 * np.pi), (6, 256, 2 * np.pi), (4, 64, 3.0), (4, 64, 8.0)):
         tables = _cell_tables(kind, k, 0.05, n_t, t_total)
-        grid = Grid(2 ** (k + 3))
-        expected = (
-            box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side),
-            _v_mask(grid, n_t, t_total, v_pattern, k, v_side),
-        )
-        for (runs, sub, weight), mask in zip((tables.u, tables.v), expected):
-            mask = mask.copy()
-            mask[n_t // 2, :] = False
-            mask[:, grid.n // 2] = False
+        grid, boxes = _boxes(kind, k, 0.05, n_t, t_total)
+        freqs = np.where(np.arange(grid.n) < grid.n // 2, np.arange(grid.n), np.arange(grid.n) - grid.n)
+        for (runs, tau0, place, q), (mask, _b) in zip((tables.u, tables.v), boxes):
+            span, ncols = q.shape[1], tau0.size
+            assert q.shape == (ncols, span, span)
+            # each draw's row is its column's start plus its offset in C
+            offset, col = np.divmod(place, ncols)
+            assert offset.max() < span
+            rows = (tau0[col] + offset) % n_t
+            # the draws run over the cells in row-major order, as in synth_cells
+            assert np.all(np.diff(rows * ncols + col) > 0)
+            sub = np.zeros((n_t, ncols), dtype=int)
+            np.add.at(sub, (rows, col), 1)
             # the runs place each column at its signed frequency mod n, once
             full = np.zeros((n_t, tables.n), dtype=int)
             for dest, src in runs:
                 full[:, dest] += sub[:, src]
-            freqs = np.where(np.arange(grid.n) < grid.n // 2, np.arange(grid.n), np.arange(grid.n) - grid.n)
             moved = np.zeros_like(full)
             np.add.at(moved, (slice(None), freqs % tables.n), mask.astype(int))
             np.testing.assert_array_equal(full, moved)
-            assert not (sub.flags.writeable or weight.flags.writeable)
-        assert not (tables.mult.flags.writeable or tables.window.flags.writeable)
+            # every column starts on an occupied row, and R is the shortest
+            # cyclic window that holds each column's rows
+            assert np.all(sub[tau0, np.arange(ncols)] == 1)
+            assert span == max(_span(np.flatnonzero(sub[:, j]), n_t) for j in range(ncols))
+            if t_total == 2 * np.pi:
+                assert span == 5  # tau - xi^2 in {-2, -1, 1, 2}
+            assert not (tau0.flags.writeable or place.flags.writeable or q.flags.writeable)
+        assert not tables.mult.flags.writeable
+    assert not any(a.flags.writeable for a in _time_tables(64, 3.0))
+
+
+@pytest.mark.parametrize("t_total", [2 * np.pi, 3.0, 8.0], ids=["2pi", "3", "8"])
+@pytest.mark.parametrize("n_t", [64, 256])
+def test_quadratic_form_matches_fft_side(n_t, t_total):
+    # the samples written into the scatter buffer and the X^{0,b} norm of
+    # each factor, against the time-axis FFT pair, for seeded draws
+    for kind in ("gain1", "gain3", "kkkk1", "plusminus"):
+        for k in (3, 4, 5):
+            tables = _cell_tables(kind, k, 0.05, n_t, t_total)
+            grid, boxes = _boxes(kind, k, 0.05, n_t, t_total)
+            for slot, (side, (mask, b)) in enumerate(zip((tables.u, tables.v), boxes)):
+                for seed in ([7, slot], [1000004, k]):
+                    full = np.zeros((n_t, tables.n), dtype=np.complex128)
+                    _samples, norm = _windowed_side(side, seed, n_t, t_total, full)
+                    ref, ref_norm = fft_side(mask, b, seed, grid, n_t, t_total, tables.n)
+                    assert np.max(np.abs(full - ref)) <= 1e-13 * np.max(np.abs(ref)), (kind, k, slot)
+                    assert _rel(norm, ref_norm) <= 1e-13, (kind, k, slot)
+
+
+@pytest.mark.parametrize("n_t", [64, 256])
+def test_wrapping_and_nyquist_columns(n_t):
+    # at t_total = 2 pi a column xi holds rows xi^2 + {-2, -1, 1, 2} mod n_t:
+    # they wrap past tau = 0 when xi^2 = 0 or 1 mod n_t (xi^2 = -1, -2 are
+    # not squares mod 4), and one of them is the excluded Nyquist row when
+    # xi^2 = n_t/2 + 1 mod n_t.  Each such column alone, in the quadratic
+    # form, against the time-axis FFT pair
+    t_total = 2 * np.pi
+    k = 5
+    tables = _cell_tables("gain1", k, 0.05, n_t, t_total)
+    grid, ((mask, b), _v) = _boxes("gain1", k, 0.05, n_t, t_total)
+    cols = np.flatnonzero(mask.any(axis=0))
+    sq = (grid.frequencies[cols].astype(np.int64) ** 2) % n_t
+    wrap = np.flatnonzero(np.isin(sq, (0, 1)))
+    nyquist = np.flatnonzero(sq == n_t // 2 + 1)
+    assert wrap.size and nyquist.size
+    tau0, q = tables.u.tau0, tables.u.q
+    rng = np.random.default_rng(12)
+    for j in (*wrap, *nyquist):
+        rows = np.flatnonzero(mask[:, cols[j]])
+        if j in wrap:  # rows on both sides of tau = 0; the start is before it
+            assert rows.min() <= 2 and rows.max() >= n_t - 2 and tau0[j] >= n_t - 2
+        else:  # next to the Nyquist row, which is not among them
+            assert n_t // 2 not in rows and np.any(np.abs(rows - n_t // 2) <= 2)
+        assert np.all((rows - tau0[j]) % n_t < q.shape[1])
+        for _ in range(3):
+            vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+            c = np.zeros(q.shape[1], dtype=np.complex128)
+            c[(rows - tau0[j]) % n_t] = vals
+            form = t_total * 2 * np.pi * float(np.real(np.conj(c) @ q[j] @ c))
+            # the oracle draws from a seed; feed it these values instead
+            samples = np.zeros(n_t, dtype=np.complex128)
+            samples[rows] = vals
+            cw = np.fft.fft(np.fft.ifft(samples) * window_weights(n_t, t_total))
+            cw[n_t // 2] = 0.0
+            weight = (1.0 + parabola_distance(n_t, t_total, grid.frequencies[cols[j : j + 1]])[:, 0]) ** (2.0 * b)
+            ref = t_total * 2 * np.pi * float(np.sum(weight * np.abs(cw) ** 2))
+            assert _rel(form, ref) <= 1e-13, (j, form, ref)
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_parseval_flag_iff_multiplier_one_on_span(kind):
+    # the flag is set exactly when the multiplier is 1 on every frequency
+    # from the least to the largest sum of occupied columns
+    conj2, v_pattern, out_pattern, _vb, u_side, v_side = KINDS[kind]
+    for k in range(1, 10):
+        grid = Grid(2 ** (k + 3))
+        full_mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
+        full_mult[grid.n // 2] = 0.0
+        for n_t, t_total in ((64, 2 * np.pi), (256, 2 * np.pi), (64, 8.0)):
+            tables = _cell_tables(kind, k, 0.05, n_t, t_total)
+            u = _occupied_freqs(box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
+            v = _occupied_freqs(_v_mask(grid, n_t, t_total, v_pattern, k, v_side), n_t)
+            sums = np.add.outer(u, -v if conj2 else v)
+            span = np.arange(sums.min(), sums.max() + 1)
+            assert tables.parseval == bool(np.all(full_mult[span % grid.n] == 1.0)), (k, n_t, t_total)
+    # in the default sweep only the unprojected kinds take the x-side Parseval
+    flags = {_cell_tables(kind, k, 0.05, 256, 2 * np.pi).parseval for k in range(3, 9)}
+    assert flags == {out_pattern is None}
 
 
 def test_experiment_report_shape():
@@ -231,6 +369,7 @@ def test_experiment_report_shape():
     assert not rep.degenerate
     assert len(rep.ratios[3]) == 3
     assert rep.grid_n == {k: _cell_tables("gain3", k, 0.05, 64, 2 * np.pi).n for k in (3, 4, 5)}
+    assert rep.tables_s > 0
     assert np.isfinite(rep.slope) and np.isfinite(rep.stderr)
 
 
@@ -273,3 +412,9 @@ def test_scatter_buffers_do_not_leak_between_tables():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         product_rate_experiment("mystery", (3, 4), 0.05, n_seeds=2)
+
+
+def test_one_scale_rejected():
+    # a slope needs two scales; one would divide by zero in the fit
+    with pytest.raises(ValueError):
+        product_rate_experiment("gain1", (3, 3), 0.05, n_seeds=2, n_t=64)

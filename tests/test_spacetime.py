@@ -15,7 +15,6 @@ from qnls.spacetime import (
     st_l2_norm,
     st_product,
     st_spatial_multiplier,
-    synth_boxed,
     synth_cells,
     window_weights,
     xsb_norm,
@@ -23,6 +22,12 @@ from qnls.spacetime import (
 from qnls.spectral import Grid, SpectralField
 
 TWO_PI = 2 * np.pi
+
+
+def synth_boxed(N, L, parabola_sign, seed, grid, n_t=256, t_total=TWO_PI, xi_side="both"):
+    """Unit-norm random field on the dyadic box |xi| ~ N, |tau -+ xi^2| ~ L."""
+    mask = box_mask(grid, n_t, t_total, N, 2.0 * N, L, 2.0 * L, parabola_sign, xi_side)
+    return synth_cells(grid, n_t, t_total, mask, seed)
 
 
 def st_single_mode(grid, n_t, tau, k, amp=1.0):

@@ -12,9 +12,20 @@ from qnls.spectral import (
     lp_bump,
     max_band,
     sign_project,
-    to_physical,
-    to_spectral,
 )
+
+
+def to_physical(field):
+    """Collocation samples u(x_j) of the field."""
+    return field.grid.n * np.fft.ifft(field.coeffs)
+
+
+def to_spectral(grid, samples):
+    """Field whose coefficients interpolate the given collocation samples."""
+    samples = np.asarray(samples, dtype=np.complex128)
+    if samples.shape != (grid.n,):
+        raise ValueError(f"sample shape {samples.shape} does not match grid n={grid.n}")
+    return SpectralField(grid, np.fft.fft(samples) / grid.n)
 
 
 def single_mode(grid, k, amp=1.0):
