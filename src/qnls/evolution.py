@@ -41,10 +41,11 @@ run by itself through integrate, a batch of one.
 
 direct_w_solve steps the remainder equation on the n-point grid, with the
 integrating factor applied around its stage.  Its input v = F + h + w
-reaches past the guard band (h does) and its output is kept on the guard
-band, so its product G(v, v) runs on the band grid of full-band inputs and
-a guard-band output (5n/4 points); rhs_groups keeps the whole band out
-(3n/2 points, Orszag's 3/2 rule).
+reaches past the guard band (h does) and its product G(v, v) is kept on
+the guard band, so it runs on the band grid of full-band inputs and a
+guard-band output (5n/4 points); beyond the guard band w follows the
+paired forcing alone.  rhs_groups keeps the whole band out (3n/2 points,
+Orszag's 3/2 rule).
 """
 
 from __future__ import annotations
@@ -440,12 +441,13 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     The remainder forcing is G(v, v) - G_pair(F, F) with v = F + h + w,
     valid for every interaction kind; for the plain-square kind, summing
     the eight groups gives the same field (the group-sum consistency
-    check).  v reaches past the guard band and the forcing is kept on the
-    guard band, so G(v, v) runs on the band grid of full-band inputs and a
-    guard-band output (5n/4 points).  F + h and G_pair(F, F), masked to
-    the guard band, depend on the stage time alone and are kept for the
-    last two stage times, which covers the shared time of stages 2 and 3
-    and the end of a step, where the next step starts."""
+    check).  v reaches past the guard band; G(v, v) is kept on the guard
+    band, as in the flow of v, so it runs on the band grid of full-band
+    inputs and a guard-band output (5n/4 points).  -G_pair(F, F) is kept on
+    the whole grid: beyond the guard band, where v and F vanish, w = -h
+    follows it.  F + h and G_pair(F, F) depend on the stage time alone and
+    are kept for the last two stage times, which covers the shared time of
+    stages 2 and 3 and the end of a step, where the next step starts."""
     if config.variables != "v":
         raise ValueError("the remainder equation lives in the v-form variables")
     grid = config.grid
@@ -455,7 +457,6 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     band = BandGrid(grid, grid.nyquist_index - 1, grid.guard_index)
     w_in = bracket(grid.frequencies, alpha)
     w_out = bracket(grid.frequencies, beta - alpha)
-    gmask = _guard_mask(grid)
     by_time: dict = {}
 
     def forcing_terms(t):
@@ -463,7 +464,7 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
         if terms is None:
             big_f = free_propagate(t, f)
             lifted = (big_f + normal_form_h(f, t, alpha, beta, config.kind)).coeffs
-            paired = np.where(gmask, apply_pair_g_fast(config.kind, alpha, beta, big_f, big_f).coeffs, 0.0)
+            paired = apply_pair_g_fast(config.kind, alpha, beta, big_f, big_f).coeffs
             if len(by_time) == 2:
                 del by_time[next(iter(by_time))]
             terms = by_time[t] = (lifted, paired)

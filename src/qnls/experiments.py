@@ -258,8 +258,9 @@ def run_rates(cfg) -> dict:
 
 def _ratio_health(rep) -> dict:
     """Spread of the rate ensemble: the IQR of the finite ratios at each k
-    (NaN when none is finite), the number of non-finite cells and the
-    points of the x-grid the cells transform on at each k."""
+    (NaN when none is finite), the number of non-finite cells, and at each
+    k the points of the x-grid the cells transform on and the number of
+    (n_t, grid_n) transforms each cell runs."""
     iqr = {}
     non_finite = 0
     for k, vals in rep.ratios.items():
@@ -271,7 +272,8 @@ def _ratio_health(rep) -> dict:
             iqr[k] = float(q3 - q1)
         else:
             iqr[k] = float("nan")
-    return {"iqr": iqr, "non_finite_cells": int(non_finite), "grid_n": dict(rep.grid_n)}
+    return {"iqr": iqr, "non_finite_cells": int(non_finite), "grid_n": dict(rep.grid_n),
+            "transforms": dict(rep.transforms)}
 
 
 # ----------------------------------------------------------------------------

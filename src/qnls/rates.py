@@ -35,21 +35,38 @@ tau0 + r, 0 <= r < R (R = 5 at t_total = 2*pi: tau - xi^2 in {-2, -1, 1,
 2}), so its windowed time samples are a rank-R synthesis, (cis[:, :R] @ C)
 times the column's phase and window, and its X^{0,b} norm is a quadratic
 form C^H Q C whose R x R blocks come from the circularly shifted
-coefficients of the window.  The x-axis transforms run on the smallest even
-5-smooth grid, at most 2^(k+3) points, that is alias-free on the output
-columns the multiplier keeps (Orszag 1971): the sums of the occupied
-frequencies that fold onto such a column must be that column itself.  One
-x-axis transform per factor gives the samples and one more the product's
-coefficients; the projected L2 norm follows from Parseval along t.  Where
-the multiplier is 1 on every column the product can reach (gain3, kkk3) the
-norm follows from Parseval along x as well and the last transform is
-skipped.  Everything that does not depend on the seed (each column's start
-row, the place of each draw, Q, the transform grid, the multiplier on it)
-is built once per (kind, k) and held for one (kind, k) at a time.  The
-dense SpaceTimeField composition in spacetime.py (synth_cells,
-apply_window, xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) on
-the 2^(k+3) grid computes the same ratio and is the reference the tests
-compare the cell against.
+coefficients of the window.
+
+Along x a cell moves each factor onto a small transform grid in one or two
+parts.  A dyadic box |xi| ~ 2^k has two sign halves, each 2^k wide and
+centred at +-3 * 2^(k-1); a split factor puts each half on its own grid,
+shifted by the integer centre s of its span, so frequency xi sits in
+column (xi - s) mod M (bandpass sampling: Vaughan, Scott & White 1991).  A
+factor left whole is one part at s = 0.  Each part takes one inverse
+x-transform on the common M-point grid.  The pairs (u part, v part) whose
+sums reach a column the output multiplier keeps are grouped by their total
+shift; each group sums its pair products and takes one forward transform,
+and the projected L2 norm of the group follows from Parseval along t.  The
+groups keep disjoint output columns, so their squared norms add up.  M is
+the smallest even 5-smooth size, at most 2^(k+3), on which every part is
+distinct and every group is alias-free on its kept columns (Orszag 1971):
+the shifted sums that fold onto such a column must be that column itself.
+Of the four choices (split u, split v, both, neither) the cell takes the
+legal one with the fewest transform points; unsplit, it is one group at
+shift 0 on the whole-grid layout.  At k = 8 gain2, kkk1 and kkkk1 split
+both factors (one group, 270 or 540 points), gain1 and kkk2 split u (two
+groups, 288 points), and gain3 and kkk3 (where the products of both u
+halves with v reach output 0, so split groups would overlap) and the
+one-sided plusminus stay whole.  Where the multiplier is 1 on every column
+a group can reach (gain3, kkk3 and gain1's split groups) its norm follows
+from Parseval along x as well and its forward transform is skipped.
+Everything that does not depend on the seed (each column's start row, the
+place of each draw, Q, the parts, the groups, the transform grid, the
+multiplier on it) is built once per (kind, k) and held for one (kind, k)
+at a time.  The dense SpaceTimeField composition in spacetime.py
+(synth_cells, apply_window, xsb_norm, st_product, st_spatial_multiplier,
+st_l2_norm) on the 2^(k+3) grid computes the same ratio and is the
+reference the tests compare the cell against.
 """
 
 from __future__ import annotations
@@ -114,6 +131,7 @@ class RateReport:
     degenerate: bool = False
     ratios: dict = field(default_factory=dict)  # k -> list over seeds
     grid_n: dict = field(default_factory=dict)  # k -> transform grid points
+    transforms: dict = field(default_factory=dict)  # k -> (n_t, grid_n) transforms per cell
     tables_s: float = 0.0  # time spent building the seed-independent tables
 
 
@@ -134,14 +152,14 @@ def _output_multiplier(grid: Grid, pattern: str, k: int) -> np.ndarray:
     raise ValueError(f"unknown output pattern {pattern!r}")
 
 
-def _v_mask(grid: Grid, n_t: int, t_total: float, pattern: str, k: int, side: str) -> np.ndarray:
+def _v_mask(grid: Grid, n_t: int, t_total: float, pattern: str, k: int, side: str, dist=None) -> np.ndarray:
     if pattern == "band":
-        return box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, side)
+        return box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, side, dist)
     if pattern == "muchless":
         n2 = max(1, 2 ** (k - 6))
-        return box_mask(grid, n_t, t_total, n2, 2 * n2, 1.0, 2.0, 1, side)
+        return box_mask(grid, n_t, t_total, n2, 2 * n2, 1.0, 2.0, 1, side, dist)
     if pattern == "broad":
-        return box_mask(grid, n_t, t_total, 1.0, float(2**k), 1.0, 2.0, 1, side)
+        return box_mask(grid, n_t, t_total, 1.0, float(2**k), 1.0, 2.0, 1, side, dist)
     raise ValueError(f"unknown v pattern {pattern!r}")
 
 
@@ -174,23 +192,24 @@ def _occupied(mask: np.ndarray, n_t: int) -> tuple:
     return mask, cols
 
 
-def _transform_grid(u_freqs: np.ndarray, v_freqs: np.ndarray, mult: np.ndarray) -> tuple:
-    """(M, kept) for the product of factors with signed frequencies u_freqs
-    and v_freqs (v already negated for a conjugate slot) and the output
-    multiplier mult on the mult.size-point grid.
+def _transform_grid(u_freqs: np.ndarray, v_freqs: np.ndarray, mult: np.ndarray, shift: int) -> tuple:
+    """(M, kept) for a product of factors whose columns hold the signed
+    frequencies u_freqs and v_freqs (v already negated for a conjugate slot)
+    and the output multiplier mult on the mult.size-point grid, where column
+    j of the product holds the output frequency j + shift.
 
-    kept are the signed frequencies inside the span [s_lo, s_hi] of the sums
-    where mult is nonzero, K the largest |m| among them.  M is the smallest
-    even 5-smooth grid size on which the product is alias-free there: M > 2K
+    kept are the columns inside the span [s_lo, s_hi] of the sums where mult
+    is nonzero, K the largest |j| among them.  M is the smallest even
+    5-smooth grid size on which the product is alias-free there: M > 2K
     keeps every kept column off the Nyquist column and distinct mod M;
     M > K - s_lo and M > s_hi + K keep every shifted span [s_lo, s_hi] + jM
     (j != 0) out of [-K, K] (Orszag 1971); M larger than each factor's spread
-    keeps its columns distinct.  mult.size itself always qualifies, so it
-    caps the search."""
+    keeps its columns distinct.  mult.size caps the search: it qualifies
+    for the unshifted product of the two whole factors."""
     n_max = mult.size
     s_lo = int(u_freqs.min() + v_freqs.min())
     s_hi = int(u_freqs.max() + v_freqs.max())
-    freqs = _signed(np.flatnonzero(mult), n_max)
+    freqs = _signed(np.flatnonzero(mult), n_max) - shift
     kept = freqs[(freqs >= s_lo) & (freqs <= s_hi)]
     big_k = int(np.abs(kept).max()) if kept.size else 0
     spread = max(int(np.ptp(u_freqs)), int(np.ptp(v_freqs)))
@@ -230,27 +249,37 @@ def _time_tables(n_t: int, t_total: float) -> tuple:
     return cis, cisw, what
 
 
+class _Part(NamedTuple):
+    """The occupied columns of a factor, or of one sign half of it, on the
+    transform grid: frequency xi sits in column (xi - shift) mod n.  runs are
+    the (destination, source) slices from the factor's samples (one column
+    per occupied column of its box) into the part's n-point buffer."""
+
+    shift: int
+    runs: tuple
+
+
 class _Side(NamedTuple):
     """One factor's box on the transform grid.
 
-    runs are the (destination, source) slices of its occupied columns,
-    tau0[j] is column j's cyclic start row: every occupied row of the column
+    parts are its _Parts: the whole box, or its two sign halves.  tau0[j] is
+    occupied column j's cyclic start row: every occupied row of the column
     is tau0[j] + r (mod n_t) with 0 <= r < R.  place holds the flat index
     into the (R, columns) coefficient block C of each draw, in the row-major
     order of the box mask that synth_cells fills, and q the (columns, R, R)
     quadratic form with ||W u||^2_{X^{0,b}} = sum_j C_j^H q_j C_j (up to the
     factor t_total * 2 pi)."""
 
-    runs: tuple
+    parts: tuple
     tau0: np.ndarray
     place: np.ndarray
     q: np.ndarray
 
 
-def _side_table(mask: np.ndarray, cols: np.ndarray, weight_b: float, n_t: int, t_total: float,
-                grid: Grid, n: int) -> _Side:
-    """The _Side of one factor's box (mask and cols from _occupied) on grid,
-    placed on the n-point transform grid."""
+def _side_table(mask: np.ndarray, cols: np.ndarray, dist: np.ndarray, weight_b: float, n_t: int,
+                t_total: float, parts: tuple) -> _Side:
+    """The _Side of one factor's box (mask and cols from _occupied, dist
+    the parabola distance on those columns) with the given parts."""
     sub = mask[:, cols]
     rows, col = np.nonzero(sub)  # row-major: the order of the draws
     # each column starts on the row after its widest cyclic gap between
@@ -267,7 +296,7 @@ def _side_table(mask: np.ndarray, cols: np.ndarray, weight_b: float, n_t: int, t
     # q_j = sum_sigma wsh[j, sigma] conj(what[sigma - r]) what[sigma - s]: the
     # windowed coefficient of row tau0_j + sigma is sum_r what[sigma - r] C_rj
     _cis, _cisw, what = _time_tables(n_t, t_total)
-    weight = (1.0 + parabola_distance(n_t, t_total, grid.frequencies[cols])) ** (2.0 * weight_b)
+    weight = (1.0 + dist) ** (2.0 * weight_b)
     weight[n_t // 2, :] = 0.0
     sigma = np.arange(n_t)
     wsh = np.take(weight, (sigma[None, :] + tau0[:, None]) % n_t * cols.size + np.arange(cols.size)[:, None])
@@ -276,109 +305,249 @@ def _side_table(mask: np.ndarray, cols: np.ndarray, weight_b: float, n_t: int, t
     q = _thin_matmul(wsh, pairs.view(np.float64)).view(np.complex128).reshape(cols.size, span, span)
     for a in (tau0, place, q):
         a.setflags(write=False)
-    return _Side(_column_runs(_signed(cols, grid.n) % n), tau0, place, q)
+    return _Side(parts, tau0, place, q)
 
 
-class _CellTables(NamedTuple):
-    """The seed-independent part of one (kind, k) rate cell.
+class _Group(NamedTuple):
+    """Pairs of parts whose products the cell sums before one forward
+    transform: every pair (u part, v part) in pairs has the total shift
+    shift (a v part's shift counted negated for a conjugate slot), so column
+    j of the sum holds output frequency j + shift.  mult is the output
+    multiplier in those columns, and out_runs holds (slice of the product's
+    float64 view, mult^2 repeated for the real and imaginary parts) for each
+    run of columns where mult is nonzero.  parseval is set when mult is 1 on
+    every column the group's products can reach: its projected L2 norm is
+    then the plain one, taken in x."""
 
-    n is the transform grid (_transform_grid), u and v the two factors'
-    _Side tables on it, mult the output multiplier on it and out_runs holds
-    (slice of the product's float64 view, mult^2 repeated for the real and
-    imaginary parts) for each run of columns where mult is nonzero.
-    parseval is set when mult is 1 on every column the product can reach:
-    the projected L2 norm is then the plain one, taken in x."""
-
-    n: int
-    u: _Side
-    v: _Side
+    shift: int
+    pairs: tuple
     mult: np.ndarray
     out_runs: tuple
     parseval: bool
 
 
-@lru_cache(maxsize=1)
-def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float) -> _CellTables:
-    """Everything of a rate cell that does not depend on the seed.
+class _CellTables(NamedTuple):
+    """The seed-independent part of one (kind, k) rate cell: the transform
+    grid n, the two factors' _Side tables on it, the _Groups of their
+    parts, and the number of (n_t, n) transforms a cell runs (one inverse
+    per part, one forward per group without parseval)."""
 
-    The boxes and the multiplier are built on the 2^(k+3)-point grid and
-    moved onto the smallest transform grid that is alias-free on the kept
-    output columns.  One entry: the sweep runs k-major, so each (kind, k)
-    is built once and dropped when the next one starts; every array is
-    read-only because worker threads share it."""
-    conj2, v_pattern, out_pattern, vb_tag, u_side, v_side = KINDS[kind]
-    grid = Grid(2 ** (k + 3))
-    bu = 0.5 + delta
-    bv = 0.5 + delta if vb_tag == "plus" else 0.5 - delta
-    u_mask = box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side)
-    v_mask = _v_mask(grid, n_t, t_total, v_pattern, k, v_side)
-    mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
-    mult[grid.n // 2] = 0.0
-    u_mask, u_cols = _occupied(u_mask, n_t)
-    v_mask, v_cols = _occupied(v_mask, n_t)
-    u_freqs = _signed(u_cols, grid.n)
-    v_freqs = _signed(v_cols, grid.n)
-    if conj2:
-        v_freqs = -v_freqs
-    n, kept = _transform_grid(u_freqs, v_freqs, mult)
+    n: int
+    u: _Side
+    v: _Side
+    groups: tuple
+    transforms: int
+
+
+def _halves(freqs: np.ndarray, split: bool) -> tuple:
+    """(shift, start, stop) of a factor's parts over its occupied columns in
+    FFT order, whose signed frequencies are freqs: the whole factor at shift
+    0, or each nonempty sign half shifted by the integer centre of its span.
+    The columns of xi >= 0 come first in FFT order, so each half is one
+    range of positions."""
+    if not split:
+        return ((0, 0, freqs.size),)
+    p = int(np.count_nonzero(freqs >= 0))
+    return tuple(
+        ((int(freqs[a:b].min()) + int(freqs[a:b].max())) // 2, a, b) for a, b in ((0, p), (p, freqs.size)) if b > a
+    )
+
+
+def _plan(u_freqs: np.ndarray, v_freqs: np.ndarray, sign: int, mult: np.ndarray, split_u: bool,
+          split_v: bool):
+    """(transforms, n, u halves, v halves, groups) of one choice of split
+    factors, or None when the choice is illegal.
+
+    u_freqs and v_freqs are the factors' signed frequencies, sign is -1 for
+    a conjugate second slot and mult the output multiplier on the
+    mult.size-point grid.  The pairs of parts whose sums reach a frequency
+    where mult is nonzero are grouped by total shift; parts in no such pair
+    are dropped.  The choice is legal when no two groups keep a common
+    output frequency, so that the groups' squared projected norms add up,
+    and no u part is in two pairs, so that the cell forms each product in
+    place in the u part's samples and allocates no (n_t, n) array for it.
+    n is the smallest transform grid that is alias-free for every group
+    (_transform_grid on its shifted frequencies).  A cell runs one inverse
+    (n_t, n) transform per part and one forward transform per group whose
+    norm Parseval along x does not give; the points of those transforms are
+    the choice's cost.  Unsplit, this is the whole-grid cell: one group at
+    shift 0.  A split choice whose grid reaches the cap mult.size is
+    illegal too: the cap is alias-free for the unshifted product, not
+    necessarily for shifted groups.  The halves are (shift, start, stop)
+    as in _halves, and a group is (shift, pairs of indices into the halves
+    kept, kept columns, parseval flag as in _Group)."""
+    n_max = mult.size
+    kept_all = _signed(np.flatnonzero(mult), n_max)
+    u_all, v_all = _halves(u_freqs, split_u), _halves(v_freqs, split_v)
+    u_sh = [u_freqs[a:b] - s for s, a, b in u_all]
+    v_sh = [sign * (v_freqs[a:b] - s) for s, a, b in v_all]
+    by_shift: dict = {}
+    for i, (su, _a, _b) in enumerate(u_all):
+        for j, (sv, _c, _d) in enumerate(v_all):
+            shift = su + sign * sv
+            lo = u_sh[i].min() + v_sh[j].min()
+            hi = u_sh[i].max() + v_sh[j].max()
+            if np.any((kept_all >= lo + shift) & (kept_all <= hi + shift)):
+                by_shift.setdefault(shift, []).append((i, j, lo, hi))
+    used_u = sorted({p[0] for pairs in by_shift.values() for p in pairs})
+    used_v = sorted({p[1] for pairs in by_shift.values() for p in pairs})
+    n, groups = 0, []
+    for shift, pairs in by_shift.items():
+        us = np.concatenate([u_sh[i] for i in sorted({p[0] for p in pairs})])
+        vs = np.concatenate([v_sh[j] for j in sorted({p[1] for p in pairs})])
+        m, kept = _transform_grid(us, vs, mult, shift)
+        n = max(n, m)
+        # mult is 1 on every output frequency the group's pairs reach
+        reach = np.arange(min(p[2] for p in pairs), max(p[3] for p in pairs) + 1) + shift
+        parseval = bool(np.all(mult[reach % n_max] == 1.0))
+        groups.append((shift, tuple((used_u.index(p[0]), used_v.index(p[1])) for p in pairs), kept, parseval))
+    outputs = np.concatenate([kept + shift for shift, _p, kept, _f in groups]) if groups else kept_all[:0]
+    shared_u = sum(len(pairs) for pairs in by_shift.values()) > len(used_u)
+    if shared_u or np.unique(outputs).size < outputs.size or ((split_u or split_v) and n >= n_max):
+        return None
+    transforms = len(used_u) + len(used_v) + sum(not g[3] for g in groups)
+    return transforms, n, tuple(u_all[i] for i in used_u), tuple(v_all[j] for j in used_v), tuple(groups)
+
+
+def _group(shift: int, pairs: tuple, kept: np.ndarray, parseval: bool, mult: np.ndarray, n: int) -> _Group:
+    """The _Group of one group of _plan on the n-point grid, mult the output
+    multiplier on the 2^(k+3)-point grid."""
     mult_n = np.zeros(n)
-    mult_n[kept % n] = mult[kept % grid.n]
-    reach = np.arange(u_freqs.min() + v_freqs.min(), u_freqs.max() + v_freqs.max() + 1)
+    mult_n[kept % n] = mult[(kept + shift) % mult.size]
     out_runs = tuple(
         (slice(2 * dest.start, 2 * dest.stop), np.repeat(mult_n[dest] ** 2, 2))
         for dest, _src in _column_runs(np.flatnonzero(mult_n))
     )
     for a in (mult_n, *(w for _s, w in out_runs)):
         a.setflags(write=False)
+    return _Group(shift, pairs, mult_n, out_runs, parseval)
+
+
+def _parts(freqs: np.ndarray, halves: tuple, n: int) -> tuple:
+    """The _Parts of a factor with signed frequencies freqs on the n-point
+    grid, one for each (shift, start, stop) in halves."""
+    parts = []
+    for shift, a, b in halves:
+        runs = _column_runs((freqs[a:b] - shift) % n)
+        parts.append(_Part(shift, tuple((dest, slice(a + src.start, a + src.stop)) for dest, src in runs)))
+    return tuple(parts)
+
+
+@lru_cache(maxsize=1)
+def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float) -> _CellTables:
+    """Everything of a rate cell that does not depend on the seed.
+
+    The boxes, their X^{0,b} weights and the multiplier are built on the
+    2^(k+3)-point grid from one parabola-distance table.  Of the four
+    choices (split u, split v, both, neither) the cell takes the legal one
+    with the fewest transform points (_plan), the unsplit one on a tie.  One
+    entry: the sweep runs k-major, so each (kind, k) is built once and
+    dropped when the next one starts; every array is read-only because
+    worker threads share it."""
+    conj2, v_pattern, out_pattern, vb_tag, u_side, v_side = KINDS[kind]
+    grid = Grid(2 ** (k + 3))
+    bu = 0.5 + delta
+    bv = 0.5 + delta if vb_tag == "plus" else 0.5 - delta
+    dist = parabola_distance(n_t, t_total, grid.frequencies)
+    u_mask = box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side, dist)
+    v_mask = _v_mask(grid, n_t, t_total, v_pattern, k, v_side, dist)
+    mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
+    mult[grid.n // 2] = 0.0
+    u_mask, u_cols = _occupied(u_mask, n_t)
+    v_mask, v_cols = _occupied(v_mask, n_t)
+    u_freqs = _signed(u_cols, grid.n)
+    v_freqs = _signed(v_cols, grid.n)
+    sign = -1 if conj2 else 1
+    choices = ((False, False), (True, False), (False, True), (True, True))
+    plans = [p for p in (_plan(u_freqs, v_freqs, sign, mult, *c) for c in choices) if p is not None]
+    transforms, n, u_halves, v_halves, groups = min(plans, key=lambda p: p[0] * p[1])
     return _CellTables(
         n,
-        _side_table(u_mask, u_cols, bu, n_t, t_total, grid, n),
-        _side_table(v_mask, v_cols, bv, n_t, t_total, grid, n),
-        mult_n,
-        out_runs,
-        bool(np.all(mult_n[reach % n] == 1.0)),
+        _side_table(u_mask, u_cols, dist[:, u_cols], bu, n_t, t_total, _parts(u_freqs, u_halves, n)),
+        _side_table(v_mask, v_cols, dist[:, v_cols], bv, n_t, t_total, _parts(v_freqs, v_halves, n)),
+        tuple(_group(*g, mult, n) for g in groups),
+        transforms,
     )
 
 
 _scatter = threading.local()
 
 
-def _scatter_buffers(tables: _CellTables, n_t: int) -> tuple:
-    """This thread's two (n_t, tables.n) scatter buffers for tables.
+def _part_buffers(tables: _CellTables, n_t: int) -> tuple:
+    """This thread's (n_t, tables.n) scatter buffers for tables, one per
+    part of each factor.
 
     Each call writes the same occupied columns of the same tables, so every
     other column stays zero without re-zeroing; new tables get new
     buffers."""
     if getattr(_scatter, "tables", None) is not tables:
-        _scatter.buffers = (np.zeros((n_t, tables.n), dtype=np.complex128),
-                            np.zeros((n_t, tables.n), dtype=np.complex128))
+        _scatter.buffers = tuple(
+            tuple(np.zeros((n_t, tables.n), dtype=np.complex128) for _part in side.parts)
+            for side in (tables.u, tables.v)
+        )
         _scatter.tables = tables
     return _scatter.buffers
 
 
-def _windowed_side(side: _Side, seed, n_t: int, t_total: float, full: np.ndarray):
-    """Space-time samples (up to one constant factor) and X^{0,b} norm of
-    the windowed random field on one factor's box.
+def _windowed_side(side: _Side, seed, n_t: int, t_total: float, buffers: tuple):
+    """Space-time samples of each part (up to one constant factor) and the
+    X^{0,b} norm of the windowed random field on one factor's box.
 
     Column j holds the draws C_j on rows tau0_j + r, so its windowed samples
     are (cis[:, :R] @ C)_j times the phase cisw[:, tau0_j], written straight
-    into the scatter buffer full (zero off the occupied columns); the norm is
-    the quadratic form q.  No time-axis transform runs.  The ratio is
-    scale-invariant in each factor, so the draws are not normalised."""
-    runs, tau0, place, q = side
+    into its part's scatter buffer (zero off the part's columns); each
+    buffer then takes one inverse x-transform.  The norm is the quadratic
+    form q.  No time-axis transform runs.  The ratio is scale-invariant in
+    each factor, so the draws are not normalised."""
+    parts, tau0, place, q = side
     span = q.shape[1]
     cis, cisw, _what = _time_tables(n_t, t_total)
     rng = np.random.default_rng(seed)
     c = np.zeros((span, tau0.size), dtype=np.complex128)
-    parts = c.reshape(-1).view(np.float64).reshape(-1, 2)
-    parts[place, 0] = rng.standard_normal(place.size)
-    parts[place, 1] = rng.standard_normal(place.size)
+    flat = c.reshape(-1).view(np.float64).reshape(-1, 2)
+    flat[place, 0] = rng.standard_normal(place.size)
+    flat[place, 1] = rng.standard_normal(place.size)
     norm = math.sqrt(t_total * TWO_PI * float(np.einsum("rj,jrs,sj->", c.conj(), q, c).real))
     samples = _thin_matmul(cis[:, :span], c)
     phase = cisw[:, tau0]
-    for dest, src in runs:
-        np.multiply(samples[:, src], phase[:, src], out=full[:, dest])
-    return np.fft.ifft(full, axis=1), norm
+    out = []
+    for part, full in zip(parts, buffers):
+        for dest, src in part.runs:
+            np.multiply(samples[:, src], phase[:, src], out=full[:, dest])
+        out.append(np.fft.ifft(full, axis=1))
+    return out, norm
+
+
+def _group_square(group: _Group, us: list, vs: list, n_t: int, n: int) -> float:
+    """Sum over t and x of |mult X|^2 less the zeroed Nyquist row, for X the
+    x-transform of the group's summed pair products, up to the factor the
+    ratio restores."""
+    # each u part is in one pair only, so its samples take the product in place
+    (a, b), *rest = group.pairs
+    prod = us[a]
+    prod *= vs[b]
+    for a, b in rest:
+        us[a] *= vs[b]
+        prod += us[a]
+    # X = fft_x(prod) on the n-point grid.  Summed over tau, the squared
+    # coefficients of mult * X are (Parseval along t) n_t times
+    # sum_t |mult X|^2 less the zeroed Nyquist row, |sum_t (-1)^t mult X|^2.
+    if group.parseval:
+        # mult is 1 wherever X can be nonzero, so Parseval along x gives both
+        # sums from the samples without the transform
+        flat = prod.view(np.float64).reshape(-1)
+        even, odd = prod.reshape(n_t // 2, 2, -1).sum(axis=0)
+        flip = (even - odd).view(np.float64)
+        return n * (n_t * float(np.einsum("i,i->", flat, flat)) - float(np.einsum("i,i->", flip, flip)))
+    alt = np.ones(n_t)
+    alt[1::2] = -1.0
+    x = np.fft.fft(prod, axis=1).view(np.float64)
+    sq = 0.0
+    for cols, w in group.out_runs:
+        block = x[:, cols]
+        flip = alt @ block
+        sq += n_t * float(np.einsum("ij,ij->j", block, block) @ w) - float((flip * flip) @ w)
+    return sq
 
 
 def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: float) -> float:
@@ -387,39 +556,23 @@ def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: floa
     Draws the same cells as synth_cells on the box of each factor and
     equals the SpaceTimeField composition (synth_cells, apply_window,
     xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) up to
-    rounding; the tests keep that composition as the oracle."""
+    rounding; the tests keep that composition as the oracle.  The groups
+    keep disjoint output frequencies, so their squared projected norms
+    add up."""
     tables = _cell_tables(kind, k, delta, n_t, t_total)
-    u_full, v_full = _scatter_buffers(tables, n_t)
+    u_bufs, v_bufs = _part_buffers(tables, n_t)
     kind_id = KIND_ORDER.index(kind)
-    u, nu = _windowed_side(tables.u, [seed_key, kind_id, k, 0], n_t, t_total, u_full)
-    v, nv = _windowed_side(tables.v, [seed_key, kind_id, k, 1], n_t, t_total, v_full)
+    us, nu = _windowed_side(tables.u, [seed_key, kind_id, k, 0], n_t, t_total, u_bufs)
+    vs, nv = _windowed_side(tables.v, [seed_key, kind_id, k, 1], n_t, t_total, v_bufs)
     if nu == 0.0 or nv == 0.0:
         return float("nan")
     if KINDS[kind][0]:
-        np.conjugate(v, out=v)
-    u *= v
-    # X = fft_x(u v) on the n-point transform grid.  Summed over tau, the
-    # squared coefficients of mult * X are (Parseval along t) n_t times
-    # sum_t |mult X|^2 less the zeroed Nyquist row, |sum_t (-1)^t mult X|^2.
-    if tables.parseval:
-        # mult is 1 wherever X can be nonzero, so Parseval along x gives both
-        # sums from the samples u v without the transform
-        flat = u.view(np.float64).reshape(-1)
-        even, odd = u.reshape(n_t // 2, 2, -1).sum(axis=0)
-        flip = (even - odd).view(np.float64)
-        sq = tables.n * (n_t * float(np.einsum("i,i->", flat, flat)) - float(np.einsum("i,i->", flip, flip)))
-    else:
-        alt = np.ones(n_t)
-        alt[1::2] = -1.0
-        x = np.fft.fft(u, axis=1).view(np.float64)
-        sq = 0.0
-        for cols, w in tables.out_runs:
-            block = x[:, cols]
-            flip = alt @ block
-            sq += n_t * float(np.einsum("ij,ij->j", block, block) @ w) - float((flip * flip) @ w)
+        for v in vs:
+            np.conjugate(v, out=v)
+    sq = sum(_group_square(group, us, vs, n_t, tables.n) for group in tables.groups)
     l2 = math.sqrt(t_total * TWO_PI * sq)
-    # u and v above are ifft2 of the coefficients on the (n_t, n) grid: each
-    # lacks a factor n_t * n, and the coefficients of the product are
+    # the parts above are ifft2 of the coefficients on the (n_t, n) grid:
+    # each lacks a factor n_t * n, and the coefficients of the product are
     # fft2 / (n_t * n)
     return n_t * tables.n * l2 / (nu * nv)
 
@@ -464,14 +617,15 @@ def product_rate_experiment(
         return _one_cell(kind, k, delta, seed * 1000003 + i, n_t, t_total)
 
     # k-major: each scale's tables are built once, here, before its cells run
-    ratios, grid_n = {}, {}
+    ratios, grid_n, transforms = {}, {}, {}
     tables_s = 0.0
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = pool.map if pool is not None else map
         for k in ks:
             start = time.perf_counter()
-            grid_n[k] = _cell_tables(kind, k, delta, n_t, t_total).n
+            tables = _cell_tables(kind, k, delta, n_t, t_total)
             tables_s += time.perf_counter() - start
+            grid_n[k], transforms[k] = tables.n, tables.transforms
             ratios[k] = [float(v) for v in run(work, [k] * n_seeds, range(n_seeds))]
 
     medians = [float(np.median(ratios[k])) for k in ks]
@@ -480,4 +634,5 @@ def product_rate_experiment(
         slope, stderr = float("nan"), float("nan")
     else:
         slope, stderr = _fit_line(ks, np.log2(medians))
-    return RateReport(kind, delta, ks, medians, slope, stderr, n_seeds, degenerate, ratios, grid_n, tables_s)
+    return RateReport(kind, delta, ks, medians, slope, stderr, n_seeds, degenerate, ratios, grid_n, transforms,
+                      tables_s)

@@ -229,9 +229,14 @@ def box_mask(
     mod_hi: float,
     parabola_sign: int = 1,
     xi_side: str = "both",
+    dist: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cells with |xi| in [freq_lo, freq_hi] (optionally one-sided) and
-    wrapped |tau - sign*xi^2| in [mod_lo, mod_hi]."""
+    wrapped |tau - sign*xi^2| in [mod_lo, mod_hi].
+
+    dist is the parabola_distance table of the grid's frequencies with the
+    same n_t, t_total and sign, for a caller that builds several boxes on one
+    grid (or needs the table itself); it is computed here when omitted."""
     xi = grid.frequencies[None, :]
     if xi_side == "both":
         fsel = (np.abs(xi) >= freq_lo) & (np.abs(xi) <= freq_hi)
@@ -241,7 +246,8 @@ def box_mask(
         fsel = (xi <= -freq_lo) & (xi >= -freq_hi)
     else:
         raise ValueError(f"xi_side must be 'both', '+' or '-', got {xi_side!r}")
-    dist = parabola_distance(n_t, t_total, grid.frequencies, parabola_sign)
+    if dist is None:
+        dist = parabola_distance(n_t, t_total, grid.frequencies, parabola_sign)
     return fsel & (dist >= mod_lo) & (dist <= mod_hi)
 
 

@@ -460,6 +460,19 @@ class TestRoutes:
         for wd, wdir in zip(dec.w, direct.states):
             assert l2_norm(wd - wdir) <= 1e-7 * max(l2_norm(wdir), 1e-300)
 
+    def test_direct_solve_follows_h_beyond_guard_band(self):
+        # data up to |xi| = n/4 puts h, and so w, past the guard band, where
+        # the flow of v is zero and w = -h; the two routes must agree there
+        data = smooth_data(256, seed=4, amp=0.3, width=64.0)
+        cfg = EvolutionConfig(256, ALPHA, BETA, 5e-4, 0.02, kind="u2", variables="v", n_saves=3)
+        dec = decompose(integrate(cfg, data), data)
+        direct = direct_w_solve(cfg, data)
+        beyond = ~in_guard_band(cfg.grid)
+        for wd, wdir in zip(dec.w[1:], direct.states[1:], strict=True):
+            ref = np.linalg.norm(wdir.coeffs[beyond])
+            assert ref > 0
+            assert np.linalg.norm((wd.coeffs - wdir.coeffs)[beyond]) <= 1e-3 * ref
+
     def test_decompose_needs_v_form(self):
         data = smooth_data(64, amp=0.1)
         cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.01, variables="u")
@@ -487,7 +500,7 @@ def uncached_direct_w_solve(cfg, f):
         v = big_f + apply_bilinear(t_sym, big_f, big_f) + SpectralField(grid, coeffs)
         full = weighted_product(cfg.alpha, cfg.beta - cfg.alpha, v, v, *conj)
         paired = apply_bilinear(g_sym, big_f, big_f)
-        return np.where(guard, full.coeffs - paired.coeffs, 0.0)
+        return np.where(guard, full.coeffs, 0.0) - paired.coeffs
 
     w0 = -1.0 * apply_bilinear(t_sym, f, f)
     steps = set(evolution._save_schedule(cfg.n_steps, cfg.n_saves))

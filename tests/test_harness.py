@@ -288,9 +288,13 @@ class TestCli:
             assert set(health["iqr"]) == {"3", "4"}
             assert all(v > 0 for v in health["iqr"].values())
             assert health["non_finite_cells"] == 0
-        # the transform grids: even, at most 2^(k+3), and fixed by the kind
-        assert results["health"]["gain1"]["grid_n"] == {"3": 40, "4": 72}
-        assert results["health"]["kkk1"]["grid_n"] == {"3": 48, "4": 96}
+        # the transform grids: even, at most 2^(k+3), and fixed by the kind,
+        # with the transforms a cell runs on them (gain1 splits u into two
+        # groups taken by Parseval along x; kkk1 splits both factors)
+        assert results["health"]["gain1"]["grid_n"] == {"3": 16, "4": 24}
+        assert results["health"]["kkk1"]["grid_n"] == {"3": 18, "4": 36}
+        assert results["health"]["gain1"]["transforms"] == {"3": 3, "4": 3}
+        assert results["health"]["kkk1"]["transforms"] == {"3": 5, "4": 5}
 
     def test_mnorm_report_health_and_timing(self, tmp_path):
         p = tmp_path / "small.cfg"

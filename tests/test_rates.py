@@ -78,12 +78,13 @@ def _boxes(kind, k, delta, n_t, t_total):
     return grid, ((masks[0], 0.5 + delta), (masks[1], bv))
 
 
-def fft_side(mask, b, seed, grid, n_t, t_total, n):
-    """One factor's windowed samples, scattered onto the n-point transform
-    grid, and its X^{0,b} norm, by an inverse and a forward time-axis FFT on
-    the occupied columns: the rate cell's arithmetic before the quadratic
+def fft_side(mask, b, seed, grid, n_t, t_total, n, parts):
+    """One factor's windowed samples, scattered onto one n-point buffer per
+    part, and its X^{0,b} norm, by an inverse and a forward time-axis FFT
+    on the occupied columns: the rate cell's arithmetic before the quadratic
     form.  The draws fill the mask in row-major order, unnormalised, as the
-    cell draws them."""
+    cell draws them; a part with shift s puts frequency xi of its columns
+    in column (xi - s) mod n."""
     cols = np.flatnonzero(mask.any(axis=0))
     sub = mask[:, cols]
     weight = (1.0 + parabola_distance(n_t, t_total, grid.frequencies[cols])) ** (2.0 * b)
@@ -96,9 +97,14 @@ def fft_side(mask, b, seed, grid, n_t, t_total, n):
     cw = np.fft.fft(samples, axis=0)
     cw[n_t // 2, :] = 0.0
     norm = math.sqrt(t_total * 2 * np.pi * float(np.sum(weight * (cw.real**2 + cw.imag**2))))
-    full = np.zeros((n_t, n), dtype=np.complex128)
-    full[:, np.where(cols < grid.n // 2, cols, cols - grid.n) % n] = samples
-    return full, norm
+    freqs = np.where(cols < grid.n // 2, cols, cols - grid.n)
+    buffers = []
+    for part in parts:
+        sel = _positions(part)
+        full = np.zeros((n_t, n), dtype=np.complex128)
+        full[:, (freqs[sel] - part.shift) % n] = samples[:, sel]
+        buffers.append(full)
+    return buffers, norm
 
 
 def _span(rows, n_t):
@@ -160,24 +166,27 @@ def test_one_cell_matches_dense_oracle(kind):
                 assert _rel(fast, slow) <= 1e-13, (k, n_t, seed_key, fast, slow)
 
 
+# k = 8 is the largest default scale; t_total != 2*pi puts tau off the integer
+# lattice, so the boxes and weights differ from the default ones.  At k = 7
+# and 8 gain2, kkk1 and kkkk1 split both factors into sign halves and sum two
+# pair products in one group, gain1 and kkk2 split u into two groups (gain1's
+# by Parseval along x); plusminus (one-sided, 540 of 2048 points at k = 8) and
+# gain3 (800 of 1024 at k = 7) transform whole factors
+LARGE_CASES = [
+    *((kind, k, 256, 2 * np.pi) for kind in ("gain1", "gain2", "kkk1", "kkk2", "kkkk1") for k in (7, 8)),
+    ("kkk1", 7, 256, 3.0),
+    ("gain2", 4, 64, 3.0),
+    ("plusminus", 8, 256, 2 * np.pi),
+    ("gain3", 7, 256, 2 * np.pi),
+]
+
+
 def test_one_cell_matches_dense_oracle_large_and_off_lattice():
-    # k = 8 is the largest default scale; t_total != 2*pi puts tau off the
-    # integer lattice, so the boxes and weights differ from the default ones.
-    # plusminus (540 of 2048 points at k = 8), gain3 (800 of 1024 at k = 7)
-    # and kkk2 (1080 of 2048 at k = 8) transform on the grids that depart
-    # most from 2^(k+3)
-    cases = (
-        ("kkk1", 8, 256, 2 * np.pi),
-        ("gain2", 4, 64, 3.0),
-        ("plusminus", 8, 256, 2 * np.pi),
-        ("gain3", 7, 256, 2 * np.pi),
-        ("kkk2", 8, 256, 2 * np.pi),
-    )
-    for kind, k, n_t, t_total in cases:
+    for kind, k, n_t, t_total in LARGE_CASES:
         fast = _one_cell(kind, k, 0.05, 11, n_t, t_total)
         slow = oracle_cell(kind, k, 0.05, 11, n_t, t_total)
         assert np.isfinite(slow) and slow > 0
-        assert _rel(fast, slow) <= 1e-13, (kind, fast, slow)
+        assert _rel(fast, slow) <= 1e-13, (kind, k, t_total, fast, slow)
 
 
 def _occupied_freqs(mask, n_t):
@@ -191,9 +200,15 @@ def _occupied_freqs(mask, n_t):
     return np.where(cols < n // 2, cols, cols - n)
 
 
+def _positions(part):
+    """Positions, among its factor's occupied columns, of a part's columns."""
+    return np.concatenate([np.arange(src.start, src.stop) for _dest, src in part.runs])
+
+
 @pytest.mark.parametrize("kind", KIND_ORDER)
 def test_cell_grid_alias_free(kind):
     conj2, v_pattern, out_pattern, _vb, u_side, v_side = KINDS[kind]
+    sign = -1 if conj2 else 1
     for k in range(1, 11):
         grid = Grid(2 ** (k + 3))
         full_mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
@@ -201,40 +216,68 @@ def test_cell_grid_alias_free(kind):
         for n_t in (64, 256):
             tables = _cell_tables(kind, k, 0.05, n_t, 2 * np.pi)
             m = tables.n
-            assert m % 2 == 0 and m <= grid.n and tables.mult.shape == (m,)
+            assert m % 2 == 0 and m <= grid.n
             u = _occupied_freqs(box_mask(grid, n_t, 2 * np.pi, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
             v = _occupied_freqs(_v_mask(grid, n_t, 2 * np.pi, v_pattern, k, v_side), n_t)
-            if conj2:
-                v = -v
-            # the sumset by brute force: every pair of occupied columns
-            sums = np.unique(np.add.outer(u, v))
-            lands = tables.mult[sums % m] != 0
-            # a sum that lands on a kept column is that column itself, in the
-            # base range of the m-point grid, with the multiplier it has on
-            # the 2^(k+3) grid
-            assert np.all((sums[lands] >= -m // 2) & (sums[lands] < m // 2)), (k, n_t)
-            np.testing.assert_array_equal(tables.mult[sums[lands] % m], full_mult[sums[lands] % grid.n])
-            # and no sum that the 2^(k+3) grid keeps is dropped
-            assert np.all(lands[full_mult[sums % grid.n] != 0]), (k, n_t)
+            computed = np.zeros((u.size, v.size), dtype=bool)
+            outputs = []
+            for group in tables.groups:
+                assert group.mult.shape == (m,)
+                sums = []
+                for a, b in group.pairs:
+                    pu, pv = tables.u.parts[a], tables.v.parts[b]
+                    assert pu.shift + sign * pv.shift == group.shift
+                    iu, iv = _positions(pu), _positions(pv)
+                    computed[np.ix_(iu, iv)] = True
+                    # the sumset by brute force: every pair of the parts' columns,
+                    # shifted as they sit on the m-point grid
+                    sums.append(np.add.outer(u[iu] - pu.shift, sign * (v[iv] - pv.shift)).ravel())
+                sums = np.unique(np.concatenate(sums))
+                lands = group.mult[sums % m] != 0
+                # a sum that lands on a kept column is that column itself, in
+                # the base range of the m-point grid, with the multiplier its
+                # output frequency has on the 2^(k+3) grid
+                assert np.all((sums[lands] >= -m // 2) & (sums[lands] < m // 2)), (k, n_t)
+                np.testing.assert_array_equal(
+                    group.mult[sums[lands] % m], full_mult[(sums[lands] + group.shift) % grid.n]
+                )
+                # and every sum the 2^(k+3) grid keeps lands
+                assert np.all(lands[full_mult[(sums + group.shift) % grid.n] != 0]), (k, n_t)
+                cols = np.flatnonzero(group.mult)
+                outputs.append(np.where(cols < m // 2, cols, cols - m) + group.shift)
+            # different groups keep disjoint output frequencies, and each u
+            # part is in one pair, which the cell multiplies in place
+            u_used = [a for group in tables.groups for a, _b in group.pairs]
+            assert sorted(u_used) == list(range(len(tables.u.parts))), (k, n_t)
+            outputs = np.concatenate(outputs)
+            assert np.unique(outputs).size == outputs.size, (k, n_t)
+            # no pair of columns whose sum the 2^(k+3) grid keeps is dropped
+            keep = full_mult[np.add.outer(u, sign * v) % grid.n] != 0
+            assert np.all(computed[keep]), (k, n_t)
 
 
-# each kind's transform grid at k = 3..8 (delta 0.05, n_t 256, one period):
-# the sizes rates.json reports as grid_n
+# each kind's transform grid and its transforms per cell at k = 3..8
+# (delta 0.05, n_t 256, one period): the grid_n and transforms of rates.json
 CELL_GRID_N = {
-    "gain1": [40, 72, 144, 270, 540, 1080],
-    "gain2": [36, 72, 144, 270, 540, 1080],
+    "gain1": [16, 24, 40, 72, 144, 288],
+    "gain2": [10, 18, 36, 72, 144, 270],
     "gain3": [50, 100, 200, 400, 800, 1600],
-    "kkk1": [48, 96, 192, 384, 768, 1536],
-    "kkk2": [36, 72, 144, 270, 540, 1080],
+    "kkk1": [18, 36, 72, 144, 270, 540],
+    "kkk2": [16, 24, 40, 72, 144, 288],
     "kkk3": [50, 100, 200, 400, 800, 1600],
-    "kkkk1": [48, 96, 192, 384, 768, 1536],
+    "kkkk1": [18, 36, 72, 144, 270, 540],
     "plusminus": [18, 36, 72, 144, 270, 540],
 }
+# both factors split, one group (gain2, kkk1, kkkk1); u split, two groups
+# taken by Parseval along x (gain1) or transformed (kkk2); whole factors
+CELL_TRANSFORMS = {"gain1": 3, "gain2": 5, "gain3": 2, "kkk1": 5, "kkk2": 5, "kkk3": 2, "kkkk1": 5, "plusminus": 3}
 
 
 @pytest.mark.parametrize("kind", KIND_ORDER)
 def test_cell_grid_sizes(kind):
-    assert [_cell_tables(kind, k, 0.05, 256, 2 * np.pi).n for k in range(3, 9)] == CELL_GRID_N[kind]
+    tables = [_cell_tables(kind, k, 0.05, 256, 2 * np.pi) for k in range(3, 9)]
+    assert [t.n for t in tables] == CELL_GRID_N[kind]
+    assert {t.transforms for t in tables} == {CELL_TRANSFORMS[kind]}
 
 
 def test_empty_box_rejected():
@@ -252,7 +295,7 @@ def test_table_masks_equal_box_mask(kind):
         tables = _cell_tables(kind, k, 0.05, n_t, t_total)
         grid, boxes = _boxes(kind, k, 0.05, n_t, t_total)
         freqs = np.where(np.arange(grid.n) < grid.n // 2, np.arange(grid.n), np.arange(grid.n) - grid.n)
-        for (runs, tau0, place, q), (mask, _b) in zip((tables.u, tables.v), boxes):
+        for (parts, tau0, place, q), (mask, _b) in zip((tables.u, tables.v), boxes):
             span, ncols = q.shape[1], tau0.size
             assert q.shape == (ncols, span, span)
             # each draw's row is its column's start plus its offset in C
@@ -263,13 +306,20 @@ def test_table_masks_equal_box_mask(kind):
             assert np.all(np.diff(rows * ncols + col) > 0)
             sub = np.zeros((n_t, ncols), dtype=int)
             np.add.at(sub, (rows, col), 1)
-            # the runs place each column at its signed frequency mod n, once
-            full = np.zeros((n_t, tables.n), dtype=int)
-            for dest, src in runs:
-                full[:, dest] += sub[:, src]
-            moved = np.zeros_like(full)
-            np.add.at(moved, (slice(None), freqs % tables.n), mask.astype(int))
-            np.testing.assert_array_equal(full, moved)
+            # the parts hold each occupied column once, and each part's runs
+            # place its columns at their signed frequency less its shift, mod n
+            cols = np.flatnonzero(mask.any(axis=0))
+            held = np.zeros(ncols, dtype=int)
+            for part in parts:
+                full = np.zeros((n_t, tables.n), dtype=int)
+                for dest, src in part.runs:
+                    full[:, dest] += sub[:, src]
+                mine = cols[_positions(part)]
+                held[_positions(part)] += 1
+                moved = np.zeros_like(full)
+                np.add.at(moved, (slice(None), (freqs[mine] - part.shift) % tables.n), mask[:, mine].astype(int))
+                np.testing.assert_array_equal(full, moved)
+            assert np.all(held == 1)
             # every column starts on an occupied row, and R is the shortest
             # cyclic window that holds each column's rows
             assert np.all(sub[tau0, np.arange(ncols)] == 1)
@@ -277,7 +327,7 @@ def test_table_masks_equal_box_mask(kind):
             if t_total == 2 * np.pi:
                 assert span == 5  # tau - xi^2 in {-2, -1, 1, 2}
             assert not (tau0.flags.writeable or place.flags.writeable or q.flags.writeable)
-        assert not tables.mult.flags.writeable
+        assert not any(group.mult.flags.writeable for group in tables.groups)
     assert not any(a.flags.writeable for a in _time_tables(64, 3.0))
 
 
@@ -292,10 +342,11 @@ def test_quadratic_form_matches_fft_side(n_t, t_total):
             grid, boxes = _boxes(kind, k, 0.05, n_t, t_total)
             for slot, (side, (mask, b)) in enumerate(zip((tables.u, tables.v), boxes)):
                 for seed in ([7, slot], [1000004, k]):
-                    full = np.zeros((n_t, tables.n), dtype=np.complex128)
-                    _samples, norm = _windowed_side(side, seed, n_t, t_total, full)
-                    ref, ref_norm = fft_side(mask, b, seed, grid, n_t, t_total, tables.n)
-                    assert np.max(np.abs(full - ref)) <= 1e-13 * np.max(np.abs(ref)), (kind, k, slot)
+                    buffers = [np.zeros((n_t, tables.n), dtype=np.complex128) for _part in side.parts]
+                    _samples, norm = _windowed_side(side, seed, n_t, t_total, buffers)
+                    ref, ref_norm = fft_side(mask, b, seed, grid, n_t, t_total, tables.n, side.parts)
+                    for full, want in zip(buffers, ref, strict=True):
+                        assert np.max(np.abs(full - want)) <= 1e-13 * np.max(np.abs(want)), (kind, k, slot)
                     assert _rel(norm, ref_norm) <= 1e-13, (kind, k, slot)
 
 
@@ -341,9 +392,10 @@ def test_wrapping_and_nyquist_columns(n_t):
 
 @pytest.mark.parametrize("kind", KIND_ORDER)
 def test_parseval_flag_iff_multiplier_one_on_span(kind):
-    # the flag is set exactly when the multiplier is 1 on every frequency
-    # from the least to the largest sum of occupied columns
+    # a group's flag is set exactly when the multiplier is 1 on every output
+    # frequency from the least to the largest sum of its pairs' columns
     conj2, v_pattern, out_pattern, _vb, u_side, v_side = KINDS[kind]
+    sign = -1 if conj2 else 1
     for k in range(1, 10):
         grid = Grid(2 ** (k + 3))
         full_mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
@@ -352,12 +404,18 @@ def test_parseval_flag_iff_multiplier_one_on_span(kind):
             tables = _cell_tables(kind, k, 0.05, n_t, t_total)
             u = _occupied_freqs(box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
             v = _occupied_freqs(_v_mask(grid, n_t, t_total, v_pattern, k, v_side), n_t)
-            sums = np.add.outer(u, -v if conj2 else v)
-            span = np.arange(sums.min(), sums.max() + 1)
-            assert tables.parseval == bool(np.all(full_mult[span % grid.n] == 1.0)), (k, n_t, t_total)
-    # in the default sweep only the unprojected kinds take the x-side Parseval
-    flags = {_cell_tables(kind, k, 0.05, 256, 2 * np.pi).parseval for k in range(3, 9)}
-    assert flags == {out_pattern is None}
+            for group in tables.groups:
+                sums = np.concatenate([
+                    np.add.outer(u[_positions(tables.u.parts[a])], sign * v[_positions(tables.v.parts[b])]).ravel()
+                    for a, b in group.pairs
+                ])
+                span = np.arange(sums.min(), sums.max() + 1)
+                assert group.parseval == bool(np.all(full_mult[span % grid.n] == 1.0)), (k, n_t, t_total)
+    # in the default sweep the unprojected kinds take the x-side Parseval, and
+    # so does gain1, whose split groups miss the low frequencies where its
+    # multiplier falls below 1
+    flags = {g.parseval for k in range(3, 9) for g in _cell_tables(kind, k, 0.05, 256, 2 * np.pi).groups}
+    assert flags == {out_pattern is None or kind == "gain1"}
 
 
 def test_experiment_report_shape():
@@ -375,29 +433,32 @@ def test_experiment_report_shape():
 
 def test_threads_do_not_change_values():
     # k runs over three scales, so every worker thread switches tables and
-    # scatter buffers; a short switch interval makes the threads interleave.
+    # part buffers; a short switch interval makes the threads interleave.
     # gain1's v side occupies few columns of its buffer, so a column left
-    # over from another table would change its values
+    # over from another table would change its values; gain2 up to k = 7
+    # splits both factors, four part buffers per thread
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for kind, threads in (("kkk3", 3), ("kkk1", 2), ("plusminus", 2), ("gain1", 3)):
-            a = product_rate_experiment(kind, (3, 5), 0.05, n_seeds=3, n_t=64, seed=9, threads=1)
-            b = product_rate_experiment(kind, (3, 5), 0.05, n_seeds=3, n_t=64, seed=9, threads=threads)
+        for kind, threads, ks in (("kkk3", 3, (3, 5)), ("kkk1", 2, (3, 5)), ("plusminus", 2, (3, 5)),
+                                  ("gain1", 3, (3, 5)), ("gain2", 3, (5, 7))):
+            a = product_rate_experiment(kind, ks, 0.05, n_seeds=3, n_t=64, seed=9, threads=1)
+            b = product_rate_experiment(kind, ks, 0.05, n_seeds=3, n_t=64, seed=9, threads=threads)
             assert a.ratios == b.ratios
             assert a.medians == b.medians
-            assert a.grid_n == b.grid_n
+            assert a.grid_n == b.grid_n and a.transforms == b.transforms
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_scatter_buffers_do_not_leak_between_tables():
-    # one thread runs gain1 -> kkk1 -> gain1 -> gain2 -> gain1 at k = 8, then
-    # switches k; gain1 and gain2 share the 1080-point grid but gain2's v
-    # side fills about fifty times more columns than gain1's.  Each cell
-    # must equal the same cell computed first in a fresh cache, on a fresh
-    # thread that holds no scatter buffers yet
-    sequence = [("gain1", 8), ("kkk1", 8), ("gain1", 8), ("gain2", 8), ("gain1", 8), ("gain1", 7)]
+    # one thread runs gain1 -> kkk1 -> gain1 -> gain2 -> plusminus -> gain2
+    # at k = 8 and 7, then switches to gain1 at k = 7; gain2 at k = 8 and
+    # plusminus at k = 7 share the 270-point grid but gain2 scatters into
+    # four part buffers and plusminus into two.  Each cell must equal the
+    # same cell computed first in a fresh cache, on a fresh thread that
+    # holds no scatter buffers yet
+    sequence = [("gain1", 8), ("kkk1", 8), ("gain1", 8), ("gain2", 8), ("plusminus", 7), ("gain2", 8), ("gain1", 7)]
     after = [_one_cell(kind, k, 0.05, 5, 256, 2 * np.pi) for kind, k in sequence]
     fresh = []
     for kind, k in sequence:
@@ -405,8 +466,8 @@ def test_scatter_buffers_do_not_leak_between_tables():
         with ThreadPoolExecutor(max_workers=1) as pool:
             fresh.append(pool.submit(_one_cell, kind, k, 0.05, 5, 256, 2 * np.pi).result(timeout=60))
     assert after == fresh
-    grids = {kind: _cell_tables(kind, 8, 0.05, 256, 2 * np.pi).n for kind in ("gain1", "gain2")}
-    assert grids == {"gain1": 1080, "gain2": 1080}
+    shared = [_cell_tables(kind, k, 0.05, 256, 2 * np.pi) for kind, k in (("gain2", 8), ("plusminus", 7))]
+    assert [(t.n, len(t.u.parts) + len(t.v.parts)) for t in shared] == [(270, 4), (270, 2)]
 
 
 def test_unknown_kind_rejected():
