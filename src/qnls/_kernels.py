@@ -6,8 +6,10 @@
   not factor, and for the dense reference symbols.  It exists twice with
   identical semantics: a numba-jitted version, used when numba imports and
   the environment variable QNLS_DISABLE_NUMBA is unset (or "0"), and a
-  pure-numpy twin used otherwise: one bincount over the product's float64
-  view into wrap bins built once per n.
+  pure-numpy twin used otherwise: one bincount over the float64 view of
+  the product on the inputs' support (the indices where they are nonzero)
+  into wrap bins built once per support.  Both take a stack of rows
+  (..., n) in each slot and contract row by row.
 * The trilinear box contractions of the alternating maximizer for the
   multiplier lower bounds, in numpy only: each partial runs on the box's
   index triples, sorted once by the output slot's cell, as one
@@ -40,33 +42,51 @@ USE_NUMBA = HAS_NUMBA and not NUMBA_DISABLED
 # ----------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4)
-def _wrap_bins(n: int) -> np.ndarray:
-    """Bins 2k and 2k + 1, interleaved, of every (i, j) with (i + j) % n = k,
-    in row-major order, for the float64 view of an n x n complex product.
-    Built once per n and read-only (16 MB at n = 1024)."""
-    wrap = (np.add.outer(np.arange(n), np.arange(n)) % n).ravel()
+def _support_bins(n: int, rows: bytes, cols: bytes) -> np.ndarray:
+    """Bins 2k and 2k + 1, interleaved, of every (i, j) in rows x cols with
+    (i + j) % n = k, in row-major order, for the float64 view of the
+    product block on those indices (rows and cols: the bytes of sorted intp
+    index arrays).  Read-only; 16 MB for the whole grid at n = 1024."""
+    i, j = np.frombuffer(rows, dtype=np.intp), np.frombuffer(cols, dtype=np.intp)
+    wrap = (np.add.outer(i, j) % n).ravel()
     bins = (2 * wrap[:, None] + np.arange(2)).ravel()
     bins.setflags(write=False)
     return bins
 
 
 def bilinear_contract_numpy(sym, u, v):
-    """out[(i+j) % n] = sum_ij sym[i,j] * u[i] * v[j], vectorized: one
-    bincount of the product's real and imaginary parts into the cached
-    interleaved wrap bins, read back as complex values.
+    """out[..., (i+j) % n] = sum_ij sym[i,j] * (u[..., i] v[..., j]),
+    vectorized over the support: the indices where some row of u, and of v,
+    is nonzero.  Each row is one bincount of the product block on the
+    support, in row-major order, read back as complex values; the skipped
+    terms are exact zeros, so every sum is bit-identical to the bincount
+    over the whole grid.
+
+    numpy's complex product fuses multiply-adds, so it does not commute,
+    and on arrays of one element it rounds differently when its output
+    overwrites an input or its operands broadcast.  Each product here is of
+    two arrays of one shape into a new array, in the order above.
 
     Args:
         sym: (n, n) complex symbol matrix, sym[i, j] sampled at the grid
             frequencies of index i (slot 1) and j (slot 2).
-        u, v: length-n complex coefficient arrays.
+        u, v: complex coefficient arrays of equal shape (..., n).
 
     Returns:
-        length-n complex array of output coefficients.
+        complex array (..., n) of output coefficients.
     """
-    n = u.shape[0]
-    prod = np.ascontiguousarray(sym * np.outer(u, v), dtype=np.complex128)
-    sums = np.bincount(_wrap_bins(n), weights=prod.reshape(-1).view(np.float64), minlength=2 * n)
-    return sums.view(np.complex128)
+    n = u.shape[-1]
+    u_rows = np.asarray(u, dtype=np.complex128).reshape(-1, n)
+    v_rows = np.asarray(v, dtype=np.complex128).reshape(-1, n)
+    out = np.zeros(u_rows.shape, dtype=np.complex128)
+    rows, cols = (np.flatnonzero(np.any(x != 0, axis=0)) for x in (u_rows, v_rows))
+    if rows.size and cols.size:
+        block = np.asarray(sym, dtype=np.complex128)[np.ix_(rows, cols)]
+        bins = _support_bins(n, rows.tobytes(), cols.tobytes())
+        for r, (a, c) in enumerate(zip(u_rows[:, rows], v_rows[:, cols])):
+            prod = np.multiply(block, np.outer(a, c))
+            out[r] = np.bincount(bins, weights=prod.reshape(-1).view(np.float64), minlength=2 * n).view(np.complex128)
+    return out.reshape(u.shape)
 
 
 if HAS_NUMBA:
@@ -89,11 +109,12 @@ if HAS_NUMBA:
         return out
 
     def bilinear_contract_numba(sym, u, v):
-        return _bilinear_contract_nb(
-            np.ascontiguousarray(sym, dtype=np.complex128),
-            np.ascontiguousarray(u, dtype=np.complex128),
-            np.ascontiguousarray(v, dtype=np.complex128),
-        )
+        sym = np.ascontiguousarray(sym, dtype=np.complex128)
+        n = u.shape[-1]
+        u_rows = np.ascontiguousarray(u, dtype=np.complex128).reshape(-1, n)
+        v_rows = np.ascontiguousarray(v, dtype=np.complex128).reshape(-1, n)
+        out = [_bilinear_contract_nb(sym, a, c) for a, c in zip(u_rows, v_rows)]
+        return np.array(out).reshape(u.shape)
 
 else:
     bilinear_contract_numba = None

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import bilinear_contract
-from .spectral import BandGrid, Grid, SpectralField, bessel_potential, bracket, free_propagate, l2_norm
+from .spectral import BandGrid, Grid, SpectralField, bessel_potential, bracket, conj_coeffs, free_propagate, l2_norm
 
 
 class BilinearSymbol:
@@ -250,14 +250,52 @@ def weighted_product(
     return bessel_potential(outer, prod)
 
 
-def _factored_product(grid: Grid, a, m1, c, m2, m_out) -> SpectralField:
+def _factored_product(grid: Grid, a, m1, c, m2, m_out) -> np.ndarray:
     """The contraction with symbol m1(xi) m2(eta) m_out(xi + eta) of
-    guard-limited slot arrays a and c, as one FFT product on the band grid
-    of guard-limited inputs and the whole band out (n points: the sums
-    reach |j| = n/2 only at the Nyquist slot, which the dense contraction
-    drops too)."""
+    guard-limited slot arrays a and c, (..., n) each, as one FFT product on
+    the band grid of guard-limited inputs and the whole band out (n points:
+    the sums reach |j| = n/2 only at the Nyquist slot, which the dense
+    contraction drops too).  The same array and multiplier in both slots
+    make one weighted array, whose product is a square."""
     band = BandGrid(grid, grid.guard_index, grid.nyquist_index - 1)
-    return SpectralField(grid, m_out * band.product(m1 * a, m2 * c))
+    x = m1 * a
+    y = x if c is a and m2 is m1 else m2 * c
+    return m_out * band.product(x, y)
+
+
+def pair_g_coeffs(kind: str, alpha: float, beta: float, grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """apply_pair_g_fast on stacks of coefficient arrays (..., n) of
+    guard-limited fields, row by row and unchecked.  Passing one array for
+    both fields (v is u) shares its slot arrays."""
+    xi = grid.frequencies
+    tol = math.pi / grid.length
+    w_in = bracket(xi, alpha)
+    w_out = bracket(xi, beta - alpha)
+    pos = np.where(xi > tol, w_in, 0.0)
+    if kind == "u2":
+        return _factored_product(grid, u, pos, v, pos, w_out)
+    if kind == "uubar":
+        # effective-frequency cutoffs eta != 0 and xi + eta != 0
+        nonzero = np.abs(xi) > tol
+        return _factored_product(
+            grid, u, pos, conj_coeffs(v), np.where(nonzero, w_in, 0.0), np.where(nonzero, w_out, 0.0)
+        )
+    if kind == "ubar2":
+        a = conj_coeffs(u)
+        c = a if v is u else conj_coeffs(v)
+        out = _factored_product(grid, a, w_in, c, w_in, w_out)
+        # remove the single excluded (0,0) cell, where the weight is 1.  Its
+        # product is formed from real parts, each operation rounded on its
+        # own as in numpy's scalar product; numpy's array product may fuse
+        # multiply-adds, and one field and a stack of rows must agree bit
+        # for bit
+        a0, c0 = a[..., 0], c[..., 0]
+        cell = np.empty_like(a0)
+        cell.real = a0.real * c0.real - a0.imag * c0.imag
+        cell.imag = a0.real * c0.imag + a0.imag * c0.real
+        out[..., 0] -= cell
+        return out
+    raise ValueError(f"unknown interaction kind {kind!r}")
 
 
 def apply_pair_g_fast(kind: str, alpha: float, beta: float, u: SpectralField, v: SpectralField) -> SpectralField:
@@ -265,30 +303,39 @@ def apply_pair_g_fast(kind: str, alpha: float, beta: float, u: SpectralField, v:
     sharp cutoffs of each kind factor into per-slot and output cutoffs, plus
     for ubar2 a correction at the single excluded (0, 0) cell."""
     _check_guarded(u, v)
-    grid = u.grid
-    xi = grid.frequencies
-    tol = math.pi / grid.length
-    w_in = bracket(xi, alpha)
-    w_out = bracket(xi, beta - alpha)
-    pos = np.where(xi > tol, w_in, 0.0)
-    if kind == "u2":
-        return _factored_product(grid, u.coeffs, pos, v.coeffs, pos, w_out)
-    if kind == "uubar":
-        # effective-frequency cutoffs eta != 0 and xi + eta != 0
-        nonzero = np.abs(xi) > tol
-        return _factored_product(
-            grid, u.coeffs, pos, v.conj().coeffs, np.where(nonzero, w_in, 0.0), np.where(nonzero, w_out, 0.0)
-        )
-    if kind == "ubar2":
-        a, c = u.conj().coeffs, v.conj().coeffs
-        out = _factored_product(grid, a, w_in, c, w_in, w_out).coeffs.copy()
-        # remove the single excluded (0,0) cell: weight there is 1
-        out[0] -= a[0] * c[0]
-        return SpectralField(grid, out)
-    raise ValueError(f"unknown interaction kind {kind!r}")
+    return SpectralField(u.grid, pair_g_coeffs(kind, alpha, beta, u.grid, u.coeffs, v.coeffs))
 
 
 _LIFT_SYMBOLS: dict = {}
+
+
+def lift_coeffs(kind: str, alpha: float, beta: float, grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """apply_lift on stacks of coefficient arrays (..., n) of guard-limited
+    fields, row by row and unchecked.  Passing one array for both fields
+    (v is u) shares its slot arrays."""
+    if kind == "ubar2":
+        key = (float(alpha), float(beta))
+        sym = _LIFT_SYMBOLS.get(key)
+        if sym is None:
+            sym = _LIFT_SYMBOLS[key] = t_symbol_ubar2(alpha, beta)
+        a = conj_coeffs(u)
+        return bilinear_contract(sym.matrix(grid), a, a if v is u else conj_coeffs(v))
+    if kind not in ("u2", "uubar"):
+        raise ValueError(f"unknown interaction kind {kind!r}")
+    xi = grid.frequencies
+    tol = math.pi / grid.length
+    w_in = bracket(xi, alpha)
+    w_out = bracket(xi, beta - alpha) / -2j
+    pos = xi > tol
+    nonzero = np.abs(xi) > tol
+    safe_xi = np.where(nonzero, xi, 1.0)
+    over_xi = np.where(nonzero, w_in / safe_xi, 0.0)
+    if kind == "u2":
+        m1 = np.where(pos, over_xi, 0.0)
+        return _factored_product(grid, u, m1, v, m1, w_out)
+    return _factored_product(
+        grid, u, np.where(pos, w_in, 0.0), conj_coeffs(v), over_xi, np.where(nonzero, w_out / safe_xi, 0.0)
+    )
 
 
 def apply_lift(kind: str, alpha: float, beta: float, u: SpectralField, v: SpectralField) -> SpectralField:
@@ -305,30 +352,10 @@ def apply_lift(kind: str, alpha: float, beta: float, u: SpectralField, v: Spectr
 
     with zeta = xi + eta.  ubar2 goes through the dense contraction with the
     symbol built once per (alpha, beta)."""
-    if kind == "ubar2":
-        key = (float(alpha), float(beta))
-        sym = _LIFT_SYMBOLS.get(key)
-        if sym is None:
-            sym = _LIFT_SYMBOLS[key] = t_symbol_ubar2(alpha, beta)
-        return apply_bilinear(sym, u, v)
-    if kind not in ("u2", "uubar"):
+    if kind not in KIND_FLAGS:
         raise ValueError(f"unknown interaction kind {kind!r}")
     _check_guarded(u, v)
-    grid = u.grid
-    xi = grid.frequencies
-    tol = math.pi / grid.length
-    w_in = bracket(xi, alpha)
-    w_out = bracket(xi, beta - alpha) / -2j
-    pos = xi > tol
-    nonzero = np.abs(xi) > tol
-    safe_xi = np.where(nonzero, xi, 1.0)
-    over_xi = np.where(nonzero, w_in / safe_xi, 0.0)
-    if kind == "u2":
-        m1 = np.where(pos, over_xi, 0.0)
-        return _factored_product(grid, u.coeffs, m1, v.coeffs, m1, w_out)
-    return _factored_product(
-        grid, u.coeffs, np.where(pos, w_in, 0.0), v.conj().coeffs, over_xi, np.where(nonzero, w_out / safe_xi, 0.0)
-    )
+    return SpectralField(u.grid, lift_coeffs(kind, alpha, beta, u.grid, u.coeffs, v.coeffs))
 
 
 # ----------------------------------------------------------------------------

@@ -137,8 +137,10 @@ def cmd_all(cfg, out_dir) -> int:
     write_csv(os.path.join(out_dir, "acceptance.csv"),
               ["number", "name", "passed", "detail"], summary)
     write_report(os.path.join(out_dir, "acceptance.json"), "acceptance", cfg,
-                 {"criteria": [{"number": r.number, "name": r.name,
-                                "passed": r.passed, "detail": r.detail} for r in results]},
+                 {"criteria": [{"number": r.number, "name": r.name, "passed": r.passed,
+                                "detail": r.detail,
+                                **({"timing": r.data["timing"]} if "timing" in r.data else {})}
+                               for r in results]},
                  passed=all(r.passed for r in results))
     n_bad = sum(1 for r in results if not r.passed)
     print(f"{len(results) - n_bad}/{len(results)} criteria passed")

@@ -44,18 +44,21 @@ integrating factor applied around its stage.  Its input v = F + h + w
 reaches past the guard band (h does) and its product G(v, v) is kept on
 the guard band, so it runs on the band grid of full-band inputs and a
 guard-band output (5n/4 points); beyond the guard band w follows the
-paired forcing alone.  rhs_groups keeps the whole band out (3n/2 points,
-Orszag's 3/2 rule).
+paired forcing alone.  Its forcing terms F + h and G_pair(F, F) depend on
+the stage time alone, so they are tabulated for a block of stage times at
+once, each lift and pair one product over the block's rows.  rhs_groups
+keeps the whole band out (3n/2 points, Orszag's 3/2 rule).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .bilinear import KIND_FLAGS, apply_lift, apply_pair_g_fast
+from .bilinear import KIND_FLAGS, apply_lift, lift_coeffs, pair_g_coeffs
 from .spectral import (
     BandGrid,
     Grid,
@@ -157,6 +160,8 @@ class Trajectory:
     times: list
     states: list
     l2_history: list = dataclass_field(default_factory=list)
+    # seconds and counts of the run's phases, where it reports any
+    timing: dict = dataclass_field(default_factory=dict)
 
     @property
     def final(self) -> SpectralField:
@@ -234,10 +239,10 @@ def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, t0: 
     stage(x, t, k) -> coeffs is e_k^-1 N(e_k x, t) for the integrating
     factor e_k = exp(i xi^2 k dt/2) over k = 0, 1 or 2 half steps; it must
     return a new guard-limited array of the same shape, which the loop
-    overwrites.  Stage times are computed from the step index, so stages 2
-    and 3 get the same float, and stage 4 the float that stage 1 of the
-    next step gets.  The blow-up guard takes every row's L2 norm after each
-    step and raises for the first row that trips."""
+    overwrites.  Stage times come from _stage_time of the half-step index,
+    so stages 2 and 3 get the same float, and stage 4 the float that stage 1
+    of the next step gets.  The blow-up guard takes every row's L2 norm
+    after each step and raises for the first row that trips."""
     e_full = _phases(layout.frequencies, dt)[1]
     scale = math.sqrt(layout.length)
     u = u0.copy()
@@ -246,10 +251,10 @@ def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, t0: 
     if 0 in save_steps:
         saves[0] = u.copy()
     for step in range(n_steps):
-        t_mid = t0 + (step + 0.5) * dt
-        t_end = t0 + (step + 1) * dt
+        t_mid = _stage_time(t0, dt, 2 * step + 1)
+        t_end = _stage_time(t0, dt, 2 * step + 2)
         # acc collects g1 + 2 g2 + 2 g3 + g4, x holds each stage's input
-        acc = stage(u, t0 + step * dt, 0)
+        acc = stage(u, _stage_time(t0, dt, 2 * step), 0)
         x = np.multiply(acc, 0.5 * dt)
         x += u
         g = stage(x, t_mid, 1)
@@ -274,6 +279,13 @@ def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, t0: 
         if step + 1 in save_steps:
             saves[step + 1] = u.copy()
     return saves
+
+
+def _stage_time(t0: float, dt: float, half_steps: int) -> float:
+    """The time half_steps half steps after t0, as every RK4 stage is given
+    it: t0 + step * dt at the start of a step and t0 + (step + 0.5) * dt at
+    its middle."""
+    return t0 + (0.5 * half_steps) * dt
 
 
 def _row_norms(u: np.ndarray) -> np.ndarray:
@@ -435,6 +447,30 @@ def rhs_groups(
     return [n1, n2, n3, n4, n5, n6, n7, n8]
 
 
+def _forcing_rows(f: SpectralField, times, alpha: float, beta: float, kind: str) -> tuple:
+    """(F + h, G_pair(F, F)) at each of the times, as the rows of two
+    (len(times), n) arrays: F the free wave of f and h = T(F, F) its lift.
+
+    The free waves of all the times are lifted and paired at once, one
+    batched product (or dense contraction) each.  Row r is bit-identical to
+    the fields at times[r] of free_propagate, normal_form_h and
+    apply_pair_g_fast: the transforms and the dense contraction act row by
+    row, and every product keeps its operand order."""
+    grid = f.grid
+    big_f = np.exp(1j * grid.frequencies**2 * np.asarray(times, dtype=np.float64)[:, None])
+    np.multiply(f.coeffs, big_f, out=big_f)
+    lifted = lift_coeffs(kind, alpha, beta, grid, big_f, big_f)
+    lifted += big_f
+    paired = pair_g_coeffs(kind, alpha, beta, grid, big_f, big_f)
+    for rows in (lifted, paired):
+        rows[:, grid.nyquist_index] = 0.0
+    return lifted, paired
+
+
+# stage times per table of direct_w_solve's forcing
+FORCING_BLOCK = 32
+
+
 def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     """Integrate the remainder equation directly from w(0) = -T(f, f).
 
@@ -445,44 +481,61 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     band, as in the flow of v, so it runs on the band grid of full-band
     inputs and a guard-band output (5n/4 points).  -G_pair(F, F) is kept on
     the whole grid: beyond the guard band, where v and F vanish, w = -h
-    follows it.  F + h and G_pair(F, F) depend on the stage time alone and
-    are kept for the last two stage times, which covers the shared time of
-    stages 2 and 3 and the end of a step, where the next step starts."""
+    follows it.
+
+    F + h and G_pair(F, F) depend on the stage time alone.  They are
+    tabulated for FORCING_BLOCK consecutive stage times at a time
+    (_forcing_rows), one table held at once; the stages ask for their times
+    in order, and a time past the table builds the next one.  The table's
+    times come from _stage_time, as the stages' do, so each matches one row
+    exactly.  The trajectory's timing holds forcing_s, the seconds spent
+    building tables, and forcing_blocks, their number.
+
+    Raises ValueError for data that is not on the configured grid, not
+    finite or not guard-band-limited, before any table is built."""
     if config.variables != "v":
         raise ValueError("the remainder equation lives in the v-form variables")
     grid = config.grid
-    if f.grid != grid:
-        raise ValueError("data grid does not match the configuration")
-    alpha, beta = config.alpha, config.beta
+    _check_initial(grid, f)
+    alpha, beta, kind, dt = config.alpha, config.beta, config.kind, config.dt
     band = BandGrid(grid, grid.nyquist_index - 1, grid.guard_index)
     w_in = bracket(grid.frequencies, alpha)
     w_out = bracket(grid.frequencies, beta - alpha)
-    by_time: dict = {}
+    conj_first, conj_second = KIND_FLAGS[kind]
+    n_times = 2 * config.n_steps + 1
+    timing = {"forcing_s": 0.0, "forcing_blocks": 0}
+    rows: dict = {}
+    table = ()
+    stop = 0
 
-    def forcing_terms(t):
-        terms = by_time.get(t)
-        if terms is None:
-            big_f = free_propagate(t, f)
-            lifted = (big_f + normal_form_h(f, t, alpha, beta, config.kind)).coeffs
-            paired = apply_pair_g_fast(config.kind, alpha, beta, big_f, big_f).coeffs
-            if len(by_time) == 2:
-                del by_time[next(iter(by_time))]
-            terms = by_time[t] = (lifted, paired)
-        return terms
+    def forcing(t):
+        nonlocal rows, table, stop
+        row = rows.get(t)
+        if row is None:
+            start = time.perf_counter()
+            times = [_stage_time(0.0, dt, j) for j in range(stop, min(stop + FORCING_BLOCK, n_times))]
+            table = _forcing_rows(f, times, alpha, beta, kind)
+            rows = {s: r for r, s in enumerate(times)}
+            stop += len(times)
+            timing["forcing_s"] += time.perf_counter() - start
+            timing["forcing_blocks"] += 1
+            row = rows[t]
+        return table[0][row], table[1][row]
 
     def nonlin(coeffs, t):
-        lifted, paired = forcing_terms(t)
+        lifted, paired = forcing(t)
         v = SpectralField(grid, lifted + coeffs)
-        a, c = ((v.conj() if conj else v).coeffs * w_in for conj in KIND_FLAGS[config.kind])
+        a = (v.conj() if conj_first else v).coeffs * w_in
+        c = a if conj_second == conj_first else (v.conj() if conj_second else v).coeffs * w_in
         return band.product(a, c) * w_out - paired
 
-    w0 = -1.0 * normal_form_h(f, 0.0, alpha, beta, config.kind)
+    w0 = -1.0 * normal_form_h(f, 0.0, alpha, beta, kind)
     save_steps = _save_schedule(config.n_steps, config.n_saves)
-    stage = _phased(grid.frequencies, config.dt, nonlin)
-    saves = _integrate_core(grid, w0.coeffs, config.dt, config.n_steps, stage, 0.0, set(save_steps))
-    times = [s * config.dt for s in save_steps]
+    stage = _phased(grid.frequencies, dt, nonlin)
+    saves = _integrate_core(grid, w0.coeffs, dt, config.n_steps, stage, 0.0, set(save_steps))
+    times = [s * dt for s in save_steps]
     states = [SpectralField(grid, saves[s]) for s in save_steps]
-    return Trajectory(config, times, states, [l2_norm(st) for st in states])
+    return Trajectory(config, times, states, [l2_norm(st) for st in states], timing)
 
 
 # ----------------------------------------------------------------------------

@@ -565,12 +565,18 @@ def measure_group_sum_deviation(cfg) -> float:
 ROUTE_FREQ_HI = 8.0
 
 
-def measure_route_equivalence(cfg) -> list:
+def measure_route_equivalence(cfg) -> dict:
+    """Decomposed w against the direct remainder solve, per kind: `rows`
+    (kind, largest relative mismatch over the saves), `health` (the v-flow
+    and the direct solve of each kind, as _flow_health), and per kind the
+    seconds of the whole route (`route_s`) and of the direct solve's
+    forcing tables (`forcing_s`)."""
     c = cfg["infra"]
     run = cfg["run"]
     grid = Grid(c["n_points"])
-    rows = []
+    rows, health, route_s, forcing_s = [], [], {}, {}
     for kind_idx, kind in enumerate(("u2", "uubar", "ubar2")):
+        start = time.perf_counter()
         data = gen_rough_data(
             DataSpec(3.0, ROUTE_FREQ_HI, amplitude=0.3, seed=_seed(cfg, "infra", 400 + kind_idx)), grid
         )
@@ -586,11 +592,19 @@ def measure_route_equivalence(cfg) -> list:
             scale = max(l2_norm(wdir), 1e-300)
             worst = max(worst, l2_norm(wd - wdir) / scale)
         rows.append((kind, worst))
-    return rows
+        health += [_flow_health(traj, kind=kind, flow="v"), _flow_health(direct, kind=kind, flow="w_direct")]
+        route_s[kind] = time.perf_counter() - start
+        forcing_s[kind] = direct.timing["forcing_s"]
+    return {"rows": rows, "health": health, "route_s": route_s, "forcing_s": forcing_s}
 
 
 def run_infra(cfg) -> dict:
+    """The five infrastructure checks; `health` (the route check's flows)
+    and `timing` (the whole run, the order check, and per kind the route
+    check and its forcing tables) belong in the JSON report only."""
+    start = time.perf_counter()
     order = measure_integrator_order(cfg)
+    order_s = time.perf_counter() - start
     partition = measure_partition_deviation()
     oracle = measure_bilinear_oracle_deviation(cfg)
     group = measure_group_sum_deviation(cfg)
@@ -600,6 +614,13 @@ def run_infra(cfg) -> dict:
         "partition_dev": partition,
         "bilinear_dev": oracle,
         "group_dev": group,
-        "route_rows": route,
-        "max_route_dev": max(r[1] for r in route),
+        "route_rows": route["rows"],
+        "max_route_dev": max(r[1] for r in route["rows"]),
+        "health": route["health"],
+        "timing": {
+            "wall_s": time.perf_counter() - start,
+            "order_s": order_s,
+            "route_s": route["route_s"],
+            "forcing_s": route["forcing_s"],
+        },
     }

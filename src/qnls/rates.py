@@ -458,7 +458,10 @@ def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float) -> _
     u_freqs = _signed(u_cols, grid.n)
     v_freqs = _signed(v_cols, grid.n)
     sign = -1 if conj2 else 1
-    choices = ((False, False), (True, False), (False, True), (True, True))
+    # a one-sided factor split is one part, which costs what the unsplit
+    # factor costs, and the unsplit choice wins ties
+    u_splits, v_splits = ((False, True) if f.min() < 0 <= f.max() else (False,) for f in (u_freqs, v_freqs))
+    choices = [(su, sv) for sv in v_splits for su in u_splits]
     plans = [p for p in (_plan(u_freqs, v_freqs, sign, mult, *c) for c in choices) if p is not None]
     transforms, n, u_halves, v_halves, groups = min(plans, key=lambda p: p[0] * p[1])
     return _CellTables(

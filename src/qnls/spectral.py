@@ -100,8 +100,7 @@ class SpectralField:
 
     def conj(self):
         """Complex conjugate field: coefficients conj(uhat(-xi))."""
-        rev = np.conj(self.coeffs)[_reversal(self.grid.n)]
-        return SpectralField(self.grid, rev)
+        return SpectralField(self.grid, conj_coeffs(self.coeffs))
 
     def _check(self, other):
         if not isinstance(other, SpectralField) or other.grid != self.grid:
@@ -123,6 +122,12 @@ def _reversal(n: int):
         rev.setflags(write=False)
         _REV_CACHE[n] = rev
         return rev
+
+
+def conj_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """The coefficients conj(uhat(-xi)) of the complex conjugate of each
+    field in a stack of coefficient arrays (..., n)."""
+    return np.conj(coeffs)[..., _reversal(coeffs.shape[-1])]
 
 
 def fft_size(floor: int, cap: int) -> int:
@@ -196,10 +201,12 @@ class BandGrid:
 
     def product(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
         """The output band, on the n-point grid, of the product of the fields
-        with n-point coefficient arrays a and c; content of a and c beyond
-        the input band is not seen."""
+        with coefficient arrays a and c, (..., n) each, row by row; content
+        of a and c beyond the input band is not seen.  Passing one array in
+        both slots (c is a) squares its samples: one inverse transform."""
         # numpy.fft is looked up per call, so a patched transform is seen
-        p = np.fft.ifft(self.embed(a)) * np.fft.ifft(self.embed(c))
+        p = np.fft.ifft(self.embed(a))
+        p *= p if c is a else np.fft.ifft(self.embed(c))
         return self.extract(self.m * np.fft.fft(p))
 
 

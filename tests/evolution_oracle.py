@@ -1,14 +1,24 @@
 """The n-point stepping path of the flows, kept as an oracle for the
-stage-grid integrator in qnls.evolution.
+stage-grid integrator in qnls.evolution, and the per-stage-time remainder
+solve, kept as an oracle for its tabulated forcing.
 
 nonlinear_term is the guard-limited nonlinearity on the n-point grid
 itself: one inverse FFT, the kind's pointwise (conjugate) square, one
 forward FFT, truncation to the guard band.  rk4_loop is the
 integrating-factor RK4 loop with the phases applied as separate multiplies
 around each stage, and integrate_flow runs one flow through both.
+
+per_time_direct_w_solve is evolution.direct_w_solve with F + h and
+G_pair(F, F) computed for each new stage time through the per-time
+functions (free_propagate, normal_form_h, apply_pair_g_fast) and kept for
+the last two times.
 """
 
 import numpy as np
+
+from qnls import evolution
+from qnls.bilinear import KIND_FLAGS, apply_pair_g_fast
+from qnls.spectral import BandGrid, SpectralField, bracket, free_propagate
 
 _KIND_PRODUCT = {
     "u2": lambda p: p * p,
@@ -69,4 +79,38 @@ def integrate_flow(config, initial):
     """The coefficient arrays the flow saves, in time order."""
     steps = save_schedule(config.n_steps, config.n_saves)
     saves = rk4_loop(config.grid, initial.coeffs, config.dt, config.n_steps, nonlinear_term(config), 0.0, set(steps))
+    return [saves[s] for s in steps]
+
+
+def per_time_direct_w_solve(config, f):
+    """The coefficient arrays direct_w_solve saves, in time order, with the
+    forcing computed one stage time at a time."""
+    grid = config.grid
+    alpha, beta = config.alpha, config.beta
+    band = BandGrid(grid, grid.nyquist_index - 1, grid.guard_index)
+    w_in = bracket(grid.frequencies, alpha)
+    w_out = bracket(grid.frequencies, beta - alpha)
+    by_time = {}
+
+    def forcing_terms(t):
+        terms = by_time.get(t)
+        if terms is None:
+            big_f = free_propagate(t, f)
+            lifted = (big_f + evolution.normal_form_h(f, t, alpha, beta, config.kind)).coeffs
+            paired = apply_pair_g_fast(config.kind, alpha, beta, big_f, big_f).coeffs
+            if len(by_time) == 2:
+                del by_time[next(iter(by_time))]
+            terms = by_time[t] = (lifted, paired)
+        return terms
+
+    def nonlin(coeffs, t):
+        lifted, paired = forcing_terms(t)
+        v = SpectralField(grid, lifted + coeffs)
+        a, c = ((v.conj() if conj else v).coeffs * w_in for conj in KIND_FLAGS[config.kind])
+        return band.product(a, c) * w_out - paired
+
+    w0 = -1.0 * evolution.normal_form_h(f, 0.0, alpha, beta, config.kind)
+    steps = evolution._save_schedule(config.n_steps, config.n_saves)
+    stage = evolution._phased(grid.frequencies, config.dt, nonlin)
+    saves = evolution._integrate_core(grid, w0.coeffs, config.dt, config.n_steps, stage, 0.0, set(steps))
     return [saves[s] for s in steps]

@@ -164,6 +164,20 @@ def test_criterion_8_route_equivalence(infra_result):
     assert infra_result["max_route_dev"] <= 1e-6
 
 
+def test_criterion_8_reports_timing_and_health(infra_result):
+    kinds = ("u2", "uubar", "ubar2")
+    timing = infra_result["timing"]
+    assert set(timing) == {"wall_s", "order_s", "route_s", "forcing_s"}
+    assert set(timing["route_s"]) == set(timing["forcing_s"]) == set(kinds)
+    assert 0 < timing["order_s"] + sum(timing["route_s"].values()) < timing["wall_s"]
+    assert all(0 < timing["forcing_s"][k] < timing["route_s"][k] for k in kinds)
+    health = infra_result["health"]
+    assert [(h["kind"], h["flow"]) for h in health] == [(k, f) for k in kinds for f in ("v", "w_direct")]
+    for h in health:
+        assert h["steps"] > 0 and h["rhs_evals"] == 4 * h["steps"]
+        assert 0 <= h["max_top_octave_share"] <= 1 and h["max_l2_over_initial"] > 0
+
+
 # --- the one-line-per-criterion summary used by `qnls all` ------------------
 
 def test_criterion_lines_render(cfg):

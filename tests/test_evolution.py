@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from evolution_oracle import integrate_flow, rk4_loop
+from evolution_oracle import integrate_flow, per_time_direct_w_solve, rk4_loop
 
 from qnls import evolution
-from qnls.bilinear import apply_bilinear, g_symbol_restricted, normal_form_pair, weighted_product
+from qnls.bilinear import apply_bilinear, apply_pair_g_fast, g_symbol_restricted, normal_form_pair, weighted_product
 from qnls.evolution import (
     BlowUpError,
     EvolutionConfig,
@@ -297,6 +297,24 @@ class TestStageGrid:
         assert np.all(bg.frequencies[~in_slots] == 0.0)
         assert not (bg.frequencies.flags.writeable or bg.mask.flags.writeable)
 
+    @pytest.mark.parametrize("band, n", band_cases([16, 256]))
+    def test_self_product_takes_one_inverse_transform(self, band, n, monkeypatch):
+        bg = BandGrid(Grid(n), *BANDS[band](n))
+        rows = np.stack([random_guard_limited(n, seed=s).coeffs for s in range(3)])
+        want = bg.product(rows, rows.copy())
+        calls = []
+        original = np.fft.ifft
+
+        def counting(x, *args, **kwargs):
+            calls.append(x.shape)
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counting)
+        got = bg.product(rows, rows)
+        monkeypatch.undo()
+        assert calls == [(3, bg.m)]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("k_in, k_out", [(8, 4), (4, 9), (-1, 0), (7, -1)])
     def test_rejects_bands_that_do_not_fit(self, k_in, k_out):
         # on n = 16: an input band reaching the Nyquist index, an output band
@@ -508,6 +526,24 @@ def uncached_direct_w_solve(cfg, f):
     return [SpectralField(grid, saves[k]) for k in sorted(saves)]
 
 
+def route_data(n, seed):
+    """The route check's data: smooth, on |xi| <= 8 (experiments.ROUTE_FREQ_HI)."""
+    return gen_rough_data(DataSpec(3.0, 8.0, amplitude=0.3, seed=seed), Grid(n))
+
+
+def counting_blocks(monkeypatch):
+    """The times of every forcing table direct_w_solve builds, one list per table."""
+    blocks = []
+    original = evolution._forcing_rows
+
+    def counting(f, times, *args):
+        blocks.append(list(times))
+        return original(f, times, *args)
+
+    monkeypatch.setattr(evolution, "_forcing_rows", counting)
+    return blocks
+
+
 class TestDirectSolve:
     @pytest.mark.parametrize(
         "kind, wide",
@@ -519,20 +555,64 @@ class TestDirectSolve:
         # and the paired forcing leaves the guard band
         data = 0.1 * random_guard_limited(64, seed=9) if wide else smooth_data(64, seed=9, amp=0.3)
         cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.02, kind=kind, variables="v", n_saves=3)
-        calls = []
-        original = evolution.normal_form_h
-
-        def counting(f, t, *args):
-            calls.append(t)
-            return original(f, t, *args)
-
-        monkeypatch.setattr(evolution, "normal_form_h", counting)
+        blocks = counting_blocks(monkeypatch)
         direct = direct_w_solve(cfg, data)
         monkeypatch.undo()
-        # w(0) = -h(0), then the start of the first step and two new stage times per step
-        assert len(calls) <= 2 * cfg.n_steps + 2
+        # 2 n_steps + 1 = 41 stage times: one full table and a partial one,
+        # each time tabulated once and in order
+        times = [t for block in blocks for t in block]
+        assert [len(block) for block in blocks] == [evolution.FORCING_BLOCK, 41 - evolution.FORCING_BLOCK]
+        assert times == [evolution._stage_time(0.0, cfg.dt, j) for j in range(2 * cfg.n_steps + 1)]
+        assert direct.timing["forcing_blocks"] == 2
+        assert 0.0 < direct.timing["forcing_s"]
         for got, want in zip(direct.states, uncached_direct_w_solve(cfg, data), strict=True):
             assert l2_norm(got - want) <= 1e-13 * l2_norm(want)
+
+    @pytest.mark.parametrize("kind", ["u2", "uubar", "ubar2"])
+    @pytest.mark.parametrize(
+        "n, data",
+        [
+            pytest.param(64, lambda: 0.1 * random_guard_limited(64, seed=9), id="guard-band-64"),
+            pytest.param(256, lambda: route_data(256, seed=401), id="route-256"),
+        ],
+    )
+    def test_matches_per_time_forcing(self, n, data, kind):
+        # 81 stage times: tables of 32, 32 and 17
+        f = data()
+        cfg = EvolutionConfig(n, ALPHA, BETA, 2.5e-4, 0.01, kind=kind, variables="v", n_saves=4)
+        assert (2 * cfg.n_steps + 1) % evolution.FORCING_BLOCK != 0
+        direct = direct_w_solve(cfg, f)
+        want = per_time_direct_w_solve(cfg, f)
+        assert len(direct.states) == len(want) == 4
+        for got, ref in zip(direct.states, want):
+            assert np.array_equal(got.coeffs, ref)
+
+    def test_forcing_rows_match_per_time_fields(self):
+        f = route_data(256, seed=402)
+        times = [evolution._stage_time(0.0, 1e-3, j) for j in range(5)]
+        for kind in ("u2", "uubar", "ubar2"):
+            lifted, paired = evolution._forcing_rows(f, times, ALPHA, BETA, kind)
+            for t, lift_row, pair_row in zip(times, lifted, paired, strict=True):
+                big_f = free_propagate(t, f)
+                assert np.array_equal(lift_row, (big_f + normal_form_h(f, t, ALPHA, BETA, kind)).coeffs)
+                assert np.array_equal(pair_row, apply_pair_g_fast(kind, ALPHA, BETA, big_f, big_f).coeffs)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            pytest.param(lambda f: SpectralField(Grid(128), np.zeros(128)), "grid", id="wrong-grid"),
+            pytest.param(lambda f: SpectralField(f.grid, np.where(np.arange(64) == 3, np.nan, f.coeffs)),
+                         "not finite", id="non-finite"),
+            pytest.param(lambda f: SpectralField(f.grid, np.where(np.arange(64) == 20, 1e-3, f.coeffs)),
+                         "guard", id="beyond-guard"),
+        ],
+    )
+    def test_rejects_bad_data_before_any_table(self, bad, match, monkeypatch):
+        cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.02, kind="ubar2", variables="v", n_saves=3)
+        blocks = counting_blocks(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            direct_w_solve(cfg, bad(smooth_data(64, seed=9, amp=0.3)))
+        assert blocks == []
 
     def test_stage_times_shared(self):
         times = []
@@ -548,6 +628,8 @@ class TestDirectSolve:
             assert t2 == t3
             assert t1 == pytest.approx(0.3 + s * dt, abs=1e-15)
             assert t4 == pytest.approx(0.3 + (s + 1) * dt, abs=1e-15)
+            # the helper the forcing tables take their times from
+            assert (t1, t2, t4) == tuple(evolution._stage_time(0.3, dt, 2 * s + j) for j in range(3))
             if s + 1 < len(per_step):
                 assert per_step[s + 1][0] == t4
 

@@ -296,6 +296,26 @@ class TestCli:
         assert results["health"]["gain1"]["transforms"] == {"3": 3, "4": 3}
         assert results["health"]["kkk1"]["transforms"] == {"3": 5, "4": 5}
 
+    def test_all_report_carries_criterion_timing(self, tmp_path, monkeypatch):
+        from qnls import acceptance
+
+        results = [
+            acceptance.CriterionResult(1, "first", True, "ok", {"rows": []}),
+            acceptance.CriterionResult(8, "eighth", False, "off", {"timing": {"wall_s": 0.5, "route_s": {"u2": 0.1}}}),
+        ]
+        monkeypatch.setattr(acceptance, "run_all", lambda cfg: results)
+        assert main(["all", "--out", str(tmp_path)]) == 1
+        criteria = json.loads((tmp_path / "acceptance.json").read_text())["results"]["criteria"]
+        assert [set(c) for c in criteria] == [
+            {"number", "name", "passed", "detail"},
+            {"number", "name", "passed", "detail", "timing"},
+        ]
+        assert criteria[1]["timing"] == {"wall_s": 0.5, "route_s": {"u2": 0.1}}
+        # timing stays out of the CSV
+        assert (tmp_path / "acceptance.csv").read_text().splitlines() == [
+            "number,name,passed,detail", "1,first,1,ok", "8,eighth,0,off"
+        ]
+
     def test_mnorm_report_health_and_timing(self, tmp_path):
         p = tmp_path / "small.cfg"
         p.write_text("[mnorm]\nn_tau = 16\nn_xi = 16\niters = 3\ntiny_grid = 16\n")
@@ -468,3 +488,56 @@ class TestKernels:
         a = _kernels._bilinear_contract_nb(sym, u, v)
         b = _kernels.bilinear_contract_numpy(sym, u, v)
         np.testing.assert_allclose(a, b, atol=1e-12 * np.max(np.abs(b)))
+
+
+def full_grid_contract(sym, u, v):
+    """The contraction as one bincount over the whole n x n grid."""
+    n = u.shape[0]
+    wrap = (np.add.outer(np.arange(n), np.arange(n)) % n).ravel()
+    bins = (2 * wrap[:, None] + np.arange(2)).ravel()
+    prod = np.multiply(sym, np.outer(u, v))
+    return np.bincount(bins, weights=prod.reshape(-1).view(np.float64), minlength=2 * n).view(np.complex128)
+
+
+def same_bits(a, b):
+    """Equal as IEEE bit patterns, so signed zeros count too."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSupportContraction:
+    @staticmethod
+    def inputs(n, seed, pattern):
+        rng = np.random.default_rng(seed)
+        sym = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        u, v = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        if pattern == "random-zeros":
+            u[rng.random(n) < 0.6] = 0.0
+            v[rng.random(n) < 0.3] = 0.0
+        elif pattern == "one-mode":
+            u = np.where(np.arange(n) == 3, u, 0.0)
+            v = np.where(np.arange(n) == n - 2, v, 0.0)
+        elif pattern == "zeros":
+            u, v = np.zeros(n, complex), np.zeros(n, complex)
+        return sym, u, v
+
+    @pytest.mark.parametrize("pattern", ["random-zeros", "one-mode", "zeros", "dense"])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_full_grid_bincount(self, n, pattern):
+        for seed in range(4):
+            sym, u, v = self.inputs(n, seed, pattern)
+            assert same_bits(_kernels.bilinear_contract_numpy(sym, u, v), full_grid_contract(sym, u, v))
+
+    @pytest.mark.parametrize("share", [0.4, 0.0])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_rows_match_single_contractions(self, n, share):
+        # rows with different supports contract on their union; share 0
+        # leaves one mode per row, at index 5 in u and n - 3 in v
+        rng = np.random.default_rng(n)
+        sym = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        keep = (rng.random((6, n)) < share) | (np.arange(n) == 5)
+        u = (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))) * keep
+        v = np.conj(u[:, ::-1])
+        got = _kernels.bilinear_contract_numpy(sym, u.reshape(2, 3, n), v.reshape(2, 3, n))
+        assert got.shape == (2, 3, n)
+        for row, a, c in zip(got.reshape(6, n), u, v, strict=True):
+            assert same_bits(row, full_grid_contract(sym, a, c))

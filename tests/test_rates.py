@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from qnls import rates
 from qnls.rates import (
     KIND_ORDER,
     KINDS,
@@ -278,6 +279,33 @@ def test_cell_grid_sizes(kind):
     tables = [_cell_tables(kind, k, 0.05, 256, 2 * np.pi) for k in range(3, 9)]
     assert [t.n for t in tables] == CELL_GRID_N[kind]
     assert {t.transforms for t in tables} == {CELL_TRANSFORMS[kind]}
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_plan_search_skips_one_sided_splits(kind, monkeypatch):
+    # the choices the search leaves out (a split of a factor with one sign
+    # half) never beat the plan it keeps, so each (kind, k) keeps its grid
+    # and its transforms
+    searched, original = [], rates._plan
+
+    def recording(*args):
+        searched.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rates, "_plan", recording)
+    for k in range(3, 9):
+        searched.clear()
+        _cell_tables.cache_clear()
+        tables = _cell_tables(kind, k, 0.05, 256, 2 * np.pi)
+        u_freqs, v_freqs, sign, mult = searched[0][:4]
+        one_sided = [freqs.min() >= 0 or freqs.max() < 0 for freqs in (u_freqs, v_freqs)]
+        choices = [(su, sv) for sv in (False, True) for su in (False, True)]
+        kept = [c for c in choices if not (c[0] and one_sided[0] or c[1] and one_sided[1])]
+        assert [args[4:] for args in searched] == kept
+        plans = [p for p in (original(u_freqs, v_freqs, sign, mult, *c) for c in choices) if p is not None]
+        best = min(plans, key=lambda p: p[0] * p[1])
+        assert (best[1], best[0]) == (tables.n, tables.transforms) == (CELL_GRID_N[kind][k - 3], CELL_TRANSFORMS[kind])
+    _cell_tables.cache_clear()
 
 
 def test_empty_box_rejected():
