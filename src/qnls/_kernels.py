@@ -1,40 +1,28 @@
-"""Hot numerical kernels.
+"""Hot numerical kernels, in numpy only.
 
 * The dense bilinear symbol contraction  out[(i+j) % n] += sym[i,j]*u[i]*v[j],
   an O(n^2) pass.  The lift symbols of u2 and uubar factor through FFTs
   (bilinear.apply_lift), so it runs for the ubar2 lift, whose mismatch does
-  not factor, and for the dense reference symbols.  It exists twice with
-  identical semantics: a numba-jitted version, used when numba imports and
-  the environment variable QNLS_DISABLE_NUMBA is unset (or "0"), and a
-  pure-numpy twin used otherwise: one bincount over the float64 view of
-  the product on the inputs' support (the indices where they are nonzero)
-  into wrap bins built once per support.  Both take a stack of rows
-  (..., n) in each slot and contract row by row.
+  not factor, and for the dense reference symbols.  It is one bincount over
+  the float64 view of the product on the inputs' support (the indices where
+  they are nonzero) into wrap bins built once per support, row by row over
+  a stack of rows (..., n) in each slot, so its sums do not depend on what
+  else is installed.
 * The trilinear box contractions of the alternating maximizer for the
-  multiplier lower bounds, in numpy only: each partial runs on the box's
-  index triples, sorted once by the output slot's cell, as one
-  gather-multiply and one segment sum (np.add.reduceat).
+  multiplier lower bounds: each partial runs on the box's index triples,
+  sorted once by the output slot's cell, as one gather-multiply and one
+  segment sum (np.add.reduceat).
 """
 
 import functools
-import os
+import importlib.util
 from typing import NamedTuple
 
 import numpy as np
 
-_flag = os.environ.get("QNLS_DISABLE_NUMBA", "0").strip().lower()
-NUMBA_DISABLED = _flag not in ("", "0", "false", "no")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via QNLS_DISABLE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not NUMBA_DISABLED
+# read only by the benchmark's environment record; no kernel uses numba
+HAS_NUMBA = importlib.util.find_spec("numba") is not None
+USE_NUMBA = False
 
 
 # ----------------------------------------------------------------------------
@@ -54,7 +42,7 @@ def _support_bins(n: int, rows: bytes, cols: bytes) -> np.ndarray:
     return bins
 
 
-def bilinear_contract_numpy(sym, u, v):
+def bilinear_contract(sym, u, v):
     """out[..., (i+j) % n] = sum_ij sym[i,j] * (u[..., i] v[..., j]),
     vectorized over the support: the indices where some row of u, and of v,
     is nonzero.  Each row is one bincount of the product block on the
@@ -87,44 +75,6 @@ def bilinear_contract_numpy(sym, u, v):
             prod = np.multiply(block, np.outer(a, c))
             out[r] = np.bincount(bins, weights=prod.reshape(-1).view(np.float64), minlength=2 * n).view(np.complex128)
     return out.reshape(u.shape)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _bilinear_contract_nb(sym, u, v):  # pragma: no cover - numba
-        n = u.shape[0]
-        out = np.zeros(n, dtype=np.complex128)
-        for i in range(n):
-            ui = u[i]
-            if ui == 0.0:
-                continue
-            for j in range(n):
-                s = sym[i, j]
-                if s != 0.0:
-                    k = i + j
-                    if k >= n:
-                        k -= n
-                    out[k] += s * ui * v[j]
-        return out
-
-    def bilinear_contract_numba(sym, u, v):
-        sym = np.ascontiguousarray(sym, dtype=np.complex128)
-        n = u.shape[-1]
-        u_rows = np.ascontiguousarray(u, dtype=np.complex128).reshape(-1, n)
-        v_rows = np.ascontiguousarray(v, dtype=np.complex128).reshape(-1, n)
-        out = [_bilinear_contract_nb(sym, a, c) for a, c in zip(u_rows, v_rows)]
-        return np.array(out).reshape(u.shape)
-
-else:
-    bilinear_contract_numba = None
-
-
-def bilinear_contract(sym, u, v):
-    """Dispatch to the jitted kernel when available, else the numpy twin."""
-    if USE_NUMBA:
-        return bilinear_contract_numba(sym, u, v)
-    return bilinear_contract_numpy(sym, u, v)
 
 
 # ----------------------------------------------------------------------------

@@ -176,7 +176,11 @@ def main(argv=None) -> int:
         return 2
     out_dir = args.out or os.environ.get("QNLS_OUT") or cfg["run"]["out"]
     cfg["run"]["out"] = out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"qnls: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
+        return 2
 
     try:
         if args.command == "simulate":

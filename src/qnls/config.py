@@ -20,11 +20,14 @@ class ConfigError(Exception):
 
 
 def _float(s):
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return v
 
 
 def _int(s):
-    v = float(s)
+    v = _float(s)
     if v != int(v):
         raise ValueError(f"expected an integer, got {s!r}")
     return int(v)
@@ -35,7 +38,7 @@ def _str(s):
 
 
 def _floatlist(s):
-    return [float(p) for p in s.split(",") if p.strip()]
+    return [_float(p) for p in s.split(",") if p.strip()]
 
 
 def _strlist(s):

@@ -83,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import Grid, fft_size, lp_annulus, lp_bump
-from .spacetime import TWO_PI, box_mask, parabola_distance, window_weights
+from .spacetime import TWO_PI, box_mask, fit_line, parabola_distance, window_weights
 
 # kind -> (conjugate second slot, v synth pattern, output projection pattern,
 #          v norm exponent tag, u side, v side)
@@ -580,19 +580,6 @@ def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: floa
     return n_t * tables.n * l2 / (nu * nv)
 
 
-def _fit_line(xs, ys):
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    xbar = xs.mean()
-    ybar = ys.mean()
-    sxx = float(np.sum((xs - xbar) ** 2))
-    slope = float(np.sum((xs - xbar) * (ys - ybar)) / sxx)
-    resid = ys - (ybar + slope * (xs - xbar))
-    dof = max(xs.size - 2, 1)
-    stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx))
-    return slope, stderr
-
-
 def product_rate_experiment(
     kind: str,
     k_range=(3, 8),
@@ -636,6 +623,6 @@ def product_rate_experiment(
     if degenerate:
         slope, stderr = float("nan"), float("nan")
     else:
-        slope, stderr = _fit_line(ks, np.log2(medians))
+        slope, stderr = fit_line(ks, np.log2(medians))
     return RateReport(kind, delta, ks, medians, slope, stderr, n_seeds, degenerate, ratios, grid_n, transforms,
                       tables_s)

@@ -16,8 +16,7 @@ class DataSpec:
 
     The moduli are deterministic, |uhat(xi)| = amplitude * <xi>^(-sigma-1/2)
     on the support freq_lo <= |xi| <= freq_hi, only the phases are random.
-    The zero mode is left empty unless include_zero_mode is set (then it
-    gets amplitude * a random phase).
+    The zero mode is left empty.
     """
 
     sigma: float
@@ -25,7 +24,6 @@ class DataSpec:
     freq_lo: float = 1.0
     amplitude: float = 1.0
     seed: int = 0
-    include_zero_mode: bool = False
 
 
 def gen_rough_data(spec: DataSpec, grid: Grid) -> SpectralField:
@@ -46,8 +44,5 @@ def gen_rough_data(spec: DataSpec, grid: Grid) -> SpectralField:
     phases = np.exp(2j * math.pi * rng.random(grid.n))
     moduli = np.where(support, (1.0 + xi**2) ** (-(spec.sigma + 0.5) / 2.0), 0.0)
     coeffs = spec.amplitude * moduli * phases
-    if spec.include_zero_mode:
-        coeffs[0] = spec.amplitude * phases[0]
-    else:
-        coeffs[0] = 0.0
+    coeffs[0] = 0.0
     return SpectralField(grid, coeffs)

@@ -59,6 +59,19 @@ class RegularityFit:
     n_bands: int
 
 
+def fit_line(xs, ys) -> tuple[float, float]:
+    """Least-squares slope of ys against xs and its standard error."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    xbar = xs.mean()
+    ybar = ys.mean()
+    sxx = float(np.sum((xs - xbar) ** 2))
+    slope = float(np.sum((xs - xbar) * (ys - ybar)) / sxx)
+    resid = ys - (ybar + slope * (xs - xbar))
+    dof = max(xs.size - 2, 1)
+    return slope, math.sqrt(float(np.sum(resid**2)) / dof / sxx)
+
+
 def regularity_fit(ks, norms, k_lo: int | None = None, k_hi: int | None = None) -> RegularityFit:
     """Least-squares Sobolev index from a dyadic profile.
 
@@ -74,14 +87,7 @@ def regularity_fit(ks, norms, k_lo: int | None = None, k_hi: int | None = None) 
     kk = ks[sel].astype(np.float64)
     if kk.size < 4:
         raise ValueError(f"regularity fit needs >= 4 usable bands, got {kk.size}")
-    yy = np.log2(norms[sel])
-    kbar = kk.mean()
-    ybar = yy.mean()
-    sxx = float(np.sum((kk - kbar) ** 2))
-    slope = float(np.sum((kk - kbar) * (yy - ybar)) / sxx)
-    resid = yy - (ybar + slope * (kk - kbar))
-    dof = max(kk.size - 2, 1)
-    stderr = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
+    slope, stderr = fit_line(kk, np.log2(norms[sel]))
     return RegularityFit(-slope, stderr, int(kk[0]), int(kk[-1]), kk.size)
 
 

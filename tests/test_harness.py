@@ -11,18 +11,19 @@ import pytest
 
 import qnls
 from qnls import _kernels
+from qnls.bilinear import t_symbol_ubar2
 from qnls.cli import main
 from qnls.config import ConfigError, default_config, load_config, parse_config
 from qnls.reports import config_sha256, fmt, write_csv, write_report
 from qnls.roughdata import DataSpec, gen_rough_data
-from qnls.spectral import Grid
+from qnls.spectral import Grid, SpectralField
 
 
-def child_env(**extra):
+def child_env():
     """The environment of a child interpreter that imports the qnls under test."""
     src = str(Path(qnls.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +139,10 @@ class TestConfig:
             "[identity]\ndt = 0\n",
             "[identity]\nn_pairs = 0\n",
             "[smoothing]\nn_seeds = 0\n",
+            "[run]\nseed = 1e400\n",
+            "[run]\nalpha = nan\n",
+            "[run]\nbeta = inf\n",
+            "[lipschitz]\nepsilons = 1e-3, nan\n",
         ],
     )
     def test_out_of_range_rejected(self, tmp_path, text):
@@ -163,12 +168,9 @@ class TestRoughData:
         np.testing.assert_allclose(np.abs(f.coeffs[inside]), want, rtol=1e-12)
         assert np.all(f.coeffs[~inside] == 0)
 
-    def test_zero_mode_flag(self):
+    def test_zero_mode_empty(self):
         g = Grid(64)
-        base = DataSpec(sigma=0.0, freq_hi=8.0, seed=2)
-        assert gen_rough_data(base, g).coeffs[0] == 0
-        with_zero = DataSpec(sigma=0.0, freq_hi=8.0, seed=2, include_zero_mode=True)
-        assert gen_rough_data(with_zero, g).coeffs[0] != 0
+        assert gen_rough_data(DataSpec(sigma=0.0, freq_hi=8.0, seed=2), g).coeffs[0] == 0
 
     def test_seed_determinism_and_variation(self):
         g = Grid(64)
@@ -416,6 +418,12 @@ class TestCli:
             main(["not-a-command"])
         assert info.value.code == 2
 
+    def test_uncreatable_out_dir_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert main(["identity", "--out", str(blocker)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
     def test_out_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QNLS_OUT", str(tmp_path / "envdir"))
         rc = main(["simulate"])
@@ -463,32 +471,8 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# kernel twins
+# dense bilinear contraction
 # ---------------------------------------------------------------------------
-
-class TestKernels:
-    def test_env_flag_honored(self):
-        env = child_env(QNLS_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from qnls import _kernels; print(_kernels.USE_NUMBA)"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_bilinear_twins_agree(self):
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable in this interpreter")
-        rng = np.random.default_rng(2)
-        n = 128
-        sym = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        a = _kernels._bilinear_contract_nb(sym, u, v)
-        b = _kernels.bilinear_contract_numpy(sym, u, v)
-        np.testing.assert_allclose(a, b, atol=1e-12 * np.max(np.abs(b)))
-
 
 def full_grid_contract(sym, u, v):
     """The contraction as one bincount over the whole n x n grid."""
@@ -525,7 +509,7 @@ class TestSupportContraction:
     def test_matches_full_grid_bincount(self, n, pattern):
         for seed in range(4):
             sym, u, v = self.inputs(n, seed, pattern)
-            assert same_bits(_kernels.bilinear_contract_numpy(sym, u, v), full_grid_contract(sym, u, v))
+            assert same_bits(_kernels.bilinear_contract(sym, u, v), full_grid_contract(sym, u, v))
 
     @pytest.mark.parametrize("share", [0.4, 0.0])
     @pytest.mark.parametrize("n", [16, 64])
@@ -537,7 +521,38 @@ class TestSupportContraction:
         keep = (rng.random((6, n)) < share) | (np.arange(n) == 5)
         u = (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))) * keep
         v = np.conj(u[:, ::-1])
-        got = _kernels.bilinear_contract_numpy(sym, u.reshape(2, 3, n), v.reshape(2, 3, n))
+        got = _kernels.bilinear_contract(sym, u.reshape(2, 3, n), v.reshape(2, 3, n))
         assert got.shape == (2, 3, n)
         for row, a, c in zip(got.reshape(6, n), u, v, strict=True):
             assert same_bits(row, full_grid_contract(sym, a, c))
+
+
+class TestOneBackend:
+    def test_installed_numba_changes_nothing(self, tmp_path):
+        # a stand-in numba on the path, ahead of the package: the ubar2 lift
+        # neither imports it nor moves off the full-grid bincount
+        (tmp_path / "numba").mkdir()
+        (tmp_path / "numba" / "__init__.py").write_text(
+            "def njit(*args, **kwargs):\n"
+            "    return args[0] if args and callable(args[0]) else (lambda f: f)\n"
+        )
+        out = tmp_path / "lift.npy"
+        script = (
+            "import sys, numpy as np\n"
+            "from qnls.bilinear import apply_lift\n"
+            "from qnls.roughdata import DataSpec, gen_rough_data\n"
+            "from qnls.spectral import Grid\n"
+            "u, v = (gen_rough_data(DataSpec(0.0, 16.0, seed=s), Grid(64)) for s in (3, 4))\n"
+            f"np.save({str(out)!r}, apply_lift('ubar2', 0.6, 0.2, u, v).coeffs)\n"
+            "print('numba' in sys.modules)\n"
+        )
+        env = child_env()
+        env["PYTHONPATH"] = str(tmp_path) + os.pathsep + env["PYTHONPATH"]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        grid = Grid(64)
+        u, v = (gen_rough_data(DataSpec(0.0, 16.0, seed=s), grid) for s in (3, 4))
+        sym = t_symbol_ubar2(0.6, 0.2).matrix(grid)
+        want = SpectralField(grid, full_grid_contract(sym, u.conj().coeffs, v.conj().coeffs))  # Nyquist zeroed
+        assert np.array_equal(np.load(out), want.coeffs)
