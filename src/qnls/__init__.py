@@ -11,7 +11,6 @@ from .bilinear import (
     BilinearSymbol,
     apply_bilinear,
     apply_lift,
-    apply_pair_g_fast,
     g_symbol,
     g_symbol_restricted,
     leibniz_residual,
@@ -42,14 +41,7 @@ from .mnorm import (
 )
 from .rates import expected_slope, product_rate_experiment
 from .roughdata import DataSpec, gen_rough_data
-from .spacetime import (
-    SpaceTimeField,
-    dyadic_profile,
-    fitted_regularity,
-    sobolev_norm,
-    st_l2_norm,
-    xsb_norm,
-)
+from .spacetime import dyadic_profile, fitted_regularity, sobolev_norm
 from .spectral import (
     Grid,
     SpectralField,

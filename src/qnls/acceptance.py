@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import experiments
-from .rates import KIND_ORDER
 
 
 @dataclass
@@ -127,10 +126,5 @@ CRITERIA = (
 )
 
 
-def run_all(cfg, numbers=None) -> list:
-    wanted = set(numbers) if numbers else set(range(1, 9))
-    out = []
-    for idx, fn in enumerate(CRITERIA, start=1):
-        if idx in wanted:
-            out.append(fn(cfg))
-    return out
+def run_all(cfg) -> list:
+    return [fn(cfg) for fn in CRITERIA]

@@ -46,14 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _criterion_command(cfg, out_dir, crit_fn, writers) -> int:
-    result = crit_fn(cfg)
-    for writer in writers:
-        writer(result.data, cfg, out_dir)
-    print(result.line)
-    return 0 if result.passed else 1
-
-
 # ---------------------------------------------------------------------------
 # per-command artifact writers
 # ---------------------------------------------------------------------------
@@ -148,12 +140,12 @@ def cmd_all(cfg, out_dir) -> int:
 
 
 _CRITERION_COMMANDS = {
-    "identity": (acceptance.criterion_1, (_write_identity,)),
-    "decompose": (acceptance.criterion_3, (_write_decompose,)),
-    "rates": (acceptance.criterion_4, (_write_rates,)),
-    "mnorm": (acceptance.criterion_5, (_write_mnorm,)),
-    "lipschitz": (acceptance.criterion_6, (_write_lipschitz,)),
-    "subst": (acceptance.criterion_7, (_write_subst,)),
+    "identity": (acceptance.criterion_1, _write_identity),
+    "decompose": (acceptance.criterion_3, _write_decompose),
+    "rates": (acceptance.criterion_4, _write_rates),
+    "mnorm": (acceptance.criterion_5, _write_mnorm),
+    "lipschitz": (acceptance.criterion_6, _write_lipschitz),
+    "subst": (acceptance.criterion_7, _write_subst),
 }
 
 
@@ -187,8 +179,11 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg, out_dir)
         if args.command == "all":
             return cmd_all(cfg, out_dir)
-        crit_fn, writers = _CRITERION_COMMANDS[args.command]
-        return _criterion_command(cfg, out_dir, crit_fn, writers)
+        crit_fn, writer = _CRITERION_COMMANDS[args.command]
+        result = crit_fn(cfg)
+        writer(result.data, cfg, out_dir)
+        print(result.line)
+        return 0 if result.passed else 1
     except BlowUpError as exc:
         print(f"qnls: {exc}", file=sys.stderr)
         return 1

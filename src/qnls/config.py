@@ -2,17 +2,17 @@
 
 Comments start with '#'; values are typed by the schema below; unknown
 sections or keys and malformed lines are hard errors (exit code 2 at the
-command line), as is a duplicate key or a value out of range."""
+command line), as is a duplicate key or a value out of range.  A section's
+grid, data, fit window and flows are range-checked by building them with
+the drivers' own input functions in experiments.py."""
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
 
-from .evolution import EvolutionConfig
-from .experiments import ROUTE_FREQ_HI
+from . import experiments
 from .rates import KIND_ORDER
-from .spectral import Grid, max_band
 
 
 class ConfigError(Exception):
@@ -33,10 +33,6 @@ def _int(s):
     return int(v)
 
 
-def _str(s):
-    return s
-
-
 def _floatlist(s):
     return [_float(p) for p in s.split(",") if p.strip()]
 
@@ -44,8 +40,6 @@ def _floatlist(s):
 def _strlist(s):
     return [p.strip() for p in s.split(",") if p.strip()]
 
-
-TWO_PI = 2.0 * math.pi
 
 # section -> key -> (parser, default)
 SCHEMA = {
@@ -55,7 +49,7 @@ SCHEMA = {
         "delta": (_float, 0.05),
         "seed": (_int, 1234),
         "threads": (_int, 1),
-        "out": (_str, "qnls_out"),
+        "out": (str, "qnls_out"),
     },
     "identity": {
         "n_points": (_int, 64),
@@ -77,8 +71,8 @@ SCHEMA = {
     },
     "simulate": {
         "n_points": (_int, 256),
-        "variables": (_str, "u"),
-        "kind": (_str, "u2"),
+        "variables": (str, "u"),
+        "kind": (str, "u2"),
         "dt": (_float, 2.5e-4),
         "t_final": (_float, 0.1),
         "n_saves": (_int, 11),
@@ -192,9 +186,25 @@ def parse_config(path) -> dict:
     return cfg
 
 
+# the drivers' input builders, each labelled by its section: a builder
+# makes its section's grid, data (fitted on the section's fit window) and
+# flows, and raises ValueError for keys it cannot make them from
+_INPUT_BUILDERS = (
+    ("[identity]", experiments.identity_inputs),
+    ("[smoothing]", experiments.smoothing_inputs),
+    ("[decompose]", experiments.decompose_inputs),
+    ("[lipschitz]", experiments.lipschitz_inputs),
+    ("[subst]", experiments.subst_inputs),
+    ("[simulate]", experiments.simulate_inputs),
+    ("[infra] order check:", experiments.order_inputs),
+    ("[infra] route check:", experiments.route_inputs),
+)
+
+
 def check_ranges(cfg) -> None:
     """Raise ConfigError for a value its parser accepts but the experiments
-    cannot run with."""
+    cannot run with: the counts and windows checked here, and each grid,
+    datum, fit window or flow that the drivers' own input builders reject."""
     run, rates, mnorm = cfg["run"], cfg["rates"], cfg["mnorm"]
     bad = []
     if run["seed"] < 0:
@@ -205,8 +215,6 @@ def check_ranges(cfg) -> None:
         bad.append(f"[rates] k_lo must be >= 1, got {rates['k_lo']}")
     if rates["k_hi"] < rates["k_lo"] + 1:  # the slope fit needs two scales
         bad.append(f"[rates] k_hi must be >= k_lo + 1 = {rates['k_lo'] + 1}, got {rates['k_hi']}")
-    if rates["n_seeds"] < 1:
-        bad.append(f"[rates] n_seeds must be >= 1, got {rates['n_seeds']}")
     if rates["n_t"] < 2 or rates["n_t"] % 2:
         bad.append(f"[rates] n_t must be positive and even, got {rates['n_t']}")
     kinds = rates["kinds"]
@@ -224,93 +232,22 @@ def check_ranges(cfg) -> None:
         bad.append(f"[mnorm] iters must be >= 1, got {mnorm['iters']}")
     if mnorm["tiny_grid"] < 2:
         bad.append(f"[mnorm] tiny_grid must be >= 2, got {mnorm['tiny_grid']}")
-    bad.extend(_flow_problems(cfg))
-    if bad:
-        raise ConfigError("; ".join(bad))
-
-
-# section -> (grid key, data-support key, (dt, t_final, n_saves) keys or None
-# for a section that integrates no flow)
-_GRID_SECTIONS = {
-    "identity": ("n_points", "band_limit", None),
-    "smoothing": ("n_points", "freq_hi", None),
-    "simulate": ("n_points", "freq_hi", ("dt", "t_final", "n_saves")),
-    "decompose": ("n_points", "freq_hi", ("dt", "t_final", "n_saves")),
-    "lipschitz": ("n_points", "freq_hi", ("dt", "t_final", "n_saves")),
-    "subst": ("n_points", "freq_hi", ("dt", "t_final", "n_saves")),
-    "infra": ("order_n", "order_freq_hi", ("order_dt", "order_t_final", None)),
-}
-
-
-def _flow_problems(cfg) -> list:
-    """Range problems of the sections that build grids, draw data and
-    integrate flows: each grid must be one Grid accepts, each data support
-    must lie in [1, guard frequency], each flow must be one EvolutionConfig
-    accepts (positive dt dividing t_final, dt resolving the guard phase,
-    n_saves >= 2, a known kind and variable set), and each fit window must
-    hold the four bands a regularity fit needs, below max_band and within
-    the data's reach."""
-    run = cfg["run"]
-    bad = []
-
-    def grid_of(sec, key):
-        try:
-            return Grid(cfg[sec][key])
-        except ValueError:
-            bad.append(f"[{sec}] {key} must be a power of two >= 16, got {cfg[sec][key]}")
-            return None
-
-    def flow(sec, label, n_key, dt, t_final, n_saves, **kw):
-        try:
-            EvolutionConfig(cfg[sec][n_key], run["alpha"], run["beta"], dt, t_final, n_saves=n_saves, **kw)
-        except ValueError as exc:
-            bad.append(f"[{sec}] {label}{exc}")
-
-    for sec, (n_key, freq_key, flow_keys) in _GRID_SECTIONS.items():
-        c = cfg[sec]
-        grid = grid_of(sec, n_key)
-        if grid is None:
-            continue
-        if not 1.0 <= c[freq_key] <= grid.guard_frequency:
-            bad.append(f"[{sec}] {freq_key} must lie in [1, {grid.guard_frequency:g}] "
-                       f"(the guard frequency of {n_key} = {grid.n}), got {c[freq_key]:g}")
-        if flow_keys is not None:
-            dt_key, t_key, saves_key = flow_keys
-            extra = {"kind": c["kind"], "variables": c["variables"]} if sec == "simulate" else {}
-            label = "order flow: " if sec == "infra" else ""
-            flow(sec, label, n_key, c[dt_key], c[t_key], c[saves_key] if saves_key else 2, **extra)
-        if "fit_lo" in c:
-            lo, hi = c["fit_lo"], c["fit_hi"]
-            if hi - max(lo, 1) < 3:
-                bad.append(f"[{sec}] fit window [fit_lo, fit_hi] must hold at least 4 bands >= 1, "
-                           f"got [{lo}, {hi}]")
-            if hi > max_band(grid):
-                bad.append(f"[{sec}] fit_hi must be <= {max_band(grid)} (max_band of n_points = "
-                           f"{grid.n}), got {hi}")
-            # band k holds the frequencies 2^(k-1) < |xi| < 2^(k+1); the data
-            # must reach the window's fourth band for the fit to have four
-            fourth = max(lo, 1) + 3
-            if c[freq_key] < 2 ** (fourth - 1) + 1:
-                bad.append(f"[{sec}] {freq_key} must be >= {2 ** (fourth - 1) + 1} to reach band "
-                           f"{fourth} of the fit window, got {c[freq_key]:g}")
-
-    infra = cfg["infra"]
-    grid = grid_of("infra", "n_points")
-    if grid is not None:
-        if grid.guard_frequency < ROUTE_FREQ_HI:
-            bad.append(f"[infra] n_points must reach a guard frequency of {ROUTE_FREQ_HI:g} "
-                       f"for the route check's data, got {grid.n}")
-        flow("infra", "route flow: ", "n_points", infra["route_dt"], infra["route_t_final"], 6)
-
     if cfg["identity"]["dt"] <= 0:
         bad.append(f"[identity] dt must be positive, got {cfg['identity']['dt']:g}")
-    for sec, key in (("identity", "n_pairs"), ("smoothing", "n_seeds")):
+    for sec, key in (("rates", "n_seeds"), ("identity", "n_pairs"), ("smoothing", "n_seeds")):
         if cfg[sec][key] < 1:
             bad.append(f"[{sec}] {key} must be >= 1, got {cfg[sec][key]}")
     eps = cfg["lipschitz"]["epsilons"]
     if not eps or any(e <= 0 for e in eps):
         bad.append(f"[lipschitz] epsilons must be positive, got {', '.join(f'{e:g}' for e in eps) or 'nothing'}")
-    return bad
+    if not bad:  # the builders draw from [run] seed, so they need it in range
+        for label, build in _INPUT_BUILDERS:
+            try:
+                build(cfg)
+            except ValueError as exc:
+                bad.append(f"{label} {exc}")
+    if bad:
+        raise ConfigError("; ".join(bad))
 
 
 def load_config(path=None) -> dict:

@@ -3,7 +3,13 @@
 Each driver draws its own deterministic seed stream from [run] seed, runs
 the relevant operators, and returns plain rows/scalars; writing artifacts
 and judging thresholds happens in the command-line layer and the
-acceptance suite, which both call into this module."""
+acceptance suite, which both call into this module.
+
+Each section that draws rough data builds its inputs in one *_inputs
+function ([infra] in two: order_inputs and route_inputs): the grid, the
+data (with its regularity fit where the section has a fit window) and the
+flows.  Each raises ValueError for keys it cannot build from, and
+config.check_ranges calls each once to range-check a config."""
 
 from __future__ import annotations
 
@@ -38,7 +44,6 @@ from .spacetime import fitted_regularity, sobolev_norm
 from .spectral import (
     Grid,
     SpectralField,
-    bessel_potential,
     free_propagate,
     l2_norm,
     lp_annulus,
@@ -65,26 +70,39 @@ def _seed(cfg, tag, idx=0) -> int:
     return (base * 1000003 + _TAGS[tag]) * 1000003 + idx
 
 
+def _datum(cfg, sec, idx=0) -> SpectralField:
+    """Datum idx of a section, drawn from its n_points, sigma, freq_hi and amplitude."""
+    c = cfg[sec]
+    spec = DataSpec(c["sigma"], c["freq_hi"], amplitude=c["amplitude"], seed=_seed(cfg, sec, idx))
+    return gen_rough_data(spec, Grid(c["n_points"]))
+
+
 # ----------------------------------------------------------------------------
 # resonance identity
 # ----------------------------------------------------------------------------
 
+LIFT_KINDS = ("u2", "uubar", "ubar2")
+
+
+def identity_inputs(cfg, kind_idx=0, pair=0):
+    """The data (f, g) of one pair of the identity check."""
+    c = cfg["identity"]
+    grid = Grid(c["n_points"])
+    base = _seed(cfg, "identity", kind_idx * 1000 + pair)
+    return tuple(
+        gen_rough_data(DataSpec(c["sigma"], c["band_limit"], amplitude=c["amplitude"], seed=seed), grid)
+        for seed in (base, base + 500)
+    )
+
+
 def run_identity(cfg) -> dict:
     c = cfg["identity"]
     run = cfg["run"]
-    grid = Grid(c["n_points"])
     rows = []
-    for kind_idx, kind in enumerate(("u2", "uubar", "ubar2")):
+    for kind_idx, kind in enumerate(LIFT_KINDS):
         t_sym, g_sym = normal_form_pair(kind, run["alpha"], run["beta"])
         for pair in range(c["n_pairs"]):
-            base = _seed(cfg, "identity", kind_idx * 1000 + pair)
-            f = gen_rough_data(
-                DataSpec(c["sigma"], c["band_limit"], amplitude=c["amplitude"], seed=base), grid
-            )
-            g = gen_rough_data(
-                DataSpec(c["sigma"], c["band_limit"], amplitude=c["amplitude"], seed=base + 500),
-                grid,
-            )
+            f, g = identity_inputs(cfg, kind_idx, pair)
             rep = leibniz_residual(t_sym, g_sym, f, g, c["t"], c["dt"])
             rep_half = leibniz_residual(t_sym, g_sym, f, g, c["t"], 0.5 * c["dt"])
             ratio = rep.residual / rep_half.residual if rep_half.residual > 0 else float("nan")
@@ -103,19 +121,19 @@ def run_identity(cfg) -> dict:
 # normal-form smoothing on rough data
 # ----------------------------------------------------------------------------
 
+def smoothing_inputs(cfg, i=0):
+    """Datum i of the smoothing check and its regularity fit on the fit window."""
+    f = _datum(cfg, "smoothing", i)
+    return f, fitted_regularity(f, cfg["smoothing"]["fit_lo"], cfg["smoothing"]["fit_hi"])
+
+
 def run_smoothing(cfg) -> dict:
     c = cfg["smoothing"]
-    run = cfg["run"]
-    grid = Grid(c["n_points"])
     rows = []
     for i in range(c["n_seeds"]):
-        f = gen_rough_data(
-            DataSpec(c["sigma"], c["freq_hi"], amplitude=c["amplitude"], seed=_seed(cfg, "smoothing", i)),
-            grid,
-        )
-        h0 = normal_form_h(f, 0.0, run["alpha"], run["beta"], "u2")
+        f, data_fit = smoothing_inputs(cfg, i)
+        h0 = normal_form_h(f, 0.0, cfg["run"]["alpha"], cfg["run"]["beta"], "u2")
         fit = fitted_regularity(h0, c["fit_lo"], c["fit_hi"])
-        data_fit = fitted_regularity(f, c["fit_lo"], c["fit_hi"])
         rows.append((i, fit.sigma, fit.stderr, data_fit.sigma))
     fits = [r[1] for r in rows]
     return {"rows": rows, "min_fit": min(fits), "median_fit": float(np.median(fits))}
@@ -148,37 +166,41 @@ def _flow_health(traj, **labels) -> dict:
             "max_top_octave_share": share}
 
 
+def decompose_inputs(cfg):
+    """The v-form datum f (free + normal form + smoother remainder), the
+    u-form datum fu (the rough route, measured against its own free
+    evolution), their flows, and fu's regularity fit on the fit window.
+    f is fitted too: the v-rows fit it as the free wave at t = 0."""
+    c = cfg["decompose"]
+    run = cfg["run"]
+    f = _datum(cfg, "decompose", 0)
+    fu = gen_rough_data(
+        DataSpec(c["u_sigma"], c["freq_hi"], amplitude=c["u_amplitude"], seed=_seed(cfg, "decompose", 1)),
+        f.grid,
+    )
+    fitted_regularity(f, c["fit_lo"], c["fit_hi"])
+    u_data_fit = fitted_regularity(fu, c["fit_lo"], c["fit_hi"]).sigma
+    vcfg, ucfg = (
+        EvolutionConfig(
+            c["n_points"], run["alpha"], run["beta"], c["dt"], c["t_final"],
+            kind="u2", variables=variables, n_saves=c["n_saves"],
+        )
+        for variables in ("v", "u")
+    )
+    return f, fu, vcfg, ucfg, u_data_fit
+
+
 def run_decompose(cfg) -> dict:
     """The v-form decomposition and the u-form route difference; the two
     flows run as one batch.  `health` (per flow) and `timing` belong in the
     JSON report only."""
     start = time.perf_counter()
     c = cfg["decompose"]
-    run = cfg["run"]
-    grid = Grid(c["n_points"])
-    alpha, beta = run["alpha"], run["beta"]
-
-    # v-form data (free + normal form + smoother remainder) and u-form data
-    # (the rough route, measured against its own free evolution)
-    f = gen_rough_data(
-        DataSpec(c["sigma"], c["freq_hi"], amplitude=c["amplitude"], seed=_seed(cfg, "decompose", 0)),
-        grid,
-    )
-    fu = gen_rough_data(
-        DataSpec(c["u_sigma"], c["freq_hi"], amplitude=c["u_amplitude"], seed=_seed(cfg, "decompose", 1)),
-        grid,
-    )
-    vcfg, ucfg = (
-        EvolutionConfig(
-            c["n_points"], alpha, beta, c["dt"], c["t_final"],
-            kind="u2", variables=variables, n_saves=c["n_saves"],
-        )
-        for variables in ("v", "u")
-    )
+    f, fu, vcfg, ucfg, u_data_fit = decompose_inputs(cfg)
     traj, traj_u = integrate_batch([vcfg, ucfg], [f, fu])
 
     dec = decompose(traj, f)
-    h0 = normal_form_h(f, 0.0, alpha, beta, "u2")
+    h0 = normal_form_h(f, 0.0, vcfg.alpha, vcfg.beta, "u2")
     w0_check = l2_norm(dec.w[0] + h0) / max(l2_norm(h0), 1e-300)
 
     v_rows = []
@@ -189,7 +211,6 @@ def run_decompose(cfg) -> dict:
         v_rows.append((t, fit_free, fit_h, fit_w, fit_w - fit_free, l2_norm(ww)))
     min_margin = min(r[4] for r in v_rows)
 
-    u_data_fit = fitted_regularity(fu, c["fit_lo"], c["fit_hi"]).sigma
     u_rows = []
     for t, state in zip(traj_u.times, traj_u.states):
         if t == 0.0:
@@ -367,27 +388,31 @@ def run_mnorm(cfg) -> dict:
 # stability experiments
 # ----------------------------------------------------------------------------
 
+def lipschitz_inputs(cfg):
+    """The base datum f, the direction g (unit in H^-1/2) and the flow."""
+    c = cfg["lipschitz"]
+    run = cfg["run"]
+    f = _datum(cfg, "lipschitz", 0)
+    g_raw = gen_rough_data(DataSpec(c["g_sigma"], c["freq_hi"], seed=_seed(cfg, "lipschitz", 1)), f.grid)
+    with np.errstate(over="ignore"):
+        g_norm = sobolev_norm(-0.5, g_raw)
+    if not math.isfinite(g_norm):
+        raise ValueError(f"the H^-1/2 norm of the direction with g_sigma {c['g_sigma']:g} overflows")
+    g = (1.0 / g_norm) * g_raw
+    ecfg = EvolutionConfig(
+        c["n_points"], run["alpha"], run["beta"], c["dt"], c["t_final"],
+        kind="u2", variables="u", n_saves=c["n_saves"],
+    )
+    return f, g, ecfg
+
+
 def run_lipschitz(cfg) -> dict:
     """Difference-quotient ratios over the epsilons; the base flow and the
     perturbed flows run as one batch.  `health` (per flow), the base flow's
     `nonlinear_share` and `timing` belong in the JSON report only."""
     start = time.perf_counter()
-    c = cfg["lipschitz"]
-    run = cfg["run"]
-    grid = Grid(c["n_points"])
-    f = gen_rough_data(
-        DataSpec(c["sigma"], c["freq_hi"], amplitude=c["amplitude"], seed=_seed(cfg, "lipschitz", 0)),
-        grid,
-    )
-    g_raw = gen_rough_data(
-        DataSpec(c["g_sigma"], c["freq_hi"], amplitude=1.0, seed=_seed(cfg, "lipschitz", 1)), grid
-    )
-    g = (1.0 / sobolev_norm(-0.5, g_raw)) * g_raw
-    ecfg = EvolutionConfig(
-        c["n_points"], run["alpha"], run["beta"], c["dt"], c["t_final"],
-        kind="u2", variables="u", n_saves=c["n_saves"],
-    )
-    rep = lipschitz_experiment(f, g, c["epsilons"], ecfg)
+    f, g, ecfg = lipschitz_inputs(cfg)
+    rep = lipschitz_experiment(f, g, cfg["lipschitz"]["epsilons"], ecfg)
     rows = list(zip(rep.epsilons, rep.ratios))
     health = [_flow_health(rep.flows[0], flow="base")]
     health += [
@@ -403,23 +428,23 @@ def run_lipschitz(cfg) -> dict:
     }
 
 
+def subst_inputs(cfg):
+    """The z-form datum and the flow of the substitution check."""
+    c = cfg["subst"]
+    ecfg = EvolutionConfig(
+        c["n_points"], cfg["run"]["alpha"], c["beta"], c["dt"], c["t_final"],
+        kind="u2", variables="u", n_saves=c["n_saves"],
+    )
+    return _datum(cfg, "subst"), ecfg
+
+
 def run_subst(cfg) -> dict:
     """Substitution defect at dt and dt/2; the z-form and u-form flows at
     one dt run as one batch.  `health` (per flow) and `timing` belong in the
     JSON report only."""
     start = time.perf_counter()
-    c = cfg["subst"]
-    run = cfg["run"]
-    grid = Grid(c["n_points"])
-    z0 = gen_rough_data(
-        DataSpec(c["sigma"], c["freq_hi"], amplitude=c["amplitude"], seed=_seed(cfg, "subst", 0)),
-        grid,
-    )
-    ecfg = EvolutionConfig(
-        c["n_points"], run["alpha"], c["beta"], c["dt"], c["t_final"],
-        kind="u2", variables="u", n_saves=c["n_saves"],
-    )
-    rep = substitution_check(z0, c["beta"], ecfg)
+    z0, ecfg = subst_inputs(cfg)
+    rep = substitution_check(z0, ecfg.beta, ecfg)
     rows = list(zip(rep.dts, rep.sup_diffs))
     health = [_flow_health(traj, flow=traj.config.variables, dt=traj.config.dt) for traj in rep.flows]
     return {
@@ -430,27 +455,27 @@ def run_subst(cfg) -> dict:
     }
 
 
+def simulate_inputs(cfg):
+    """The datum and the flow of the simulate command."""
+    c = cfg["simulate"]
+    ecfg = EvolutionConfig(
+        c["n_points"], cfg["run"]["alpha"], cfg["run"]["beta"], c["dt"], c["t_final"],
+        kind=c["kind"], variables=c["variables"], n_saves=c["n_saves"],
+    )
+    return _datum(cfg, "simulate"), ecfg
+
+
 def run_simulate(cfg):
     """One flow and its L2 history; `health` and `timing` belong in the
     JSON report only."""
     start = time.perf_counter()
-    c = cfg["simulate"]
-    run = cfg["run"]
-    grid = Grid(c["n_points"])
-    data = gen_rough_data(
-        DataSpec(c["sigma"], c["freq_hi"], amplitude=c["amplitude"], seed=_seed(cfg, "simulate", 0)),
-        grid,
-    )
-    ecfg = EvolutionConfig(
-        c["n_points"], run["alpha"], run["beta"], c["dt"], c["t_final"],
-        kind=c["kind"], variables=c["variables"], n_saves=c["n_saves"],
-    )
+    data, ecfg = simulate_inputs(cfg)
     traj = integrate(ecfg, data)
     rows = list(zip(traj.times, traj.l2_history))
     return {
         "rows": rows,
         "final_l2": traj.l2_history[-1],
-        "health": [_flow_health(traj, flow=c["variables"])],
+        "health": [_flow_health(traj, flow=ecfg.variables)],
         "timing": {"wall_s": time.perf_counter() - start},
     }, traj
 
@@ -479,23 +504,28 @@ def reference_apply_bilinear(sym, u, v):
     return SpectralField(grid, np.array(out))
 
 
-def measure_integrator_order(cfg) -> dict:
+def order_inputs(cfg):
+    """The order check's datum and its flows at order_dt times 1, 1/2, 1/4 and 1/16, by that factor."""
     c = cfg["infra"]
     run = cfg["run"]
-    grid = Grid(c["order_n"])
     data = gen_rough_data(
         DataSpec(c["order_sigma"], c["order_freq_hi"], amplitude=c["order_amplitude"],
                  seed=_seed(cfg, "infra", 0)),
-        grid,
+        Grid(c["order_n"]),
     )
-    dt0 = c["order_dt"]
-    finals = {}
-    for scale in (1.0, 0.5, 0.25, 1.0 / 16.0):
-        ecfg = EvolutionConfig(
-            c["order_n"], run["alpha"], run["beta"], dt0 * scale, c["order_t_final"],
+    configs = {
+        scale: EvolutionConfig(
+            c["order_n"], run["alpha"], run["beta"], c["order_dt"] * scale, c["order_t_final"],
             kind="u2", variables="u", n_saves=2,
         )
-        finals[scale] = integrate(ecfg, data).final
+        for scale in (1.0, 0.5, 0.25, 1.0 / 16.0)
+    }
+    return data, configs
+
+
+def measure_integrator_order(cfg) -> dict:
+    data, configs = order_inputs(cfg)
+    finals = {scale: integrate(ecfg, data).final for scale, ecfg in configs.items()}
     ref = finals[1.0 / 16.0]
     e1 = l2_norm(finals[1.0] - ref)
     e2 = l2_norm(finals[0.5] - ref)
@@ -561,8 +591,18 @@ def measure_group_sum_deviation(cfg) -> float:
     return l2_norm(total - target) / max(l2_norm(target), 1e-300)
 
 
-# support |xi| <= ROUTE_FREQ_HI of the route check's data, on [infra] n_points
-ROUTE_FREQ_HI = 8.0
+def route_inputs(cfg, kind_idx=0):
+    """The route check's datum (smooth, on |xi| <= 8) and v-form flow for
+    LIFT_KINDS[kind_idx], on [infra] n_points."""
+    c = cfg["infra"]
+    run = cfg["run"]
+    spec = DataSpec(3.0, 8.0, amplitude=0.3, seed=_seed(cfg, "infra", 400 + kind_idx))
+    data = gen_rough_data(spec, Grid(c["n_points"]))
+    ecfg = EvolutionConfig(
+        c["n_points"], run["alpha"], run["beta"], c["route_dt"], c["route_t_final"],
+        kind=LIFT_KINDS[kind_idx], variables="v", n_saves=6,
+    )
+    return data, ecfg
 
 
 def measure_route_equivalence(cfg) -> dict:
@@ -571,19 +611,10 @@ def measure_route_equivalence(cfg) -> dict:
     and the direct solve of each kind, as _flow_health), and per kind the
     seconds of the whole route (`route_s`) and of the direct solve's
     forcing tables (`forcing_s`)."""
-    c = cfg["infra"]
-    run = cfg["run"]
-    grid = Grid(c["n_points"])
     rows, health, route_s, forcing_s = [], [], {}, {}
-    for kind_idx, kind in enumerate(("u2", "uubar", "ubar2")):
+    for kind_idx, kind in enumerate(LIFT_KINDS):
         start = time.perf_counter()
-        data = gen_rough_data(
-            DataSpec(3.0, ROUTE_FREQ_HI, amplitude=0.3, seed=_seed(cfg, "infra", 400 + kind_idx)), grid
-        )
-        ecfg = EvolutionConfig(
-            c["n_points"], run["alpha"], run["beta"], c["route_dt"], c["route_t_final"],
-            kind=kind, variables="v", n_saves=6,
-        )
+        data, ecfg = route_inputs(cfg, kind_idx)
         traj = integrate(ecfg, data)
         dec = decompose(traj, data)
         direct = direct_w_solve(ecfg, data)

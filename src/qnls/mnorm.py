@@ -168,7 +168,6 @@ class MnormEstimate:
     empty: bool
     cells: tuple
     n_triples: int
-    iters: int
     raw: float
     best_restart: int = -1  # first restart reaching raw
     sweep_values: tuple = ()  # that restart's value after each sweep
@@ -243,12 +242,12 @@ def multiplier_lower_bound(
     """
     model = build_model(box, H, n_tau, n_xi)
     if model.empty:
-        return MnormEstimate(0.0, True, model.cells, 0, iters, 0.0)
+        return MnormEstimate(0.0, True, model.cells, 0, 0.0)
     runs = []
     raw = alternating_max(model, iters=iters, seed=seed, history=runs)
     best = next((i for i, r in enumerate(runs) if r and r[-1] == raw), -1)
     return MnormEstimate(
-        model.measure_factor * raw, False, model.cells, count_triples(model), iters, raw,
+        model.measure_factor * raw, False, model.cells, count_triples(model), raw,
         best, tuple(runs[best]) if best >= 0 else (),
     )
 

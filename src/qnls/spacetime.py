@@ -77,16 +77,19 @@ def regularity_fit(ks, norms, k_lo: int | None = None, k_hi: int | None = None) 
 
     Fits log2||P_k u|| against k on the window [k_lo, k_hi] (bands only,
     k >= 1) and returns sigma = -slope with its standard error.  Requires
-    at least four bands with nonvanishing mass in the window.
+    k_hi within the profile and at least four bands with nonvanishing mass
+    in the window.
     """
     ks = np.asarray(ks)
     norms = np.asarray(norms, dtype=np.float64)
     lo = 1 if k_lo is None else int(k_lo)
     hi = int(ks[-1]) if k_hi is None else int(k_hi)
+    if hi > ks[-1]:
+        raise ValueError(f"regularity fit window ends at band {hi}, above the profile's top band {ks[-1]}")
     sel = (ks >= max(lo, 1)) & (ks <= hi) & (norms > 0)
     kk = ks[sel].astype(np.float64)
     if kk.size < 4:
-        raise ValueError(f"regularity fit needs >= 4 usable bands, got {kk.size}")
+        raise ValueError(f"regularity fit needs >= 4 usable bands in [{lo}, {hi}], got {kk.size}")
     slope, stderr = fit_line(kk, np.log2(norms[sel]))
     return RegularityFit(-slope, stderr, int(kk[0]), int(kk[-1]), kk.size)
 

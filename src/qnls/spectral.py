@@ -33,7 +33,7 @@ class Grid:
     def __init__(self, n_points: int, length: float = TWO_PI):
         n = int(n_points)
         if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError(f"n_points must be a power of two >= 16, got {n_points}")
+            raise ValueError(f"grid size must be a power of two >= 16, got {n_points}")
         if not (length > 0):
             raise ValueError(f"length must be positive, got {length}")
         self.n = n

@@ -527,7 +527,7 @@ def uncached_direct_w_solve(cfg, f):
 
 
 def route_data(n, seed):
-    """The route check's data: smooth, on |xi| <= 8 (experiments.ROUTE_FREQ_HI)."""
+    """The route check's data: smooth, on |xi| <= 8 (experiments.route_inputs)."""
     return gen_rough_data(DataSpec(3.0, 8.0, amplitude=0.3, seed=seed), Grid(n))
 
 

@@ -92,6 +92,13 @@ class TestConfig:
         path = os.path.join(os.path.dirname(__file__), "..", "configs", "default.cfg")
         assert load_config(path) == default_config()
 
+    def test_smoke_cfg_loads(self):
+        # the benchmark's smoke run reads this file, through every input builder and data fit
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tiny.cfg")
+        cfg = parse_config(path)
+        assert cfg["smoothing"]["n_points"] == 256
+        assert cfg["infra"]["n_points"] == 64
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -143,6 +150,16 @@ class TestConfig:
             "[run]\nalpha = nan\n",
             "[run]\nbeta = inf\n",
             "[lipschitz]\nepsilons = 1e-3, nan\n",
+            "[decompose]\namplitude = 0\n",
+            "[decompose]\nu_amplitude = 0\n",
+            "[decompose]\nu_sigma = 1000\n",
+            "[decompose]\nsigma = -1000\n",
+            "[smoothing]\namplitude = 0\n",
+            "[smoothing]\nsigma = 1000\n",
+            "[identity]\namplitude = 0\n",
+            "[lipschitz]\ng_sigma = -1000\n",
+            "[lipschitz]\ng_sigma = -140\n",
+            "[simulate]\namplitude = 1e308\nsigma = -2\n",
         ],
     )
     def test_out_of_range_rejected(self, tmp_path, text):
@@ -184,6 +201,19 @@ class TestRoughData:
         g = Grid(64)  # guard frequency 16
         with pytest.raises(ValueError):
             gen_rough_data(DataSpec(0.5, 20.0, seed=1), g)
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            (DataSpec(0.5, 8.0, amplitude=0.0, seed=1), "all zero"),
+            (DataSpec(3000.0, 8.0, seed=1), "all zero"),  # every modulus underflows
+            (DataSpec(-1000.0, 8.0, seed=1), "overflows"),
+            (DataSpec(-2.0, 8.0, amplitude=1e308, seed=1), "overflows"),
+        ],
+    )
+    def test_zero_or_non_finite_data_rejected(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            gen_rough_data(spec, Grid(64))
 
 
 # ---------------------------------------------------------------------------

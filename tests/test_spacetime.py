@@ -71,6 +71,13 @@ class TestSobolevAndProfile:
         with pytest.raises(ValueError):
             regularity_fit([0, 1, 2], [1.0, 0.5, 0.25])
 
+    def test_fit_window_above_top_band_rejected(self):
+        # bands 3..8 alone would make a six-band fit; a window to 9 is an error
+        ks, norms = np.arange(9), 2.0 ** -np.arange(9.0)
+        assert regularity_fit(ks, norms, 3, 8).n_bands == 6
+        with pytest.raises(ValueError, match="top band 8"):
+            regularity_fit(ks, norms, 3, 9)
+
 
 class TestSpaceTimeBasics:
     def test_st_l2_quadrature(self):
