@@ -133,8 +133,8 @@ def _contract(tri, a, b, out):
     res = np.zeros(tri.sizes[out], dtype=np.complex128)
     if seg.starts.size == 0:  # no triples: reduceat needs one start
         return res
-    prod = np.take(np.asarray(a, dtype=np.complex128).ravel(), seg.first)
-    prod *= np.take(np.asarray(b, dtype=np.complex128).ravel(), seg.second)
+    prod = np.asarray(a, dtype=np.complex128).ravel()[seg.first]
+    prod *= np.asarray(b, dtype=np.complex128).ravel()[seg.second]
     res[seg.cells] = np.add.reduceat(prod, seg.starts)
     return res
 

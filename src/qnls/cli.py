@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import acceptance, experiments
-from .config import ConfigError, check_ranges, load_config
+from .config import ConfigError, check_ranges, default_config, read_config
 from .evolution import BlowUpError
 from .reports import write_csv, write_gnuplot, write_report, write_trajectory
 
@@ -154,12 +154,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        cfg = default_config() if args.config is None else read_config(args.config)
         if args.seed is not None:
             cfg["run"]["seed"] = args.seed
         if args.threads is not None:
             cfg["run"]["threads"] = args.threads
-        check_ranges(cfg)
+        check_ranges(cfg, args.config)  # once, with the overrides in place
     except ConfigError as exc:
         print(f"qnls: config error: {exc}", file=sys.stderr)
         return 2

@@ -145,8 +145,9 @@ def default_config() -> dict:
     return {sec: {k: d for k, (_p, d) in keys.items()} for sec, keys in SCHEMA.items()}
 
 
-def parse_config(path) -> dict:
-    """Read a config file and return the fully defaulted nested dict."""
+def read_config(path) -> dict:
+    """Read a config file and return the fully defaulted nested dict,
+    checking each key and value's syntax but not its range."""
     cfg = default_config()
     p = Path(path)
     if not p.is_file():
@@ -179,10 +180,13 @@ def parse_config(path) -> dict:
             cfg[section][key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {section}.{key}: {exc}") from None
-    try:
-        check_ranges(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return cfg
+
+
+def parse_config(path) -> dict:
+    """read_config, range-checked."""
+    cfg = read_config(path)
+    check_ranges(cfg, path)
     return cfg
 
 
@@ -201,10 +205,11 @@ _INPUT_BUILDERS = (
 )
 
 
-def check_ranges(cfg) -> None:
+def check_ranges(cfg, path=None) -> None:
     """Raise ConfigError for a value its parser accepts but the experiments
     cannot run with: the counts and windows checked here, and each grid,
-    datum, fit window or flow that the drivers' own input builders reject."""
+    datum, fit window or flow that the drivers' own input builders reject.
+    The message names path, the file cfg was read from, when given."""
     run, rates, mnorm = cfg["run"], cfg["rates"], cfg["mnorm"]
     bad = []
     if run["seed"] < 0:
@@ -247,7 +252,7 @@ def check_ranges(cfg) -> None:
             except ValueError as exc:
                 bad.append(f"{label} {exc}")
     if bad:
-        raise ConfigError("; ".join(bad))
+        raise ConfigError(("" if path is None else f"{path}: ") + "; ".join(bad))
 
 
 def load_config(path=None) -> dict:

@@ -85,14 +85,22 @@ LIFT_KINDS = ("u2", "uubar", "ubar2")
 
 
 def identity_inputs(cfg, kind_idx=0, pair=0):
-    """The data (f, g) of one pair of the identity check."""
+    """The data (f, g) of one pair of the identity check; raises ValueError
+    when the pair's products overflow."""
     c = cfg["identity"]
     grid = Grid(c["n_points"])
     base = _seed(cfg, "identity", kind_idx * 1000 + pair)
-    return tuple(
+    f, g = (
         gen_rough_data(DataSpec(c["sigma"], c["band_limit"], amplitude=c["amplitude"], seed=seed), grid)
         for seed in (base, base + 500)
     )
+    # sum|f| sum|g| bounds every coefficient of the pair's product, whose
+    # band reaches 2 band_limit; each term of the identity weighs it by
+    # about <xi>^2 there, and the residual's norms square and sum the terms
+    term = float(np.abs(f.coeffs).sum()) * float(np.abs(g.coeffs).sum()) * (1.0 + (2.0 * c["band_limit"]) ** 2)
+    if not math.isfinite(term * term * grid.n * grid.length):
+        raise ValueError(f"the products of data with amplitude {c['amplitude']:g} and sigma {c['sigma']:g} overflow")
+    return f, g
 
 
 def run_identity(cfg) -> dict:

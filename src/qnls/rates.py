@@ -60,13 +60,18 @@ halves with v reach output 0, so split groups would overlap) and the
 one-sided plusminus stay whole.  Where the multiplier is 1 on every column
 a group can reach (gain3, kkk3 and gain1's split groups) its norm follows
 from Parseval along x as well and its forward transform is skipped.
-Everything that does not depend on the seed (each column's start row, the
-place of each draw, Q, the parts, the groups, the transform grid, the
-multiplier on it) is built once per (kind, k) and held for one (kind, k)
-at a time.  The dense SpaceTimeField composition in spacetime.py
-(synth_cells, apply_window, xsb_norm, st_product, st_spatial_multiplier,
-st_l2_norm) on the 2^(k+3) grid computes the same ratio and is the
-reference the tests compare the cell against.
+Everything that does not depend on the seed is built before a scale's
+cells run.  What depends only on a factor's box (its columns, each
+column's start row, the place of each draw, Q) is built once per box and
+scale and shared by every kind with that box, on the box's band columns
+only; the rest (the parts, the groups, the transform grid, the multiplier
+on it) is built once per (kind, k) and held for one (kind, k) at a time.
+Every transform of a cell runs in place, in per-thread scatter buffers of
+its parts, so a cell allocates no (n_t, M) array.  The dense
+SpaceTimeField composition in spacetime.py (synth_cells, apply_window,
+xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) on the 2^(k+3)
+grid computes the same ratio and is the reference the tests compare the
+cell against.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import Grid, fft_size, lp_annulus, lp_bump
-from .spacetime import TWO_PI, box_mask, fit_line, parabola_distance, window_weights
+from .spacetime import TWO_PI, box_columns, fit_line, window_weights
 
 # kind -> (conjugate second slot, v synth pattern, output projection pattern,
 #          v norm exponent tag, u side, v side)
@@ -152,14 +157,16 @@ def _output_multiplier(grid: Grid, pattern: str, k: int) -> np.ndarray:
     raise ValueError(f"unknown output pattern {pattern!r}")
 
 
-def _v_mask(grid: Grid, n_t: int, t_total: float, pattern: str, k: int, side: str, dist=None) -> np.ndarray:
+def _band(pattern: str, k: int) -> tuple:
+    """(freq_lo, freq_hi) of |xi| in a factor's box at scale k: u's box is
+    the band pattern, v's the pattern of its kind."""
     if pattern == "band":
-        return box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, side, dist)
+        return 2**k, 2 ** (k + 1)
     if pattern == "muchless":
         n2 = max(1, 2 ** (k - 6))
-        return box_mask(grid, n_t, t_total, n2, 2 * n2, 1.0, 2.0, 1, side, dist)
+        return n2, 2 * n2
     if pattern == "broad":
-        return box_mask(grid, n_t, t_total, 1.0, float(2**k), 1.0, 2.0, 1, side, dist)
+        return 1.0, float(2**k)
     raise ValueError(f"unknown v pattern {pattern!r}")
 
 
@@ -178,18 +185,6 @@ def _column_runs(cols: np.ndarray) -> tuple:
 def _signed(cols: np.ndarray, n: int) -> np.ndarray:
     """Signed frequency indices of the FFT-order columns cols of an n-point grid."""
     return np.where(cols < n // 2, cols, cols - n)
-
-
-def _occupied(mask: np.ndarray, n_t: int) -> tuple:
-    """(copy of a box mask with its Nyquist row and column cleared, the
-    columns it occupies); an empty box raises."""
-    mask = mask.copy()
-    mask[n_t // 2, :] = False
-    mask[:, mask.shape[1] // 2] = False
-    cols = np.flatnonzero(mask.any(axis=0))
-    if cols.size == 0:
-        raise ValueError("empty cell set for synthetic field")
-    return mask, cols
 
 
 def _transform_grid(u_freqs: np.ndarray, v_freqs: np.ndarray, mult: np.ndarray, shift: int) -> tuple:
@@ -259,16 +254,28 @@ class _Part(NamedTuple):
     runs: tuple
 
 
-class _Side(NamedTuple):
-    """One factor's box on the transform grid.
+class _Box(NamedTuple):
+    """One factor's box at scale k with its X^{0,b} form, whatever the kind.
 
-    parts are its _Parts: the whole box, or its two sign halves.  tau0[j] is
-    occupied column j's cyclic start row: every occupied row of the column
-    is tau0[j] + r (mod n_t) with 0 <= r < R.  place holds the flat index
-    into the (R, columns) coefficient block C of each draw, in the row-major
-    order of the box mask that synth_cells fills, and q the (columns, R, R)
-    quadratic form with ||W u||^2_{X^{0,b}} = sum_j C_j^H q_j C_j (up to the
-    factor t_total * 2 pi)."""
+    freqs are the signed frequencies of its occupied columns in FFT order
+    (Nyquist row and column excluded).  tau0[j] is occupied column j's
+    cyclic start row: every occupied row of the column is tau0[j] + r
+    (mod n_t) with 0 <= r < R.  place holds the flat index into the
+    (R, columns) coefficient block C of each draw, in the row-major order
+    of the box mask that synth_cells fills, and q the (columns, R, R)
+    quadratic form with ||W u||^2_{X^{0,b}} = sum_j C_j^H q_j C_j (up to
+    the factor t_total * 2 pi)."""
+
+    freqs: np.ndarray
+    tau0: np.ndarray
+    place: np.ndarray
+    q: np.ndarray
+
+
+class _Side(NamedTuple):
+    """One factor's box on a kind's transform grid: its _Parts (the whole
+    box, or its two sign halves) and the shared tau0, place and q of its
+    _Box."""
 
     parts: tuple
     tau0: np.ndarray
@@ -276,11 +283,24 @@ class _Side(NamedTuple):
     q: np.ndarray
 
 
-def _side_table(mask: np.ndarray, cols: np.ndarray, dist: np.ndarray, weight_b: float, n_t: int,
-                t_total: float, parts: tuple) -> _Side:
-    """The _Side of one factor's box (mask and cols from _occupied, dist
-    the parabola distance on those columns) with the given parts."""
-    sub = mask[:, cols]
+@lru_cache(maxsize=64)
+def _box_table(k: int, pattern: str, side: str, weight_b: float, n_t: int, t_total: float) -> _Box:
+    """The _Box of the box with |xi| in _band(pattern, k) on the given xi
+    side and modulation in [1, 2] on the 2^(k+3)-point grid, with its
+    X^{0,b} form at b = weight_b.
+
+    The parabola distance is computed on the band's columns only.  Kinds
+    share boxes, so the cache holds every box of a default sweep (six per
+    scale) and each is built once; every array is read-only because worker
+    threads share it; an empty box raises."""
+    grid = Grid(2 ** (k + 3))
+    cols, sub, dist = box_columns(grid, n_t, t_total, *_band(pattern, k), 1.0, 2.0, 1, side)
+    sub[n_t // 2, :] = False
+    sub[:, cols == grid.n // 2] = False
+    occupied = sub.any(axis=0)
+    if not occupied.any():
+        raise ValueError("empty cell set for synthetic field")
+    cols, sub, dist = cols[occupied], sub[:, occupied], dist[:, occupied]
     rows, col = np.nonzero(sub)  # row-major: the order of the draws
     # each column starts on the row after its widest cyclic gap between
     # occupied rows, so a column whose rows wrap past tau = 0 stays compact
@@ -303,9 +323,10 @@ def _side_table(mask: np.ndarray, cols: np.ndarray, dist: np.ndarray, weight_b: 
     shifted = what[(sigma[:, None] - np.arange(span)[None, :]) % n_t]
     pairs = (np.conj(shifted)[:, :, None] * shifted[:, None, :]).reshape(n_t, span * span)
     q = _thin_matmul(wsh, pairs.view(np.float64)).view(np.complex128).reshape(cols.size, span, span)
-    for a in (tau0, place, q):
+    freqs = _signed(cols, grid.n)
+    for a in (freqs, tau0, place, q):
         a.setflags(write=False)
-    return _Side(parts, tau0, place, q)
+    return _Box(freqs, tau0, place, q)
 
 
 class _Group(NamedTuple):
@@ -328,9 +349,9 @@ class _Group(NamedTuple):
 
 class _CellTables(NamedTuple):
     """The seed-independent part of one (kind, k) rate cell: the transform
-    grid n, the two factors' _Side tables on it, the _Groups of their
-    parts, and the number of (n_t, n) transforms a cell runs (one inverse
-    per part, one forward per group without parseval)."""
+    grid n, the two factors' _Sides on it, the _Groups of their parts, and
+    the number of (n_t, n) transforms a cell runs (one inverse per part,
+    one forward per group without parseval)."""
 
     n: int
     u: _Side
@@ -437,26 +458,22 @@ def _parts(freqs: np.ndarray, halves: tuple, n: int) -> tuple:
 def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float) -> _CellTables:
     """Everything of a rate cell that does not depend on the seed.
 
-    The boxes, their X^{0,b} weights and the multiplier are built on the
-    2^(k+3)-point grid from one parabola-distance table.  Of the four
-    choices (split u, split v, both, neither) the cell takes the legal one
-    with the fewest transform points (_plan), the unsplit one on a tie.  One
-    entry: the sweep runs k-major, so each (kind, k) is built once and
-    dropped when the next one starts; every array is read-only because
-    worker threads share it."""
+    The two factors' boxes come from _box_table, shared with every kind
+    that has the same box; the multiplier is built on the 2^(k+3)-point
+    grid.  Of the four choices (split u, split v, both, neither) the cell
+    takes the legal one with the fewest transform points (_plan), the
+    unsplit one on a tie, and attaches the chosen parts to the shared
+    boxes.  One entry: the sweep runs k-major, so each (kind, k) is built
+    once and dropped when the next one starts; every array is read-only
+    because worker threads share it."""
     conj2, v_pattern, out_pattern, vb_tag, u_side, v_side = KINDS[kind]
     grid = Grid(2 ** (k + 3))
-    bu = 0.5 + delta
     bv = 0.5 + delta if vb_tag == "plus" else 0.5 - delta
-    dist = parabola_distance(n_t, t_total, grid.frequencies)
-    u_mask = box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side, dist)
-    v_mask = _v_mask(grid, n_t, t_total, v_pattern, k, v_side, dist)
+    u_box = _box_table(k, "band", u_side, 0.5 + delta, n_t, t_total)
+    v_box = _box_table(k, v_pattern, v_side, bv, n_t, t_total)
     mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
     mult[grid.n // 2] = 0.0
-    u_mask, u_cols = _occupied(u_mask, n_t)
-    v_mask, v_cols = _occupied(v_mask, n_t)
-    u_freqs = _signed(u_cols, grid.n)
-    v_freqs = _signed(v_cols, grid.n)
+    u_freqs, v_freqs = u_box.freqs, v_box.freqs
     sign = -1 if conj2 else 1
     # a one-sided factor split is one part, which costs what the unsplit
     # factor costs, and the unsplit choice wins ties
@@ -466,8 +483,8 @@ def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float) -> _
     transforms, n, u_halves, v_halves, groups = min(plans, key=lambda p: p[0] * p[1])
     return _CellTables(
         n,
-        _side_table(u_mask, u_cols, dist[:, u_cols], bu, n_t, t_total, _parts(u_freqs, u_halves, n)),
-        _side_table(v_mask, v_cols, dist[:, v_cols], bv, n_t, t_total, _parts(v_freqs, v_halves, n)),
+        _Side(_parts(u_freqs, u_halves, n), u_box.tau0, u_box.place, u_box.q),
+        _Side(_parts(v_freqs, v_halves, n), v_box.tau0, v_box.place, v_box.q),
         tuple(_group(*g, mult, n) for g in groups),
         transforms,
     )
@@ -478,11 +495,11 @@ _scatter = threading.local()
 
 def _part_buffers(tables: _CellTables, n_t: int) -> tuple:
     """This thread's (n_t, tables.n) scatter buffers for tables, one per
-    part of each factor.
+    part of each factor; new tables get new buffers.
 
-    Each call writes the same occupied columns of the same tables, so every
-    other column stays zero without re-zeroing; new tables get new
-    buffers."""
+    A cell runs its transforms in place in these buffers, so they hold no
+    zeros from one cell to the next: _windowed_side re-zeroes each buffer
+    before it scatters into it."""
     if getattr(_scatter, "tables", None) is not tables:
         _scatter.buffers = tuple(
             tuple(np.zeros((n_t, tables.n), dtype=np.complex128) for _part in side.parts)
@@ -497,11 +514,12 @@ def _windowed_side(side: _Side, seed, n_t: int, t_total: float, buffers: tuple):
     X^{0,b} norm of the windowed random field on one factor's box.
 
     Column j holds the draws C_j on rows tau0_j + r, so its windowed samples
-    are (cis[:, :R] @ C)_j times the phase cisw[:, tau0_j], written straight
-    into its part's scatter buffer (zero off the part's columns); each
-    buffer then takes one inverse x-transform.  The norm is the quadratic
-    form q.  No time-axis transform runs.  The ratio is scale-invariant in
-    each factor, so the draws are not normalised."""
+    are (cis[:, :R] @ C)_j times the phase cisw[:, tau0_j], copied into its
+    part's scatter buffer, re-zeroed first; each buffer then takes one
+    inverse x-transform in place and is returned as that part's samples.
+    The norm is the quadratic form q.  No time-axis transform runs.  The
+    ratio is scale-invariant in each factor, so the draws are not
+    normalised."""
     parts, tau0, place, q = side
     span = q.shape[1]
     cis, cisw, _what = _time_tables(n_t, t_total)
@@ -512,13 +530,15 @@ def _windowed_side(side: _Side, seed, n_t: int, t_total: float, buffers: tuple):
     flat[place, 1] = rng.standard_normal(place.size)
     norm = math.sqrt(t_total * TWO_PI * float(np.einsum("rj,jrs,sj->", c.conj(), q, c).real))
     samples = _thin_matmul(cis[:, :span], c)
-    phase = cisw[:, tau0]
-    out = []
+    # a product written into a column slice of the buffer runs row by row
+    # and costs about twice one over the contiguous samples plus a copy
+    samples *= np.take(cisw, tau0, axis=1)
     for part, full in zip(parts, buffers):
+        full.fill(0.0)
         for dest, src in part.runs:
-            np.multiply(samples[:, src], phase[:, src], out=full[:, dest])
-        out.append(np.fft.ifft(full, axis=1))
-    return out, norm
+            full[:, dest] = samples[:, src]
+        np.fft.ifft(full, axis=1, out=full)
+    return list(buffers), norm
 
 
 def _group_square(group: _Group, us: list, vs: list, n_t: int, n: int) -> float:
@@ -544,7 +564,7 @@ def _group_square(group: _Group, us: list, vs: list, n_t: int, n: int) -> float:
         return n * (n_t * float(np.einsum("i,i->", flat, flat)) - float(np.einsum("i,i->", flip, flip)))
     alt = np.ones(n_t)
     alt[1::2] = -1.0
-    x = np.fft.fft(prod, axis=1).view(np.float64)
+    x = np.fft.fft(prod, axis=1, out=prod).view(np.float64)
     sq = 0.0
     for cols, w in group.out_runs:
         block = x[:, cols]

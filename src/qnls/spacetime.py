@@ -228,6 +228,36 @@ def synth_cells(grid: Grid, n_t: int, t_total: float, mask, seed) -> SpaceTimeFi
     return from_spacetime_coeffs(grid, t_total, c)
 
 
+def box_columns(
+    grid: Grid,
+    n_t: int,
+    t_total: float,
+    freq_lo: float,
+    freq_hi: float,
+    mod_lo: float,
+    mod_hi: float,
+    parabola_sign: int = 1,
+    xi_side: str = "both",
+) -> tuple:
+    """(cols, mask, dist) of the box of box_mask on its frequency band: the
+    grid's columns with |xi| in [freq_lo, freq_hi] (optionally one-sided)
+    in FFT order, the (n_t, cols.size) cells of those columns with wrapped
+    |tau - sign*xi^2| in [mod_lo, mod_hi], and parabola_distance on those
+    columns, which is computed for them only."""
+    xi = grid.frequencies
+    if xi_side == "both":
+        fsel = (np.abs(xi) >= freq_lo) & (np.abs(xi) <= freq_hi)
+    elif xi_side == "+":
+        fsel = (xi >= freq_lo) & (xi <= freq_hi)
+    elif xi_side == "-":
+        fsel = (xi <= -freq_lo) & (xi >= -freq_hi)
+    else:
+        raise ValueError(f"xi_side must be 'both', '+' or '-', got {xi_side!r}")
+    cols = np.flatnonzero(fsel)
+    dist = parabola_distance(n_t, t_total, xi[cols], parabola_sign)
+    return cols, (dist >= mod_lo) & (dist <= mod_hi), dist
+
+
 def box_mask(
     grid: Grid,
     n_t: int,
@@ -238,26 +268,14 @@ def box_mask(
     mod_hi: float,
     parabola_sign: int = 1,
     xi_side: str = "both",
-    dist: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cells with |xi| in [freq_lo, freq_hi] (optionally one-sided) and
-    wrapped |tau - sign*xi^2| in [mod_lo, mod_hi].
-
-    dist is the parabola_distance table of the grid's frequencies with the
-    same n_t, t_total and sign, for a caller that builds several boxes on one
-    grid (or needs the table itself); it is computed here when omitted."""
-    xi = grid.frequencies[None, :]
-    if xi_side == "both":
-        fsel = (np.abs(xi) >= freq_lo) & (np.abs(xi) <= freq_hi)
-    elif xi_side == "+":
-        fsel = (xi >= freq_lo) & (xi <= freq_hi)
-    elif xi_side == "-":
-        fsel = (xi <= -freq_lo) & (xi >= -freq_hi)
-    else:
-        raise ValueError(f"xi_side must be 'both', '+' or '-', got {xi_side!r}")
-    if dist is None:
-        dist = parabola_distance(n_t, t_total, grid.frequencies, parabola_sign)
-    return fsel & (dist >= mod_lo) & (dist <= mod_hi)
+    wrapped |tau - sign*xi^2| in [mod_lo, mod_hi]: the box of box_columns
+    on the whole (n_t, n_x) grid."""
+    cols, sub, _dist = box_columns(grid, n_t, t_total, freq_lo, freq_hi, mod_lo, mod_hi, parabola_sign, xi_side)
+    mask = np.zeros((n_t, grid.n), dtype=bool)
+    mask[:, cols] = sub
+    return mask
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qnls
-from qnls import _kernels
+from qnls import _kernels, config
 from qnls.bilinear import t_symbol_ubar2
 from qnls.cli import main
 from qnls.config import ConfigError, default_config, load_config, parse_config
@@ -160,6 +160,7 @@ class TestConfig:
             "[lipschitz]\ng_sigma = -1000\n",
             "[lipschitz]\ng_sigma = -140\n",
             "[simulate]\namplitude = 1e308\nsigma = -2\n",
+            "[identity]\namplitude = 1e200\n",
         ],
     )
     def test_out_of_range_rejected(self, tmp_path, text):
@@ -168,6 +169,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(p)
         assert main(["identity", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+
+    def test_file_config_checked_once(self, tmp_path, monkeypatch):
+        # `qnls identity --config FILE --seed N` range-checks the file's
+        # values once, with the override in place: one call per input builder
+        calls = []
+
+        def counted(label, build):
+            def wrapper(cfg):
+                calls.append((label, cfg["run"]["seed"]))
+                return build(cfg)
+            return wrapper
+
+        monkeypatch.setattr(config, "_INPUT_BUILDERS", tuple((label, counted(label, build))
+                                                             for label, build in config._INPUT_BUILDERS))
+        p = tmp_path / "a.cfg"
+        p.write_text("[identity]\nn_pairs = 1\n")
+        assert main(["identity", "--config", str(p), "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert calls == [(label, 7) for label, _build in config._INPUT_BUILDERS]
 
 
 # ---------------------------------------------------------------------------

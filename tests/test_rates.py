@@ -1,19 +1,21 @@
+import gc
 import math
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from qnls import rates
+from qnls import rates, spacetime
 from qnls.rates import (
     KIND_ORDER,
     KINDS,
+    _band,
     _cell_tables,
     _one_cell,
     _output_multiplier,
     _time_tables,
-    _v_mask,
     _windowed_side,
     expected_slope,
     product_rate_experiment,
@@ -40,7 +42,7 @@ def oracle_cell(kind, k, delta, seed_key, n_t, t_total):
     kind_id = KIND_ORDER.index(kind)
 
     u_mask = box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side)
-    v_mask = _v_mask(grid, n_t, t_total, v_pattern, k, v_side)
+    v_mask = box_mask(grid, n_t, t_total, *_band(v_pattern, k), 1.0, 2.0, 1, v_side)
     u = synth_cells(grid, n_t, t_total, u_mask, [seed_key, kind_id, k, 0])
     v = synth_cells(grid, n_t, t_total, v_mask, [seed_key, kind_id, k, 1])
 
@@ -70,7 +72,7 @@ def _boxes(kind, k, delta, n_t, t_total):
     grid = Grid(2 ** (k + 3))
     masks = (
         box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side),
-        _v_mask(grid, n_t, t_total, v_pattern, k, v_side),
+        box_mask(grid, n_t, t_total, *_band(v_pattern, k), 1.0, 2.0, 1, v_side),
     )
     for mask in masks:
         mask[n_t // 2, :] = False
@@ -81,11 +83,11 @@ def _boxes(kind, k, delta, n_t, t_total):
 
 def fft_side(mask, b, seed, grid, n_t, t_total, n, parts):
     """One factor's windowed samples, scattered onto one n-point buffer per
-    part, and its X^{0,b} norm, by an inverse and a forward time-axis FFT
-    on the occupied columns: the rate cell's arithmetic before the quadratic
-    form.  The draws fill the mask in row-major order, unnormalised, as the
-    cell draws them; a part with shift s puts frequency xi of its columns
-    in column (xi - s) mod n."""
+    part and inverse-transformed along x there, and its X^{0,b} norm, by an
+    inverse and a forward time-axis FFT on the occupied columns: the rate
+    cell's arithmetic before the quadratic form.  The draws fill the mask in
+    row-major order, unnormalised, as the cell draws them; a part with shift
+    s puts frequency xi of its columns in column (xi - s) mod n."""
     cols = np.flatnonzero(mask.any(axis=0))
     sub = mask[:, cols]
     weight = (1.0 + parabola_distance(n_t, t_total, grid.frequencies[cols])) ** (2.0 * b)
@@ -104,7 +106,7 @@ def fft_side(mask, b, seed, grid, n_t, t_total, n, parts):
         sel = _positions(part)
         full = np.zeros((n_t, n), dtype=np.complex128)
         full[:, (freqs[sel] - part.shift) % n] = samples[:, sel]
-        buffers.append(full)
+        buffers.append(np.fft.ifft(full, axis=1))
     return buffers, norm
 
 
@@ -219,7 +221,7 @@ def test_cell_grid_alias_free(kind):
             m = tables.n
             assert m % 2 == 0 and m <= grid.n
             u = _occupied_freqs(box_mask(grid, n_t, 2 * np.pi, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
-            v = _occupied_freqs(_v_mask(grid, n_t, 2 * np.pi, v_pattern, k, v_side), n_t)
+            v = _occupied_freqs(box_mask(grid, n_t, 2 * np.pi, *_band(v_pattern, k), 1.0, 2.0, 1, v_side), n_t)
             computed = np.zeros((u.size, v.size), dtype=bool)
             outputs = []
             for group in tables.groups:
@@ -362,16 +364,18 @@ def test_table_masks_equal_box_mask(kind):
 @pytest.mark.parametrize("t_total", [2 * np.pi, 3.0, 8.0], ids=["2pi", "3", "8"])
 @pytest.mark.parametrize("n_t", [64, 256])
 def test_quadratic_form_matches_fft_side(n_t, t_total):
-    # the samples written into the scatter buffer and the X^{0,b} norm of
-    # each factor, against the time-axis FFT pair, for seeded draws
+    # the samples transformed in place in the scatter buffers and the X^{0,b}
+    # norm of each factor, against the time-axis FFT pair, for seeded draws;
+    # the buffers start full of another cell's values, which must not show
     for kind in ("gain1", "gain3", "kkkk1", "plusminus"):
         for k in (3, 4, 5):
             tables = _cell_tables(kind, k, 0.05, n_t, t_total)
             grid, boxes = _boxes(kind, k, 0.05, n_t, t_total)
             for slot, (side, (mask, b)) in enumerate(zip((tables.u, tables.v), boxes)):
                 for seed in ([7, slot], [1000004, k]):
-                    buffers = [np.zeros((n_t, tables.n), dtype=np.complex128) for _part in side.parts]
-                    _samples, norm = _windowed_side(side, seed, n_t, t_total, buffers)
+                    buffers = [np.full((n_t, tables.n), 3.0 - 1.0j) for _part in side.parts]
+                    samples, norm = _windowed_side(side, seed, n_t, t_total, buffers)
+                    assert all(a is b for a, b in zip(samples, buffers, strict=True))
                     ref, ref_norm = fft_side(mask, b, seed, grid, n_t, t_total, tables.n, side.parts)
                     for full, want in zip(buffers, ref, strict=True):
                         assert np.max(np.abs(full - want)) <= 1e-13 * np.max(np.abs(want)), (kind, k, slot)
@@ -431,7 +435,7 @@ def test_parseval_flag_iff_multiplier_one_on_span(kind):
         for n_t, t_total in ((64, 2 * np.pi), (256, 2 * np.pi), (64, 8.0)):
             tables = _cell_tables(kind, k, 0.05, n_t, t_total)
             u = _occupied_freqs(box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
-            v = _occupied_freqs(_v_mask(grid, n_t, t_total, v_pattern, k, v_side), n_t)
+            v = _occupied_freqs(box_mask(grid, n_t, t_total, *_band(v_pattern, k), 1.0, 2.0, 1, v_side), n_t)
             for group in tables.groups:
                 sums = np.concatenate([
                     np.add.outer(u[_positions(tables.u.parts[a])], sign * v[_positions(tables.v.parts[b])]).ravel()
@@ -496,6 +500,70 @@ def test_scatter_buffers_do_not_leak_between_tables():
     assert after == fresh
     shared = [_cell_tables(kind, k, 0.05, 256, 2 * np.pi) for kind, k in (("gain2", 8), ("plusminus", 7))]
     assert [(t.n, len(t.u.parts) + len(t.v.parts)) for t in shared] == [(270, 4), (270, 2)]
+
+
+def _default_boxes():
+    """The distinct (k, pattern, xi side, b) boxes of the default kinds at
+    k = 3..8 (delta 0.05)."""
+    boxes = set()
+    for _conj2, v_pattern, _out, vb_tag, u_side, v_side in KINDS.values():
+        bv = 0.5 + 0.05 if vb_tag == "plus" else 0.5 - 0.05
+        boxes |= {(k, "band", u_side, 0.5 + 0.05) for k in range(3, 9)}
+        boxes |= {(k, v_pattern, v_side, bv) for k in range(3, 9)}
+    return boxes
+
+
+def test_box_tables_built_once_per_box():
+    # the kinds share six boxes per scale: one build each over the sweep
+    rates._box_table.cache_clear()
+    _cell_tables.cache_clear()
+    for kind in KIND_ORDER:
+        for k in range(3, 9):
+            _cell_tables(kind, k, 0.05, 256, 2 * np.pi)
+    info = rates._box_table.cache_info()
+    assert info.misses == info.currsize == len(_default_boxes()) == 36
+    assert info.hits == 2 * 48 - 36
+
+
+def test_cells_from_shared_boxes_equal_fresh_builds():
+    # every cell of the sweep, its boxes built by whichever kind came first,
+    # against the same cell built alone from empty caches
+    rates._box_table.cache_clear()
+    shared = {(kind, k): _one_cell(kind, k, 0.05, 21, 64, 2 * np.pi) for kind in KIND_ORDER for k in range(3, 9)}
+    for (kind, k), ratio in shared.items():
+        rates._box_table.cache_clear()
+        _cell_tables.cache_clear()
+        assert _one_cell(kind, k, 0.05, 21, 64, 2 * np.pi) == ratio, (kind, k)
+
+
+def test_box_tables_hold_only_band_columns(monkeypatch):
+    # the parabola distance is computed on a box's band columns only, and
+    # no distance table outlives the build; the shared arrays are indexed
+    # by the box's occupied columns
+    tables, original = [], spacetime.parabola_distance
+
+    def recording(n_t, t_total, xi, parabola_sign=1):
+        dist = original(n_t, t_total, xi, parabola_sign)
+        tables.append((np.size(xi), weakref.ref(dist)))
+        return dist
+
+    monkeypatch.setattr(spacetime, "parabola_distance", recording)
+    rates._box_table.cache_clear()
+    for k, pattern, side, b in sorted(_default_boxes()):
+        n = 2 ** (k + 3)
+        box = rates._box_table(k, pattern, side, b, 256, 2 * np.pi)
+        lo, hi = _band(pattern, k)
+        xi = Grid(n).frequencies
+        band = (np.abs(xi) >= lo) & (np.abs(xi) <= hi) & (np.sign(xi) != {"+": -1, "-": 1}.get(side, 0))
+        size, _ref = tables[-1]
+        assert size == np.count_nonzero(band) < n
+        ncols = box.freqs.size
+        assert np.all(band[box.freqs % n])
+        assert box.tau0.shape == (ncols,) and box.q.shape[0] == ncols
+        assert box.place.size <= 256 * ncols
+    gc.collect()
+    assert len(tables) == 36 and all(ref() is None for _size, ref in tables)
+    rates._box_table.cache_clear()
 
 
 def test_unknown_kind_rejected():
