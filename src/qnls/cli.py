@@ -64,8 +64,7 @@ def _write_decompose(res, cfg, out_dir):
     write_csv(os.path.join(out_dir, "decompose_u.csv"),
               ["t", "fit_difference", "difference_l2"], res["u_rows"])
     write_report(os.path.join(out_dir, "decompose.json"), "decompose", cfg,
-                 {k: res[k] for k in ("min_margin", "min_u_fit", "u_data_fit", "w0_check",
-                                      "health", "timing")})
+                 {k: res[k] for k in ("min_margin", "min_u_fit", "u_data_fit", "health", "timing")})
 
 
 def _write_rates(res, cfg, out_dir):

@@ -45,13 +45,17 @@ reaches past the guard band (h does) and its product G(v, v) is kept on
 the guard band, so it runs on the band grid of full-band inputs and a
 guard-band output (5n/4 points); beyond the guard band w follows the
 paired forcing alone.  Its forcing terms F + h and G_pair(F, F) depend on
-the stage time alone, so they are tabulated for a block of stage times at
-once, each lift and pair one product over the block's rows.  rhs_groups
-keeps the whole band out (3n/2 points, Orszag's 3/2 rule).
+the stage time alone, so they are tabulated for a block of half steps at
+once and each stage reads its row by its half-step index.  _free_lift, the
+one batched evaluator of the free wave F and its lift h = T(F, F), builds
+each block and gives decompose F and h at every save: one lift product
+over all the rows.  rhs_groups keeps the whole band out (3n/2 points,
+Orszag's 3/2 rule).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -59,6 +63,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .bilinear import KIND_FLAGS, apply_lift, lift_coeffs, pair_g_coeffs
+from .spacetime import sobolev_norm
 from .spectral import (
     BandGrid,
     Grid,
@@ -184,10 +189,10 @@ def _phases(frequencies: np.ndarray, dt: float):
 def _stage(configs):
     """The stage grid of the configured evolutions (the BandGrid of
     guard-limited inputs and output) and their RK4 stage on it,
-    stage(x, t, k) -> coeffs, with row b of a (B, m) array evolving under
+    stage(x, j, k) -> coeffs, with row b of a (B, m) array evolving under
     configs[b].  The rows share the grid, dt and the kind.
 
-    stage(x, t, k) is e_k^-1 N(e_k x), with N the nonlinear term and e_k the
+    stage(x, j, k) is e_k^-1 N(e_k x), with N the nonlinear term and e_k the
     integrating factor over k half steps (k = 0, 1, 2).  Each multiplier is
     folded into one table before the inverse and one after the forward
     transform: w_in e_k with w_in = <xi>^inner, and m w_out e_k^-1 with
@@ -204,7 +209,7 @@ def _stage(configs):
     post = (w_out, np.conj(e_half) * w_out, np.conj(e_full) * w_out)
     square = _KIND_SQUARE[configs[0].kind]
 
-    def stage(x, _t, k):
+    def stage(x, _j, k):
         # numpy.fft is looked up per call, so a patched transform is seen
         p = np.fft.ifft(x * pre[k])
         square(p)
@@ -216,33 +221,34 @@ def _stage(configs):
 
 
 def _phased(frequencies: np.ndarray, dt: float, nonlin):
-    """The RK4 stage of a nonlinear term nonlin(coeffs, t) -> coeffs, with
-    the integrating factor applied around it as separate multiplies."""
+    """The RK4 stage of a nonlinear term nonlin(coeffs, j) -> coeffs at half
+    step j, with the integrating factor applied around it as separate
+    multiplies."""
     e_half, e_full = _phases(frequencies, dt)
     factors = (None, (e_half, np.conj(e_half)), (e_full, np.conj(e_full)))
 
-    def stage(x, t, k):
+    def stage(x, j, k):
         if k == 0:
-            return nonlin(x, t)
+            return nonlin(x, j)
         e, e_inv = factors[k]
-        return e_inv * nonlin(e * x, t)
+        return e_inv * nonlin(e * x, j)
 
     return stage
 
 
-def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, t0: float, save_steps):
+def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, save_steps):
     """Integrating-factor RK4 (Lawson 1967) on raw coefficient arrays: u0 is
     one flow's 1-D array or a (B, m) array of B flows, one per row, laid out
     on layout (a Grid, or the flows' stage BandGrid: its frequencies and
     length).
 
-    stage(x, t, k) -> coeffs is e_k^-1 N(e_k x, t) for the integrating
+    stage(x, j, k) -> coeffs is e_k^-1 N(e_k x, j dt/2) for the integrating
     factor e_k = exp(i xi^2 k dt/2) over k = 0, 1 or 2 half steps; it must
     return a new guard-limited array of the same shape, which the loop
-    overwrites.  Stage times come from _stage_time of the half-step index,
-    so stages 2 and 3 get the same float, and stage 4 the float that stage 1
-    of the next step gets.  The blow-up guard takes every row's L2 norm
-    after each step and raises for the first row that trips."""
+    overwrites.  The four stages of step s get the half-step indices
+    j = 2s, 2s + 1, 2s + 1, 2s + 2, the time being j dt/2.  The blow-up
+    guard takes every row's L2 norm after each step and raises for the
+    first row that trips."""
     e_full = _phases(layout.frequencies, dt)[1]
     scale = math.sqrt(layout.length)
     u = u0.copy()
@@ -251,23 +257,22 @@ def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, t0: 
     if 0 in save_steps:
         saves[0] = u.copy()
     for step in range(n_steps):
-        t_mid = _stage_time(t0, dt, 2 * step + 1)
-        t_end = _stage_time(t0, dt, 2 * step + 2)
+        mid = 2 * step + 1
         # acc collects g1 + 2 g2 + 2 g3 + g4, x holds each stage's input
-        acc = stage(u, _stage_time(t0, dt, 2 * step), 0)
+        acc = stage(u, mid - 1, 0)
         x = np.multiply(acc, 0.5 * dt)
         x += u
-        g = stage(x, t_mid, 1)
+        g = stage(x, mid, 1)
         np.multiply(g, 0.5 * dt, out=x)
         x += u
         g *= 2.0
         acc += g
-        g = stage(x, t_mid, 1)
+        g = stage(x, mid, 1)
         np.multiply(g, dt, out=x)
         x += u
         g *= 2.0
         acc += g
-        acc += stage(x, t_end, 2)
+        acc += stage(x, mid + 1, 2)
         acc *= dt / 6.0
         u += acc
         u *= e_full
@@ -275,17 +280,10 @@ def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, t0: 
         tripped = ~(norms <= BLOWUP_FACTOR * refs)  # a NaN norm trips too
         if tripped.any():
             row = int(np.argmax(tripped))
-            raise BlowUpError(t_end, float(norms[row]), float(refs[row]), row)
+            raise BlowUpError((step + 1) * dt, float(norms[row]), float(refs[row]), row)
         if step + 1 in save_steps:
             saves[step + 1] = u.copy()
     return saves
-
-
-def _stage_time(t0: float, dt: float, half_steps: int) -> float:
-    """The time half_steps half steps after t0, as every RK4 stage is given
-    it: t0 + step * dt at the start of a step and t0 + (step + 0.5) * dt at
-    its middle."""
-    return t0 + (0.5 * half_steps) * dt
 
 
 def _row_norms(u: np.ndarray) -> np.ndarray:
@@ -334,7 +332,7 @@ def integrate_batch(configs, initials) -> list:
     sg, stage = _stage(configs)
     u0 = sg.embed(np.stack([f.coeffs for f in initials]))
     save_steps = _save_schedule(first.n_steps, first.n_saves)
-    saves = _integrate_core(sg, u0, first.dt, first.n_steps, stage, 0.0, set(save_steps))
+    saves = _integrate_core(sg, u0, first.dt, first.n_steps, stage, set(save_steps))
     saves = {s: sg.extract(saves[s]) for s in save_steps}
     times = [s * first.dt for s in save_steps]
     out = []
@@ -367,6 +365,20 @@ def normal_form_h(f: SpectralField, t: float, alpha: float, beta: float, kind: s
     return apply_lift(kind, alpha, beta, big_f, big_f)
 
 
+def _free_lift(f: SpectralField, times, alpha: float, beta: float, kind: str) -> tuple:
+    """(F, h) at each of the times, as the rows of two (len(times), n)
+    arrays: F the free wave of f and h = T(F, F) its lift, one batched
+    product (or dense contraction) over all the rows.  Taken as fields
+    (which zero the Nyquist slot), row r is bit-identical to
+    free_propagate(times[r], f) and normal_form_h(f, times[r], ...): the
+    transforms and the dense contraction act row by row, and every product
+    keeps its operand order.  f must be guard-limited; it is not checked."""
+    grid = f.grid
+    big_f = np.exp(1j * grid.frequencies**2 * np.asarray(times, dtype=np.float64)[:, None])
+    np.multiply(f.coeffs, big_f, out=big_f)
+    return big_f, lift_coeffs(kind, alpha, beta, grid, big_f, big_f)
+
+
 @dataclass
 class Decomposition:
     times: list
@@ -379,18 +391,17 @@ def decompose(trajectory: Trajectory, f: SpectralField) -> Decomposition:
     """Split a v-form trajectory into free wave + normal form + remainder.
 
     At each save time, free = the propagated data, h = the normal-form pair
-    of the free wave, w = state - free - h.  At t = 0 this forces
-    w(0) = -h(0) since free(0) = f."""
+    of the free wave, w = state - free - h; one _free_lift over the save
+    times gives every free and h.  At t = 0 this forces w(0) = -h(0) since
+    free(0) = f.  Raises ValueError for data that is not on the
+    trajectory's grid, not finite or not guard-band-limited."""
     cfg = trajectory.config
     if cfg.variables != "v":
         raise ValueError("the decomposition applies to the v-form evolution")
-    free_fields, h_fields, w_fields = [], [], []
-    for t, state in zip(trajectory.times, trajectory.states):
-        fr = free_propagate(t, f)
-        hh = normal_form_h(f, t, cfg.alpha, cfg.beta, cfg.kind)
-        w_fields.append(state - fr - hh)
-        free_fields.append(fr)
-        h_fields.append(hh)
+    _check_initial(cfg.grid, f)
+    rows = _free_lift(f, trajectory.times, cfg.alpha, cfg.beta, cfg.kind)
+    free_fields, h_fields = ([SpectralField(f.grid, row) for row in table] for table in rows)
+    w_fields = [state - fr - hh for state, fr, hh in zip(trajectory.states, free_fields, h_fields)]
     return Decomposition(list(trajectory.times), free_fields, h_fields, w_fields)
 
 
@@ -447,27 +458,7 @@ def rhs_groups(
     return [n1, n2, n3, n4, n5, n6, n7, n8]
 
 
-def _forcing_rows(f: SpectralField, times, alpha: float, beta: float, kind: str) -> tuple:
-    """(F + h, G_pair(F, F)) at each of the times, as the rows of two
-    (len(times), n) arrays: F the free wave of f and h = T(F, F) its lift.
-
-    The free waves of all the times are lifted and paired at once, one
-    batched product (or dense contraction) each.  Row r is bit-identical to
-    the fields at times[r] of free_propagate, normal_form_h and
-    apply_pair_g_fast: the transforms and the dense contraction act row by
-    row, and every product keeps its operand order."""
-    grid = f.grid
-    big_f = np.exp(1j * grid.frequencies**2 * np.asarray(times, dtype=np.float64)[:, None])
-    np.multiply(f.coeffs, big_f, out=big_f)
-    lifted = lift_coeffs(kind, alpha, beta, grid, big_f, big_f)
-    lifted += big_f
-    paired = pair_g_coeffs(kind, alpha, beta, grid, big_f, big_f)
-    for rows in (lifted, paired):
-        rows[:, grid.nyquist_index] = 0.0
-    return lifted, paired
-
-
-# stage times per table of direct_w_solve's forcing
+# half steps per table of direct_w_solve's forcing
 FORCING_BLOCK = 32
 
 
@@ -483,13 +474,13 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     the whole grid: beyond the guard band, where v and F vanish, w = -h
     follows it.
 
-    F + h and G_pair(F, F) depend on the stage time alone.  They are
-    tabulated for FORCING_BLOCK consecutive stage times at a time
-    (_forcing_rows), one table held at once; the stages ask for their times
-    in order, and a time past the table builds the next one.  The table's
-    times come from _stage_time, as the stages' do, so each matches one row
-    exactly.  The trajectory's timing holds forcing_s, the seconds spent
-    building tables, and forcing_blocks, their number.
+    F + h and G_pair(F, F) depend on the stage time alone.  Table b holds
+    them at half steps b FORCING_BLOCK ... (b + 1) FORCING_BLOCK - 1 (from
+    _free_lift and one batched pair product), and the stage at half step j
+    reads row j % FORCING_BLOCK of table j // FORCING_BLOCK; one table is
+    held at once.  w(0) is minus the t = 0 row of table 0's h.  The
+    trajectory's timing holds forcing_s, the seconds spent building
+    tables, and forcing_blocks, their number.
 
     Raises ValueError for data that is not on the configured grid, not
     finite or not guard-band-limited, before any table is built."""
@@ -502,37 +493,35 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     w_in = bracket(grid.frequencies, alpha)
     w_out = bracket(grid.frequencies, beta - alpha)
     conj_first, conj_second = KIND_FLAGS[kind]
-    n_times = 2 * config.n_steps + 1
+    n_half_steps = 2 * config.n_steps + 1
     timing = {"forcing_s": 0.0, "forcing_blocks": 0}
-    rows: dict = {}
-    table = ()
-    stop = 0
 
-    def forcing(t):
-        nonlocal rows, table, stop
-        row = rows.get(t)
-        if row is None:
-            start = time.perf_counter()
-            times = [_stage_time(0.0, dt, j) for j in range(stop, min(stop + FORCING_BLOCK, n_times))]
-            table = _forcing_rows(f, times, alpha, beta, kind)
-            rows = {s: r for r, s in enumerate(times)}
-            stop += len(times)
-            timing["forcing_s"] += time.perf_counter() - start
-            timing["forcing_blocks"] += 1
-            row = rows[t]
-        return table[0][row], table[1][row]
+    @functools.lru_cache(maxsize=1)
+    def table(b):
+        """(h, F + h, G_pair(F, F)) at the half steps of table b."""
+        start = time.perf_counter()
+        # half step j is at time (j / 2) dt
+        j = np.arange(b * FORCING_BLOCK, min((b + 1) * FORCING_BLOCK, n_half_steps))
+        big_f, h = _free_lift(f, 0.5 * j * dt, alpha, beta, kind)
+        paired = pair_g_coeffs(kind, alpha, beta, grid, big_f, big_f)
+        paired[:, grid.nyquist_index] = 0.0
+        rows = (h, h + big_f, paired)
+        timing["forcing_s"] += time.perf_counter() - start
+        timing["forcing_blocks"] += 1
+        return rows
 
-    def nonlin(coeffs, t):
-        lifted, paired = forcing(t)
-        v = SpectralField(grid, lifted + coeffs)
+    def nonlin(coeffs, j):
+        _, lifted, paired = table(j // FORCING_BLOCK)
+        r = j % FORCING_BLOCK
+        v = SpectralField(grid, lifted[r] + coeffs)
         a = (v.conj() if conj_first else v).coeffs * w_in
         c = a if conj_second == conj_first else (v.conj() if conj_second else v).coeffs * w_in
-        return band.product(a, c) * w_out - paired
+        return band.product(a, c) * w_out - paired[r]
 
-    w0 = -1.0 * normal_form_h(f, 0.0, alpha, beta, kind)
+    w0 = -1.0 * SpectralField(grid, table(0)[0][0])
     save_steps = _save_schedule(config.n_steps, config.n_saves)
     stage = _phased(grid.frequencies, dt, nonlin)
-    saves = _integrate_core(grid, w0.coeffs, dt, config.n_steps, stage, 0.0, set(save_steps))
+    saves = _integrate_core(grid, w0.coeffs, dt, config.n_steps, stage, set(save_steps))
     times = [s * dt for s in save_steps]
     states = [SpectralField(grid, saves[s]) for s in save_steps]
     return Trajectory(config, times, states, [l2_norm(st) for st in states], timing)
@@ -565,8 +554,6 @@ def lipschitz_experiment(f: SpectralField, g: SpectralField, eps_list, config: E
     constant ratio across decades of eps is the numerical signature of the
     Lipschitz property.  The base flow and every perturbed flow run as one
     batch."""
-    from .spacetime import sobolev_norm  # local import avoids a cycle
-
     g_norm = sobolev_norm(-0.5, g)
     if g_norm == 0:
         raise ValueError("perturbation direction has zero H^-1/2 norm")

@@ -40,7 +40,7 @@ from .mnorm import (
 )
 from .rates import KIND_ORDER, expected_slope, product_rate_experiment
 from .roughdata import DataSpec, gen_rough_data
-from .spacetime import fitted_regularity, sobolev_norm
+from .spacetime import fit_line, fitted_regularity, sobolev_norm
 from .spectral import (
     Grid,
     SpectralField,
@@ -208,9 +208,6 @@ def run_decompose(cfg) -> dict:
     traj, traj_u = integrate_batch([vcfg, ucfg], [f, fu])
 
     dec = decompose(traj, f)
-    h0 = normal_form_h(f, 0.0, vcfg.alpha, vcfg.beta, "u2")
-    w0_check = l2_norm(dec.w[0] + h0) / max(l2_norm(h0), 1e-300)
-
     v_rows = []
     for t, fr, hh, ww in zip(dec.times, dec.free, dec.h, dec.w):
         fit_free = fitted_regularity(fr, c["fit_lo"], c["fit_hi"]).sigma
@@ -230,7 +227,6 @@ def run_decompose(cfg) -> dict:
 
     return {
         "v_rows": v_rows,
-        "w0_check": w0_check,
         "min_margin": min_margin,
         "u_rows": u_rows,
         "u_data_fit": u_data_fit,
@@ -354,12 +350,7 @@ def run_mnorm(cfg) -> dict:
         if family == "ppm4" and est.value > 0:
             ppm4_points.append((math.log2(n0), math.log2(est.value)))
 
-    if len(ppm4_points) >= 2:
-        xs = np.array([p[0] for p in ppm4_points])
-        ys = np.array([p[1] for p in ppm4_points])
-        size_slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        size_slope = float("nan")
+    size_slope = fit_line(*zip(*ppm4_points))[0] if len(ppm4_points) >= 2 else float("nan")
     sweep_s = time.perf_counter() - start
 
     # tiny instances: alternating maximization against the sphere-sweep oracle

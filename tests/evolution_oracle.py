@@ -9,9 +9,9 @@ integrating-factor RK4 loop with the phases applied as separate multiplies
 around each stage, and integrate_flow runs one flow through both.
 
 per_time_direct_w_solve is evolution.direct_w_solve with F + h and
-G_pair(F, F) computed for each new stage time through the per-time
-functions (free_propagate, normal_form_h, apply_pair_g_fast) and kept for
-the last two times.
+G_pair(F, F) computed for each new half step j, at time (j / 2) dt,
+through the per-time functions (free_propagate, normal_form_h,
+apply_pair_g_fast) and kept for the last two half steps.
 """
 
 import numpy as np
@@ -90,21 +90,22 @@ def per_time_direct_w_solve(config, f):
     band = BandGrid(grid, grid.nyquist_index - 1, grid.guard_index)
     w_in = bracket(grid.frequencies, alpha)
     w_out = bracket(grid.frequencies, beta - alpha)
-    by_time = {}
+    by_step = {}
 
-    def forcing_terms(t):
-        terms = by_time.get(t)
+    def forcing_terms(j):
+        terms = by_step.get(j)
         if terms is None:
+            t = 0.5 * j * config.dt
             big_f = free_propagate(t, f)
             lifted = (big_f + evolution.normal_form_h(f, t, alpha, beta, config.kind)).coeffs
             paired = apply_pair_g_fast(config.kind, alpha, beta, big_f, big_f).coeffs
-            if len(by_time) == 2:
-                del by_time[next(iter(by_time))]
-            terms = by_time[t] = (lifted, paired)
+            if len(by_step) == 2:
+                del by_step[next(iter(by_step))]
+            terms = by_step[j] = (lifted, paired)
         return terms
 
-    def nonlin(coeffs, t):
-        lifted, paired = forcing_terms(t)
+    def nonlin(coeffs, j):
+        lifted, paired = forcing_terms(j)
         v = SpectralField(grid, lifted + coeffs)
         a, c = ((v.conj() if conj else v).coeffs * w_in for conj in KIND_FLAGS[config.kind])
         return band.product(a, c) * w_out - paired
@@ -112,5 +113,5 @@ def per_time_direct_w_solve(config, f):
     w0 = -1.0 * evolution.normal_form_h(f, 0.0, alpha, beta, config.kind)
     steps = evolution._save_schedule(config.n_steps, config.n_saves)
     stage = evolution._phased(grid.frequencies, config.dt, nonlin)
-    saves = evolution._integrate_core(grid, w0.coeffs, config.dt, config.n_steps, stage, 0.0, set(steps))
+    saves = evolution._integrate_core(grid, w0.coeffs, config.dt, config.n_steps, stage, set(steps))
     return [saves[s] for s in steps]

@@ -131,11 +131,11 @@ class TestIntegrate:
         g = Grid(64)
         data = smooth_data(64)
 
-        def nan_stage(coeffs, _t, _k):
+        def nan_stage(coeffs, _j, _k):
             return np.full_like(coeffs, np.nan)
 
         with pytest.raises(BlowUpError, match="not finite") as info:
-            _integrate_core(g, data.coeffs, 1e-3, 10, nan_stage, 0.0, {0, 10})
+            _integrate_core(g, data.coeffs, 1e-3, 10, nan_stage, {0, 10})
         assert info.value.t == pytest.approx(1e-3)
         assert math.isnan(info.value.norm)
 
@@ -228,13 +228,13 @@ class TestIntegrateBatch:
         g = Grid(64)
         rows = np.stack([smooth_data(64, seed=s).coeffs for s in (1, 2, 3)])
 
-        def stage(coeffs, _t, _k):
+        def stage(coeffs, _j, _k):
             out = np.zeros_like(coeffs)
             out[2, 3] = np.nan
             return out
 
         with pytest.raises(BlowUpError, match="in row 2.*not finite") as info:
-            _integrate_core(g, rows, 1e-3, 10, stage, 0.0, set())
+            _integrate_core(g, rows, 1e-3, 10, stage, set())
         assert info.value.row == 2
         assert info.value.t == pytest.approx(1e-3)
         assert math.isnan(info.value.norm)
@@ -497,6 +497,25 @@ class TestRoutes:
         with pytest.raises(ValueError):
             decompose(integrate(cfg, data), data)
 
+    def test_decompose_lifts_once(self, monkeypatch):
+        data = smooth_data(256, seed=6, amp=0.2)
+        cfg = EvolutionConfig(256, ALPHA, BETA, 5e-4, 0.01, kind="uubar", variables="v", n_saves=4)
+        traj = integrate(cfg, data)
+        blocks = counting_blocks(monkeypatch)
+        dec = decompose(traj, data)
+        assert blocks == [traj.times]
+        for t, fr, hh in zip(traj.times, dec.free, dec.h, strict=True):
+            assert np.array_equal(fr.coeffs, free_propagate(t, data).coeffs)
+            assert np.array_equal(hh.coeffs, normal_form_h(data, t, ALPHA, BETA, "uubar").coeffs)
+
+    def test_decompose_rejects_data_beyond_guard_band(self):
+        data = smooth_data(64, amp=0.1)
+        cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.01, variables="v")
+        traj = integrate(cfg, data)
+        wide = SpectralField(data.grid, np.where(np.arange(64) == 20, 1e-3, data.coeffs))
+        with pytest.raises(ValueError, match="guard"):
+            decompose(traj, wide)
+
     def test_w_starts_at_minus_h(self):
         data = smooth_data(256, seed=6, amp=0.2)
         cfg = EvolutionConfig(256, ALPHA, BETA, 5e-4, 0.01, variables="v", n_saves=2)
@@ -532,15 +551,16 @@ def route_data(n, seed):
 
 
 def counting_blocks(monkeypatch):
-    """The times of every forcing table direct_w_solve builds, one list per table."""
+    """The times of every free-wave lift (one per forcing table of
+    direct_w_solve), one list per lift."""
     blocks = []
-    original = evolution._forcing_rows
+    original = evolution._free_lift
 
     def counting(f, times, *args):
         blocks.append(list(times))
         return original(f, times, *args)
 
-    monkeypatch.setattr(evolution, "_forcing_rows", counting)
+    monkeypatch.setattr(evolution, "_free_lift", counting)
     return blocks
 
 
@@ -558,11 +578,11 @@ class TestDirectSolve:
         blocks = counting_blocks(monkeypatch)
         direct = direct_w_solve(cfg, data)
         monkeypatch.undo()
-        # 2 n_steps + 1 = 41 stage times: one full table and a partial one,
-        # each time tabulated once and in order
+        # 2 n_steps + 1 = 41 half steps: one full table and a partial one,
+        # each half step j tabulated once, in order, at time (j / 2) dt
         times = [t for block in blocks for t in block]
         assert [len(block) for block in blocks] == [evolution.FORCING_BLOCK, 41 - evolution.FORCING_BLOCK]
-        assert times == [evolution._stage_time(0.0, cfg.dt, j) for j in range(2 * cfg.n_steps + 1)]
+        assert times == [0.5 * j * cfg.dt for j in range(2 * cfg.n_steps + 1)]
         assert direct.timing["forcing_blocks"] == 2
         assert 0.0 < direct.timing["forcing_s"]
         for got, want in zip(direct.states, uncached_direct_w_solve(cfg, data), strict=True):
@@ -587,15 +607,34 @@ class TestDirectSolve:
         for got, ref in zip(direct.states, want):
             assert np.array_equal(got.coeffs, ref)
 
-    def test_forcing_rows_match_per_time_fields(self):
+    def test_free_lift_rows_match_per_time_fields(self):
         f = route_data(256, seed=402)
-        times = [evolution._stage_time(0.0, 1e-3, j) for j in range(5)]
+        times = [0.5 * j * 1e-3 for j in range(5)]
         for kind in ("u2", "uubar", "ubar2"):
-            lifted, paired = evolution._forcing_rows(f, times, ALPHA, BETA, kind)
-            for t, lift_row, pair_row in zip(times, lifted, paired, strict=True):
-                big_f = free_propagate(t, f)
-                assert np.array_equal(lift_row, (big_f + normal_form_h(f, t, ALPHA, BETA, kind)).coeffs)
-                assert np.array_equal(pair_row, apply_pair_g_fast(kind, ALPHA, BETA, big_f, big_f).coeffs)
+            big_f, h = evolution._free_lift(f, times, ALPHA, BETA, kind)
+            for t, f_row, h_row in zip(times, big_f, h, strict=True):
+                assert np.array_equal(SpectralField(f.grid, f_row).coeffs, free_propagate(t, f).coeffs)
+                assert np.array_equal(SpectralField(f.grid, h_row).coeffs, normal_form_h(f, t, ALPHA, BETA, kind).coeffs)
+
+    @pytest.mark.parametrize("kind", ["u2", "uubar", "ubar2"])
+    def test_paired_rows_match_per_time_fields(self, kind, monkeypatch):
+        # the paired forcing of every row of both tables (41 half steps)
+        f = route_data(64, seed=403)
+        cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.02, kind=kind, variables="v", n_saves=3)
+        tables = []
+        original = evolution.pair_g_coeffs
+
+        def recording(*args):
+            tables.append(original(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(evolution, "pair_g_coeffs", recording)
+        direct_w_solve(cfg, f)
+        rows = [row for table in tables for row in table]
+        assert len(rows) == 2 * cfg.n_steps + 1
+        for j, row in enumerate(rows):
+            big_f = free_propagate(0.5 * j * cfg.dt, f)
+            assert np.array_equal(row, apply_pair_g_fast(kind, ALPHA, BETA, big_f, big_f).coeffs)
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -614,24 +653,15 @@ class TestDirectSolve:
             direct_w_solve(cfg, bad(smooth_data(64, seed=9, amp=0.3)))
         assert blocks == []
 
-    def test_stage_times_shared(self):
-        times = []
+    def test_stages_get_half_step_indices(self):
+        calls = []
 
-        def stage(coeffs, t, _k):
-            times.append(t)
+        def stage(coeffs, j, k):
+            calls.append((j, k))
             return np.zeros_like(coeffs)
 
-        dt = 0.1
-        _integrate_core(Grid(16), np.zeros(16, complex), dt, 7, stage, 0.3, set())
-        per_step = [times[4 * s : 4 * s + 4] for s in range(7)]
-        for s, (t1, t2, t3, t4) in enumerate(per_step):
-            assert t2 == t3
-            assert t1 == pytest.approx(0.3 + s * dt, abs=1e-15)
-            assert t4 == pytest.approx(0.3 + (s + 1) * dt, abs=1e-15)
-            # the helper the forcing tables take their times from
-            assert (t1, t2, t4) == tuple(evolution._stage_time(0.3, dt, 2 * s + j) for j in range(3))
-            if s + 1 < len(per_step):
-                assert per_step[s + 1][0] == t4
+        _integrate_core(Grid(16), np.zeros(16, complex), 0.1, 7, stage, set())
+        assert calls == [(2 * s + j, k) for s in range(7) for j, k in ((0, 0), (1, 1), (1, 1), (2, 2))]
 
 
 class TestLipschitz:

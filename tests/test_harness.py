@@ -606,3 +606,32 @@ class TestOneBackend:
         sym = t_symbol_ubar2(0.6, 0.2).matrix(grid)
         want = SpectralField(grid, full_grid_contract(sym, u.conj().coeffs, v.conj().coeffs))  # Nyquist zeroed
         assert np.array_equal(np.load(out), want.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# benchmark harness
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestBenchmarkHarness:
+    @pytest.mark.parametrize("workload", ["flow", "rates", "checks"])
+    def test_traced_pass_emits_every_layer(self, workload, tmp_path):
+        # the tracer and worker read package names directly (the field
+        # classes, the _kernels flags, [run] threads, the traced modules and
+        # functions); a traced tiny-config pass must still run and emit every
+        # per-layer metric BENCHMARK.json names, except those run.py adds
+        env = dict(child_env(), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,
+             "--config", str(ROOT / "perfbench" / "tiny.cfg"), "--trace", str(tmp_path / "spans.npz")],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        want = {m["name"]: m["unit"] for m in bench["per_layer"]
+                if not (m["name"].startswith("crit") or m["name"] == "trace.overhead_s")}
+        assert {name: layers[name][1] for name in want if name in layers} == want
+        assert (tmp_path / "spans.npz").exists()
