@@ -12,10 +12,8 @@ from .bilinear import (
     apply_bilinear,
     apply_lift,
     g_symbol,
-    g_symbol_restricted,
     leibniz_residual,
     normal_form_pair,
-    t_symbol_ubar2,
     weighted_product,
 )
 from .evolution import (

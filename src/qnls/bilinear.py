@@ -14,36 +14,41 @@ The smoothing weight
     w(xi, eta) = <xi>^alpha <eta>^alpha <xi+eta>^(beta-alpha)
 
 is the symbol of the quadratic nonlinearity after moving one Bessel
-potential of order alpha onto each input slot; it factorizes through FFTs
-(weighted_product), which the dense path must reproduce exactly.
+potential of order alpha onto each input slot (g_symbol).  It factorizes
+through FFTs: weighted_product takes the pointwise product on a doubled
+(2n-point) grid, which is not sized by band limits and stays the
+independent oracle of every product.
 
-The normal-form symbols divide w by i times the time-frequency mismatch of
-the interaction.  With sign s_j = +1 for a plain slot and -1 for a
-conjugated slot, a product of free waves at effective frequencies (xi, eta)
-oscillates like exp(i(s1 xi^2 + s2 eta^2)t) while the output frequency
-responds at (xi+eta)^2, so
+normal_form_pair builds, once per (kind, alpha, beta), the two symbols of
+each interaction kind.  T divides w by i times the time-frequency mismatch
+of the interaction; G is w on T's admissible set.  With sign s_j = +1 for
+a plain slot and -1 for a conjugated slot, a product of free waves at
+effective frequencies (xi, eta) oscillates like exp(i(s1 xi^2 + s2 eta^2)t)
+while the output frequency responds at (xi+eta)^2, so
 
     mismatch(xi, eta) = s1 xi^2 + s2 eta^2 - (xi + eta)^2.
 
-Dividing by i*mismatch makes d/dt + i d^2/dx^2 of the transformed pair land
-exactly on the weighted product, which is what leibniz_residual checks.
+Dividing by i*mismatch makes d/dt + i d^2/dx^2 of T applied to free waves
+land exactly on G, which is what leibniz_residual checks.
 
 For u2 and uubar the mismatch factors (-2 xi eta and -2 eta (xi+eta)), so
-the lift is a multiplier on each slot times a multiplier on the output, and
-apply_lift evaluates it as one FFT product on the n-point grid; only ubar2,
-whose mismatch -(xi^2 + eta^2 + (xi+eta)^2) does not factor, goes through
-the dense contraction.  The dense matrices stay as the reference that the
-tests and criterion 8 compare the factored route against.
+T is a multiplier on each slot times a multiplier on the output, and
+lift_coeffs evaluates it as one factored_product; only ubar2, whose
+mismatch -(xi^2 + eta^2 + (xi+eta)^2) does not factor, goes through the
+dense contraction.  G factors for every kind (pair_g_coeffs).  The dense
+matrices stay as the reference that the tests and criterion 8 compare the
+factored route against.
 
-The factored products run on spectral.BandGrid, which sizes the transform
-from the band limits of the inputs and of the kept output: guard-limited
-slots (|j| <= n/4) and the whole band below the Nyquist index out give n
-points.  The doubled grid of dealiased_product / weighted_product is not
-sized that way; it stays the independent oracle of every product.
+factored_product is the one weighted product of the lifts, the paired
+weights and the remainder equation's terms (the RK4 stage folds its
+weights and phases into tables of its own).  It runs on a
+spectral.BandGrid, which sizes the transform from the band limits of the
+inputs and of the kept output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,32 +109,28 @@ def _check_guarded(u: SpectralField, v: SpectralField):
             )
 
 
-def _slot_coeffs(field: SpectralField, conj: bool) -> np.ndarray:
-    if conj:
-        return field.conj().coeffs
-    return field.coeffs
-
-
 def apply_bilinear(sym: BilinearSymbol, u: SpectralField, v: SpectralField) -> SpectralField:
     """Evaluate the symbol contraction of two guard-band-limited fields."""
     _check_guarded(u, v)
-    a = _slot_coeffs(u, sym.conj_first)
-    c = _slot_coeffs(v, sym.conj_second)
-    out = bilinear_contract(sym.matrix(u.grid), a, c)
-    return SpectralField(u.grid, out)
+    a = (u.conj() if sym.conj_first else u).coeffs
+    c = (v.conj() if sym.conj_second else v).coeffs
+    return SpectralField(u.grid, bilinear_contract(sym.matrix(u.grid), a, c))
 
 
 # ----------------------------------------------------------------------------
 # the smoothing weight and the normal-form family
 # ----------------------------------------------------------------------------
 
+def _weight(alpha, beta, XI, ETA):
+    """The smoothing weight <xi>^alpha <eta>^alpha <xi+eta>^(beta-alpha)."""
+    return bracket(XI, alpha) * bracket(ETA, alpha) * bracket(XI + ETA, beta - alpha)
+
+
 def g_symbol(alpha: float, beta: float) -> BilinearSymbol:
     """The quadratic nonlinearity's weight, both slots plain, no cutoffs."""
 
     def fill(XI, ETA, tol):
-        return (bracket(XI, alpha) * bracket(ETA, alpha) * bracket(XI + ETA, beta - alpha)).astype(
-            np.complex128
-        )
+        return _weight(alpha, beta, XI, ETA).astype(np.complex128)
 
     return BilinearSymbol(f"g(a={alpha:g},b={beta:g})", fill)
 
@@ -143,9 +144,7 @@ def _admissible_mask(kind, XI, ETA, tol):
         return (XI > tol) & (ETA > tol)
     if kind == "uubar":
         return (XI > tol) & (np.abs(ETA) > tol) & (np.abs(XI + ETA) > tol)
-    if kind == "ubar2":
-        return XI * XI + XI * ETA + ETA * ETA > tol * tol
-    raise ValueError(f"unknown interaction kind {kind!r}")
+    return XI * XI + XI * ETA + ETA * ETA > tol * tol  # ubar2
 
 
 def _mismatch(kind, XI, ETA):
@@ -154,80 +153,40 @@ def _mismatch(kind, XI, ETA):
     return s1 * XI * XI + s2 * ETA * ETA - (XI + ETA) ** 2
 
 
-def _t_symbol(kind, alpha, beta):
-    """The kind's normal-form symbol: the smoothing weight divided by
-    i * mismatch on the admissible set.
+@functools.lru_cache(maxsize=None)
+def normal_form_pair(kind: str, alpha: float, beta: float) -> tuple:
+    """(T, G) of one interaction kind, with the kind's slot conjugations: T
+    is the smoothing weight divided by i * mismatch on the kind's admissible
+    set, G the weight on that same set.
 
-        u2:    divides by -2i xi eta, supported on xi > 0, eta > 0;
-        uubar: divides by -2i eta (xi + eta) at the effective second
+        u2:    T divides by -2i xi eta, supported on xi > 0, eta > 0;
+        uubar: T divides by -2i eta (xi + eta) at the effective second
                frequency, supported on xi > 0, eta != 0, xi + eta != 0;
-        ubar2: see t_symbol_ubar2."""
-    conj1, conj2 = KIND_FLAGS[kind]
+        ubar2: T divides by -2i (xi^2 + xi eta + eta^2), definite off the
+               (0, 0) cell, the only cell excluded.
 
-    def fill(XI, ETA, tol):
-        mask = _admissible_mask(kind, XI, ETA, tol)
-        w = bracket(XI, alpha) * bracket(ETA, alpha) * bracket(XI + ETA, beta - alpha)
-        mis = _mismatch(kind, XI, ETA)
-        safe = np.where(mask, mis, 1.0)
-        mat = np.where(mask, w / (1j * safe), 0.0)
-        return mat
-
-    return BilinearSymbol(f"t_{kind}(a={alpha:g},b={beta:g})", fill, conj1, conj2)
-
-
-def t_symbol_ubar2(alpha: float, beta: float) -> BilinearSymbol:
-    """Normal-form symbol for the doubly conjugated interaction.
-
-    Division by -2i*(xi^2 + xi*eta + eta^2); only the (0,0) cell is
-    excluded, the mismatch being definite elsewhere.
-    """
-    return _t_symbol("ubar2", alpha, beta)
-
-
-def g_symbol_restricted(kind: str, alpha: float, beta: float) -> BilinearSymbol:
-    """Smoothing weight carrying exactly the admissible set of the kind's
-    normal-form symbol, with matching slot conjugations."""
-    conj1, conj2 = KIND_FLAGS[kind]
-
-    def fill(XI, ETA, tol):
-        mask = _admissible_mask(kind, XI, ETA, tol)
-        w = bracket(XI, alpha) * bracket(ETA, alpha) * bracket(XI + ETA, beta - alpha)
-        return np.where(mask, w, 0.0).astype(np.complex128)
-
-    return BilinearSymbol(f"gpair_{kind}(a={alpha:g},b={beta:g})", fill, conj1, conj2)
-
-
-def normal_form_pair(kind: str, alpha: float, beta: float):
-    """(T symbol, matching restricted weight) for one interaction kind."""
+    Built once per (kind, alpha, beta), so every caller shares the symbols'
+    cached matrices."""
     if kind not in KIND_FLAGS:
         raise ValueError(f"unknown interaction kind {kind!r}")
-    return _t_symbol(kind, alpha, beta), g_symbol_restricted(kind, alpha, beta)
+
+    def t_fill(XI, ETA, tol):
+        mask = _admissible_mask(kind, XI, ETA, tol)
+        safe = np.where(mask, _mismatch(kind, XI, ETA), 1.0)
+        return np.where(mask, _weight(alpha, beta, XI, ETA) / (1j * safe), 0.0)
+
+    def g_fill(XI, ETA, tol):
+        mask = _admissible_mask(kind, XI, ETA, tol)
+        return np.where(mask, _weight(alpha, beta, XI, ETA), 0.0).astype(np.complex128)
+
+    tag = f"{kind}(a={alpha:g},b={beta:g})"
+    flags = KIND_FLAGS[kind]
+    return BilinearSymbol(f"t_{tag}", t_fill, *flags), BilinearSymbol(f"gpair_{tag}", g_fill, *flags)
 
 
 # ----------------------------------------------------------------------------
-# fast factorized products (FFT route)
+# FFT products
 # ----------------------------------------------------------------------------
-
-def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Pointwise product computed on a doubled grid; output truncated to the
-    original grid (content beyond the representable band is dropped)."""
-    if u.grid != v.grid:
-        raise ValueError("field grids do not match")
-    n = u.grid.n
-    half = n // 2
-    big_u = np.zeros(2 * n, dtype=np.complex128)
-    big_v = np.zeros(2 * n, dtype=np.complex128)
-    big_u[:half] = u.coeffs[:half]
-    big_u[2 * n - half :] = u.coeffs[half:]
-    big_v[:half] = v.coeffs[:half]
-    big_v[2 * n - half :] = v.coeffs[half:]
-    w = (2 * n) * np.fft.ifft(big_u) * (2 * n) * np.fft.ifft(big_v)
-    d = np.fft.fft(w) / (2 * n)
-    out = np.zeros(n, dtype=np.complex128)
-    out[:half] = d[:half]
-    out[half + 1 :] = d[2 * n - half + 1 :]
-    return SpectralField(u.grid, out)
-
 
 def weighted_product(
     inner: float,
@@ -238,52 +197,76 @@ def weighted_product(
     conj_second: bool = False,
 ) -> SpectralField:
     """<D>^outer [ (<D>^inner u') * (<D>^inner v') ] with optional slot
-    conjugations, via the dealiased FFT product.
+    conjugations, the pointwise product taken on a doubled grid and
+    truncated to the original one (content beyond the representable band
+    is dropped); with inner = outer = 0 it is the plain product.
 
-    With inner = alpha, outer = beta - alpha this is the fast route for the
-    smoothing weight: it must agree with apply_bilinear(g_symbol(alpha,
-    beta), u, v) to rounding error on guard-limited fields.
+    With inner = alpha, outer = beta - alpha this is the smoothing weight:
+    it must agree with apply_bilinear(g_symbol(alpha, beta), u, v) to
+    rounding error on guard-limited fields.
     """
-    a = u.conj() if conj_first else u
-    b = v.conj() if conj_second else v
-    prod = dealiased_product(bessel_potential(inner, a), bessel_potential(inner, b))
-    return bessel_potential(outer, prod)
+    if u.grid != v.grid:
+        raise ValueError("field grids do not match")
+    n = u.grid.n
+    half = n // 2
+    big = []
+    for field, conj in ((u, conj_first), (v, conj_second)):
+        c = bessel_potential(inner, field.conj() if conj else field).coeffs
+        padded = np.zeros(2 * n, dtype=np.complex128)
+        padded[:half] = c[:half]
+        padded[2 * n - half :] = c[half:]
+        big.append(padded)
+    w = (2 * n) * np.fft.ifft(big[0]) * (2 * n) * np.fft.ifft(big[1])
+    d = np.fft.fft(w) / (2 * n)
+    out = np.zeros(n, dtype=np.complex128)
+    out[:half] = d[:half]
+    out[half + 1 :] = d[2 * n - half + 1 :]
+    return bessel_potential(outer, SpectralField(u.grid, out))
 
 
-def _factored_product(grid: Grid, a, m1, c, m2, m_out) -> np.ndarray:
-    """The contraction with symbol m1(xi) m2(eta) m_out(xi + eta) of
-    guard-limited slot arrays a and c, (..., n) each, as one FFT product on
-    the band grid of guard-limited inputs and the whole band out (n points:
-    the sums reach |j| = n/2 only at the Nyquist slot, which the dense
-    contraction drops too).  The same array and multiplier in both slots
-    make one weighted array, whose product is a square."""
-    band = BandGrid(grid, grid.guard_index, grid.nyquist_index - 1)
+def factored_product(band: BandGrid, a, m1, c, m2, m_out) -> np.ndarray:
+    """The contraction with symbol m1(xi) m2(eta) m_out(xi + eta) of slot
+    arrays a and c, (..., n) each, as one FFT product on band, whose input
+    band must hold their content; the output is kept on band's output band.
+    The same array and multiplier in both slots make one weighted array,
+    whose product is a square."""
     x = m1 * a
     y = x if c is a and m2 is m1 else m2 * c
     return m_out * band.product(x, y)
 
 
+def _lift_band(grid: Grid) -> BandGrid:
+    """The band grid of guard-limited inputs and the whole band out (n
+    points: the sums reach |j| = n/2 only at the Nyquist slot, which the
+    dense contraction drops too)."""
+    return BandGrid(grid, grid.guard_index, grid.nyquist_index - 1)
+
+
 def pair_g_coeffs(kind: str, alpha: float, beta: float, grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """apply_pair_g_fast on stacks of coefficient arrays (..., n) of
-    guard-limited fields, row by row and unchecked.  Passing one array for
-    both fields (v is u) shares its slot arrays."""
+    """The contraction of the kind's G (normal_form_pair(kind, alpha,
+    beta)[1]) on stacks of coefficient arrays (..., n) of guard-limited
+    fields, row by row and unchecked: the sharp cutoffs of each kind factor
+    into per-slot and output cutoffs, plus for ubar2 a correction at the
+    single excluded (0, 0) cell.  Passing one array for both fields (v is u)
+    shares its slot arrays."""
+    band = _lift_band(grid)
     xi = grid.frequencies
     tol = math.pi / grid.length
     w_in = bracket(xi, alpha)
     w_out = bracket(xi, beta - alpha)
     pos = np.where(xi > tol, w_in, 0.0)
     if kind == "u2":
-        return _factored_product(grid, u, pos, v, pos, w_out)
+        return factored_product(band, u, pos, v, pos, w_out)
     if kind == "uubar":
         # effective-frequency cutoffs eta != 0 and xi + eta != 0
         nonzero = np.abs(xi) > tol
-        return _factored_product(
-            grid, u, pos, conj_coeffs(v), np.where(nonzero, w_in, 0.0), np.where(nonzero, w_out, 0.0)
+        return factored_product(
+            band, u, pos, conj_coeffs(v), np.where(nonzero, w_in, 0.0), np.where(nonzero, w_out, 0.0)
         )
     if kind == "ubar2":
         a = conj_coeffs(u)
         c = a if v is u else conj_coeffs(v)
-        out = _factored_product(grid, a, w_in, c, w_in, w_out)
+        out = factored_product(band, a, w_in, c, w_in, w_out)
         # remove the single excluded (0,0) cell, where the weight is 1.  Its
         # product is formed from real parts, each operation rounded on its
         # own as in numpy's scalar product; numpy's array product may fuse
@@ -298,30 +281,17 @@ def pair_g_coeffs(kind: str, alpha: float, beta: float, grid: Grid, u: np.ndarra
     raise ValueError(f"unknown interaction kind {kind!r}")
 
 
-def apply_pair_g_fast(kind: str, alpha: float, beta: float, u: SpectralField, v: SpectralField) -> SpectralField:
-    """FFT evaluation of g_symbol_restricted on guard-limited fields: the
-    sharp cutoffs of each kind factor into per-slot and output cutoffs, plus
-    for ubar2 a correction at the single excluded (0, 0) cell."""
-    _check_guarded(u, v)
-    return SpectralField(u.grid, pair_g_coeffs(kind, alpha, beta, u.grid, u.coeffs, v.coeffs))
-
-
-_LIFT_SYMBOLS: dict = {}
-
-
 def lift_coeffs(kind: str, alpha: float, beta: float, grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """apply_lift on stacks of coefficient arrays (..., n) of guard-limited
     fields, row by row and unchecked.  Passing one array for both fields
     (v is u) shares its slot arrays."""
     if kind == "ubar2":
-        key = (float(alpha), float(beta))
-        sym = _LIFT_SYMBOLS.get(key)
-        if sym is None:
-            sym = _LIFT_SYMBOLS[key] = t_symbol_ubar2(alpha, beta)
         a = conj_coeffs(u)
-        return bilinear_contract(sym.matrix(grid), a, a if v is u else conj_coeffs(v))
+        mat = normal_form_pair(kind, alpha, beta)[0].matrix(grid)
+        return bilinear_contract(mat, a, a if v is u else conj_coeffs(v))
     if kind not in ("u2", "uubar"):
         raise ValueError(f"unknown interaction kind {kind!r}")
+    band = _lift_band(grid)
     xi = grid.frequencies
     tol = math.pi / grid.length
     w_in = bracket(xi, alpha)
@@ -332,9 +302,9 @@ def lift_coeffs(kind: str, alpha: float, beta: float, grid: Grid, u: np.ndarray,
     over_xi = np.where(nonzero, w_in / safe_xi, 0.0)
     if kind == "u2":
         m1 = np.where(pos, over_xi, 0.0)
-        return _factored_product(grid, u, m1, v, m1, w_out)
-    return _factored_product(
-        grid, u, np.where(pos, w_in, 0.0), conj_coeffs(v), over_xi, np.where(nonzero, w_out / safe_xi, 0.0)
+        return factored_product(band, u, m1, v, m1, w_out)
+    return factored_product(
+        band, u, np.where(pos, w_in, 0.0), conj_coeffs(v), over_xi, np.where(nonzero, w_out / safe_xi, 0.0)
     )
 
 
@@ -350,10 +320,8 @@ def apply_lift(kind: str, alpha: float, beta: float, u: SpectralField, v: Spectr
         uubar: <xi>^a 1{xi>0}  *  <eta>^a / eta 1{eta!=0}  (eta effective)
                * <zeta>^(b-a) / zeta 1{zeta!=0} / (-2i)
 
-    with zeta = xi + eta.  ubar2 goes through the dense contraction with the
-    symbol built once per (alpha, beta)."""
-    if kind not in KIND_FLAGS:
-        raise ValueError(f"unknown interaction kind {kind!r}")
+    with zeta = xi + eta.  ubar2 goes through the dense contraction of that
+    same T."""
     _check_guarded(u, v)
     return SpectralField(u.grid, lift_coeffs(kind, alpha, beta, u.grid, u.coeffs, v.coeffs))
 

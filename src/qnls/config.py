@@ -216,6 +216,9 @@ def check_ranges(cfg, path=None) -> None:
         bad.append(f"[run] seed must be >= 0, got {run['seed']}")
     if run["threads"] < 1:
         bad.append(f"[run] threads must be >= 1, got {run['threads']}")
+    for sec in ("run", "subst"):  # the nonlinearity's derivative order
+        if not 0.0 <= cfg[sec]["beta"] < 0.5:
+            bad.append(f"[{sec}] beta must be in [0, 1/2), got {cfg[sec]['beta']:g}")
     if rates["k_lo"] < 1:
         bad.append(f"[rates] k_lo must be >= 1, got {rates['k_lo']}")
     if rates["k_hi"] < rates["k_lo"] + 1:  # the slope fit needs two scales

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .bilinear import KIND_FLAGS, apply_lift, lift_coeffs, pair_g_coeffs
+from .bilinear import KIND_FLAGS, apply_lift, factored_product, lift_coeffs, pair_g_coeffs
 from .spacetime import sobolev_norm
 from .spectral import (
     BandGrid,
@@ -70,6 +70,7 @@ from .spectral import (
     SpectralField,
     bessel_potential,
     bracket,
+    conj_coeffs,
     free_propagate,
     l2_norm,
     sign_project,
@@ -357,8 +358,8 @@ def integrate(config: EvolutionConfig, initial: SpectralField) -> Trajectory:
 # ----------------------------------------------------------------------------
 
 def normal_form_h(f: SpectralField, t: float, alpha: float, beta: float, kind: str = "u2") -> SpectralField:
-    """The transformed pair h(t) = T(F(t), F(t)) of the free wave F = e^{it
-    d^2/dx^2-ish} f; solves the inhomogeneous linear flow forced by the
+    """The transformed pair h(t) = T(F(t), F(t)) of the free wave
+    F = e^{-it d^2} f; solves the inhomogeneous linear flow forced by the
     frequency-restricted weight of the kind (apply_lift: factored for u2
     and uubar, dense for ubar2)."""
     big_f = free_propagate(t, f)
@@ -434,7 +435,7 @@ def rhs_groups(
     w_out = bracket(grid.frequencies, beta - alpha)
 
     def g(a, b):
-        return SpectralField(grid, band.product(a.coeffs * w_in, b.coeffs * w_in) * w_out)
+        return SpectralField(grid, factored_product(band, a.coeffs, w_in, b.coeffs, w_in, w_out))
 
     big_f = free_propagate(t, f)
     v = big_f + h_field + w_field
@@ -513,10 +514,10 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     def nonlin(coeffs, j):
         _, lifted, paired = table(j // FORCING_BLOCK)
         r = j % FORCING_BLOCK
-        v = SpectralField(grid, lifted[r] + coeffs)
-        a = (v.conj() if conj_first else v).coeffs * w_in
-        c = a if conj_second == conj_first else (v.conj() if conj_second else v).coeffs * w_in
-        return band.product(a, c) * w_out - paired[r]
+        v = lifted[r] + coeffs
+        a = conj_coeffs(v) if conj_first else v
+        c = a if conj_second == conj_first else conj_coeffs(v)
+        return factored_product(band, a, w_in, c, w_in, w_out) - paired[r]
 
     w0 = -1.0 * SpectralField(grid, table(0)[0][0])
     save_steps = _save_schedule(config.n_steps, config.n_saves)

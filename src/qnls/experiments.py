@@ -18,7 +18,15 @@ import time
 
 import numpy as np
 
-from .bilinear import apply_bilinear, apply_lift, g_symbol, leibniz_residual, normal_form_pair, weighted_product
+from .bilinear import (
+    apply_bilinear,
+    apply_lift,
+    g_symbol,
+    leibniz_residual,
+    normal_form_pair,
+    pair_g_coeffs,
+    weighted_product,
+)
 from .evolution import (
     EvolutionConfig,
     decompose,
@@ -549,23 +557,30 @@ def measure_partition_deviation(n_points: int = 1024) -> float:
 
 def measure_bilinear_oracle_deviation(cfg) -> float:
     """Largest relative deviation from the plain double loop over the dense
-    symbol matrix: of the dense contraction for the smoothing weight, and of
-    the route normal_form_h takes (apply_lift) for each lift symbol."""
+    symbol matrix: of the dense contraction for the smoothing weight, and
+    for each kind of the routes the flows take for its pair (T, G):
+    apply_lift for T (the lift of normal_form_h and decompose) and
+    pair_g_coeffs for G (direct_w_solve's paired forcing)."""
     alpha, beta = cfg["run"]["alpha"], cfg["run"]["beta"]
     grid = Grid(64)
+
+    def lift(kind):
+        return lambda f, g: apply_lift(kind, alpha, beta, f, g)
+
+    def paired(kind):
+        return lambda f, g: SpectralField(grid, pair_g_coeffs(kind, alpha, beta, grid, f.coeffs, g.coeffs))
+
+    weight = g_symbol(alpha, beta)
+    routes = [(weight, lambda f, g: apply_bilinear(weight, f, g))]
+    routes += [(normal_form_pair(kind, alpha, beta)[0], lift(kind)) for kind in LIFT_KINDS]
+    routes += [(normal_form_pair(kind, alpha, beta)[1], paired(kind)) for kind in LIFT_KINDS]
     worst = 0.0
-    for idx, kind in enumerate(("g", "u2", "uubar", "ubar2")):
+    for idx, (sym, fast) in enumerate(routes):
         f = gen_rough_data(DataSpec(0.5, 16.0, seed=_seed(cfg, "infra", 100 + idx)), grid)
         g = gen_rough_data(DataSpec(0.5, 16.0, seed=_seed(cfg, "infra", 200 + idx)), grid)
-        if kind == "g":
-            sym = g_symbol(alpha, beta)
-            fast = apply_bilinear(sym, f, g)
-        else:
-            sym = normal_form_pair(kind, alpha, beta)[0]
-            fast = apply_lift(kind, alpha, beta, f, g)
         slow = reference_apply_bilinear(sym, f, g)
         scale = max(l2_norm(slow), 1e-300)
-        worst = max(worst, l2_norm(fast - slow) / scale)
+        worst = max(worst, l2_norm(fast(f, g) - slow) / scale)
     return worst
 
 

@@ -11,13 +11,13 @@ around each stage, and integrate_flow runs one flow through both.
 per_time_direct_w_solve is evolution.direct_w_solve with F + h and
 G_pair(F, F) computed for each new half step j, at time (j / 2) dt,
 through the per-time functions (free_propagate, normal_form_h,
-apply_pair_g_fast) and kept for the last two half steps.
+pair_g_coeffs) and kept for the last two half steps.
 """
 
 import numpy as np
 
 from qnls import evolution
-from qnls.bilinear import KIND_FLAGS, apply_pair_g_fast
+from qnls.bilinear import KIND_FLAGS, pair_g_coeffs
 from qnls.spectral import BandGrid, SpectralField, bracket, free_propagate
 
 _KIND_PRODUCT = {
@@ -98,7 +98,7 @@ def per_time_direct_w_solve(config, f):
             t = 0.5 * j * config.dt
             big_f = free_propagate(t, f)
             lifted = (big_f + evolution.normal_form_h(f, t, alpha, beta, config.kind)).coeffs
-            paired = apply_pair_g_fast(config.kind, alpha, beta, big_f, big_f).coeffs
+            paired = SpectralField(grid, pair_g_coeffs(config.kind, alpha, beta, grid, big_f.coeffs, big_f.coeffs)).coeffs
             if len(by_step) == 2:
                 del by_step[next(iter(by_step))]
             terms = by_step[j] = (lifted, paired)

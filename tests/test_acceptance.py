@@ -57,6 +57,24 @@ def test_criterion_1_covers_all_kinds(identity_result):
     assert len(identity_result["rows"]) == 24  # 8 pairs per kind
 
 
+@pytest.mark.parametrize("wrong", ["g-for-t", "next-kind-t"])
+def test_criterion_1_fails_on_a_wrong_pair(cfg, monkeypatch, wrong):
+    # negative controls: G in T's place, or the next kind's T with the kind's G
+    pair = experiments.normal_form_pair
+    kinds = experiments.LIFT_KINDS
+
+    def wrong_pair(kind, alpha, beta):
+        t_sym, g_sym = pair(kind, alpha, beta)
+        if wrong == "g-for-t":
+            return g_sym, g_sym
+        return pair(kinds[(kinds.index(kind) + 1) % len(kinds)], alpha, beta)[0], g_sym
+
+    monkeypatch.setattr(experiments, "normal_form_pair", wrong_pair)
+    res = acceptance.criterion_1(cfg)
+    assert not res.passed
+    assert res.data["max_residual"] > 1.0
+
+
 # --- criterion 2: quadratic lift smooths borderline data -------------------
 
 def test_criterion_2_lift_gains_regularity(cfg):

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
+from qnls import experiments
 from qnls.bilinear import (
     BilinearSymbol,
     apply_bilinear,
     apply_lift,
-    apply_pair_g_fast,
-    dealiased_product,
     g_symbol,
-    g_symbol_restricted,
     leibniz_residual,
     normal_form_pair,
-    t_symbol_ubar2,
+    pair_g_coeffs,
     weighted_product,
 )
+from qnls.config import default_config
 from qnls.spectral import BandGrid, Grid, SpectralField, bracket, l2_norm
 
 
@@ -21,6 +20,16 @@ def single_mode(grid, k, amp=1.0):
     c = np.zeros(grid.n, dtype=complex)
     c[k % grid.n] = amp
     return SpectralField(grid, c)
+
+
+def plain_product(u, v):
+    """The doubled-grid product of two fields, no weights (<xi>^0 is exactly 1)."""
+    return weighted_product(0.0, 0.0, u, v)
+
+
+def pair_g(kind, alpha, beta, u, v):
+    """pair_g_coeffs of two fields, as a field."""
+    return SpectralField(u.grid, pair_g_coeffs(kind, alpha, beta, u.grid, u.coeffs, v.coeffs))
 
 
 def band_limited(grid, seed, width):
@@ -85,7 +94,7 @@ class TestLiftSymbols:
 
     def test_ubar2_keeps_almost_everything(self):
         g = Grid(64)
-        t = t_symbol_ubar2(0.6, 0.2).matrix(g)
+        t = normal_form_pair("ubar2", 0.6, 0.2)[0].matrix(g)
         assert t[0, 0] == 0  # only the double zero mode drops
         assert t[0, 5] != 0
         assert t[3, (-3) % 64] != 0
@@ -93,8 +102,8 @@ class TestLiftSymbols:
     def test_restricted_weight_matches_lift_support(self):
         g = Grid(64)
         for kind in ("u2", "uubar", "ubar2"):
-            t = normal_form_pair(kind, 0.6, 0.2)[0].matrix(g)
-            r = g_symbol_restricted(kind, 0.6, 0.2).matrix(g)
+            t_sym, g_sym = normal_form_pair(kind, 0.6, 0.2)
+            t, r = t_sym.matrix(g), g_sym.matrix(g)
             np.testing.assert_array_equal(t != 0, r != 0)
 
 
@@ -139,7 +148,7 @@ class TestWeightedProduct:
         g = Grid(64)
         u = band_limited(g, 13, 14)
         v = band_limited(g, 14, 14)
-        prod = dealiased_product(u, v)
+        prod = plain_product(u, v)
         # compare against the physical-space product evaluated on a finer grid
         fine = Grid(256)
         uf = SpectralField(fine, np.concatenate([u.coeffs[:32], np.zeros(192), u.coeffs[32:]]))
@@ -152,7 +161,7 @@ class TestWeightedProduct:
     def test_no_aliasing_from_high_content(self):
         # content at +14 and +15 multiplies to +29 < 32; nothing may wrap
         g = Grid(64)
-        prod = dealiased_product(single_mode(g, 14), single_mode(g, 15))
+        prod = plain_product(single_mode(g, 14), single_mode(g, 15))
         assert prod.coeffs[29] == pytest.approx(1.0)
         rest = np.delete(prod.coeffs, 29)
         assert np.max(np.abs(rest)) < 1e-14
@@ -164,8 +173,8 @@ class TestPairRestrictedProduct:
         g = Grid(64)
         u = band_limited(g, 21, 14)
         v = band_limited(g, 22, 14)
-        fast = apply_pair_g_fast(kind, 0.6, 0.2, u, v)
-        slow = apply_bilinear(g_symbol_restricted(kind, 0.6, 0.2), u, v)
+        fast = pair_g(kind, 0.6, 0.2, u, v)
+        slow = apply_bilinear(normal_form_pair(kind, 0.6, 0.2)[1], u, v)
         assert l2_norm(fast - slow) <= 1e-12 * max(l2_norm(slow), 1e-300)
 
 
@@ -195,7 +204,7 @@ class TestFactoredLift:
     def test_ubar2_is_the_dense_contraction(self):
         g = Grid(64)
         u, v = guard_limited(g, 5), guard_limited(g, 6)
-        dense = apply_bilinear(t_symbol_ubar2(0.6, 0.2), u, v)
+        dense = apply_bilinear(normal_form_pair("ubar2", 0.6, 0.2)[0], u, v)
         np.testing.assert_array_equal(apply_lift("ubar2", 0.6, 0.2, u, v).coeffs, dense.coeffs)
 
     # single modes (xi, eta) as grid indices, eta before conjugation; each
@@ -227,7 +236,7 @@ class TestFactoredLift:
         t_sym, g_sym = normal_form_pair(kind, 0.6, 0.2)
         for fast, dense in (
             (apply_lift(kind, 0.6, 0.2, u, v), apply_bilinear(t_sym, u, v)),
-            (apply_pair_g_fast(kind, 0.6, 0.2, u, v), apply_bilinear(g_sym, u, v)),
+            (pair_g(kind, 0.6, 0.2, u, v), apply_bilinear(g_sym, u, v)),
         ):
             atol = 1e-14 * max(np.max(np.abs(dense.coeffs)), 1.0)
             np.testing.assert_allclose(fast.coeffs, dense.coeffs, rtol=0, atol=atol)
@@ -239,13 +248,42 @@ class TestFactoredLift:
         for kind in ("u2", "uubar"):
             with pytest.raises(ValueError):
                 apply_lift(kind, 0.6, 0.2, single_mode(g, 17), single_mode(g, 1))
-            with pytest.raises(ValueError):
-                apply_pair_g_fast(kind, 0.6, 0.2, single_mode(g, 1), single_mode(g, -17))
 
     def test_unknown_kind(self):
         g = Grid(64)
         with pytest.raises(ValueError):
             apply_lift("cubic", 0.6, 0.2, single_mode(g, 1), single_mode(g, 2))
+
+
+class TestPairBuilder:
+    def test_repeated_calls_share_the_symbols(self):
+        for kind in ("u2", "uubar", "ubar2"):
+            t_sym, g_sym = normal_form_pair(kind, 0.6, 0.2)
+            again = normal_form_pair(kind, 0.6, 0.2)
+            assert again[0] is t_sym and again[1] is g_sym
+        assert normal_form_pair("u2", 0.5, 0.2)[0] is not normal_form_pair("u2", 0.6, 0.2)[0]
+
+    def test_criteria_and_lift_build_each_matrix_once(self, monkeypatch):
+        # criteria 1 and 8 and the ubar2 lift sample the same pairs on n = 64
+        builds = []
+        original = BilinearSymbol.matrix
+
+        def matrix(sym, grid):
+            if (grid.n, grid.length) not in sym._cache:
+                builds.append((sym.name, grid.n))
+            return original(sym, grid)
+
+        monkeypatch.setattr(BilinearSymbol, "matrix", matrix)
+        normal_form_pair.cache_clear()
+        cfg = default_config()
+        cfg["identity"]["n_pairs"] = 1
+        experiments.run_identity(cfg)
+        experiments.measure_bilinear_oracle_deviation(cfg)
+        g = Grid(64)
+        apply_lift("ubar2", cfg["run"]["alpha"], cfg["run"]["beta"], guard_limited(g, 5), guard_limited(g, 6))
+        # T and G of each kind, and the weight
+        assert len(builds) == len(set(builds)) == 7
+        assert {n for _name, n in builds} == {64}
 
 
 def full_band(grid, seed, k=None):
@@ -300,7 +338,7 @@ class TestPaddedProduct:
         k_in, k_out = BANDS[band](n)
         u, v = full_band(g, 3 * n, k_in), full_band(g, 3 * n + 1, k_in)
         assert u.coeffs[k_in] != 0 and u.coeffs[-k_in] != 0
-        oracle = dealiased_product(u, v).coeffs
+        oracle = plain_product(u, v).coeffs
         fast = BandGrid(g, k_in, k_out).product(u.coeffs, v.coeffs)
         inside = kept(g, k_out)
         assert np.linalg.norm((fast - oracle)[inside]) <= 1e-13 * np.linalg.norm(oracle[inside])
@@ -333,7 +371,7 @@ class TestPaddedProduct:
         if out is not None:
             expect[out % n] = 1.0
         np.testing.assert_allclose(fast, expect, rtol=0, atol=1e-14)
-        oracle = dealiased_product(single_mode(g, p), single_mode(g, q)).coeffs
+        oracle = plain_product(single_mode(g, p), single_mode(g, q)).coeffs
         np.testing.assert_allclose(np.where(kept(g, k_out), oracle, 0.0), expect, rtol=0, atol=1e-14)
 
 

@@ -6,7 +6,7 @@ import pytest
 from evolution_oracle import integrate_flow, per_time_direct_w_solve, rk4_loop
 
 from qnls import evolution
-from qnls.bilinear import apply_bilinear, apply_pair_g_fast, g_symbol_restricted, normal_form_pair, weighted_product
+from qnls.bilinear import apply_bilinear, normal_form_pair, pair_g_coeffs, weighted_product
 from qnls.evolution import (
     BlowUpError,
     EvolutionConfig,
@@ -634,7 +634,8 @@ class TestDirectSolve:
         assert len(rows) == 2 * cfg.n_steps + 1
         for j, row in enumerate(rows):
             big_f = free_propagate(0.5 * j * cfg.dt, f)
-            assert np.array_equal(row, apply_pair_g_fast(kind, ALPHA, BETA, big_f, big_f).coeffs)
+            paired = pair_g_coeffs(kind, ALPHA, BETA, f.grid, big_f.coeffs, big_f.coeffs)
+            assert np.array_equal(row, SpectralField(f.grid, paired).coeffs)
 
     @pytest.mark.parametrize(
         "bad, match",

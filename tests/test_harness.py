@@ -1,5 +1,6 @@
 """Config parsing, CLI behavior, data synthesis, artifact writers, kernels."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import qnls
 from qnls import _kernels, config
-from qnls.bilinear import t_symbol_ubar2
+from qnls.bilinear import normal_form_pair
 from qnls.cli import main
 from qnls.config import ConfigError, default_config, load_config, parse_config
 from qnls.reports import config_sha256, fmt, write_csv, write_report
@@ -104,6 +105,11 @@ class TestConfig:
         [
             "[run]\nseed = -1\n",
             "[run]\nthreads = 0\n",
+            "[run]\nbeta = 5\n",
+            "[run]\nbeta = -0.1\n",
+            "[run]\nbeta = 0.5\n",
+            "[subst]\nbeta = 0.5\n",
+            "[subst]\nbeta = -0.1\n",
             "[rates]\nk_lo = 0\n",
             "[rates]\nk_lo = 5\nk_hi = 4\n",
             "[rates]\nk_lo = 3\nk_hi = 3\n",
@@ -170,6 +176,13 @@ class TestConfig:
             parse_config(p)
         assert main(["identity", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+
+    def test_beta_zero_loads(self, tmp_path):
+        # the lower end of [0, 1/2) is legal in both sections that carry beta
+        p = tmp_path / "a.cfg"
+        p.write_text("[run]\nbeta = 0\n[subst]\nbeta = 0\n")
+        cfg = parse_config(p)
+        assert cfg["run"]["beta"] == cfg["subst"]["beta"] == 0.0
 
     def test_file_config_checked_once(self, tmp_path, monkeypatch):
         # `qnls identity --config FILE --seed N` range-checks the file's
@@ -603,9 +616,48 @@ class TestOneBackend:
         assert proc.stdout.strip() == "False"
         grid = Grid(64)
         u, v = (gen_rough_data(DataSpec(0.0, 16.0, seed=s), grid) for s in (3, 4))
-        sym = t_symbol_ubar2(0.6, 0.2).matrix(grid)
+        sym = normal_form_pair("ubar2", 0.6, 0.2)[0].matrix(grid)
         want = SpectralField(grid, full_grid_contract(sym, u.conj().coeffs, v.conj().coeffs))  # Nyquist zeroed
         assert np.array_equal(np.load(out), want.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# public names
+# ---------------------------------------------------------------------------
+
+# public top-level names that no package module uses.  The space-time
+# functions wait for the deletion of the dense space-time path (ROADMAP
+# item 1); the benchmark worker calls load_config.  This set may only shrink.
+UNUSED_PUBLIC = {
+    "apply_window", "st_l2_norm", "xsb_norm", "synth_cells", "st_spatial_multiplier", "st_product", "box_mask",
+    "load_config",
+}
+
+
+class TestPublicNames:
+    def test_every_public_name_is_used_in_the_package(self):
+        src = Path(qnls.__file__).resolve().parent
+        trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+        used = set()
+        for name, tree in trees.items():
+            if name == "__init__.py":  # a re-export is not a use
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+        unused = {
+            node.name
+            for tree in trees.values()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in used
+        }
+        assert unused == UNUSED_PUBLIC
 
 
 # ---------------------------------------------------------------------------
