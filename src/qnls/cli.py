@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import acceptance, experiments
 from .config import ConfigError, check_ranges, default_config, read_config
@@ -17,98 +18,85 @@ from .evolution import BlowUpError
 from .reports import write_csv, write_gnuplot, write_report, write_trajectory
 
 
-def _parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", default=None, help="path to an INI config file")
-    p.add_argument("--out", default=None,
-                   help="output directory (default: $QNLS_OUT or [run] out)")
-    p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    p.add_argument("--threads", type=int, default=None, help="override [run] threads")
-    return p
+def _write_rates_dat(res, out_dir):
+    """rates.dat: the median ratio at each dyadic level k, one column per kind."""
+    kinds = list(res["slopes"])
+    med = {(kind, k): ratio for kind, k, ratio in res["rows"]}
+    ks = sorted({k for _kind, k in med})
+    table = [[k] + [med.get((kind, k), float("nan")) for kind in kinds] for k in ks]
+    write_gnuplot(os.path.join(out_dir, "rates.dat"),
+                  "median product ratio per dyadic level", ["k"] + kinds, table)
+
+
+class _Command(NamedTuple):
+    """A criterion command: its check, its help line, its CSVs as (file, header,
+    result key), its JSON report's result keys and its writer of any non-CSV artifact."""
+    criterion: Callable
+    help: str
+    csvs: list
+    report: list
+    extra: Callable | None = None
+
+
+# one row per criterion command, in `qnls --help` order
+_COMMANDS = {
+    "identity": _Command(
+        acceptance.criterion_1, "residual of the time-derivative identity for the lift symbols",
+        [("identity.csv", ["kind", "pair", "dt", "residual", "residual_half", "ratio"], "rows")],
+        ["max_residual", "min_ratio", "max_ratio"]),
+    "decompose": _Command(
+        acceptance.criterion_3, "split a solution into free + lift + remainder and fit regularities",
+        [("decompose_v.csv", ["t", "fit_free", "fit_lift", "fit_remainder", "margin", "remainder_l2"], "v_rows"),
+         ("decompose_u.csv", ["t", "fit_difference", "difference_l2"], "u_rows")],
+        ["min_margin", "min_u_fit", "u_data_fit", "health", "timing"]),
+    "rates": _Command(
+        acceptance.criterion_4, "dyadic product-estimate rate slopes",
+        [("rates.csv", ["kind", "k", "median_ratio"], "rows"),
+         ("rates_slopes.csv", ["kind", "slope", "stderr", "target", "tol", "ok"], "slope_rows")],
+        ["slopes", "health", "timing"], _write_rates_dat),
+    "mnorm": _Command(
+        acceptance.criterion_5, "multiplier-form lower-bound sweep",
+        [("mnorm_sweep.csv", ["family", "n0", "estimate", "bound", "ratio", "n_triples", "empty"], "sweep_rows"),
+         ("mnorm_tiny.csv", ["label", "alternating", "search", "rel_diff"], "tiny_rows")],
+        ["family_c", "max_tiny_reldiff", "ppm4_size_slope", "health", "timing"]),
+    "lipschitz": _Command(
+        acceptance.criterion_6, "data-to-solution stability ratios",
+        [("lipschitz.csv", ["epsilon", "ratio"], "rows")], ["spread", "nonlinear_share", "health", "timing"]),
+    "subst": _Command(
+        acceptance.criterion_7, "smooth-variable substitution defect",
+        [("subst.csv", ["dt", "sup_diff"], "rows")], ["max_sup", "health", "timing"]),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--config", default=None, help="path to an INI config file")
+    parent.add_argument("--out", default=None,
+                        help="output directory (default: $QNLS_OUT or [run] out)")
+    parent.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    parent.add_argument("--threads", type=int, default=None, help="override [run] threads")
     parser = argparse.ArgumentParser(prog="qnls",
                                      description="pseudospectral checks for a quadratic "
                                                  "dispersive model on the circle")
     sub = parser.add_subparsers(dest="command", required=True)
-    parent = [_parent()]
-    sub.add_parser("identity", parents=parent,
-                   help="residual of the time-derivative identity for the lift symbols")
-    sub.add_parser("simulate", parents=parent, help="integrate once and dump the trajectory")
-    sub.add_parser("decompose", parents=parent,
-                   help="split a solution into free + lift + remainder and fit regularities")
-    sub.add_parser("rates", parents=parent, help="dyadic product-estimate rate slopes")
-    sub.add_parser("mnorm", parents=parent, help="multiplier-form lower-bound sweep")
-    sub.add_parser("lipschitz", parents=parent, help="data-to-solution stability ratios")
-    sub.add_parser("subst", parents=parent, help="smooth-variable substitution defect")
-    sub.add_parser("all", parents=parent, help="run the full acceptance suite")
+    helps = [(name, row.help) for name, row in _COMMANDS.items()]
+    helps.insert(1, ("simulate", "integrate once and dump the trajectory"))  # second, after identity
+    for name, text in helps + [("all", "run the full acceptance suite")]:
+        sub.add_parser(name, parents=[parent], help=text)
     return parser
 
 
-# ---------------------------------------------------------------------------
-# per-command artifact writers
-# ---------------------------------------------------------------------------
+def cmd_criterion(name, cfg, out_dir) -> int:
+    row = _COMMANDS[name]
+    result = row.criterion(cfg)
+    for file, header, key in row.csvs:
+        write_csv(os.path.join(out_dir, file), header, result.data[key])
+    if row.extra is not None:
+        row.extra(result.data, out_dir)
+    write_report(os.path.join(out_dir, f"{name}.json"), name, cfg, {k: result.data[k] for k in row.report})
+    print(result.line)
+    return 0 if result.passed else 1
 
-def _write_identity(res, cfg, out_dir):
-    write_csv(os.path.join(out_dir, "identity.csv"),
-              ["kind", "pair", "dt", "residual", "residual_half", "ratio"], res["rows"])
-    write_report(os.path.join(out_dir, "identity.json"), "identity", cfg,
-                 {k: res[k] for k in ("max_residual", "min_ratio", "max_ratio")})
-
-
-def _write_decompose(res, cfg, out_dir):
-    write_csv(os.path.join(out_dir, "decompose_v.csv"),
-              ["t", "fit_free", "fit_lift", "fit_remainder", "margin", "remainder_l2"],
-              res["v_rows"])
-    write_csv(os.path.join(out_dir, "decompose_u.csv"),
-              ["t", "fit_difference", "difference_l2"], res["u_rows"])
-    write_report(os.path.join(out_dir, "decompose.json"), "decompose", cfg,
-                 {k: res[k] for k in ("min_margin", "min_u_fit", "u_data_fit", "health", "timing")})
-
-
-def _write_rates(res, cfg, out_dir):
-    write_csv(os.path.join(out_dir, "rates.csv"), ["kind", "k", "median_ratio"], res["rows"])
-    write_csv(os.path.join(out_dir, "rates_slopes.csv"),
-              ["kind", "slope", "stderr", "target", "tol", "ok"], res["slope_rows"])
-    kinds = [r[0] for r in res["slope_rows"]]
-    ks = sorted({row[1] for row in res["rows"]})
-    med = {(r[0], r[1]): r[2] for r in res["rows"]}
-    table = [[k] + [med.get((kind, k), float("nan")) for kind in kinds] for k in ks]
-    write_gnuplot(os.path.join(out_dir, "rates.dat"),
-                  "median product ratio per dyadic level", ["k"] + kinds, table)
-    write_report(os.path.join(out_dir, "rates.json"), "rates", cfg,
-                 {"slopes": {r[0]: r[1] for r in res["slope_rows"]},
-                  "health": res["health"], "timing": res["timing"]})
-
-
-def _write_mnorm(res, cfg, out_dir):
-    write_csv(os.path.join(out_dir, "mnorm_sweep.csv"),
-              ["family", "n0", "estimate", "bound", "ratio", "n_triples", "empty"],
-              res["sweep_rows"])
-    write_csv(os.path.join(out_dir, "mnorm_tiny.csv"),
-              ["label", "alternating", "search", "rel_diff"], res["tiny_rows"])
-    write_report(os.path.join(out_dir, "mnorm.json"), "mnorm", cfg,
-                 {"family_c": res["family_c"], "max_tiny_reldiff": res["max_tiny_reldiff"],
-                  "ppm4_size_slope": res["ppm4_size_slope"],
-                  "health": res["health"], "timing": res["timing"]})
-
-
-def _write_lipschitz(res, cfg, out_dir):
-    write_csv(os.path.join(out_dir, "lipschitz.csv"), ["epsilon", "ratio"], res["rows"])
-    write_report(os.path.join(out_dir, "lipschitz.json"), "lipschitz", cfg,
-                 {k: res[k] for k in ("spread", "nonlinear_share", "health", "timing")})
-
-
-def _write_subst(res, cfg, out_dir):
-    write_csv(os.path.join(out_dir, "subst.csv"), ["dt", "sup_diff"], res["rows"])
-    write_report(os.path.join(out_dir, "subst.json"), "subst", cfg,
-                 {k: res[k] for k in ("max_sup", "health", "timing")})
-
-
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg, out_dir) -> int:
     res, traj = experiments.run_simulate(cfg)
@@ -138,16 +126,6 @@ def cmd_all(cfg, out_dir) -> int:
     return 0 if n_bad == 0 else 1
 
 
-_CRITERION_COMMANDS = {
-    "identity": (acceptance.criterion_1, _write_identity),
-    "decompose": (acceptance.criterion_3, _write_decompose),
-    "rates": (acceptance.criterion_4, _write_rates),
-    "mnorm": (acceptance.criterion_5, _write_mnorm),
-    "lipschitz": (acceptance.criterion_6, _write_lipschitz),
-    "subst": (acceptance.criterion_7, _write_subst),
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -174,15 +152,9 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "all":
-            return cmd_all(cfg, out_dir)
-        crit_fn, writer = _CRITERION_COMMANDS[args.command]
-        result = crit_fn(cfg)
-        writer(result.data, cfg, out_dir)
-        print(result.line)
-        return 0 if result.passed else 1
+        if args.command in _COMMANDS:
+            return cmd_criterion(args.command, cfg, out_dir)
+        return {"simulate": cmd_simulate, "all": cmd_all}[args.command](cfg, out_dir)
     except BlowUpError as exc:
         print(f"qnls: {exc}", file=sys.stderr)
         return 1

@@ -183,13 +183,6 @@ def read_config(path) -> dict:
     return cfg
 
 
-def parse_config(path) -> dict:
-    """read_config, range-checked."""
-    cfg = read_config(path)
-    check_ranges(cfg, path)
-    return cfg
-
-
 # the drivers' input builders, each labelled by its section: a builder
 # makes its section's grid, data (fitted on the section's fit window) and
 # flows, and raises ValueError for keys it cannot make them from
@@ -228,8 +221,8 @@ def check_ranges(cfg, path=None) -> None:
     kinds = rates["kinds"]
     if kinds != ["all"]:
         unknown = [k for k in kinds if k not in KIND_ORDER]
-        if unknown or not kinds:
-            bad.append(f"[rates] kinds must be `all` or names from {', '.join(KIND_ORDER)}, "
+        if unknown or not kinds or len(set(kinds)) < len(kinds):
+            bad.append(f"[rates] kinds must be `all` or distinct names from {', '.join(KIND_ORDER)}, "
                        f"got {', '.join(kinds) or 'nothing'}")
     if mnorm["n_tau"] < 4:
         bad.append(f"[mnorm] n_tau must be >= 4, got {mnorm['n_tau']}")
@@ -259,7 +252,9 @@ def check_ranges(cfg, path=None) -> None:
 
 
 def load_config(path=None) -> dict:
-    """Defaults when no path is given, else parse_config."""
+    """Defaults when no path is given, else read_config, range-checked."""
     if path is None:
         return default_config()
-    return parse_config(path)
+    cfg = read_config(path)
+    check_ranges(cfg, path)
+    return cfg

@@ -281,6 +281,7 @@ def run_rates(cfg) -> dict:
         "reports": reports,
         "rows": rows,
         "slope_rows": slope_rows,
+        "slopes": {kind: rep.slope for kind, rep in reports.items()},
         "health": health,
         "timing": {
             "wall_s": time.perf_counter() - start,

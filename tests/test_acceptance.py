@@ -14,9 +14,11 @@ instrument does compute.
 import numpy as np
 import pytest
 
-from qnls import acceptance, experiments
+from qnls import acceptance, evolution, experiments
+from qnls.bilinear import pair_g_coeffs
 from qnls.config import default_config
 from qnls.rates import KIND_ORDER
+from qnls.spectral import SpectralField, free_propagate
 from rate_oracle import predicted_slope
 
 
@@ -83,6 +85,18 @@ def test_criterion_2_lift_gains_regularity(cfg):
     assert res["min_fit"] >= 0.40
 
 
+def test_criterion_2_fails_on_g_for_t(cfg, monkeypatch):
+    # negative control: the lift built from G, T's weight without the resonance division
+    def g_lift(f, t, alpha, beta, kind="u2"):
+        big_f = free_propagate(t, f).coeffs
+        return SpectralField(f.grid, pair_g_coeffs(kind, alpha, beta, f.grid, big_f, big_f))
+
+    monkeypatch.setattr(experiments, "normal_form_h", g_lift)
+    res = acceptance.criterion_2(cfg)
+    assert not res.passed
+    assert res.data["min_fit"] < 0.40
+
+
 # --- criterion 3: decomposition of the flow --------------------------------
 
 @pytest.fixture(scope="module")
@@ -97,6 +111,20 @@ def test_criterion_3_remainder_smoother_than_free(decompose_result):
 def test_criterion_3_rough_route_difference_regularity(decompose_result):
     assert decompose_result["u_data_fit"] == pytest.approx(-0.8, abs=0.05)
     assert decompose_result["min_u_fit"] >= -0.65
+
+
+def test_criterion_3_fails_on_a_half_lift(cfg, monkeypatch):
+    # negative control: the decomposition subtracts h/2, leaving h/2 in the remainder
+    free_lift = evolution._free_lift
+
+    def half_lift(*args):
+        big_f, h = free_lift(*args)
+        return big_f, h / 2
+
+    monkeypatch.setattr(evolution, "_free_lift", half_lift)
+    res = acceptance.criterion_3(cfg)
+    assert not res.passed
+    assert res.data["min_margin"] < 0.3
 
 
 # --- criterion 4: dyadic product rates (split per kind) ---------------------
@@ -159,6 +187,16 @@ def test_criterion_7_substitution_defect(cfg):
     assert res["max_sup"] <= 1e-8
 
 
+def test_criterion_7_fails_on_a_wrong_lift(cfg, monkeypatch):
+    # negative control: the snapshots and the u-form data are lifted by
+    # beta + 0.1 while both flows keep beta
+    lift = evolution.bessel_potential
+    monkeypatch.setattr(evolution, "bessel_potential", lambda s, field: lift(s + 0.1, field))
+    res = acceptance.criterion_7(cfg)
+    assert not res.passed
+    assert res.data["max_sup"] > 1e-8
+
+
 # --- criterion 8: numerical infrastructure ----------------------------------
 
 def test_criterion_8_integrator_order(infra_result):
@@ -180,6 +218,20 @@ def test_criterion_8_group_sum(infra_result):
 def test_criterion_8_route_equivalence(infra_result):
     assert {r[0] for r in infra_result["route_rows"]} == {"u2", "uubar", "ubar2"}
     assert infra_result["max_route_dev"] <= 1e-6
+
+
+def test_criterion_8_fails_on_the_next_kinds_forcing(cfg, monkeypatch):
+    # negative control: the direct remainder solve is forced by the next kind's G
+    pair_g = evolution.pair_g_coeffs
+    kinds = experiments.LIFT_KINDS
+
+    def next_pair_g(kind, *args):
+        return pair_g(kinds[(kinds.index(kind) + 1) % len(kinds)], *args)
+
+    monkeypatch.setattr(evolution, "pair_g_coeffs", next_pair_g)
+    res = acceptance.criterion_8(cfg)
+    assert not res.passed
+    assert all(dev > 1e-6 for _kind, dev in res.data["route_rows"])
 
 
 def test_criterion_8_reports_timing_and_health(infra_result):

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 import qnls
-from qnls import _kernels, config
+from qnls import _kernels, acceptance, cli, config
 from qnls.bilinear import normal_form_pair
 from qnls.cli import main
-from qnls.config import ConfigError, default_config, load_config, parse_config
+from qnls.config import ConfigError, default_config, load_config
 from qnls.reports import config_sha256, fmt, write_csv, write_report
 from qnls.roughdata import DataSpec, gen_rough_data
 from qnls.spectral import Grid, SpectralField
@@ -42,7 +43,7 @@ class TestConfig:
     def test_file_overrides(self, tmp_path):
         p = tmp_path / "a.cfg"
         p.write_text("# comment\n[run]\nseed = 42\nalpha = 0.55\n\n[rates]\nn_seeds = 2\n")
-        cfg = parse_config(p)
+        cfg = load_config(p)
         assert cfg["run"]["seed"] == 42
         assert cfg["run"]["alpha"] == 0.55
         assert cfg["rates"]["n_seeds"] == 2
@@ -53,36 +54,36 @@ class TestConfig:
         p = tmp_path / "a.cfg"
         p.write_text("[run]\nnot_a_key = 1\n")
         with pytest.raises(ConfigError):
-            parse_config(p)
+            load_config(p)
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "a.cfg"
         p.write_text("[nonsense]\nx = 1\n")
         with pytest.raises(ConfigError):
-            parse_config(p)
+            load_config(p)
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "a.cfg"
         p.write_text("[run]\nseed = 1\nseed = 2\n")
         with pytest.raises(ConfigError):
-            parse_config(p)
+            load_config(p)
 
     def test_bad_value_rejected(self, tmp_path):
         p = tmp_path / "a.cfg"
         p.write_text("[run]\nseed = banana\n")
         with pytest.raises(ConfigError):
-            parse_config(p)
+            load_config(p)
 
     def test_key_outside_section_rejected(self, tmp_path):
         p = tmp_path / "a.cfg"
         p.write_text("seed = 1\n")
         with pytest.raises(ConfigError):
-            parse_config(p)
+            load_config(p)
 
     def test_list_values(self, tmp_path):
         p = tmp_path / "a.cfg"
         p.write_text("[lipschitz]\nepsilons = 1e-3, 1e-2\n\n[rates]\nkinds = gain1, kkk1\n")
-        cfg = parse_config(p)
+        cfg = load_config(p)
         assert cfg["lipschitz"]["epsilons"] == [1e-3, 1e-2]
         assert cfg["rates"]["kinds"] == ["gain1", "kkk1"]
 
@@ -96,7 +97,7 @@ class TestConfig:
     def test_smoke_cfg_loads(self):
         # the benchmark's smoke run reads this file, through every input builder and data fit
         path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tiny.cfg")
-        cfg = parse_config(path)
+        cfg = load_config(path)
         assert cfg["smoothing"]["n_points"] == 256
         assert cfg["infra"]["n_points"] == 64
 
@@ -118,6 +119,7 @@ class TestConfig:
             "[rates]\nn_t = 63\n",
             "[rates]\nkinds = gain1, nope\n",
             "[rates]\nkinds = all, gain1\n",
+            "[rates]\nkinds = gain1, gain1\n",
             "[mnorm]\nn_tau = 3\n",
             "[mnorm]\nn_xi = 4\n",
             "[mnorm]\nn_xi = 12\n",
@@ -173,7 +175,7 @@ class TestConfig:
         p = tmp_path / "a.cfg"
         p.write_text(text)
         with pytest.raises(ConfigError):
-            parse_config(p)
+            load_config(p)
         assert main(["identity", "--config", str(p), "--out", str(tmp_path)]) == 2
 
 
@@ -181,7 +183,7 @@ class TestConfig:
         # the lower end of [0, 1/2) is legal in both sections that carry beta
         p = tmp_path / "a.cfg"
         p.write_text("[run]\nbeta = 0\n[subst]\nbeta = 0\n")
-        cfg = parse_config(p)
+        cfg = load_config(p)
         assert cfg["run"]["beta"] == cfg["subst"]["beta"] == 0.0
 
     def test_file_config_checked_once(self, tmp_path, monkeypatch):
@@ -335,6 +337,32 @@ class TestCli:
         assert main(["rates", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "rates.csv").exists()
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_criterion_command_writes_its_row(self, tmp_path, monkeypatch, capsys, command):
+        # canned data: one CSV row 0, 1, ... per CSV, a small dict per report key
+        row = cli._COMMANDS[command]
+        data = {key: [tuple(range(len(header)))] for _file, header, key in row.csvs}
+        data.update({key: {"a": 0.5} for key in row.report})
+        canned = acceptance.CriterionResult(0, command, True, "canned", data)
+        monkeypatch.setitem(cli._COMMANDS, command, row._replace(criterion=lambda cfg: canned))
+        assert main([command, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == canned.line + "\n"
+        extra = {"rates": {"rates.dat"}}.get(command, set())
+        csvs = {file: header for file, header, _key in row.csvs}
+        assert {p.name for p in tmp_path.iterdir()} == set(csvs) | {f"{command}.json"} | extra
+        for file, header in csvs.items():
+            lines = (tmp_path / file).read_text().splitlines()
+            assert lines == [",".join(header), ",".join(str(i) for i in range(len(header)))]
+        assert set(json.loads((tmp_path / f"{command}.json").read_text())["results"]) == set(row.report)
+
+    def test_help_lists_the_readme_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        assert listed == [line.split()[1] for line in block.splitlines() if line.startswith("qnls ")]
+
     def test_rates_report_health_and_timing(self, tmp_path):
         p = tmp_path / "small.cfg"
         p.write_text("[rates]\nk_lo = 3\nk_hi = 4\nn_seeds = 3\nn_t = 64\nkinds = gain1, kkk1\n")
@@ -362,8 +390,6 @@ class TestCli:
         assert results["health"]["kkk1"]["transforms"] == {"3": 5, "4": 5}
 
     def test_all_report_carries_criterion_timing(self, tmp_path, monkeypatch):
-        from qnls import acceptance
-
         results = [
             acceptance.CriterionResult(1, "first", True, "ok", {"rows": []}),
             acceptance.CriterionResult(8, "eighth", False, "off", {"timing": {"wall_s": 0.5, "route_s": {"u2": 0.1}}}),
