@@ -58,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -586,26 +586,21 @@ class SubstitutionReport:
     flows: list = dataclass_field(default_factory=list)
 
 
-def substitution_check(z0: SpectralField, beta: float, config: EvolutionConfig) -> SubstitutionReport:
+def substitution_check(z0: SpectralField, config: EvolutionConfig) -> SubstitutionReport:
     """Compare the two equivalent routes to the rough evolution.
 
     Route one integrates the z-form equation and lifts each snapshot by
-    <D>^beta; route two integrates the u-form equation from the lifted
-    data.  The two flows at one dt run as one batch.  The report records
-    sup_t ||u(t) - <D>^beta z(t)||_L2 at the configured dt and at dt/2."""
+    <D>^beta (beta = config.beta); route two integrates the u-form
+    equation from the lifted data.  The two flows at one dt run as one
+    batch.  The report records sup_t ||u(t) - <D>^beta z(t)||_L2 at the
+    configured dt and at dt/2."""
     sups, dts, flows = [], [], []
     for dt in (config.dt, 0.5 * config.dt):
-        cfg_z, cfg_u = (
-            EvolutionConfig(
-                config.n_points, config.alpha, beta, dt, config.t_final,
-                kind=config.kind, variables=variables, length=config.length, n_saves=config.n_saves,
-            )
-            for variables in ("z", "u")
-        )
-        traj_z, traj_u = integrate_batch([cfg_z, cfg_u], [z0, bessel_potential(beta, z0)])
+        cfg_z, cfg_u = (replace(config, dt=dt, variables=v) for v in ("z", "u"))
+        traj_z, traj_u = integrate_batch([cfg_z, cfg_u], [z0, bessel_potential(config.beta, z0)])
         worst = 0.0
         for zu, uu in zip(traj_z.states, traj_u.states):
-            worst = max(worst, l2_norm(uu - bessel_potential(beta, zu)))
+            worst = max(worst, l2_norm(uu - bessel_potential(config.beta, zu)))
         sups.append(worst)
         dts.append(dt)
         flows += [traj_z, traj_u]

@@ -452,7 +452,7 @@ def run_subst(cfg) -> dict:
     JSON report only."""
     start = time.perf_counter()
     z0, ecfg = subst_inputs(cfg)
-    rep = substitution_check(z0, ecfg.beta, ecfg)
+    rep = substitution_check(z0, ecfg)
     rows = list(zip(rep.dts, rep.sup_diffs))
     health = [_flow_health(traj, flow=traj.config.variables, dt=traj.config.dt) for traj in rep.flows]
     return {

@@ -80,10 +80,6 @@ class MnormModel:
         return len(self.triples) == 0
 
     @property
-    def cells(self) -> tuple:
-        return self.triples.sizes
-
-    @property
     def measure_factor(self) -> float:
         d1, d2, d3 = self.dmus
         return math.sqrt(self.dxi * d1 * d2 / d3)
@@ -129,21 +125,14 @@ def build_model(box: BoxSpec, H: float, n_tau: int = 64, n_xi: int = 64) -> Mnor
     x1 = xi_grids[0][:, None]
     x2 = xi_grids[1][None, :]
     x3 = -(x1 + x2)
-    # locate x3 on slot 3's lattice
-    n3 = box.freqs[2]
-    mag = np.abs(x3)
-    sub = np.rint((mag - n3) / dxi)
-    npts3 = int(math.floor(n3 / dxi + 1e-9)) + 1
-    on_lattice = (sub >= 0) & (sub < npts3) & (np.abs(mag - (n3 + sub * dxi)) < 1e-9 * max(1.0, n3))
-    idx3 = np.where(x3 < 0, sub, sub + npts3).astype(np.int64)
     e1, e2, e3 = box.signs
     level = e1 * x1**2 + e2 * x2**2 + e3 * x3**2
     window = (np.abs(level) >= H) & (np.abs(level) <= 2.0 * H)
-    ok = on_lattice & window & (mag > 0)
-    ix3 = np.where(ok, idx3, -1)
+    # x3 is a multiple of dxi, so it either sits on slot 3's lattice or falls off it
+    ix3 = np.where(window, _snap(x3, box.freqs[2], dxi, len(xi_grids[2]) // 2), -1)
     shift = -level
     lo3 = float(box.mods[2])
-    nneg3 = int(math.floor(box.mods[2] / dmus[2] + 1e-9)) + 1
+    nneg3 = len(mu_grids[2]) // 2
 
     # admissible triples, ordered by (m1, m2, l1, l2): for every admissible xi
     # pair the slot-3 modulation shift - mu1 - mu2 must snap onto slot 3's lattice
@@ -157,7 +146,7 @@ def build_model(box: BoxSpec, H: float, n_tau: int = 64, n_xi: int = 64) -> Mnor
         tuple(len(x) * n for x, n in zip(xi_grids, n_mu)),
     )
     return MnormModel(
-        box, float(H), xi_grids, mu_grids, ix3.astype(np.int64), shift.astype(np.float64),
+        box, float(H), xi_grids, mu_grids, ix3, shift,
         dxi, dmus, lo3, nneg3, triples,
     )
 
@@ -166,7 +155,6 @@ def build_model(box: BoxSpec, H: float, n_tau: int = 64, n_xi: int = 64) -> Mnor
 class MnormEstimate:
     value: float
     empty: bool
-    cells: tuple
     n_triples: int
     raw: float
     best_restart: int = -1  # first restart reaching raw
@@ -182,47 +170,37 @@ def _unit(rng, shape) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def alternating_max(
-    model: MnormModel, iters: int = 8, seed: int = 0, sweeps: int = 10, history: list | None = None
-) -> float:
+def alternating_max(model: MnormModel, iters: int = 8, seed: int = 0, sweeps: int = 10) -> tuple:
     """Best trilinear value over unit slot vectors found by alternating
-    exact single-slot maximization, maximized over seeded restarts.
+    exact single-slot maximization (slot 3, then 1, then 2), maximized over
+    seeded restarts.
 
-    When a list is passed as history, each restart appends to it the list of
-    its values after every sweep."""
+    Returns the best value, the first restart that reached it (-1 when no
+    restart ran a sweep) and that restart's value after each sweep."""
     if model.empty:
-        return 0.0
+        return 0.0, -1, ()
     tri = model.triples
-    best = 0.0
+    # the partials are looked up when the call runs, so a wrapper installed
+    # in this module's namespace sees every contraction
+    solves = ((2, trilinear_partial3), (0, trilinear_partial1), (1, trilinear_partial2))
+    value, first, best = 0.0, -1, ()
     for restart in range(iters):
         rng = np.random.default_rng([int(seed), restart])
-        u1 = _unit(rng, tri.sizes[0])
-        u2 = _unit(rng, tri.sizes[1])
+        u = [_unit(rng, tri.sizes[0]), _unit(rng, tri.sizes[1]), None]
         values = []
         for _ in range(sweeps):
-            p3 = trilinear_partial3(u1, u2, tri)
-            nrm = np.linalg.norm(p3)
+            for slot, partial in solves:
+                p = partial(*(u[i] for i in range(3) if i != slot), tri)
+                nrm = float(np.linalg.norm(p))
+                if nrm == 0.0:
+                    break
+                u[slot] = np.conj(p) / nrm
+            values.append(nrm)
             if nrm == 0.0:
-                values.append(0.0)
                 break
-            u3 = np.conj(p3) / nrm
-            p1 = trilinear_partial1(u2, u3, tri)
-            nrm = np.linalg.norm(p1)
-            if nrm == 0.0:
-                values.append(0.0)
-                break
-            u1 = np.conj(p1) / nrm
-            p2 = trilinear_partial2(u1, u3, tri)
-            nrm = np.linalg.norm(p2)
-            if nrm == 0.0:
-                values.append(0.0)
-                break
-            u2 = np.conj(p2) / nrm
-            values.append(float(nrm))
-        if history is not None:
-            history.append(values)
-        best = max(best, values[-1] if values else 0.0)
-    return best
+        if values and (first < 0 or values[-1] > value):
+            value, first, best = values[-1], restart, tuple(values)
+    return value, first, best
 
 
 def multiplier_lower_bound(
@@ -242,14 +220,9 @@ def multiplier_lower_bound(
     """
     model = build_model(box, H, n_tau, n_xi)
     if model.empty:
-        return MnormEstimate(0.0, True, model.cells, 0, 0.0)
-    runs = []
-    raw = alternating_max(model, iters=iters, seed=seed, history=runs)
-    best = next((i for i, r in enumerate(runs) if r and r[-1] == raw), -1)
-    return MnormEstimate(
-        model.measure_factor * raw, False, model.cells, count_triples(model), raw,
-        best, tuple(runs[best]) if best >= 0 else (),
-    )
+        return MnormEstimate(0.0, True, 0, 0.0)
+    raw, best, values = alternating_max(model, iters=iters, seed=seed)
+    return MnormEstimate(model.measure_factor * raw, False, count_triples(model), raw, best, values)
 
 
 # ----------------------------------------------------------------------------
@@ -360,7 +333,7 @@ def exhaustive_max(model: MnormModel, grid_points: int = 96) -> float:
     least-active slot with the other two slots solved exactly."""
     if model.empty:
         return 0.0
-    if max(model.cells) > 400:
+    if max(model.triples.sizes) > 400:
         raise ValueError("search oracle is restricted to tiny instances")
     return trilinear_sphere_max(*model.triples.cells, grid_points=grid_points)
 

@@ -12,6 +12,10 @@
 
 Both read only the three index arrays of the triples, never the package's
 sorted segments or blocks.
+
+* `restart_runs`: the alternating maximizer one restart at a time, on the
+  package's partials, keeping every restart's value after each sweep; the
+  slots it solves are a parameter.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from qnls._kernels import trilinear_partial1, trilinear_partial2, trilinear_partial3
 
 
 def contract_bincount(cells, sizes, a, sa, b, sb, out):
@@ -80,3 +86,33 @@ def dense_sphere_max(t1, t2, t3, grid_points: int = 96) -> float:
         d_th /= 12.0
         d_ph /= 12.0
     return best
+
+
+def restart_runs(tri, iters: int, seed: int, sweeps: int = 10, slots=(2, 0, 1)) -> list:
+    """Each seeded restart's values after every sweep.  A restart draws unit
+    slot-1 and slot-2 vectors from the generator seeded [seed, restart]; a
+    sweep sets each listed slot in turn to the normalised conjugate of its
+    partial and records the last norm; a zero partial ends the restart at 0."""
+    partials = (trilinear_partial1, trilinear_partial2, trilinear_partial3)
+    runs = []
+    for restart in range(iters):
+        rng = np.random.default_rng([seed, restart])
+        u = []
+        for size in tri.sizes[:2]:
+            v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            u.append(v / np.linalg.norm(v))
+        u.append(None)
+        values = []
+        for _ in range(sweeps):
+            for slot in slots:
+                a, b = (u[i] for i in range(3) if i != slot)
+                p = partials[slot](a, b, tri)
+                nrm = float(np.linalg.norm(p))
+                if nrm == 0.0:
+                    break
+                u[slot] = np.conj(p) / nrm
+            values.append(nrm)
+            if nrm == 0.0:
+                break
+        runs.append(values)
+    return runs

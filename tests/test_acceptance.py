@@ -11,10 +11,13 @@ the transversal bilinear gain is absent, so five kinds stay red there
 instrument does compute.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qnls import acceptance, evolution, experiments
+from mnorm_oracle import restart_runs
+from qnls import acceptance, evolution, experiments, mnorm, rates
 from qnls.bilinear import pair_g_coeffs
 from qnls.config import default_config
 from qnls.rates import KIND_ORDER
@@ -134,21 +137,39 @@ def test_criterion_3_fails_on_a_half_lift(cfg, monkeypatch):
 # and 0.052 for kkkk1 (box_mask drops the cells of modulation exactly 1 or 2
 # through float rounding; the oracle keeps them).  0.06 is under half the
 # smallest gap between a predicted slope and its continuum target (0.16,
-# gain2); a rate cell that loses its output projection fails here.
+# gain2).  A gain2 or kkk1 cell that loses its output projection fails here
+# (test below); a gain1 cell that loses it does not (gap 0.002).
 SLOPE_TOL = 0.06
+
+
+def _predicted(cfg, kind):
+    c = cfg["rates"]
+    return predicted_slope(kind, c["k_lo"], c["k_hi"], c["n_t"], cfg["run"]["delta"])
 
 
 @pytest.mark.parametrize("kind", KIND_ORDER)
 def test_criterion_4_rate_slope(cfg, rates_result, kind):
     row = next(r for r in rates_result["slope_rows"] if r[0] == kind)
     _kind, slope, _stderr, target, tol, _ok = row
-    c = cfg["rates"]
-    predicted = predicted_slope(kind, c["k_lo"], c["k_hi"], c["n_t"], cfg["run"]["delta"])
+    predicted = _predicted(cfg, kind)
     gate = f">= {target:+.3f}" if tol == "" else f"{target:+.3f} +- {tol}"
     assert abs(slope - predicted) <= SLOPE_TOL, (
         f"{kind}: measured slope {slope:+.4f}, periodic prediction {predicted:+.4f} "
         f"+- {SLOPE_TOL}; continuum target {gate}"
     )
+
+
+@pytest.mark.parametrize("kind", ["gain2", "kkk1"])
+def test_criterion_4_fails_without_the_output_projection(cfg, monkeypatch, kind):
+    # negative control: the rate cell skips its output projection
+    spec = rates.KINDS[kind]
+    monkeypatch.setitem(rates.KINDS, kind, spec[:2] + (None,) + spec[3:])
+    rates._cell_tables.cache_clear()
+    try:
+        res = experiments.run_rates({**cfg, "rates": {**cfg["rates"], "kinds": [kind]}})
+    finally:
+        rates._cell_tables.cache_clear()
+    assert abs(res["slopes"][kind] - _predicted(cfg, kind)) > SLOPE_TOL
 
 
 # --- criterion 5: multiplier lower bounds -----------------------------------
@@ -173,11 +194,43 @@ def test_criterion_5_sweep_is_nondegenerate(mnorm_result):
         assert not empty and est > 0 and n_triples > 0
 
 
+def test_criterion_5_fails_on_a_slot_3_only_maximizer(cfg, monkeypatch):
+    # negative control: each sweep solves slot 3 only, so slots 1 and 2 keep
+    # their random start
+    def slot_3_only(model, iters=8, seed=0, sweeps=10):
+        if model.empty:
+            return 0.0, -1, ()
+        runs = restart_runs(model.triples, iters, seed, sweeps, slots=(2,))
+        finals = [r[-1] for r in runs]
+        first = finals.index(max(finals))
+        return finals[first], first, tuple(runs[first])
+
+    monkeypatch.setattr(mnorm, "alternating_max", slot_3_only)
+    res = acceptance.criterion_5(cfg)
+    assert not res.passed
+    assert res.data["max_tiny_reldiff"] > 0.05
+
+
 # --- criterion 6: stability of the data-to-solution map ---------------------
 
 def test_criterion_6_lipschitz_spread(cfg):
     res = experiments.run_lipschitz(cfg)
     assert res["spread"] <= 5.0
+
+
+def test_criterion_6_fails_on_misaligned_saves(cfg, monkeypatch):
+    # negative control: each perturbed flow's save j + 1 is compared with
+    # the base flow's save j
+    batch = evolution.integrate_batch
+
+    def shifted(configs, initials):
+        base, *perturbed = batch(configs, initials)
+        return [base] + [replace(traj, states=traj.states[1:]) for traj in perturbed]
+
+    monkeypatch.setattr(evolution, "integrate_batch", shifted)
+    res = acceptance.criterion_6(cfg)
+    assert not res.passed
+    assert res.data["spread"] > 5.0
 
 
 # --- criterion 7: smooth-variable substitution ------------------------------

@@ -687,7 +687,7 @@ class TestSubstitution:
     def test_smooth_variable_change_commutes(self):
         z0 = smooth_data(64, seed=7, amp=0.5)
         cfg = EvolutionConfig(64, ALPHA, 0.3, 1e-3, 0.02, n_saves=3)
-        rep = substitution_check(z0, 0.3, cfg)
+        rep = substitution_check(z0, cfg)
         assert len(rep.dts) == 2
         assert max(rep.sup_diffs) <= 1e-10
 

@@ -618,8 +618,9 @@ class TestSupportContraction:
 
 class TestOneBackend:
     def test_installed_numba_changes_nothing(self, tmp_path):
-        # a stand-in numba on the path, ahead of the package: the ubar2 lift
-        # neither imports it nor moves off the full-grid bincount
+        # a stand-in numba on the path, ahead of the package: no module of the
+        # package (the CLI imports them all) imports it, and the ubar2 lift
+        # does not move off the full-grid bincount
         (tmp_path / "numba").mkdir()
         (tmp_path / "numba" / "__init__.py").write_text(
             "def njit(*args, **kwargs):\n"
@@ -628,6 +629,7 @@ class TestOneBackend:
         out = tmp_path / "lift.npy"
         script = (
             "import sys, numpy as np\n"
+            "import qnls.cli\n"
             "from qnls.bilinear import apply_lift\n"
             "from qnls.roughdata import DataSpec, gen_rough_data\n"
             "from qnls.spectral import Grid\n"
@@ -664,10 +666,12 @@ class TestPublicNames:
     def test_every_public_name_is_used_in_the_package(self):
         src = Path(qnls.__file__).resolve().parent
         trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+        # the package binds nothing but its version: callers import submodules
+        init = trees["__init__.py"].body
+        assert [type(node) for node in init] == [ast.Expr, ast.Assign]
+        assert [target.id for target in init[1].targets] == ["__version__"]
         used = set()
-        for name, tree in trees.items():
-            if name == "__init__.py":  # a re-export is not a use
-                continue
+        for tree in trees.values():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     used.add(node.id)

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mnorm_oracle import contract_bincount, contract_loop, dense_sphere_max
+from mnorm_oracle import contract_bincount, contract_loop, dense_sphere_max, restart_runs
+from qnls import mnorm
 from qnls._kernels import Triples, trilinear_partial1, trilinear_partial2, trilinear_partial3
 from qnls.experiments import mnorm_sweep_configs
 from qnls.mnorm import (
@@ -29,6 +30,7 @@ TINY = {"tiny-a": TINY_A, "tiny-b": TINY_B, "tiny-c": TINY_C}
 # slot 3 holds two cells, (xi3, mu3) = (1, -2) and (-1, -2), and triples of
 # both share slot-1 cells: xi1 = 3 pairs with xi2 = -4 (level 26, mu2 = -24)
 # and with xi2 = -2 (level 14, mu2 = -12), so one block links both slices
+MID = (BoxSpec((1, 1, -1), (4.0, 2.0, 2.0), (1.0, 2.0, 16.0)), 16.0)
 TINY_LINKED = (BoxSpec((1, 1, 1), (2.0, 2.0, 1.0), (0.25, 12.0, 2.0)), 13.0)
 
 # each partial with its output slot and its two factor slots
@@ -177,7 +179,7 @@ class TestBuildModel:
         assert m.empty
         est = multiplier_lower_bound(box, 2.0, n_tau=4, n_xi=8)
         assert est.empty and est.value == 0.0 and est.n_triples == 0
-        assert alternating_max(m) == 0.0 and exhaustive_max(m) == 0.0
+        assert alternating_max(m) == (0.0, -1, ()) and exhaustive_max(m) == 0.0
 
     def test_triples_known_instance(self):
         box, h = TINY_A
@@ -187,6 +189,27 @@ class TestBuildModel:
     def test_bad_h(self):
         with pytest.raises(ValueError):
             build_model(TINY_A[0], 0.0, n_tau=4, n_xi=8)
+
+    @pytest.mark.parametrize(
+        "box, h, n_tau, n_xi",
+        [(*TINY_A, 4, 8), (*TINY_B, 4, 8), (*TINY_C, 4, 8), (*MID, 8, 16)]
+        + [(box, h, 64, 64) for _f, _n0, box, h in mnorm_sweep_configs()],
+        ids=["tiny-a", "tiny-b", "tiny-c", "mid"] + [f"{f}-{n0}" for f, n0, _b, _h in mnorm_sweep_configs()],
+    )
+    def test_ix3_matches_brute_force_placement(self, box, h, n_tau, n_xi):
+        # x3 = -(x1 + x2) looked up in slot 3's lattice, kept inside the H window
+        m = build_model(box, h, n_tau=n_tau, n_xi=n_xi)
+        e1, e2, e3 = box.signs
+        want = np.full(m.ix3.shape, -1)
+        for i, x1 in enumerate(m.xi_grids[0]):
+            for j, x2 in enumerate(m.xi_grids[1]):
+                x3 = -(x1 + x2)
+                hits = np.flatnonzero(np.abs(m.xi_grids[2] - x3) <= 1e-9)
+                assert hits.size <= 1
+                if hits.size and h <= abs(e1 * x1**2 + e2 * x2**2 + e3 * x3**2) <= 2.0 * h:
+                    want[i, j] = hits[0]
+        assert np.any(want >= 0)
+        assert np.array_equal(m.ix3, want)
 
 
 class TestPartials:
@@ -198,7 +221,7 @@ class TestPartials:
             (*TINY_A, 4, 8),
             (*TINY_B, 4, 8),
             (*TINY_C, 4, 8),
-            (BoxSpec((1, 1, -1), (4.0, 2.0, 2.0), (1.0, 2.0, 16.0)), 16.0, 8, 16),
+            (*MID, 8, 16),
             (*mnorm_sweep_configs()[1][2:], 32, 32),  # ppm2 at N0 = 8
         ],
         ids=["tiny-a", "tiny-b", "tiny-c", "mid", "ppm2-8"],
@@ -382,7 +405,7 @@ class TestAlternating:
     def test_monotone_in_restarts(self):
         box, h = TINY_B
         m = build_model(box, h, n_tau=4, n_xi=8)
-        vals = [alternating_max(m, iters=i, seed=3) for i in (1, 2, 4, 8)]
+        vals = [alternating_max(m, iters=i, seed=3)[0] for i in (1, 2, 4, 8)]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_matches_search_oracle_tiny(self):
@@ -403,7 +426,35 @@ class TestAlternating:
         dense = dense_sphere_max(*cells)
         assert trilinear_sphere_max(*cells) == pytest.approx(dense, rel=1e-12)
         # the gap criterion 5 gates on its tiny instances
-        assert alternating_max(m, iters=8, seed=1) == pytest.approx(dense, rel=0.05)
+        assert alternating_max(m, iters=8, seed=1)[0] == pytest.approx(dense, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "box, h, n_tau, n_xi, iters",
+        [(*TINY_A, 4, 8, 24), (*TINY_B, 4, 8, 24), (*TINY_C, 4, 8, 24),
+         (*mnorm_sweep_configs()[2][2:], 32, 32, 4)],  # ppm4 at N0 = 8
+        ids=["tiny-a", "tiny-b", "tiny-c", "ppm4-8"],
+    )
+    def test_matches_reference_restarts(self, box, h, n_tau, n_xi, iters):
+        m = build_model(box, h, n_tau=n_tau, n_xi=n_xi)
+        runs = restart_runs(m.triples, iters, seed=7)
+        finals = [r[-1] for r in runs]
+        value, first, values = alternating_max(m, iters=iters, seed=7)
+        assert value == max(finals)
+        assert first == finals.index(value)
+        assert values == tuple(runs[first]) and len(values) == 10
+
+    def test_partial_calls_per_estimate(self, monkeypatch):
+        # 4 restarts x 10 sweeps, one call of each partial per sweep; the
+        # partials are looked up in mnorm's namespace, where the benchmark
+        # tracer wraps them
+        calls = {}
+        for name in ("trilinear_partial1", "trilinear_partial2", "trilinear_partial3"):
+            def counted(*args, _fn=getattr(mnorm, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(mnorm, name, counted)
+        multiplier_lower_bound(*TINY_A, n_tau=4, n_xi=8, iters=4)
+        assert calls == {"trilinear_partial1": 40, "trilinear_partial2": 40, "trilinear_partial3": 40}
 
     def test_estimate_fields(self):
         box, h = TINY_A
