@@ -293,8 +293,9 @@ def run_rates(cfg) -> dict:
 def _ratio_health(rep) -> dict:
     """Spread of the rate ensemble: the IQR of the finite ratios at each k
     (NaN when none is finite), the number of non-finite cells, and at each
-    k the points of the x-grid the cells transform on and the number of
-    (n_t, grid_n) transforms each cell runs."""
+    k the points of the x-grid the cells transform on, the number of
+    (n_t, grid_n) transforms each cell runs and the time rows per block of
+    a cell."""
     iqr = {}
     non_finite = 0
     for k, vals in rep.ratios.items():
@@ -307,7 +308,7 @@ def _ratio_health(rep) -> dict:
         else:
             iqr[k] = float("nan")
     return {"iqr": iqr, "non_finite_cells": int(non_finite), "grid_n": dict(rep.grid_n),
-            "transforms": dict(rep.transforms)}
+            "transforms": dict(rep.transforms), "block_rows": dict(rep.block_rows)}
 
 
 # ----------------------------------------------------------------------------

@@ -66,8 +66,16 @@ column's start row, the place of each draw, Q) is built once per box and
 scale and shared by every kind with that box, on the box's band columns
 only; the rest (the parts, the groups, the transform grid, the multiplier
 on it) is built once per (kind, k) and held for one (kind, k) at a time.
-Every transform of a cell runs in place, in per-thread scatter buffers of
-its parts, so a cell allocates no (n_t, M) array.  The dense
+A cell runs its time rows in blocks, each through the whole pipeline
+(synthesis, scatter, x-transforms, products, row sums), so that a block's
+work fits in a per-core L2 cache: the sum of |X|^2 and the (-1)^t
+alternating sums of each group carry from block to block and are squared
+once at the end.  Every block starts on an even row, so the alternating
+sums keep the global row parity.  At the default n_t = 256 every cell up
+to k = 5 is one block.  Every transform runs in place, in per-thread
+scatter buffers of one block's rows for each part, and only the columns
+the scatter leaves empty are re-zeroed, so a cell allocates no (n_t, M)
+array and no part buffer has more rows than its block.  The dense
 SpaceTimeField composition in spacetime.py (synth_cells, apply_window,
 xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) on the 2^(k+3)
 grid computes the same ratio and is the reference the tests compare the
@@ -137,6 +145,7 @@ class RateReport:
     ratios: dict = field(default_factory=dict)  # k -> list over seeds
     grid_n: dict = field(default_factory=dict)  # k -> transform grid points
     transforms: dict = field(default_factory=dict)  # k -> (n_t, grid_n) transforms per cell
+    block_rows: dict = field(default_factory=dict)  # k -> time rows per block of a cell
     tables_s: float = 0.0  # time spent building the seed-independent tables
 
 
@@ -214,6 +223,21 @@ def _transform_grid(u_freqs: np.ndarray, v_freqs: np.ndarray, mult: np.ndarray, 
 # rows of the left factor per BLAS call in _thin_matmul
 _BLAS_ROWS = 8
 
+# bytes of complex work one block of time rows of a rate cell may hold: 2.25
+# MiB, about a 2 MiB per-core L2 cache, and enough that every default cell
+# up to k = 5 (at most 2.08 MiB of work at n_t = 256) stays one block
+_BLOCK_BYTES = 9 << 18
+
+
+def _block_rows(n_t: int, width: int) -> int:
+    """Time rows per block of a rate cell whose rows each hold width complex
+    values of work: at most _BLOCK_BYTES of it per block, and balanced
+    multiples of _BLAS_ROWS (the last block may be shorter), at most n_t.
+    Every block then starts on an even row."""
+    cap = max(_BLAS_ROWS, _BLOCK_BYTES // (16 * width) // _BLAS_ROWS * _BLAS_ROWS)
+    per_block = -(-n_t // -(-n_t // cap))
+    return min(-(-per_block // _BLAS_ROWS) * _BLAS_ROWS, n_t)
+
 
 def _thin_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, one BLAS call per block of _BLAS_ROWS rows of a.
@@ -248,10 +272,12 @@ class _Part(NamedTuple):
     """The occupied columns of a factor, or of one sign half of it, on the
     transform grid: frequency xi sits in column (xi - shift) mod n.  runs are
     the (destination, source) slices from the factor's samples (one column
-    per occupied column of its box) into the part's n-point buffer."""
+    per occupied column of its box) into the part's n-point buffer, and gaps
+    the slices of the buffer's columns that no run writes."""
 
     shift: int
     runs: tuple
+    gaps: tuple
 
 
 class _Box(NamedTuple):
@@ -349,15 +375,17 @@ class _Group(NamedTuple):
 
 class _CellTables(NamedTuple):
     """The seed-independent part of one (kind, k) rate cell: the transform
-    grid n, the two factors' _Sides on it, the _Groups of their parts, and
-    the number of (n_t, n) transforms a cell runs (one inverse per part,
-    one forward per group without parseval)."""
+    grid n, the two factors' _Sides on it, the _Groups of their parts, the
+    number of (n_t, n) transforms a cell runs (one inverse per part, one
+    forward per group without parseval) and the time rows per block
+    (_block_rows)."""
 
     n: int
     u: _Side
     v: _Side
     groups: tuple
     transforms: int
+    rows: int
 
 
 def _halves(freqs: np.ndarray, split: bool) -> tuple:
@@ -449,8 +477,10 @@ def _parts(freqs: np.ndarray, halves: tuple, n: int) -> tuple:
     grid, one for each (shift, start, stop) in halves."""
     parts = []
     for shift, a, b in halves:
-        runs = _column_runs((freqs[a:b] - shift) % n)
-        parts.append(_Part(shift, tuple((dest, slice(a + src.start, a + src.stop)) for dest, src in runs)))
+        cols = (freqs[a:b] - shift) % n
+        runs = tuple((dest, slice(a + src.start, a + src.stop)) for dest, src in _column_runs(cols))
+        gaps = tuple(dest for dest, _src in _column_runs(np.setdiff1d(np.arange(n), cols)))
+        parts.append(_Part(shift, runs, gaps))
     return tuple(parts)
 
 
@@ -481,70 +511,86 @@ def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float) -> _
     choices = [(su, sv) for sv in v_splits for su in u_splits]
     plans = [p for p in (_plan(u_freqs, v_freqs, sign, mult, *c) for c in choices) if p is not None]
     transforms, n, u_halves, v_halves, groups = min(plans, key=lambda p: p[0] * p[1])
+    # a block holds every part's buffer rows and, while a factor is
+    # synthesised, its samples and their gathered phases
+    width = n * (len(u_halves) + len(v_halves)) + 2 * max(u_freqs.size, v_freqs.size)
     return _CellTables(
         n,
         _Side(_parts(u_freqs, u_halves, n), u_box.tau0, u_box.place, u_box.q),
         _Side(_parts(v_freqs, v_halves, n), v_box.tau0, v_box.place, v_box.q),
         tuple(_group(*g, mult, n) for g in groups),
         transforms,
+        _block_rows(n_t, width),
     )
 
 
 _scatter = threading.local()
 
 
-def _part_buffers(tables: _CellTables, n_t: int) -> tuple:
-    """This thread's (n_t, tables.n) scatter buffers for tables, one per
-    part of each factor; new tables get new buffers.
+def _part_buffers(tables: _CellTables) -> tuple:
+    """This thread's (tables.rows, tables.n) scatter buffers for tables, one
+    per part of each factor; new tables get new buffers.
 
-    A cell runs its transforms in place in these buffers, so they hold no
-    zeros from one cell to the next: _windowed_side re-zeroes each buffer
-    before it scatters into it."""
+    A cell runs each block of time rows through these buffers (the last,
+    shorter block through their leading rows) and transforms in place, so
+    they hold no zeros from one block to the next: _windowed_side re-zeroes
+    the columns of each buffer that its part's runs do not write."""
     if getattr(_scatter, "tables", None) is not tables:
         _scatter.buffers = tuple(
-            tuple(np.zeros((n_t, tables.n), dtype=np.complex128) for _part in side.parts)
+            tuple(np.zeros((tables.rows, tables.n), dtype=np.complex128) for _part in side.parts)
             for side in (tables.u, tables.v)
         )
         _scatter.tables = tables
     return _scatter.buffers
 
 
-def _windowed_side(side: _Side, seed, n_t: int, t_total: float, buffers: tuple):
-    """Space-time samples of each part (up to one constant factor) and the
-    X^{0,b} norm of the windowed random field on one factor's box.
-
-    Column j holds the draws C_j on rows tau0_j + r, so its windowed samples
-    are (cis[:, :R] @ C)_j times the phase cisw[:, tau0_j], copied into its
-    part's scatter buffer, re-zeroed first; each buffer then takes one
-    inverse x-transform in place and is returned as that part's samples.
-    The norm is the quadratic form q.  No time-axis transform runs.  The
-    ratio is scale-invariant in each factor, so the draws are not
-    normalised."""
-    parts, tau0, place, q = side
-    span = q.shape[1]
-    cis, cisw, _what = _time_tables(n_t, t_total)
+def _draws(side: _Side, seed, t_total: float) -> tuple:
+    """(C, norm): the (R, columns) coefficient block of one factor's random
+    field and the X^{0,b} norm of the windowed field, the quadratic form
+    sum_j C_j^H q_j C_j.  The ratio is scale-invariant in each factor, so
+    the draws are not normalised."""
+    _parts, tau0, place, q = side
     rng = np.random.default_rng(seed)
-    c = np.zeros((span, tau0.size), dtype=np.complex128)
+    c = np.zeros((q.shape[1], tau0.size), dtype=np.complex128)
     flat = c.reshape(-1).view(np.float64).reshape(-1, 2)
     flat[place, 0] = rng.standard_normal(place.size)
     flat[place, 1] = rng.standard_normal(place.size)
-    norm = math.sqrt(t_total * TWO_PI * float(np.einsum("rj,jrs,sj->", c.conj(), q, c).real))
-    samples = _thin_matmul(cis[:, :span], c)
+    return c, math.sqrt(t_total * TWO_PI * float(np.einsum("rj,jrs,sj->", c.conj(), q, c).real))
+
+
+def _windowed_side(side: _Side, c: np.ndarray, rows: slice, n_t: int, t_total: float, buffers: tuple) -> list:
+    """Space-time samples of each part on the time rows rows (up to one
+    constant factor) of the windowed field with coefficient block c.
+
+    Column j holds the draws C_j on rows tau0_j + r, so its windowed samples
+    are (cis[rows, :R] @ C)_j times the phase cisw[rows, tau0_j], copied into
+    the leading rows of its part's scatter buffer after the columns the
+    copy leaves empty are re-zeroed; each buffer then takes one inverse
+    x-transform in place and its leading rows are returned as that part's
+    samples.  No time-axis transform runs."""
+    cis, cisw, _what = _time_tables(n_t, t_total)
+    samples = _thin_matmul(cis[rows, : c.shape[0]], c)
     # a product written into a column slice of the buffer runs row by row
     # and costs about twice one over the contiguous samples plus a copy
-    samples *= np.take(cisw, tau0, axis=1)
-    for part, full in zip(parts, buffers):
-        full.fill(0.0)
+    samples *= np.take(cisw[rows], side.tau0, axis=1)
+    out = []
+    for part, buffer in zip(side.parts, buffers):
+        full = buffer[: samples.shape[0]]
+        for gap in part.gaps:
+            full[:, gap] = 0.0
         for dest, src in part.runs:
             full[:, dest] = samples[:, src]
         np.fft.ifft(full, axis=1, out=full)
-    return list(buffers), norm
+        out.append(full)
+    return out
 
 
-def _group_square(group: _Group, us: list, vs: list, n_t: int, n: int) -> float:
-    """Sum over t and x of |mult X|^2 less the zeroed Nyquist row, for X the
-    x-transform of the group's summed pair products, up to the factor the
-    ratio restores."""
+def _group_sums(group: _Group, us: list, vs: list, alt: np.ndarray) -> list:
+    """[sum of mult^2 |X|^2 over the block, (-1)^t alternating sum of X over
+    the block's rows] for each run of output columns of a group, on one
+    block of time rows that starts on an even row, X the x-transform of
+    the group's summed pair products.  With parseval the one run is the
+    samples themselves at mult = 1: Parseval along x gives the norm."""
     # each u part is in one pair only, so its samples take the product in place
     (a, b), *rest = group.pairs
     prod = us[a]
@@ -552,25 +598,32 @@ def _group_square(group: _Group, us: list, vs: list, n_t: int, n: int) -> float:
     for a, b in rest:
         us[a] *= vs[b]
         prod += us[a]
-    # X = fft_x(prod) on the n-point grid.  Summed over tau, the squared
-    # coefficients of mult * X are (Parseval along t) n_t times
-    # sum_t |mult X|^2 less the zeroed Nyquist row, |sum_t (-1)^t mult X|^2.
     if group.parseval:
         # mult is 1 wherever X can be nonzero, so Parseval along x gives both
         # sums from the samples without the transform
         flat = prod.view(np.float64).reshape(-1)
-        even, odd = prod.reshape(n_t // 2, 2, -1).sum(axis=0)
-        flip = (even - odd).view(np.float64)
-        return n * (n_t * float(np.einsum("i,i->", flat, flat)) - float(np.einsum("i,i->", flip, flip)))
-    alt = np.ones(n_t)
-    alt[1::2] = -1.0
+        even, odd = prod.reshape(prod.shape[0] // 2, 2, -1).sum(axis=0)
+        return [[float(np.einsum("i,i->", flat, flat)), (even - odd).view(np.float64)]]
     x = np.fft.fft(prod, axis=1, out=prod).view(np.float64)
-    sq = 0.0
+    sums = []
     for cols, w in group.out_runs:
         block = x[:, cols]
-        flip = alt @ block
-        sq += n_t * float(np.einsum("ij,ij->j", block, block) @ w) - float((flip * flip) @ w)
-    return sq
+        sums.append([float(np.einsum("ij,ij->j", block, block) @ w), alt[: x.shape[0]] @ block])
+    return sums
+
+
+def _group_square(group: _Group, sums: list, n_t: int, n: int) -> float:
+    """Sum over tau and x of |mult fft2(prod)|^2 less the zeroed Nyquist row,
+    up to the factor the ratio restores, from the group's _group_sums over
+    all time rows: by Parseval along t, n_t times the sum of |mult X|^2
+    less |sum_t (-1)^t mult X|^2."""
+    if group.parseval:
+        ((sq, flip),) = sums
+        return n * (n_t * sq - float(np.einsum("i,i->", flip, flip)))
+    total = 0.0
+    for (sq, flip), (_cols, w) in zip(sums, group.out_runs):
+        total += n_t * sq - float((flip * flip) @ w)
+    return total
 
 
 def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: float) -> float:
@@ -579,20 +632,33 @@ def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: floa
     Draws the same cells as synth_cells on the box of each factor and
     equals the SpaceTimeField composition (synth_cells, apply_window,
     xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) up to
-    rounding; the tests keep that composition as the oracle.  The groups
-    keep disjoint output frequencies, so their squared projected norms
-    add up."""
+    rounding; the tests keep that composition as the oracle.  The time
+    rows run in blocks of tables.rows, each through the whole pipeline;
+    the groups' row sums carry from block to block and are squared once at
+    the end.  The groups keep disjoint output frequencies, so their squared
+    projected norms add up."""
     tables = _cell_tables(kind, k, delta, n_t, t_total)
-    u_bufs, v_bufs = _part_buffers(tables, n_t)
+    u_bufs, v_bufs = _part_buffers(tables)
     kind_id = KIND_ORDER.index(kind)
-    us, nu = _windowed_side(tables.u, [seed_key, kind_id, k, 0], n_t, t_total, u_bufs)
-    vs, nv = _windowed_side(tables.v, [seed_key, kind_id, k, 1], n_t, t_total, v_bufs)
+    cu, nu = _draws(tables.u, [seed_key, kind_id, k, 0], t_total)
+    cv, nv = _draws(tables.v, [seed_key, kind_id, k, 1], t_total)
     if nu == 0.0 or nv == 0.0:
         return float("nan")
-    if KINDS[kind][0]:
-        for v in vs:
-            np.conjugate(v, out=v)
-    sq = sum(_group_square(group, us, vs, n_t, tables.n) for group in tables.groups)
+    alt = np.ones(tables.rows)
+    alt[1::2] = -1.0
+    totals = [[[0.0, 0.0] for _run in range(1 if g.parseval else len(g.out_runs))] for g in tables.groups]
+    for start in range(0, n_t, tables.rows):
+        rows = slice(start, min(start + tables.rows, n_t))
+        us = _windowed_side(tables.u, cu, rows, n_t, t_total, u_bufs)
+        vs = _windowed_side(tables.v, cv, rows, n_t, t_total, v_bufs)
+        if KINDS[kind][0]:
+            for v in vs:
+                np.conjugate(v, out=v)
+        for group, total in zip(tables.groups, totals):
+            for run, (sq, flip) in zip(total, _group_sums(group, us, vs, alt)):
+                run[0] += sq
+                run[1] += flip
+    sq = sum(_group_square(group, total, n_t, tables.n) for group, total in zip(tables.groups, totals))
     l2 = math.sqrt(t_total * TWO_PI * sq)
     # the parts above are ifft2 of the coefficients on the (n_t, n) grid:
     # each lacks a factor n_t * n, and the coefficients of the product are
@@ -627,7 +693,7 @@ def product_rate_experiment(
         return _one_cell(kind, k, delta, seed * 1000003 + i, n_t, t_total)
 
     # k-major: each scale's tables are built once, here, before its cells run
-    ratios, grid_n, transforms = {}, {}, {}
+    ratios, grid_n, transforms, block_rows = {}, {}, {}, {}
     tables_s = 0.0
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = pool.map if pool is not None else map
@@ -635,7 +701,7 @@ def product_rate_experiment(
             start = time.perf_counter()
             tables = _cell_tables(kind, k, delta, n_t, t_total)
             tables_s += time.perf_counter() - start
-            grid_n[k], transforms[k] = tables.n, tables.transforms
+            grid_n[k], transforms[k], block_rows[k] = tables.n, tables.transforms, tables.rows
             ratios[k] = [float(v) for v in run(work, [k] * n_seeds, range(n_seeds))]
 
     medians = [float(np.median(ratios[k])) for k in ks]
@@ -645,4 +711,4 @@ def product_rate_experiment(
     else:
         slope, stderr = fit_line(ks, np.log2(medians))
     return RateReport(kind, delta, ks, medians, slope, stderr, n_seeds, degenerate, ratios, grid_n, transforms,
-                      tables_s)
+                      block_rows, tables_s)

@@ -388,6 +388,8 @@ class TestCli:
         assert results["health"]["kkk1"]["grid_n"] == {"3": 18, "4": 36}
         assert results["health"]["gain1"]["transforms"] == {"3": 3, "4": 3}
         assert results["health"]["kkk1"]["transforms"] == {"3": 5, "4": 5}
+        # cells this small run all 64 time rows in one block
+        assert all(h["block_rows"] == {"3": 64, "4": 64} for h in results["health"].values())
 
     def test_all_report_carries_criterion_timing(self, tmp_path, monkeypatch):
         results = [

@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,7 +13,9 @@ from qnls.rates import (
     KIND_ORDER,
     KINDS,
     _band,
+    _block_rows,
     _cell_tables,
+    _draws,
     _one_cell,
     _output_multiplier,
     _time_tables,
@@ -341,6 +344,11 @@ def test_table_masks_equal_box_mask(kind):
             cols = np.flatnonzero(mask.any(axis=0))
             held = np.zeros(ncols, dtype=int)
             for part in parts:
+                # the runs and the gaps cover each column of the buffer once
+                covered = np.zeros(tables.n, dtype=int)
+                for dest in (*(d for d, _s in part.runs), *part.gaps):
+                    covered[dest] += 1
+                assert np.all(covered == 1)
                 full = np.zeros((n_t, tables.n), dtype=int)
                 for dest, src in part.runs:
                     full[:, dest] += sub[:, src]
@@ -364,22 +372,104 @@ def test_table_masks_equal_box_mask(kind):
 @pytest.mark.parametrize("t_total", [2 * np.pi, 3.0, 8.0], ids=["2pi", "3", "8"])
 @pytest.mark.parametrize("n_t", [64, 256])
 def test_quadratic_form_matches_fft_side(n_t, t_total):
-    # the samples transformed in place in the scatter buffers and the X^{0,b}
-    # norm of each factor, against the time-axis FFT pair, for seeded draws;
-    # the buffers start full of another cell's values, which must not show
+    # the samples of each block of 24 time rows, transformed in place in the
+    # leading rows of the scatter buffers, and the X^{0,b} norm of each
+    # factor, against the time-axis FFT pair, for seeded draws; the buffers
+    # start full of another cell's values and then hold the previous
+    # block's, which must not show
+    block = 24
     for kind in ("gain1", "gain3", "kkkk1", "plusminus"):
         for k in (3, 4, 5):
             tables = _cell_tables(kind, k, 0.05, n_t, t_total)
             grid, boxes = _boxes(kind, k, 0.05, n_t, t_total)
             for slot, (side, (mask, b)) in enumerate(zip((tables.u, tables.v), boxes)):
                 for seed in ([7, slot], [1000004, k]):
-                    buffers = [np.full((n_t, tables.n), 3.0 - 1.0j) for _part in side.parts]
-                    samples, norm = _windowed_side(side, seed, n_t, t_total, buffers)
-                    assert all(a is b for a, b in zip(samples, buffers, strict=True))
+                    c, norm = _draws(side, seed, t_total)
                     ref, ref_norm = fft_side(mask, b, seed, grid, n_t, t_total, tables.n, side.parts)
-                    for full, want in zip(buffers, ref, strict=True):
-                        assert np.max(np.abs(full - want)) <= 1e-13 * np.max(np.abs(want)), (kind, k, slot)
                     assert _rel(norm, ref_norm) <= 1e-13, (kind, k, slot)
+                    buffers = [np.full((block, tables.n), 3.0 - 1.0j) for _part in side.parts]
+                    for start in range(0, n_t, block):
+                        rows = slice(start, min(start + block, n_t))
+                        samples = _windowed_side(side, c, rows, n_t, t_total, buffers)
+                        for full, buffer, want in zip(samples, buffers, ref, strict=True):
+                            assert full.base is buffer and full.shape == (rows.stop - start, tables.n)
+                            assert np.max(np.abs(full - want[rows])) <= 1e-13 * np.max(np.abs(want)), (kind, k, slot)
+
+
+def _one_block(monkeypatch, kind, k, seed_key, n_t):
+    """The cell as one block of all n_t time rows."""
+    with monkeypatch.context() as m:
+        m.setattr(rates, "_BLOCK_BYTES", 1 << 40)
+        _cell_tables.cache_clear()
+        assert _cell_tables(kind, k, 0.05, n_t, 2 * np.pi).rows == n_t
+        ratio = _one_cell(kind, k, 0.05, seed_key, n_t, 2 * np.pi)
+    _cell_tables.cache_clear()
+    return ratio
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_blocked_cell_matches_one_block(kind, monkeypatch):
+    # the default blocks (one block up to k = 5, several at k = 8) against
+    # the whole cell in one block
+    for k in range(3, 9):
+        rows = _cell_tables(kind, k, 0.05, 256, 2 * np.pi).rows
+        assert rows == 256 if k <= 5 else k < 8 or rows < 256, (k, rows)
+        for seed_key in (3, 1000004):
+            blocked = _one_cell(kind, k, 0.05, seed_key, 256, 2 * np.pi)
+            whole = _one_block(monkeypatch, kind, k, seed_key, 256)
+            assert _rel(blocked, whole) <= 1e-13, (k, seed_key, blocked, whole)
+
+
+@pytest.mark.parametrize("n_t", [72, 200])
+def test_short_last_block_matches_one_block(n_t, monkeypatch):
+    # a byte budget of 20 rows of the cell's work gives blocks of 16 rows
+    # whose last one holds 8, so the row sums, the alternating one among
+    # them, carry over several block edges
+    for kind in KIND_ORDER:
+        for k in (3, 4, 5):
+            whole = _one_block(monkeypatch, kind, k, 5, n_t)
+            tables = _cell_tables(kind, k, 0.05, n_t, 2 * np.pi)
+            parts = len(tables.u.parts) + len(tables.v.parts)
+            width = tables.n * parts + 2 * max(tables.u.tau0.size, tables.v.tau0.size)
+            with monkeypatch.context() as m:
+                m.setattr(rates, "_BLOCK_BYTES", 16 * width * 20)
+                _cell_tables.cache_clear()
+                assert _cell_tables(kind, k, 0.05, n_t, 2 * np.pi).rows == 16 and n_t % 16 == 8
+                blocked = _one_cell(kind, k, 0.05, 5, n_t, 2 * np.pi)
+            _cell_tables.cache_clear()
+            assert _rel(blocked, whole) <= 1e-13, (kind, k, blocked, whole)
+
+
+def test_block_rows_balanced_within_budget():
+    budget = rates._BLOCK_BYTES
+    for n_t in (2, 8, 64, 72, 200, 256, 1024):
+        for width in (1, 50, 420, 532, 660, 4228, 10**6):
+            rows = _block_rows(n_t, width)
+            blocks = -(-n_t // rows)
+            assert 0 < rows <= n_t and (rows % 8 == 0 or rows == n_t)
+            assert rows == 8 or rows == n_t or 16 * rows * width <= budget, (n_t, width)
+            # balanced: the next smaller multiple of 8 would need another block
+            assert rows in (8, n_t) or -(-n_t // (rows - 8)) > blocks, (n_t, width)
+
+
+def test_kkk3_cell_memory_stays_in_blocks():
+    # the widest default cell (kkk3 at k = 8, two 1,600-point parts): with
+    # its tables and this thread's scatter buffers built, one cell's
+    # transient allocations stay under 1.5 MB (the samples and gathered
+    # phases of u's 514 columns over all 256 rows alone take 4.2 MB), and
+    # no part buffer holds more rows than a block
+    _one_cell("kkk3", 8, 0.05, 1, 256, 2 * np.pi)
+    tracemalloc.start()
+    try:
+        _one_cell("kkk3", 8, 0.05, 2, 256, 2 * np.pi)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, peak
+    tables = _cell_tables("kkk3", 8, 0.05, 256, 2 * np.pi)
+    buffers = [b for side in rates._scatter.buffers for b in side]
+    assert rates._scatter.tables is tables and len(buffers) == 2
+    assert all(b.shape == (tables.rows, 1600) for b in buffers) and tables.rows < 256
 
 
 @pytest.mark.parametrize("n_t", [64, 256])
