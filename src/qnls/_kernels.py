@@ -9,9 +9,11 @@
   a stack of rows (..., n) in each slot, so its sums do not depend on what
   else is installed.
 * The trilinear box contractions of the alternating maximizer for the
-  multiplier lower bounds: each partial runs on the box's index triples,
-  sorted once by the output slot's cell, as one gather-multiply and one
-  segment sum (np.add.reduceat).
+  multiplier lower bounds: the box's index triples come as runs of
+  contiguous slot-2 cells, and each partial is one pass over the runs,
+  sorted once by the output slot's cell.  Slot 2's sum over a run is a
+  difference of per-row prefix sums; slot 2's own partial scatters each
+  run's value to the run's two ends and takes the prefix sum.
 """
 
 import functools
@@ -82,73 +84,125 @@ def bilinear_contract(sym, u, v):
 # ----------------------------------------------------------------------------
 #
 # Slot vectors are flat complex arrays over cells c = xi_index * n_mu +
-# mu_index.  The caller lists every admissible triple (c1, c2, c3) once; a
-# partial contracts two slots over that list into the third.  For each
-# output slot the triples are kept sorted by that slot's cell, so a partial
-# is one gather of the two factors, one product, and one segment sum over
-# the runs of equal output cell, scattered into the touched cells.
+# mu_index, and the admissible triples come as runs of slot-2 cells (see
+# Triples).  A partial is one pass over the runs.  The sum of u2 over a run
+# is the difference of two prefix sums along its row, so p3 and p1 gather
+# one factor and that difference per run and sum the runs of equal output
+# cell; p2 adds the product of the two end-slot factors at the run's first
+# position, takes it off again past its last, and takes the prefix sum
+# along each row.  Prefix sums sit on rows of width + 1 entries, so a run's
+# two ends are the flat indices row * (width + 1) + lo and
+# row * (width + 1) + hi.
 
 
-class Segments(NamedTuple):
-    """The triples sorted by one output slot: the other two slots' cells in
-    that order (lower slot first), the start of each run of equal output
-    cell, and that run's output cell."""
+class Runs(NamedTuple):
+    """The runs sorted by one output slot's cell: each run's slot-1 and
+    slot-3 cells and the flat prefix indices of its two ends, the start of
+    each group of runs with equal output cell and that cell.  For slot 2 a
+    group shares the first end, and its cell is that prefix index."""
 
+    c1: np.ndarray
+    c3: np.ndarray
     first: np.ndarray
-    second: np.ndarray
+    last: np.ndarray
     starts: np.ndarray
     cells: np.ndarray
 
 
-def _segments(cells, out) -> Segments:
-    order = np.argsort(cells[out], kind="stable")
-    key = cells[out][order]
+def _sorted_runs(key, c1, c3, first, last) -> Runs:
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
-    a, b = (cells[i][order] for i in range(3) if i != out)
-    seg = Segments(a, b, starts, key[starts])
-    for arr in seg:
+    runs = Runs(c1[order], c3[order], first[order], last[order], starts, key[starts])
+    for arr in runs:
         arr.setflags(write=False)
-    return seg
+    return runs
 
 
 class Triples:
-    """Admissible triples as three equal-length arrays of flat cell indices,
-    with the number of cells of each slot, and per output slot the triples
-    sorted into segments of equal output cell."""
+    """Admissible triples as runs of slot-2 cells.
 
-    def __init__(self, cells, sizes):
-        self.cells = tuple(np.asarray(t, dtype=np.intp) for t in cells)
+    Slot 2's cells are rows of len(order) cells, c2 = row * width + col, and
+    order lists a row's columns in run order.  runs = (c1, c3, row, lo, hi),
+    five equal-length arrays: run r stands for the hi - lo triples
+    (c1, row * width + order[k], c3), lo <= k < hi.  sizes gives the number
+    of cells of each slot.  For each output slot the runs are sorted once by
+    that slot's cell (for slot 2: by the run's first position)."""
+
+    def __init__(self, runs, order, sizes):
+        c1, c3, row, lo, hi = (np.asarray(r, dtype=np.intp) for r in runs)
+        self.order = np.asarray(order, dtype=np.intp)
+        self.order.setflags(write=False)
+        self.width = self.order.size
         self.sizes = tuple(sizes)
-        self.segments = tuple(_segments(self.cells, out) for out in range(3))
+        self.n_triples = int(np.sum(hi - lo))
+        first = row * (self.width + 1) + lo
+        last = row * (self.width + 1) + hi
+        self.runs = tuple(_sorted_runs(key, c1, c3, first, last) for key in (c1, first, c3))
 
     def __len__(self) -> int:
-        return len(self.cells[0])
+        return self.n_triples
+
+    @property
+    def n_runs(self) -> int:
+        return self.runs[0].c1.size
+
+    @property
+    def cells(self) -> tuple:
+        """Every triple's three cells, run after run: three arrays built on
+        each call, for the tiny-instance search oracle."""
+        c1, c3, first, last = self.runs[0][:4]
+        length = last - first
+        run = np.repeat(np.arange(length.size), length)
+        pos = np.arange(run.size) - np.repeat(np.cumsum(length) - length, length) + first[run]
+        row, k = np.divmod(pos, self.width + 1)
+        return c1[run], row * self.width + self.order[k], c3[run]
 
 
-def _contract(tri, a, b, out):
-    """Sum over triples of a[c_lo] * b[c_hi] into slot out's cells, where
-    c_lo and c_hi are the triple's cells in the other two slots, lower
-    slot first."""
-    seg = tri.segments[out]
-    res = np.zeros(tri.sizes[out], dtype=np.complex128)
-    if seg.starts.size == 0:  # no triples: reduceat needs one start
-        return res
-    prod = np.asarray(a, dtype=np.complex128).ravel()[seg.first]
-    prod *= np.asarray(b, dtype=np.complex128).ravel()[seg.second]
-    res[seg.cells] = np.add.reduceat(prod, seg.starts)
+def _run_sums(u2, tri, runs):
+    """The sum of u2 over each run, in the order of runs."""
+    rows = tri.sizes[1] // tri.width
+    ordered = np.asarray(u2, dtype=np.complex128).reshape(rows, tri.width)[:, tri.order]
+    prefix = np.zeros((rows, tri.width + 1), dtype=np.complex128)
+    np.cumsum(ordered, axis=1, out=prefix[:, 1:])
+    prefix = prefix.ravel()
+    sums = prefix[runs.last]
+    sums -= prefix[runs.first]
+    return sums
+
+
+def _group_sums(vals, runs, size):
+    """Sum vals over each group of runs with equal output cell."""
+    res = np.zeros(size, dtype=np.complex128)
+    if runs.starts.size:  # no runs: reduceat needs one start
+        res[runs.cells] = np.add.reduceat(vals, runs.starts)
     return res
 
 
 def trilinear_partial3(u1, u2, tri):
     """p3[c3] = sum over triples (c1, c2, c3) of u1[c1] * u2[c2]."""
-    return _contract(tri, u1, u2, 2)
+    runs = tri.runs[2]
+    vals = _run_sums(u2, tri, runs)
+    vals *= np.asarray(u1, dtype=np.complex128).ravel()[runs.c1]
+    return _group_sums(vals, runs, tri.sizes[2])
 
 
 def trilinear_partial1(u2, u3, tri):
     """p1[c1] = sum over triples (c1, c2, c3) of u2[c2] * u3[c3]."""
-    return _contract(tri, u2, u3, 0)
+    runs = tri.runs[0]
+    vals = _run_sums(u2, tri, runs)
+    vals *= np.asarray(u3, dtype=np.complex128).ravel()[runs.c3]
+    return _group_sums(vals, runs, tri.sizes[0])
 
 
 def trilinear_partial2(u1, u3, tri):
     """p2[c2] = sum over triples (c1, c2, c3) of u1[c1] * u3[c3]."""
-    return _contract(tri, u1, u3, 1)
+    runs = tri.runs[1]
+    rows = tri.sizes[1] // tri.width
+    vals = np.asarray(u1, dtype=np.complex128).ravel()[runs.c1]
+    vals *= np.asarray(u3, dtype=np.complex128).ravel()[runs.c3]
+    steps = _group_sums(vals, runs, rows * (tri.width + 1))
+    np.subtract.at(steps, runs.last, vals)
+    res = np.empty((rows, tri.width), dtype=np.complex128)
+    res[:, tri.order] = np.cumsum(steps.reshape(rows, tri.width + 1)[:, :-1], axis=1)
+    return res.ravel()

@@ -336,7 +336,8 @@ _BOUNDS = {"ppm1": bound_ppm1, "ppm2": bound_ppm2, "ppm4": bound_ppm4}
 
 def run_mnorm(cfg) -> dict:
     """Sweep and tiny-instance results; `health` (per sweep box: the restart
-    that found the best value, its value after each sweep, the triple count)
+    that found the best value, its value after each sweep, the triple count
+    and the number of runs the triples form)
     and `timing` (the whole run, the nine sweep boxes, and the tiny
     instances' alternating and search passes) belong in the JSON report
     only."""
@@ -355,7 +356,8 @@ def run_mnorm(cfg) -> dict:
         ratio = est.value / bound
         sweep_rows.append((family, n0, est.value, bound, ratio, est.n_triples, est.empty))
         health.append({"family": family, "n0": n0, "best_restart": est.best_restart,
-                       "sweep_values": list(est.sweep_values), "n_triples": est.n_triples})
+                       "sweep_values": list(est.sweep_values), "n_triples": est.n_triples,
+                       "n_runs": est.n_runs})
         family_c[family] = max(family_c.get(family, 0.0), ratio)
         if family == "ppm4" and est.value > 0:
             ppm4_points.append((math.log2(n0), math.log2(est.value)))

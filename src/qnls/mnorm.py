@@ -23,11 +23,15 @@ monotone nondecreasing in the number of restarts.
 
 build_model lists the admissible triples (c1, c2, c3) of flat cell indices
 c = xi_index * n_mu + mu_index once, vectorised over all slot-1/slot-2 xi
-pairs.  Every single-slot step of the maximizer is a partial contraction on
-that list (one gather-multiply and one segment sum over the triples sorted
-by the output cell, see _kernels), the triple count is its length, and the
-sphere-sweep oracle for tiny instances reads the same list and splits the
-two swept slots into the connected blocks the triples link.
+pairs, as runs: for a fixed xi pair and slot-1 modulation, the slot-2
+modulations that share a slot-3 cell are contiguous once put in increasing
+order, because the slot-3 modulation shift - mu1 - mu2 is monotone in mu2.
+On the default lattices a sweep box's 75k triples form 2.6k-6.6k runs.
+Every single-slot step of the maximizer is a partial contraction over the
+runs (one pass, with slot 2's sum over a run taken from prefix sums, see
+_kernels), the triple count is the total run length, and the sphere-sweep
+oracle for tiny instances reads the triples the runs expand to and splits
+the two swept slots into the connected blocks those triples link.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class MnormModel:
     dmus: tuple
     lo3: float
     nneg3: int
-    triples: Triples  # every admissible (c1, c2, c3), c = xi_index * n_mu + mu_index
+    triples: Triples  # every admissible (c1, c2, c3), c = xi_index * n_mu + mu_index, as runs
 
     @property
     def empty(self) -> bool:
@@ -134,17 +138,29 @@ def build_model(box: BoxSpec, H: float, n_tau: int = 64, n_xi: int = 64) -> Mnor
     lo3 = float(box.mods[2])
     nneg3 = len(mu_grids[2]) // 2
 
-    # admissible triples, ordered by (m1, m2, l1, l2): for every admissible xi
-    # pair the slot-3 modulation shift - mu1 - mu2 must snap onto slot 3's lattice
+    # admissible triples as runs: for every admissible xi pair (m1, m2) the
+    # slot-3 modulation shift - mu1 - mu2 must snap onto slot 3's lattice.
+    # With slot 2's modulations in increasing order it is monotone in mu2,
+    # so for each slot-1 modulation every slot-3 cell takes one contiguous
+    # run of slot-2 modulations; a run starts and ends where l3 changes
     n_mu = tuple(len(m) for m in mu_grids)
     m1, m2 = np.nonzero(ix3 >= 0)
-    musum = np.add.outer(mu_grids[0], mu_grids[1])
+    order = np.argsort(mu_grids[1], kind="stable")
+    musum = np.add.outer(mu_grids[0], mu_grids[1][order])
     l3 = _snap(shift[m1, m2][:, None, None] - musum, lo3, dmus[2], nneg3)
-    pair, l1, l2 = np.nonzero(l3 >= 0)
-    triples = Triples(
-        (m1[pair] * n_mu[0] + l1, m2[pair] * n_mu[1] + l2, ix3[m1, m2][pair] * n_mu[2] + l3[pair, l1, l2]),
-        tuple(len(x) * n for x, n in zip(xi_grids, n_mu)),
+    change = l3[..., 1:] != l3[..., :-1]
+    starts, ends = l3 >= 0, l3 >= 0
+    starts[..., 1:] &= change
+    ends[..., :-1] &= change
+    pair, l1, lo = np.nonzero(starts)
+    runs = (
+        m1[pair] * n_mu[0] + l1,
+        ix3[m1, m2][pair] * n_mu[2] + l3[pair, l1, lo],
+        m2[pair],
+        lo,
+        np.nonzero(ends)[2] + 1,
     )
+    triples = Triples(runs, order, tuple(len(x) * n for x, n in zip(xi_grids, n_mu)))
     return MnormModel(
         box, float(H), xi_grids, mu_grids, ix3, shift,
         dxi, dmus, lo3, nneg3, triples,
@@ -156,6 +172,7 @@ class MnormEstimate:
     value: float
     empty: bool
     n_triples: int
+    n_runs: int  # runs of slot-2 cells the triples form
     raw: float
     best_restart: int = -1  # first restart reaching raw
     sweep_values: tuple = ()  # that restart's value after each sweep
@@ -220,9 +237,11 @@ def multiplier_lower_bound(
     """
     model = build_model(box, H, n_tau, n_xi)
     if model.empty:
-        return MnormEstimate(0.0, True, 0, 0.0)
+        return MnormEstimate(0.0, True, 0, 0, 0.0)
     raw, best, values = alternating_max(model, iters=iters, seed=seed)
-    return MnormEstimate(model.measure_factor * raw, False, count_triples(model), raw, best, values)
+    return MnormEstimate(
+        model.measure_factor * raw, False, count_triples(model), model.triples.n_runs, raw, best, values
+    )
 
 
 # ----------------------------------------------------------------------------

@@ -2,16 +2,15 @@
 
 * `contract_bincount`: a trilinear partial as one gather-multiply and one
   bincount of the product's float64 view into interleaved bins 2c, 2c + 1,
-  read back as complex values.  This was the package's partial before the
-  triples were sorted into segments of equal output cell; it sums in triple
-  order.
+  read back as complex values, summed triple by triple in list order.
+* `contract_loop`: the same partial, one triple at a time in a Python loop.
 * `dense_sphere_max`: the sphere-sweep oracle on the full (slot_a x slot_b)
   slices, one stack of dense matrices per sweep and one SVD each, with no
   block split.  Same grid, same refinements, same tie-breaking (first
   maximum) as `mnorm.trilinear_sphere_max`.
 
-Both read only the three index arrays of the triples, never the package's
-sorted segments or blocks.
+The three read only the three index arrays of the triples, never the
+package's runs, prefix sums or blocks.
 
 * `restart_runs`: the alternating maximizer one restart at a time, on the
   package's partials, keeping every restart's value after each sweep; the

@@ -119,13 +119,17 @@ def _partial2(u1, u3, ix3, shift, mu1g, mu2g, lo3, dmu3, nneg3, nmu3, nxi2):
     return p2
 
 
-def _oracle_triple_count(m):
-    count = 0
+def _oracle_triples(m):
+    """Every admissible (c1, c2, c3), by the scalar snap."""
+    n_mu = [len(g) for g in m.mu_grids]
+    out = set()
     for m1, m2 in zip(*np.nonzero(m.ix3 >= 0)):
-        for mu1 in m.mu_grids[0]:
-            for mu2 in m.mu_grids[1]:
-                count += _snap3(m.shift[m1, m2] - mu1 - mu2, m.lo3, m.dmus[2], m.nneg3) >= 0
-    return count
+        for l1, mu1 in enumerate(m.mu_grids[0]):
+            for l2, mu2 in enumerate(m.mu_grids[1]):
+                l3 = _snap3(m.shift[m1, m2] - mu1 - mu2, m.lo3, m.dmus[2], m.nneg3)
+                if l3 >= 0:
+                    out.add((m1 * n_mu[0] + l1, m2 * n_mu[1] + l2, m.ix3[m1, m2] * n_mu[2] + l3))
+    return out
 
 
 def _rel(a, b):
@@ -229,7 +233,7 @@ class TestPartials:
     def test_partials_match_scalar_oracle(self, box, h, n_tau, n_xi):
         m = build_model(box, h, n_tau=n_tau, n_xi=n_xi)
         tri = m.triples
-        assert len(tri) == _oracle_triple_count(m) > 0
+        assert len(tri) == len(_oracle_triples(m)) > 0
         shapes = [(len(x), len(mu)) for x, mu in zip(m.xi_grids, m.mu_grids)]
         rng = np.random.default_rng(3)
         u1, u2, u3 = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
@@ -241,21 +245,91 @@ class TestPartials:
         p2 = trilinear_partial2(u1.ravel(), u3.ravel(), tri)
         assert _rel(p2, _partial2(u1, u3, *args, shapes[1][0]).ravel()) <= 1e-13
 
-    def test_sweep_box_matches_bincount_oracle(self):
-        _f, _n0, box, h = mnorm_sweep_configs()[4]  # ppm2 at N0 = 16, 76,296 triples
-        tri = build_model(box, h).triples
-        rng = np.random.default_rng(4)
-        us = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in tri.sizes]
-        for fn, out, sa, sb in PARTIALS:
-            got = fn(us[sa], us[sb], tri)
-            assert _rel(got, contract_bincount(tri.cells, tri.sizes, us[sa], sa, us[sb], sb, out)) <= 1e-13
-
     def test_sweep_triple_counts(self):
         # triple counts of the nine sweep boxes at n_tau = n_xi = 64, as
         # enumerated by the per-cell-pair loop the triples replaced
         counts = [count_triples(build_model(box, h)) for _f, _n0, box, h in mnorm_sweep_configs()]
         assert counts == [76080, 75648, 74798] + [76296] * 6
         assert sum(counts) == 684302
+
+
+ORACLE_MODELS = (
+    [pytest.param(box, h, 64, 64, id=f"{f}-{n0}") for f, n0, box, h in mnorm_sweep_configs()]
+    + [pytest.param(*TINY[label], 4, 8, id=label) for label in TINY]
+    + [pytest.param(*TINY_LINKED, 4, 8, id="tiny-linked"),
+       pytest.param(BoxSpec((1, 1, -1), (2.0, 1.0, 1.0), (1.0, 1.0, 1000.0)), 2.0, 4, 8, id="empty")]
+)
+
+# the scalar enumeration of every triple takes about 0.5 s per sweep box;
+# the layout test keeps ppm4-8 (some xi pairs partly admissible) and ppm1-32
+SCALAR_SLOW = {"ppm1-8", "ppm2-8", "ppm1-16", "ppm2-16", "ppm4-16", "ppm2-32", "ppm4-32"}
+
+
+class TestRunPartials:
+    """The run-factored partials against the triple-by-triple oracles, on
+    unit random slot vectors, for every model the package builds: the nine
+    sweep boxes (ppm4 at N0 = 8 has xi pairs with only some modulation pairs
+    admissible), the tiny instances and a model with no triples."""
+
+    @pytest.mark.parametrize("box, h, n_tau, n_xi", ORACLE_MODELS)
+    def test_runs_match_contraction_oracles(self, box, h, n_tau, n_xi):
+        tri = build_model(box, h, n_tau=n_tau, n_xi=n_xi).triples
+        cells = tri.cells
+        assert all(len(c) == len(tri) for c in cells)
+        rng = np.random.default_rng([5, len(tri)])
+        us = [mnorm._unit(rng, n) for n in tri.sizes]
+        oracles = (contract_bincount, contract_loop) if len(tri) < 5000 else (contract_bincount,)
+        for fn, out, sa, sb in PARTIALS:
+            got = fn(us[sa], us[sb], tri)
+            assert got.shape == (tri.sizes[out],) and got.dtype == np.complex128
+            for oracle in oracles:
+                want = oracle(cells, tri.sizes, us[sa], sa, us[sb], sb, out)
+                if len(tri) == 0:
+                    assert not np.any(got) and not np.any(want)
+                else:
+                    assert _rel(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("box, h, n_tau, n_xi", [p for p in ORACLE_MODELS if p.id not in SCALAR_SLOW])
+    def test_runs_are_sorted_disjoint_and_read_only(self, box, h, n_tau, n_xi):
+        m = build_model(box, h, n_tau=n_tau, n_xi=n_xi)
+        tri = m.triples
+        want = _oracle_triples(m)
+        assert count_triples(m) == len(want)
+        for out, runs in enumerate(tri.runs):
+            assert int(np.sum(runs.last - runs.first)) == len(want)
+            key = (runs.c1, runs.first, runs.c3)[out]
+            assert np.all(np.diff(key) >= 0)
+            assert np.all(np.diff(runs.cells) > 0)
+            assert np.array_equal(np.repeat(runs.cells, np.diff(np.r_[runs.starts, key.size])), key)
+            # every run stays inside one row and covers at least one cell
+            assert np.all(runs.last > runs.first)
+            assert np.array_equal(runs.first // (tri.width + 1), (runs.last - 1) // (tri.width + 1))
+            for arr in runs:
+                assert not arr.flags.writeable
+            # the runs cover each triple once: no triple twice, none missing
+            got = [(c1, tri.width * (q // (tri.width + 1)) + tri.order[q % (tri.width + 1)], c3)
+                   for c1, c3, a, b in zip(runs.c1, runs.c3, runs.first, runs.last) for q in range(a, b)]
+            assert len(got) == len(set(got)) and set(got) == want
+        assert not tri.order.flags.writeable
+        assert set(zip(*(c.tolist() for c in tri.cells))) == want
+
+    def test_model_and_sweep_memory(self):
+        # ppm1 at N0 = 8: per-triple index arrays sorted for each output slot
+        # held 5.3 MiB after build_model, and one alternating_max(iters=8)
+        # allocated 2.4 MiB of per-triple products above that
+        _f, _n0, box, h = mnorm_sweep_configs()[0]
+        alternating_max(build_model(box, h), iters=1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            m = build_model(box, h)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            alternating_max(m, iters=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= 3e6
+        assert peak - held <= 1e6
 
 
 class TestPartialProperties:
@@ -265,52 +339,54 @@ class TestPartialProperties:
 
     @staticmethod
     def _random_triples(rng, sizes, n):
-        # draw from a subset of each slot's cells so some stay untouched
-        pools = [rng.choice(s, size=max(1, (2 * s + 2) // 3), replace=False) for s in sizes]
-        cells = [rng.choice(pool, size=n) for pool in pools]
-        if n > 4:  # repeat a few triples, out of order
+        """n random runs, some repeated, out of order and overlapping, on
+        rows of a random width that divides slot 2's size, drawn from a
+        subset of each end slot's cells so some stay untouched; with the
+        cells of the triples they stand for, expanded here."""
+        width = int(rng.choice([w for w in range(1, sizes[1] + 1) if sizes[1] % w == 0]))
+        order = rng.permutation(width)
+        pools = [rng.choice(s, size=max(1, (2 * s + 2) // 3), replace=False) for s in (sizes[0], sizes[2])]
+        c1, c3 = (rng.choice(pool, size=n) for pool in pools)
+        row = rng.integers(0, sizes[1] // width, size=n)
+        lo = rng.integers(0, width, size=n)
+        hi = lo + 1 + (rng.integers(0, width - lo) if n > 4 else 0)
+        runs = [c1, c3, row, lo, hi]
+        if n > 4:  # repeat a few runs, out of order
             dup = rng.choice(n, size=n // 4)
-            cells = [np.concatenate([c, c[dup]]) for c in cells]
-            perm = rng.permutation(len(cells[0]))
-            cells = [c[perm] for c in cells]
-        return Triples(cells, sizes)
+            runs = [np.concatenate([r, r[dup]]) for r in runs]
+            perm = rng.permutation(len(runs[0]))
+            runs = [r[perm] for r in runs]
+        cells = [[], [], []]
+        for a, c, r, l, h in zip(*runs):
+            for k in range(l, h):
+                for slot, cell in enumerate((a, r * width + order[k], c)):
+                    cells[slot].append(cell)
+        return Triples(runs, order, sizes), [np.array(c, dtype=np.intp) for c in cells]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_triples_match_oracles(self, seed):
         rng = np.random.default_rng([2025, seed])
         sizes = tuple(int(s) for s in rng.integers(1, 40, size=3))
         sizes = sizes[:seed % 3] + (1,) + sizes[seed % 3 + 1:] if seed % 4 == 0 else sizes
-        tri = self._random_triples(rng, sizes, int(rng.integers(1, 300)))
+        tri, cells = self._random_triples(rng, sizes, int(rng.integers(1, 300)))
+        assert len(tri) == len(cells[0])
         us = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in sizes]
-        touched = [np.isin(np.arange(s), c) for s, c in zip(sizes, tri.cells)]
+        touched = [np.isin(np.arange(s), c) for s, c in zip(sizes, cells)]
         for fn, out, sa, sb in PARTIALS:
             got = fn(us[sa], us[sb], tri)
             assert got.shape == (sizes[out],) and got.dtype == np.complex128
             assert np.all(got[~touched[out]] == 0)
             for oracle in (contract_bincount, contract_loop):
-                want = oracle(tri.cells, sizes, us[sa], sa, us[sb], sb, out)
+                want = oracle(cells, sizes, us[sa], sa, us[sb], sb, out)
                 assert _rel(got, want) <= 1e-13
 
     def test_no_triples_gives_zeros(self):
-        tri = Triples(([], [], []), (5, 1, 7))
+        tri = Triples(([], [], [], [], []), [0], (5, 1, 7))
+        assert len(tri) == tri.n_runs == 0
         us = [np.ones(s, dtype=np.complex128) for s in tri.sizes]
         for fn, out, sa, sb in PARTIALS:
             got = fn(us[sa], us[sb], tri)
             assert got.shape == (tri.sizes[out],) and not np.any(got)
-
-    def test_segments_are_sorted_and_read_only(self):
-        rng = np.random.default_rng(7)
-        tri = self._random_triples(rng, (9, 4, 6), 50)
-        for out, seg in enumerate(tri.segments):
-            key = np.repeat(seg.cells, np.diff(np.r_[seg.starts, len(tri)]))
-            assert np.all(np.diff(seg.cells) > 0)
-            # the same multiset of triples, regrouped by the output cell
-            others = [i for i in range(3) if i != out]
-            regrouped = sorted(zip(key, seg.first, seg.second))
-            original = sorted(zip(tri.cells[out], *(tri.cells[i] for i in others)))
-            assert regrouped == original
-            for arr in seg:
-                assert not arr.flags.writeable
 
 
 class TestSphereMax:
