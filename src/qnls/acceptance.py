@@ -106,7 +106,7 @@ def criterion_8(cfg) -> CriterionResult:
         (abs(order - 4.0) <= 0.2, f"integrator order {order:.3f} (want 4.0+-0.2)"),
         (res["partition_dev"] <= 1e-12, f"partition deviation {res['partition_dev']:.3e} (tol 1e-12)"),
         (res["bilinear_dev"] <= 1e-12, f"contraction-vs-reference {res['bilinear_dev']:.3e} (tol 1e-12)"),
-        (res["group_dev"] <= 1e-10, f"group-sum defect {res['group_dev']:.3e} (tol 1e-10)"),
+        (res["forcing_dev"] <= 1e-10, f"remainder-forcing defect {res['forcing_dev']:.3e} (tol 1e-10)"),
         (res["max_route_dev"] <= 1e-6, f"route mismatch {res['max_route_dev']:.3e} (tol 1e-06)"),
     ]
     ok = all(c[0] for c in checks)

@@ -48,7 +48,7 @@ _COMMANDS = {
         acceptance.criterion_3, "split a solution into free + lift + remainder and fit regularities",
         [("decompose_v.csv", ["t", "fit_free", "fit_lift", "fit_remainder", "margin", "remainder_l2"], "v_rows"),
          ("decompose_u.csv", ["t", "fit_difference", "difference_l2"], "u_rows")],
-        ["min_margin", "min_u_fit", "u_data_fit", "health", "timing"]),
+        ["min_margin", "min_margin_t", "min_u_fit", "min_u_fit_t", "u_data_fit", "health", "timing"]),
     "rates": _Command(
         acceptance.criterion_4, "dyadic product-estimate rate slopes",
         [("rates.csv", ["kind", "k", "median_ratio"], "rows"),

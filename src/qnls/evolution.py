@@ -49,8 +49,7 @@ the stage time alone, so they are tabulated for a block of half steps at
 once and each stage reads its row by its half-step index.  _free_lift, the
 one batched evaluator of the free wave F and its lift h = T(F, F), builds
 each block and gives decompose F and h at every save: one lift product
-over all the rows.  rhs_groups keeps the whole band out (3n/2 points,
-Orszag's 3/2 rule).
+over all the rows.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from .spectral import (
     conj_coeffs,
     free_propagate,
     l2_norm,
-    sign_project,
 )
 
 # the pointwise product of each kind, in place on physical samples p
@@ -406,59 +404,6 @@ def decompose(trajectory: Trajectory, f: SpectralField) -> Decomposition:
     return Decomposition(list(trajectory.times), free_fields, h_fields, w_fields)
 
 
-def rhs_groups(
-    f: SpectralField,
-    h_field: SpectralField,
-    w_field: SpectralField,
-    t: float,
-    alpha: float,
-    beta: float,
-):
-    """The eight pieces of the remainder equation's right side (plain-square
-    kind, v-form weight).
-
-    With F the free wave at time t, v = F + h + w, and split(x) denoting the
-    positive-frequency part x_+ and its complement x_0 = x - x_+, the pieces
-    are ordered as:
-
-        1: G(( F + w )_0, v + v_+)       5: 2 G(F_+, w_+)
-        2: G(h_0, (h + w) + (h + w)_+)   6: G(h_+, h_+)
-        3: G(h_0, F + F_+)               7: 2 G(h_+, w_+)
-        4: 2 G(F_+, h_+)                 8: G(w_+, w_+)
-
-    Their sum telescopes to G(v, v) - G(F_+, F_+), the full remainder
-    forcing.  v reaches past the guard band (h does), so each G runs on the
-    band grid of full-band inputs and output (3n/2 points)."""
-    grid = f.grid
-    band = BandGrid(grid, grid.nyquist_index - 1, grid.nyquist_index - 1)
-    w_in = bracket(grid.frequencies, alpha)
-    w_out = bracket(grid.frequencies, beta - alpha)
-
-    def g(a, b):
-        return SpectralField(grid, factored_product(band, a.coeffs, w_in, b.coeffs, w_in, w_out))
-
-    big_f = free_propagate(t, f)
-    v = big_f + h_field + w_field
-
-    def pos(x):
-        return sign_project("+", x)
-
-    def low(x):
-        return x - pos(x)
-
-    v_plus = pos(v)
-    hw = h_field + w_field
-    n1 = g(low(big_f + w_field), v + v_plus)
-    n2 = g(low(h_field), hw + pos(hw))
-    n3 = g(low(h_field), big_f + pos(big_f))
-    n4 = 2.0 * g(pos(big_f), pos(h_field))
-    n5 = 2.0 * g(pos(big_f), pos(w_field))
-    n6 = g(pos(h_field), pos(h_field))
-    n7 = 2.0 * g(pos(h_field), pos(w_field))
-    n8 = g(pos(w_field), pos(w_field))
-    return [n1, n2, n3, n4, n5, n6, n7, n8]
-
-
 # half steps per table of direct_w_solve's forcing
 FORCING_BLOCK = 32
 
@@ -467,13 +412,11 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     """Integrate the remainder equation directly from w(0) = -T(f, f).
 
     The remainder forcing is G(v, v) - G_pair(F, F) with v = F + h + w,
-    valid for every interaction kind; for the plain-square kind, summing
-    the eight groups gives the same field (the group-sum consistency
-    check).  v reaches past the guard band; G(v, v) is kept on the guard
-    band, as in the flow of v, so it runs on the band grid of full-band
-    inputs and a guard-band output (5n/4 points).  -G_pair(F, F) is kept on
-    the whole grid: beyond the guard band, where v and F vanish, w = -h
-    follows it.
+    valid for every interaction kind.  v reaches past the guard band;
+    G(v, v) is kept on the guard band, as in the flow of v, so it runs on
+    the band grid of full-band inputs and a guard-band output (5n/4
+    points).  -G_pair(F, F) is kept on the whole grid: beyond the guard
+    band, where v and F vanish, w = -h follows it.
 
     F + h and G_pair(F, F) depend on the stage time alone.  Table b holds
     them at half steps b FORCING_BLOCK ... (b + 1) FORCING_BLOCK - 1 (from

@@ -116,6 +116,13 @@ def test_criterion_3_rough_route_difference_regularity(decompose_result):
     assert decompose_result["min_u_fit"] >= -0.65
 
 
+def test_criterion_3_reports_where_each_minimum_falls(decompose_result):
+    margins = {row[0]: row[4] for row in decompose_result["v_rows"]}
+    u_fits = {row[0]: row[1] for row in decompose_result["u_rows"]}
+    assert margins[decompose_result["min_margin_t"]] == decompose_result["min_margin"] == min(margins.values())
+    assert u_fits[decompose_result["min_u_fit_t"]] == decompose_result["min_u_fit"] == min(u_fits.values())
+
+
 def test_criterion_3_fails_on_a_half_lift(cfg, monkeypatch):
     # negative control: the decomposition subtracts h/2, leaving h/2 in the remainder
     free_lift = evolution._free_lift
@@ -264,8 +271,22 @@ def test_criterion_8_contraction_reference(infra_result):
     assert infra_result["bilinear_dev"] <= 1e-12
 
 
-def test_criterion_8_group_sum(infra_result):
-    assert infra_result["group_dev"] <= 1e-10
+def test_criterion_8_forcing(infra_result):
+    assert infra_result["forcing_dev"] <= 1e-10
+
+
+def test_criterion_8_fails_on_the_next_kinds_paired_forcing(cfg, monkeypatch):
+    # negative control: the checked u2 forcing takes its pair term from the next kind's G
+    pair_g = experiments.pair_g_coeffs
+    kinds = experiments.LIFT_KINDS
+
+    def next_pair_g(kind, *args):
+        return pair_g(kinds[(kinds.index(kind) + 1) % len(kinds)], *args)
+
+    monkeypatch.setattr(experiments, "pair_g_coeffs", next_pair_g)
+    res = acceptance.criterion_8(cfg)
+    assert not res.passed
+    assert res.data["forcing_dev"] > 1e-10
 
 
 def test_criterion_8_route_equivalence(infra_result):

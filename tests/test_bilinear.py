@@ -301,7 +301,7 @@ def full_band(grid, seed, k=None):
 BANDS = {
     "stage": lambda n: (n // 4, n // 4),  # the RK4 stage
     "lift": lambda n: (n // 4, n // 2 - 1),  # the factored lifts and pair-g
-    "wide": lambda n: (n // 2 - 1, n // 2 - 1),  # rhs_groups
+    "wide": lambda n: (n // 2 - 1, n // 2 - 1),  # full band in and out, the 3/2 rule
     "remainder": lambda n: (n // 2 - 1, n // 4),  # direct_w_solve's G(v, v)
 }
 

@@ -17,7 +17,6 @@ from qnls.evolution import (
     integrate_batch,
     lipschitz_experiment,
     normal_form_h,
-    rhs_groups,
     substitution_check,
 )
 from qnls.roughdata import DataSpec, gen_rough_data
@@ -28,7 +27,6 @@ from qnls.spectral import (
     bessel_potential,
     free_propagate,
     l2_norm,
-    sign_project,
 )
 
 ALPHA, BETA = 0.6, 0.2
@@ -245,7 +243,7 @@ class TestIntegrateBatch:
 BANDS = {
     "stage": lambda n: (n // 4, n // 4),  # the RK4 stage
     "lift": lambda n: (n // 4, n // 2 - 1),  # the factored lifts and pair-g
-    "wide": lambda n: (n // 2 - 1, n // 2 - 1),  # rhs_groups
+    "wide": lambda n: (n // 2 - 1, n // 2 - 1),  # full band in and out, the 3/2 rule
     "remainder": lambda n: (n // 2 - 1, n // 4),  # direct_w_solve's G(v, v)
 }
 
@@ -443,28 +441,6 @@ class TestNormalFormH:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             normal_form_h(smooth_data(64), 0.0, ALPHA, BETA, "bogus")
-
-
-class TestGroups:
-    def test_eight_groups_sum_to_remainder_forcing(self):
-        g = Grid(256)
-        # at width 64 (the guard index) h reaches |j| = n/2 - 1
-        for width in (32.0, 64.0):
-            f = gen_rough_data(DataSpec(0.0, width, amplitude=0.2, seed=11), g)
-            h_field = normal_form_h(f, 0.37, ALPHA, BETA, "u2")
-            w_field = gen_rough_data(DataSpec(1.0, width, amplitude=0.1, seed=12), g)
-            groups = rhs_groups(f, h_field, w_field, 0.37, ALPHA, BETA)
-            assert len(groups) == 8
-            total = groups[0]
-            for piece in groups[1:]:
-                total = total + piece
-            big_f = free_propagate(0.37, f)
-            v = big_f + h_field + w_field
-            full = weighted_product(ALPHA, BETA - ALPHA, v, v)
-            fplus = sign_project("+", big_f)
-            paired = weighted_product(ALPHA, BETA - ALPHA, fplus, fplus)
-            target = full - paired
-            assert l2_norm(total - target) <= 1e-10 * l2_norm(target)
 
 
 class TestRoutes:

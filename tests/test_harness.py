@@ -472,6 +472,9 @@ class TestCli:
                 assert (health["steps"], health["rhs_evals"]) == (steps, 4 * steps)
                 assert 1.0 <= health["max_l2_over_initial"] < 1.1
                 assert 0.0 <= health["max_top_octave_share"] <= 1.0
+        # decompose.json gives the save time of each minimum
+        assert results["decompose"]["min_margin_t"] in (0.0, 0.005, 0.01)
+        assert results["decompose"]["min_u_fit_t"] in (0.005, 0.01)
         # the base flow moves away from the free wave, but by a small share
         assert 0.0 < results["lipschitz"]["nonlinear_share"] < 1.0
         assert results["lipschitz"]["spread"] >= 1.0
@@ -706,6 +709,28 @@ DEAD_SPANS = {("bilinear", "dealiased_product"), ("bilinear", "apply_pair_g_fast
 
 
 class TestBenchmarkHarness:
+    def test_readme_seed_table_matches_the_reference(self):
+        # each pass/fail flag of perfbench/reference.json, over its config
+        # seeds, is one README row: its pass count and the seeds it fails at
+        workloads = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))["workloads"]
+        outcomes = {}
+        for seeds in workloads.values():
+            for seed, criteria in seeds.items():
+                for number, record in criteria.items():
+                    for flag, ok in record["flags"].items():
+                        check = f"criterion {number}" + ("" if flag == "passed" else f" {flag.removeprefix('ok.')}")
+                        outcomes.setdefault(check, {})[seed] = ok
+        expected = {}
+        for check, by_seed in outcomes.items():
+            assert len(by_seed) == 16, check
+            fails = sorted(seed for seed, ok in by_seed.items() if not ok)
+            where = "none" if not fails else "all, by design" if len(fails) == len(by_seed) else ", ".join(fails)
+            expected[check] = (f"{len(by_seed) - len(fails)}/{len(by_seed)}", where)
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| (criterion [^|]*?) \| (\d+/\d+) \| ([^|]*?) \|$", readme, re.MULTILINE)
+        assert len(rows) == len(expected)
+        assert {check: (passes, where) for check, passes, where in rows} == expected
+
     def test_every_traced_name_resolves(self):
         # a renamed package function would silently drop out of the trace
         spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "perfbench" / "tracing.py")

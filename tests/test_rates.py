@@ -533,11 +533,21 @@ def test_parseval_flag_iff_multiplier_one_on_span(kind):
                 ])
                 span = np.arange(sums.min(), sums.max() + 1)
                 assert group.parseval == bool(np.all(full_mult[span % grid.n] == 1.0)), (k, n_t, t_total)
-    # in the default sweep the unprojected kinds take the x-side Parseval, and
-    # so does gain1, whose split groups miss the low frequencies where its
-    # multiplier falls below 1
-    flags = {g.parseval for k in range(3, 9) for g in _cell_tables(kind, k, 0.05, 256, 2 * np.pi).groups}
-    assert flags == {out_pattern is None or kind == "gain1"}
+    # in the default sweep the unprojected kinds take the x-side Parseval and
+    # the other projected kinds do not (gain1: the next test)
+    if kind != "gain1":
+        flags = {g.parseval for k in range(3, 9) for g in _cell_tables(kind, k, 0.05, 256, 2 * np.pi).groups}
+        assert flags == {out_pattern is None}
+
+
+def test_gain1_projection_is_one_wherever_its_products_land():
+    # in the default sweep every group of gain1's parts takes the x-side
+    # Parseval: its split groups miss the low frequencies where its `similar`
+    # projection falls below 1, so the projection cuts nothing and no fault
+    # in it can move gain1's ratios
+    for k in range(3, 9):
+        groups = _cell_tables("gain1", k, 0.05, 256, 2 * np.pi).groups
+        assert groups and all(group.parseval for group in groups), k
 
 
 def test_experiment_report_shape():
