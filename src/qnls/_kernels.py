@@ -2,12 +2,13 @@
 
 * The dense bilinear symbol contraction  out[(i+j) % n] += sym[i,j]*u[i]*v[j],
   an O(n^2) pass.  The lift symbols of u2 and uubar factor through FFTs
-  (bilinear.apply_lift), so it runs for the ubar2 lift, whose mismatch does
-  not factor, and for the dense reference symbols.  It is one bincount over
-  the float64 view of the product on the inputs' support (the indices where
-  they are nonzero) into wrap bins built once per support, row by row over
-  a stack of rows (..., n) in each slot, so its sums do not depend on what
-  else is installed.
+  (bilinear.kind_factors), so it runs for the ubar2 lift, whose mismatch
+  does not factor (bilinear.lift_coeffs, under evolution.normal_form_h),
+  and for the dense reference symbols.  It is one bincount over the float64
+  view of the product on the inputs' support (the indices where they are
+  nonzero) into wrap bins built once per support, row by row over a stack
+  of rows (..., n) in each slot, so its sums do not depend on what else is
+  installed.
 * The trilinear box contractions of the alternating maximizer for the
   multiplier lower bounds: the box's index triples come as runs of
   contiguous slot-2 cells, and each partial is one pass over the runs,

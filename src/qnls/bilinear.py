@@ -32,15 +32,18 @@ Dividing by i*mismatch makes d/dt + i d^2/dx^2 of T applied to free waves
 land exactly on G, which is what leibniz_residual checks.
 
 For u2 and uubar the mismatch factors (-2 xi eta and -2 eta (xi+eta)), so
-T is a multiplier on each slot times a multiplier on the output, and
-lift_coeffs evaluates it as one factored_product; only ubar2, whose
-mismatch -(xi^2 + eta^2 + (xi+eta)^2) does not factor, goes through the
-dense contraction.  G factors for every kind (pair_g_coeffs).  The dense
-matrices stay as the reference that the tests and criterion 8 compare the
-factored route against.
+T is a multiplier on each slot times a multiplier on the output; G factors
+so for every kind, ubar2's up to its one excluded (0, 0) cell.
+kind_factors declares these factors once per (kind, alpha, beta, grid), with
+the kind's slot conjugations, together with the whole smoothing weight that
+the remainder forcing G(v, v) applies.  lift_coeffs and pair_g_coeffs
+contract T and G through them as one factored_product each; only ubar2's T,
+whose mismatch -(xi^2 + eta^2 + (xi+eta)^2) does not factor, goes through
+the dense contraction.  The dense matrices stay as the reference that the
+tests and criterion 8 compare the factored route against.
 
 factored_product is the one weighted product of the lifts, the paired
-weights and the remainder equation's terms (the RK4 stage folds its
+weights and the remainder forcing (the RK4 stage of the flows folds its
 weights and phases into tables of its own).  It runs on a
 spectral.BandGrid, which sizes the transform from the band limits of the
 inputs and of the kept output.
@@ -51,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,22 +100,16 @@ class BilinearSymbol:
         return f"BilinearSymbol({self.name!r}, slots={flags})"
 
 
-def _check_guarded(u: SpectralField, v: SpectralField):
-    """Raise ValueError unless u and v share a grid and both are guard-limited."""
+def apply_bilinear(sym: BilinearSymbol, u: SpectralField, v: SpectralField) -> SpectralField:
+    """Evaluate the symbol contraction of two guard-band-limited fields;
+    raises ValueError unless both share a grid and are guard-limited."""
     if u.grid != v.grid:
         raise ValueError("field grids do not match")
-    grid = u.grid
+    guard = u.grid.guard_index
     for field in (u, v):
-        # slots guard_index + 1 .. n - guard_index - 1 hold the indices beyond the guard
-        if np.any(field.coeffs[grid.guard_index + 1 : grid.n - grid.guard_index] != 0.0):
-            raise ValueError(
-                f"bilinear input carries frequencies beyond the guard index {grid.guard_index}"
-            )
-
-
-def apply_bilinear(sym: BilinearSymbol, u: SpectralField, v: SpectralField) -> SpectralField:
-    """Evaluate the symbol contraction of two guard-band-limited fields."""
-    _check_guarded(u, v)
+        # slots guard + 1 .. n - guard - 1 hold the indices beyond the guard
+        if np.any(field.coeffs[guard + 1 : u.grid.n - guard] != 0.0):
+            raise ValueError(f"bilinear input carries frequencies beyond the guard index {guard}")
     a = (u.conj() if sym.conj_first else u).coeffs
     c = (v.conj() if sym.conj_second else v).coeffs
     return SpectralField(u.grid, bilinear_contract(sym.matrix(u.grid), a, c))
@@ -224,12 +222,73 @@ def weighted_product(
     return bessel_potential(outer, SpectralField(u.grid, out))
 
 
-def factored_product(band: BandGrid, a, m1, c, m2, m_out) -> np.ndarray:
-    """The contraction with symbol m1(xi) m2(eta) m_out(xi + eta) of slot
-    arrays a and c, (..., n) each, as one FFT product on band, whose input
-    band must hold their content; the output is kept on band's output band.
-    The same array and multiplier in both slots make one weighted array,
-    whose product is a square."""
+class KindFactors(NamedTuple):
+    """One kind's slot conjugations (first, second) and the multipliers
+    (m1, m2, m_out) of its symbols m1(xi) m2(eta) m_out(xi + eta) at the
+    effective frequencies: T (None for ubar2, whose T stays dense), G
+    (ubar2's less its (0, 0) cell) and the whole smoothing weight, the G of
+    the remainder forcing."""
+
+    conj: tuple
+    lift: tuple | None
+    pair: tuple
+    weight: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def kind_factors(kind: str, alpha: float, beta: float, grid: Grid) -> KindFactors:
+    """The factors of the kind's T and G (normal_form_pair) and of the
+    smoothing weight on grid; built once per (kind, alpha, beta, grid),
+    read-only, one array where both slots share a multiplier:
+
+        u2 T:     <xi>^a / xi 1{xi>0}  *  <eta>^a / eta 1{eta>0}
+                  * <zeta>^(b-a) / (-2i)
+        uubar T:  <xi>^a 1{xi>0}  *  <eta>^a / eta 1{eta!=0}
+                  * <zeta>^(b-a) / zeta 1{zeta!=0} / (-2i)
+        u2 G:     <xi>^a 1{xi>0}  *  <eta>^a 1{eta>0}  *  <zeta>^(b-a)
+        uubar G:  <xi>^a 1{xi>0}  *  <eta>^a 1{eta!=0}
+                  * <zeta>^(b-a) 1{zeta!=0}
+        ubar2 G and every weight:  <xi>^a  *  <eta>^a  *  <zeta>^(b-a)
+
+    with eta the effective second frequency and zeta = xi + eta."""
+    if kind not in KIND_FLAGS:
+        raise ValueError(f"unknown interaction kind {kind!r}")
+    xi = grid.frequencies
+    tol = math.pi / grid.length  # half of the frequency spacing
+    nonzero = np.abs(xi) > tol
+    safe_xi = np.where(nonzero, xi, 1.0)
+    w_in = bracket(xi, alpha)
+    w_out = bracket(xi, beta - alpha)
+    lift_out = w_out / -2j
+    over_xi = np.where(nonzero, w_in / safe_xi, 0.0)
+    pos_in = np.where(xi > tol, w_in, 0.0)
+    weight = (w_in, w_in, w_out)
+    if kind == "u2":
+        m = np.where(xi > tol, over_xi, 0.0)
+        lift, pair = (m, m, lift_out), (pos_in, pos_in, w_out)
+    elif kind == "uubar":
+        lift = (pos_in, over_xi, np.where(nonzero, lift_out / safe_xi, 0.0))
+        pair = (pos_in, np.where(nonzero, w_in, 0.0), np.where(nonzero, w_out, 0.0))
+    else:
+        lift, pair = None, weight
+    for m in (lift or ()) + pair + weight:
+        m.setflags(write=False)
+    return KindFactors(KIND_FLAGS[kind], lift, pair, weight)
+
+
+def factored_product(band: BandGrid, conj: tuple, factors: tuple, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The contraction of coefficient arrays u and v, (..., n) each, with the
+    symbol m1(xi) m2(eta) m_out(xi + eta) of factors = (m1, m2, m_out) and
+    the slot conjugations conj, as one FFT product on band, whose input band
+    must hold their content; the output is kept on band's output band.  One
+    array in both slots (v is u) with equal conjugations and one multiplier
+    makes one weighted array, whose product is a square."""
+    (first, second), (m1, m2, m_out) = conj, factors
+    a = conj_coeffs(u) if first else u
+    if v is u and second == first:
+        c = a
+    else:
+        c = conj_coeffs(v) if second else v
     x = m1 * a
     y = x if c is a and m2 is m1 else m2 * c
     return m_out * band.product(x, y)
@@ -242,88 +301,41 @@ def _lift_band(grid: Grid) -> BandGrid:
     return BandGrid(grid, grid.guard_index, grid.nyquist_index - 1)
 
 
+def lift_coeffs(kind: str, alpha: float, beta: float, grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The contraction of the kind's T (normal_form_pair(kind, alpha,
+    beta)[0]) on stacks of coefficient arrays (..., n) of guard-limited
+    fields, row by row and unchecked: the factored product of its
+    kind_factors for u2 and uubar, the dense contraction for ubar2.  Passing
+    one array for both fields (v is u) shares its slot arrays."""
+    factors = kind_factors(kind, alpha, beta, grid)
+    if factors.lift is None:
+        a = conj_coeffs(u)
+        mat = normal_form_pair(kind, alpha, beta)[0].matrix(grid)
+        return bilinear_contract(mat, a, a if v is u else conj_coeffs(v))
+    return factored_product(_lift_band(grid), factors.conj, factors.lift, u, v)
+
+
 def pair_g_coeffs(kind: str, alpha: float, beta: float, grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The contraction of the kind's G (normal_form_pair(kind, alpha,
     beta)[1]) on stacks of coefficient arrays (..., n) of guard-limited
-    fields, row by row and unchecked: the sharp cutoffs of each kind factor
-    into per-slot and output cutoffs, plus for ubar2 a correction at the
-    single excluded (0, 0) cell.  Passing one array for both fields (v is u)
-    shares its slot arrays."""
-    band = _lift_band(grid)
-    xi = grid.frequencies
-    tol = math.pi / grid.length
-    w_in = bracket(xi, alpha)
-    w_out = bracket(xi, beta - alpha)
-    pos = np.where(xi > tol, w_in, 0.0)
-    if kind == "u2":
-        return factored_product(band, u, pos, v, pos, w_out)
-    if kind == "uubar":
-        # effective-frequency cutoffs eta != 0 and xi + eta != 0
-        nonzero = np.abs(xi) > tol
-        return factored_product(
-            band, u, pos, conj_coeffs(v), np.where(nonzero, w_in, 0.0), np.where(nonzero, w_out, 0.0)
-        )
+    fields, row by row and unchecked: the factored product of its
+    kind_factors, plus for ubar2 a correction at the single excluded (0, 0)
+    cell.  Passing one array for both fields (v is u) shares its slot
+    arrays."""
+    factors = kind_factors(kind, alpha, beta, grid)
+    out = factored_product(_lift_band(grid), factors.conj, factors.pair, u, v)
     if kind == "ubar2":
-        a = conj_coeffs(u)
-        c = a if v is u else conj_coeffs(v)
-        out = factored_product(band, a, w_in, c, w_in, w_out)
-        # remove the single excluded (0,0) cell, where the weight is 1.  Its
-        # product is formed from real parts, each operation rounded on its
-        # own as in numpy's scalar product; numpy's array product may fuse
-        # multiply-adds, and one field and a stack of rows must agree bit
-        # for bit
-        a0, c0 = a[..., 0], c[..., 0]
+        # remove the single excluded (0,0) cell, where the weight is 1 and the
+        # slots hold the conjugated zero modes.  Its product is formed from
+        # real parts, each operation rounded on its own as in numpy's scalar
+        # product; numpy's array product may fuse multiply-adds, and one
+        # field and a stack of rows must agree bit for bit
+        a0, c0 = np.conj(u[..., 0]), np.conj(v[..., 0])
         cell = np.empty_like(a0)
         cell.real = a0.real * c0.real - a0.imag * c0.imag
         cell.imag = a0.real * c0.imag + a0.imag * c0.real
         out[..., 0] -= cell
-        return out
-    raise ValueError(f"unknown interaction kind {kind!r}")
-
-
-def lift_coeffs(kind: str, alpha: float, beta: float, grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """apply_lift on stacks of coefficient arrays (..., n) of guard-limited
-    fields, row by row and unchecked.  Passing one array for both fields
-    (v is u) shares its slot arrays."""
-    if kind == "ubar2":
-        a = conj_coeffs(u)
-        mat = normal_form_pair(kind, alpha, beta)[0].matrix(grid)
-        return bilinear_contract(mat, a, a if v is u else conj_coeffs(v))
-    if kind not in ("u2", "uubar"):
-        raise ValueError(f"unknown interaction kind {kind!r}")
-    band = _lift_band(grid)
-    xi = grid.frequencies
-    tol = math.pi / grid.length
-    w_in = bracket(xi, alpha)
-    w_out = bracket(xi, beta - alpha) / -2j
-    pos = xi > tol
-    nonzero = np.abs(xi) > tol
-    safe_xi = np.where(nonzero, xi, 1.0)
-    over_xi = np.where(nonzero, w_in / safe_xi, 0.0)
-    if kind == "u2":
-        m1 = np.where(pos, over_xi, 0.0)
-        return factored_product(band, u, m1, v, m1, w_out)
-    return factored_product(
-        band, u, np.where(pos, w_in, 0.0), conj_coeffs(v), over_xi, np.where(nonzero, w_out / safe_xi, 0.0)
-    )
-
-
-def apply_lift(kind: str, alpha: float, beta: float, u: SpectralField, v: SpectralField) -> SpectralField:
-    """T(u, v) for the kind's normal-form symbol, on guard-limited fields.
-
-    Equals apply_bilinear(normal_form_pair(kind, alpha, beta)[0], u, v) to
-    rounding.  For u2 and uubar the symbol factors, and this is one n-point
-    FFT product:
-
-        u2:    <xi>^a / xi 1{xi>0}  *  <eta>^a / eta 1{eta>0}
-               * <zeta>^(b-a) / (-2i)
-        uubar: <xi>^a 1{xi>0}  *  <eta>^a / eta 1{eta!=0}  (eta effective)
-               * <zeta>^(b-a) / zeta 1{zeta!=0} / (-2i)
-
-    with zeta = xi + eta.  ubar2 goes through the dense contraction of that
-    same T."""
-    _check_guarded(u, v)
-    return SpectralField(u.grid, lift_coeffs(kind, alpha, beta, u.grid, u.coeffs, v.coeffs))
+    return out
 
 
 # ----------------------------------------------------------------------------

@@ -39,17 +39,17 @@ differ.  numpy's FFT of a row of a stacked array is bit-identical to the
 FFT of that row alone, so a batched flow saves the same states as the flow
 run by itself through integrate, a batch of one.
 
-direct_w_solve steps the remainder equation on the n-point grid, with the
-integrating factor applied around its stage.  Its input v = F + h + w
-reaches past the guard band (h does) and its product G(v, v) is kept on
-the guard band, so it runs on the band grid of full-band inputs and a
-guard-band output (5n/4 points); beyond the guard band w follows the
-paired forcing alone.  Its forcing terms F + h and G_pair(F, F) depend on
-the stage time alone, so they are tabulated for a block of half steps at
-once and each stage reads its row by its half-step index.  _free_lift, the
-one batched evaluator of the free wave F and its lift h = T(F, F), builds
-each block and gives decompose F and h at every save: one lift product
-over all the rows.
+The normal-form layer computes each of its pieces in one place.
+normal_form_h is the one evaluator of the free wave F = e^{-it d^2} f and
+its lift h = T(F, F): it takes several times at once and gives decompose
+F and h at every save, and direct_w_solve a block of stage times, as one
+lift product over all the rows.  remainder_forcing is the forcing
+G(v, v) - G_pair(F, F) of the remainder equation, v = F + h + w, which
+direct_w_solve steps on the n-point grid with the integrating factor
+applied around its stage; criterion 8 checks that same function against
+the doubled-grid oracle.  Its forcing terms F + h and G_pair(F, F) depend
+on the stage time alone, so they are tabulated for a block of half steps
+at once and each stage reads its row by its half-step index.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .bilinear import KIND_FLAGS, apply_lift, factored_product, lift_coeffs, pair_g_coeffs
+from .bilinear import KIND_FLAGS, factored_product, kind_factors, lift_coeffs, pair_g_coeffs
 from .spacetime import sobolev_norm
 from .spectral import (
     BandGrid,
@@ -69,7 +69,6 @@ from .spectral import (
     SpectralField,
     bessel_potential,
     bracket,
-    conj_coeffs,
     free_propagate,
     l2_norm,
 )
@@ -170,12 +169,6 @@ class Trajectory:
     @property
     def final(self) -> SpectralField:
         return self.states[-1]
-
-
-def _guard_mask(grid: Grid) -> np.ndarray:
-    idx = np.arange(grid.n)
-    mag = np.minimum(idx, grid.n - idx)
-    return mag <= grid.guard_index
 
 
 def _phases(frequencies: np.ndarray, dt: float):
@@ -302,7 +295,8 @@ def _check_initial(grid: Grid, initial: SpectralField):
         raise ValueError("initial data grid does not match the configuration")
     if not np.all(np.isfinite(initial.coeffs)):
         raise ValueError("initial data is not finite")
-    if np.any(initial.coeffs[~_guard_mask(grid)] != 0.0):
+    # slots guard_index + 1 .. n - guard_index - 1 hold the indices beyond the guard
+    if np.any(initial.coeffs[grid.guard_index + 1 : grid.n - grid.guard_index] != 0.0):
         raise ValueError("initial data carries frequencies beyond the guard index")
 
 
@@ -355,23 +349,14 @@ def integrate(config: EvolutionConfig, initial: SpectralField) -> Trajectory:
 # normal-form pipeline
 # ----------------------------------------------------------------------------
 
-def normal_form_h(f: SpectralField, t: float, alpha: float, beta: float, kind: str = "u2") -> SpectralField:
-    """The transformed pair h(t) = T(F(t), F(t)) of the free wave
-    F = e^{-it d^2} f; solves the inhomogeneous linear flow forced by the
-    frequency-restricted weight of the kind (apply_lift: factored for u2
-    and uubar, dense for ubar2)."""
-    big_f = free_propagate(t, f)
-    return apply_lift(kind, alpha, beta, big_f, big_f)
-
-
-def _free_lift(f: SpectralField, times, alpha: float, beta: float, kind: str) -> tuple:
-    """(F, h) at each of the times, as the rows of two (len(times), n)
-    arrays: F the free wave of f and h = T(F, F) its lift, one batched
-    product (or dense contraction) over all the rows.  Taken as fields
-    (which zero the Nyquist slot), row r is bit-identical to
-    free_propagate(times[r], f) and normal_form_h(f, times[r], ...): the
-    transforms and the dense contraction act row by row, and every product
-    keeps its operand order.  f must be guard-limited; it is not checked."""
+def normal_form_h(f: SpectralField, times, alpha: float, beta: float, kind: str) -> tuple:
+    """The free wave F(t) = e^{-it d^2} f and its lift h(t) = T(F(t), F(t))
+    at each of the times, as the rows of two (len(times), n) arrays: the
+    package's one evaluator of (F, h), one lift_coeffs over all the rows.
+    Each row acts alone and keeps its operand order, so it does not depend
+    on the other times.  Raises ValueError for f that is not finite or not
+    guard-band-limited, and for an unknown kind."""
+    _check_initial(f.grid, f)
     grid = f.grid
     big_f = np.exp(1j * grid.frequencies**2 * np.asarray(times, dtype=np.float64)[:, None])
     np.multiply(f.coeffs, big_f, out=big_f)
@@ -390,18 +375,34 @@ def decompose(trajectory: Trajectory, f: SpectralField) -> Decomposition:
     """Split a v-form trajectory into free wave + normal form + remainder.
 
     At each save time, free = the propagated data, h = the normal-form pair
-    of the free wave, w = state - free - h; one _free_lift over the save
-    times gives every free and h.  At t = 0 this forces w(0) = -h(0) since
-    free(0) = f.  Raises ValueError for data that is not on the
+    of the free wave, w = state - free - h; one normal_form_h over the
+    save times gives every free and h.  At t = 0 this forces w(0) = -h(0)
+    since free(0) = f.  Raises ValueError for data that is not on the
     trajectory's grid, not finite or not guard-band-limited."""
     cfg = trajectory.config
     if cfg.variables != "v":
         raise ValueError("the decomposition applies to the v-form evolution")
     _check_initial(cfg.grid, f)
-    rows = _free_lift(f, trajectory.times, cfg.alpha, cfg.beta, cfg.kind)
+    rows = normal_form_h(f, trajectory.times, cfg.alpha, cfg.beta, cfg.kind)
     free_fields, h_fields = ([SpectralField(f.grid, row) for row in table] for table in rows)
     w_fields = [state - fr - hh for state, fr, hh in zip(trajectory.states, free_fields, h_fields)]
     return Decomposition(list(trajectory.times), free_fields, h_fields, w_fields)
+
+
+def remainder_forcing(
+    kind: str, alpha: float, beta: float, grid: Grid, v: np.ndarray, paired: np.ndarray
+) -> np.ndarray:
+    """The remainder equation's forcing G(v, v) - G_pair(F, F) on coefficient
+    arrays (..., n), v = F + h + w and paired = G_pair(F, F): G(v, v) weighs
+    both slots by <xi>^alpha and the output by <xi>^(beta - alpha), with the
+    kind's conjugations (kind_factors' weight).  v reaches past the guard
+    band (h does) and G(v, v) is kept on it, as in the flow of v: the band
+    grid of full-band inputs and a guard-band output (5n/4 points).  paired
+    is kept on the whole grid: beyond the guard band, where v and F vanish,
+    w = -h follows it."""
+    band = BandGrid(grid, grid.nyquist_index - 1, grid.guard_index)
+    factors = kind_factors(kind, alpha, beta, grid)
+    return factored_product(band, factors.conj, factors.weight, v, v) - paired
 
 
 # half steps per table of direct_w_solve's forcing
@@ -409,21 +410,15 @@ FORCING_BLOCK = 32
 
 
 def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
-    """Integrate the remainder equation directly from w(0) = -T(f, f).
-
-    The remainder forcing is G(v, v) - G_pair(F, F) with v = F + h + w,
-    valid for every interaction kind.  v reaches past the guard band;
-    G(v, v) is kept on the guard band, as in the flow of v, so it runs on
-    the band grid of full-band inputs and a guard-band output (5n/4
-    points).  -G_pair(F, F) is kept on the whole grid: beyond the guard
-    band, where v and F vanish, w = -h follows it.
+    """Integrate the remainder equation directly from w(0) = -T(f, f), its
+    stage forced by remainder_forcing.
 
     F + h and G_pair(F, F) depend on the stage time alone.  Table b holds
     them at half steps b FORCING_BLOCK ... (b + 1) FORCING_BLOCK - 1 (from
-    _free_lift and one batched pair product), and the stage at half step j
-    reads row j % FORCING_BLOCK of table j // FORCING_BLOCK; one table is
-    held at once.  w(0) is minus the t = 0 row of table 0's h.  The
-    trajectory's timing holds forcing_s, the seconds spent building
+    one normal_form_h and one batched pair product), and the stage at half
+    step j reads row j % FORCING_BLOCK of table j // FORCING_BLOCK; one
+    table is held at once.  w(0) is minus the t = 0 row of table 0's h.
+    The trajectory's timing holds forcing_s, the seconds spent building
     tables, and forcing_blocks, their number.
 
     Raises ValueError for data that is not on the configured grid, not
@@ -433,10 +428,6 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     grid = config.grid
     _check_initial(grid, f)
     alpha, beta, kind, dt = config.alpha, config.beta, config.kind, config.dt
-    band = BandGrid(grid, grid.nyquist_index - 1, grid.guard_index)
-    w_in = bracket(grid.frequencies, alpha)
-    w_out = bracket(grid.frequencies, beta - alpha)
-    conj_first, conj_second = KIND_FLAGS[kind]
     n_half_steps = 2 * config.n_steps + 1
     timing = {"forcing_s": 0.0, "forcing_blocks": 0}
 
@@ -446,7 +437,7 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
         start = time.perf_counter()
         # half step j is at time (j / 2) dt
         j = np.arange(b * FORCING_BLOCK, min((b + 1) * FORCING_BLOCK, n_half_steps))
-        big_f, h = _free_lift(f, 0.5 * j * dt, alpha, beta, kind)
+        big_f, h = normal_form_h(f, 0.5 * j * dt, alpha, beta, kind)
         paired = pair_g_coeffs(kind, alpha, beta, grid, big_f, big_f)
         paired[:, grid.nyquist_index] = 0.0
         rows = (h, h + big_f, paired)
@@ -457,10 +448,7 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     def nonlin(coeffs, j):
         _, lifted, paired = table(j // FORCING_BLOCK)
         r = j % FORCING_BLOCK
-        v = lifted[r] + coeffs
-        a = conj_coeffs(v) if conj_first else v
-        c = a if conj_second == conj_first else conj_coeffs(v)
-        return factored_product(band, a, w_in, c, w_in, w_out) - paired[r]
+        return remainder_forcing(kind, alpha, beta, grid, lifted[r] + coeffs, paired[r])
 
     w0 = -1.0 * SpectralField(grid, table(0)[0][0])
     save_steps = _save_schedule(config.n_steps, config.n_saves)

@@ -20,10 +20,9 @@ import numpy as np
 
 from .bilinear import (
     apply_bilinear,
-    apply_lift,
-    factored_product,
     g_symbol,
     leibniz_residual,
+    lift_coeffs,
     normal_form_pair,
     pair_g_coeffs,
     weighted_product,
@@ -36,6 +35,7 @@ from .evolution import (
     integrate_batch,
     lipschitz_experiment,
     normal_form_h,
+    remainder_forcing,
     substitution_check,
 )
 from .mnorm import (
@@ -50,10 +50,8 @@ from .rates import KIND_ORDER, expected_slope, product_rate_experiment
 from .roughdata import DataSpec, gen_rough_data
 from .spacetime import fit_line, fitted_regularity, sobolev_norm
 from .spectral import (
-    BandGrid,
     Grid,
     SpectralField,
-    bracket,
     free_propagate,
     l2_norm,
     lp_annulus,
@@ -150,7 +148,7 @@ def run_smoothing(cfg) -> dict:
     rows = []
     for i in range(c["n_seeds"]):
         f, data_fit = smoothing_inputs(cfg, i)
-        h0 = normal_form_h(f, 0.0, cfg["run"]["alpha"], cfg["run"]["beta"], "u2")
+        h0 = SpectralField(f.grid, normal_form_h(f, [0.0], cfg["run"]["alpha"], cfg["run"]["beta"], "u2")[1][0])
         fit = fitted_regularity(h0, c["fit_lo"], c["fit_hi"])
         rows.append((i, fit.sigma, fit.stderr, data_fit.sigma))
     fits = [r[1] for r in rows]
@@ -568,21 +566,18 @@ def measure_bilinear_oracle_deviation(cfg) -> float:
     """Largest relative deviation from the plain double loop over the dense
     symbol matrix: of the dense contraction for the smoothing weight, and
     for each kind of the routes the flows take for its pair (T, G):
-    apply_lift for T (the lift of normal_form_h and decompose) and
-    pair_g_coeffs for G (direct_w_solve's paired forcing)."""
+    lift_coeffs for T (the lift of normal_form_h) and pair_g_coeffs for G
+    (direct_w_solve's paired forcing)."""
     alpha, beta = cfg["run"]["alpha"], cfg["run"]["beta"]
     grid = Grid(64)
 
-    def lift(kind):
-        return lambda f, g: apply_lift(kind, alpha, beta, f, g)
-
-    def paired(kind):
-        return lambda f, g: SpectralField(grid, pair_g_coeffs(kind, alpha, beta, grid, f.coeffs, g.coeffs))
+    def route(coeffs, kind):
+        return lambda f, g: SpectralField(grid, coeffs(kind, alpha, beta, grid, f.coeffs, g.coeffs))
 
     weight = g_symbol(alpha, beta)
     routes = [(weight, lambda f, g: apply_bilinear(weight, f, g))]
-    routes += [(normal_form_pair(kind, alpha, beta)[0], lift(kind)) for kind in LIFT_KINDS]
-    routes += [(normal_form_pair(kind, alpha, beta)[1], paired(kind)) for kind in LIFT_KINDS]
+    routes += [(normal_form_pair(kind, alpha, beta)[0], route(lift_coeffs, kind)) for kind in LIFT_KINDS]
+    routes += [(normal_form_pair(kind, alpha, beta)[1], route(pair_g_coeffs, kind)) for kind in LIFT_KINDS]
     worst = 0.0
     for idx, (sym, fast) in enumerate(routes):
         f = gen_rough_data(DataSpec(0.5, 16.0, seed=_seed(cfg, "infra", 100 + idx)), grid)
@@ -595,23 +590,20 @@ def measure_bilinear_oracle_deviation(cfg) -> float:
 
 def measure_forcing_deviation(cfg) -> float:
     """Relative deviation of the u2 remainder forcing G(v, v) - G_pair(F, F),
-    formed as direct_w_solve forms it (G(v, v) a factored product on the
-    full-band-in, guard-band-out BandGrid, G_pair from pair_g_coeffs), from
-    the doubled-grid oracle: weighted_product(v, v) on the guard band minus
+    as direct_w_solve's stage forms it (remainder_forcing, with F and h from
+    normal_form_h and G_pair from pair_g_coeffs), from the doubled-grid
+    oracle: weighted_product(v, v) on the guard band minus
     weighted_product(F_+, F_+)."""
     run = cfg["run"]
     alpha, beta = run["alpha"], run["beta"]
     grid = Grid(256)
     f = gen_rough_data(DataSpec(0.0, 32.0, amplitude=0.2, seed=_seed(cfg, "infra", 300)), grid)
     t = 0.37
-    h_field = normal_form_h(f, t, alpha, beta, "u2")
+    big_f, h_field = (SpectralField(grid, rows[0]) for rows in normal_form_h(f, [t], alpha, beta, "u2"))
     w_field = gen_rough_data(DataSpec(1.0, 32.0, amplitude=0.1, seed=_seed(cfg, "infra", 301)), grid)
-    big_f = free_propagate(t, f)
     v = big_f + h_field + w_field
-    band = BandGrid(grid, grid.nyquist_index - 1, grid.guard_index)
-    w_in = bracket(grid.frequencies, alpha)
-    square = factored_product(band, v.coeffs, w_in, v.coeffs, w_in, bracket(grid.frequencies, beta - alpha))
-    forcing = SpectralField(grid, square - pair_g_coeffs("u2", alpha, beta, grid, big_f.coeffs, big_f.coeffs))
+    g_pair = pair_g_coeffs("u2", alpha, beta, grid, big_f.coeffs, big_f.coeffs)
+    forcing = SpectralField(grid, remainder_forcing("u2", alpha, beta, grid, v.coeffs, g_pair))
     on_guard = np.abs(grid.frequencies) <= grid.guard_frequency
     full = weighted_product(alpha, beta - alpha, v, v)
     fplus = sign_project("+", big_f)

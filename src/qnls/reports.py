@@ -3,8 +3,8 @@
 CSV rule: identical config + seed must reproduce byte-identical files, so
 CSVs carry no timestamps, floats are printed with '%.17g', newlines are LF,
 encoding UTF-8.  The JSON report envelope does carry a timestamp (it is a
-log, not a dataset); the config echo and its sha256 make reruns
-attributable."""
+log, not a dataset); the config echo and its sha256, which leaves out
+the output directory, make reruns attributable."""
 
 from __future__ import annotations
 
@@ -62,7 +62,11 @@ def _jsonable(obj):
 
 
 def config_sha256(cfg) -> str:
-    blob = json.dumps(_jsonable(cfg), sort_keys=True, separators=(",", ":"))
+    """sha256 of the resolved config without [run] out: the output
+    directory does not change the experiment."""
+    settings = _jsonable(cfg)
+    settings["run"] = {key: value for key, value in settings["run"].items() if key != "out"}
+    blob = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, lp_annulus, lp_bump, max_band
-
-TWO_PI = 2.0 * math.pi
+from .spectral import TWO_PI, Grid, SpectralField, lp_annulus, lp_bump, max_band
 
 
 # ----------------------------------------------------------------------------

@@ -10,8 +10,8 @@ around each stage, and integrate_flow runs one flow through both.
 
 per_time_direct_w_solve is evolution.direct_w_solve with F + h and
 G_pair(F, F) computed for each new half step j, at time (j / 2) dt,
-through the per-time functions (free_propagate, normal_form_h,
-pair_g_coeffs) and kept for the last two half steps.
+through the per-time functions (free_propagate, normal_form_h of one
+time, pair_g_coeffs) and kept for the last two half steps.
 """
 
 import numpy as np
@@ -82,6 +82,11 @@ def integrate_flow(config, initial):
     return [saves[s] for s in steps]
 
 
+def lift_at(f, t, alpha, beta, kind):
+    """The lift h(t) of f's free wave alone, a batch of one time, as a field."""
+    return SpectralField(f.grid, evolution.normal_form_h(f, [t], alpha, beta, kind)[1][0])
+
+
 def per_time_direct_w_solve(config, f):
     """The coefficient arrays direct_w_solve saves, in time order, with the
     forcing computed one stage time at a time."""
@@ -97,7 +102,7 @@ def per_time_direct_w_solve(config, f):
         if terms is None:
             t = 0.5 * j * config.dt
             big_f = free_propagate(t, f)
-            lifted = (big_f + evolution.normal_form_h(f, t, alpha, beta, config.kind)).coeffs
+            lifted = (big_f + lift_at(f, t, alpha, beta, config.kind)).coeffs
             paired = SpectralField(grid, pair_g_coeffs(config.kind, alpha, beta, grid, big_f.coeffs, big_f.coeffs)).coeffs
             if len(by_step) == 2:
                 del by_step[next(iter(by_step))]
@@ -110,7 +115,7 @@ def per_time_direct_w_solve(config, f):
         a, c = ((v.conj() if conj else v).coeffs * w_in for conj in KIND_FLAGS[config.kind])
         return band.product(a, c) * w_out - paired
 
-    w0 = -1.0 * evolution.normal_form_h(f, 0.0, alpha, beta, config.kind)
+    w0 = -1.0 * lift_at(f, 0.0, alpha, beta, config.kind)
     steps = evolution._save_schedule(config.n_steps, config.n_saves)
     stage = evolution._phased(grid.frequencies, config.dt, nonlin)
     saves = evolution._integrate_core(grid, w0.coeffs, config.dt, config.n_steps, stage, set(steps))

@@ -21,7 +21,6 @@ from qnls import acceptance, evolution, experiments, mnorm, rates
 from qnls.bilinear import pair_g_coeffs
 from qnls.config import default_config
 from qnls.rates import KIND_ORDER
-from qnls.spectral import SpectralField, free_propagate
 from rate_oracle import predicted_slope
 
 
@@ -90,9 +89,11 @@ def test_criterion_2_lift_gains_regularity(cfg):
 
 def test_criterion_2_fails_on_g_for_t(cfg, monkeypatch):
     # negative control: the lift built from G, T's weight without the resonance division
-    def g_lift(f, t, alpha, beta, kind="u2"):
-        big_f = free_propagate(t, f).coeffs
-        return SpectralField(f.grid, pair_g_coeffs(kind, alpha, beta, f.grid, big_f, big_f))
+    lift = experiments.normal_form_h
+
+    def g_lift(f, times, alpha, beta, kind):
+        big_f, _h = lift(f, times, alpha, beta, kind)
+        return big_f, pair_g_coeffs(kind, alpha, beta, f.grid, big_f, big_f)
 
     monkeypatch.setattr(experiments, "normal_form_h", g_lift)
     res = acceptance.criterion_2(cfg)
@@ -125,13 +126,13 @@ def test_criterion_3_reports_where_each_minimum_falls(decompose_result):
 
 def test_criterion_3_fails_on_a_half_lift(cfg, monkeypatch):
     # negative control: the decomposition subtracts h/2, leaving h/2 in the remainder
-    free_lift = evolution._free_lift
+    lift = evolution.normal_form_h
 
     def half_lift(*args):
-        big_f, h = free_lift(*args)
+        big_f, h = lift(*args)
         return big_f, h / 2
 
-    monkeypatch.setattr(evolution, "_free_lift", half_lift)
+    monkeypatch.setattr(evolution, "normal_form_h", half_lift)
     res = acceptance.criterion_3(cfg)
     assert not res.passed
     assert res.data["min_margin"] < 0.3
@@ -287,6 +288,23 @@ def test_criterion_8_fails_on_the_next_kinds_paired_forcing(cfg, monkeypatch):
     res = acceptance.criterion_8(cfg)
     assert not res.passed
     assert res.data["forcing_dev"] > 1e-10
+
+
+def test_criterion_8_fails_on_the_next_kinds_conjugations_in_the_forcing(cfg, monkeypatch):
+    # negative control: remainder_forcing, shared by the direct remainder
+    # solve and the checked forcing, weighs G(v, v) with the next kind's
+    # conjugations
+    factors = evolution.kind_factors
+    kinds = experiments.LIFT_KINDS
+
+    def next_factors(kind, *args):
+        return factors(kinds[(kinds.index(kind) + 1) % len(kinds)], *args)
+
+    monkeypatch.setattr(evolution, "kind_factors", next_factors)
+    res = acceptance.criterion_8(cfg)
+    assert not res.passed
+    assert res.data["forcing_dev"] > 1e-10
+    assert all(dev > 1e-6 for _kind, dev in res.data["route_rows"])
 
 
 def test_criterion_8_route_equivalence(infra_result):

@@ -3,15 +3,18 @@ import pytest
 
 from qnls import experiments
 from qnls.bilinear import (
+    KIND_FLAGS,
     BilinearSymbol,
     apply_bilinear,
-    apply_lift,
     g_symbol,
+    kind_factors,
     leibniz_residual,
+    lift_coeffs,
     normal_form_pair,
     pair_g_coeffs,
     weighted_product,
 )
+from qnls.evolution import EvolutionConfig, decompose, direct_w_solve, integrate, normal_form_h
 from qnls.config import default_config
 from qnls.spectral import BandGrid, Grid, SpectralField, bracket, l2_norm
 
@@ -30,6 +33,11 @@ def plain_product(u, v):
 def pair_g(kind, alpha, beta, u, v):
     """pair_g_coeffs of two fields, as a field."""
     return SpectralField(u.grid, pair_g_coeffs(kind, alpha, beta, u.grid, u.coeffs, v.coeffs))
+
+
+def lift(kind, alpha, beta, u, v):
+    """lift_coeffs of two fields, as a field."""
+    return SpectralField(u.grid, lift_coeffs(kind, alpha, beta, u.grid, u.coeffs, v.coeffs))
 
 
 def band_limited(grid, seed, width):
@@ -188,7 +196,7 @@ def guard_limited(grid, seed):
 
 
 class TestFactoredLift:
-    """apply_lift against the dense contraction of the lift symbol."""
+    """lift_coeffs against the dense contraction of the lift symbol."""
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     @pytest.mark.parametrize("alpha, beta", [(0.6, 0.2), (0.5, 0.0), (0.3, 0.45)])
@@ -198,14 +206,14 @@ class TestFactoredLift:
         u = guard_limited(g, 1000 + n)
         v = guard_limited(g, 2000 + n)
         dense = apply_bilinear(normal_form_pair(kind, alpha, beta)[0], u, v)
-        fast = apply_lift(kind, alpha, beta, u, v)
+        fast = lift(kind, alpha, beta, u, v)
         assert l2_norm(fast - dense) <= 1e-13 * l2_norm(dense)
 
     def test_ubar2_is_the_dense_contraction(self):
         g = Grid(64)
         u, v = guard_limited(g, 5), guard_limited(g, 6)
         dense = apply_bilinear(normal_form_pair("ubar2", 0.6, 0.2)[0], u, v)
-        np.testing.assert_array_equal(apply_lift("ubar2", 0.6, 0.2, u, v).coeffs, dense.coeffs)
+        np.testing.assert_array_equal(lift("ubar2", 0.6, 0.2, u, v).coeffs, dense.coeffs)
 
     # single modes (xi, eta) as grid indices, eta before conjugation; each
     # sits on a cutoff of the kind or beside one
@@ -235,7 +243,7 @@ class TestFactoredLift:
         u, v = single_mode(g, p, amp=0.5 + 1j), single_mode(g, q, amp=2.0 - 0.25j)
         t_sym, g_sym = normal_form_pair(kind, 0.6, 0.2)
         for fast, dense in (
-            (apply_lift(kind, 0.6, 0.2, u, v), apply_bilinear(t_sym, u, v)),
+            (lift(kind, 0.6, 0.2, u, v), apply_bilinear(t_sym, u, v)),
             (pair_g(kind, 0.6, 0.2, u, v), apply_bilinear(g_sym, u, v)),
         ):
             atol = 1e-14 * max(np.max(np.abs(dense.coeffs)), 1.0)
@@ -244,15 +252,17 @@ class TestFactoredLift:
             assert np.sum(np.abs(fast.coeffs) > atol) <= 1
 
     def test_rejects_wide_input(self):
+        # the guard check sits at the one lift entry point
         g = Grid(64)
-        for kind in ("u2", "uubar"):
-            with pytest.raises(ValueError):
-                apply_lift(kind, 0.6, 0.2, single_mode(g, 17), single_mode(g, 1))
+        for kind in ("u2", "uubar", "ubar2"):
+            with pytest.raises(ValueError, match="guard"):
+                normal_form_h(single_mode(g, 17) + single_mode(g, 1), [0.0, 0.1], 0.6, 0.2, kind)
 
     def test_unknown_kind(self):
         g = Grid(64)
-        with pytest.raises(ValueError):
-            apply_lift("cubic", 0.6, 0.2, single_mode(g, 1), single_mode(g, 2))
+        for symbol in (lift_coeffs, pair_g_coeffs):
+            with pytest.raises(ValueError, match="cubic"):
+                symbol("cubic", 0.6, 0.2, g, single_mode(g, 1).coeffs, single_mode(g, 2).coeffs)
 
 
 class TestPairBuilder:
@@ -280,10 +290,41 @@ class TestPairBuilder:
         experiments.run_identity(cfg)
         experiments.measure_bilinear_oracle_deviation(cfg)
         g = Grid(64)
-        apply_lift("ubar2", cfg["run"]["alpha"], cfg["run"]["beta"], guard_limited(g, 5), guard_limited(g, 6))
+        lift("ubar2", cfg["run"]["alpha"], cfg["run"]["beta"], guard_limited(g, 5), guard_limited(g, 6))
         # T and G of each kind, and the weight
         assert len(builds) == len(set(builds)) == 7
         assert {n for _name, n in builds} == {64}
+
+
+class TestKindFactors:
+    def test_built_once_per_kind_parameters_and_grid(self):
+        # the lifts, paired weights and remainder forcing of two kinds on two
+        # grids, run twice: one build per (kind, alpha, beta, grid)
+        kind_factors.cache_clear()
+        for _ in range(2):
+            for n in (64, 128):
+                for kind in ("u2", "uubar"):
+                    f = 0.1 * guard_limited(Grid(n), n)
+                    cfg = EvolutionConfig(n, 0.6, 0.2, 1e-3, 4e-3, kind=kind, variables="v", n_saves=2)
+                    decompose(integrate(cfg, f), f)
+                    direct_w_solve(cfg, f)
+        info = kind_factors.cache_info()
+        assert info.misses == info.currsize == 4
+        assert info.hits > 0
+
+    def test_read_only_and_shared_slot_multipliers(self):
+        g = Grid(64)
+        factors = {kind: kind_factors(kind, 0.6, 0.2, g) for kind in ("u2", "uubar", "ubar2")}
+        assert factors["ubar2"].lift is None
+        # one multiplier in both slots keeps factored_product's square path
+        same = [factors["u2"].lift, factors["u2"].pair, factors["ubar2"].pair]
+        same += [kf.weight for kf in factors.values()]
+        assert all(m2 is m1 for m1, m2, _m_out in same)
+        for kind, kf in factors.items():
+            assert kf.conj == KIND_FLAGS[kind]
+            for sym in filter(None, (kf.lift, kf.pair, kf.weight)):
+                assert not any(m.flags.writeable for m in sym)
+        assert kind_factors("u2", 0.6, 0.2, Grid(64)) is factors["u2"]
 
 
 def full_band(grid, seed, k=None):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from evolution_oracle import integrate_flow, per_time_direct_w_solve, rk4_loop
+from evolution_oracle import integrate_flow, lift_at, per_time_direct_w_solve, rk4_loop
 
 from qnls import evolution
 from qnls.bilinear import apply_bilinear, normal_form_pair, pair_g_coeffs, weighted_product
@@ -435,12 +435,12 @@ class TestNormalFormH:
         f = smooth_data(256, seed=5, amp=0.2, width=32.0)
         t_sym = normal_form_pair("u2", ALPHA, BETA)[0]
         direct = apply_bilinear(t_sym, f, f)
-        h0 = normal_form_h(f, 0.0, ALPHA, BETA, "u2")
+        h0 = lift_at(f, 0.0, ALPHA, BETA, "u2")
         assert l2_norm(h0 - direct) <= 1e-13 * max(l2_norm(direct), 1e-300)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            normal_form_h(smooth_data(64), 0.0, ALPHA, BETA, "bogus")
+            normal_form_h(smooth_data(64), [0.0], ALPHA, BETA, "bogus")
 
 
 class TestRoutes:
@@ -482,7 +482,7 @@ class TestRoutes:
         assert blocks == [traj.times]
         for t, fr, hh in zip(traj.times, dec.free, dec.h, strict=True):
             assert np.array_equal(fr.coeffs, free_propagate(t, data).coeffs)
-            assert np.array_equal(hh.coeffs, normal_form_h(data, t, ALPHA, BETA, "uubar").coeffs)
+            assert np.array_equal(hh.coeffs, lift_at(data, t, ALPHA, BETA, "uubar").coeffs)
 
     def test_decompose_rejects_data_beyond_guard_band(self):
         data = smooth_data(64, amp=0.1)
@@ -496,7 +496,7 @@ class TestRoutes:
         data = smooth_data(256, seed=6, amp=0.2)
         cfg = EvolutionConfig(256, ALPHA, BETA, 5e-4, 0.01, variables="v", n_saves=2)
         dec = decompose(integrate(cfg, data), data)
-        h0 = normal_form_h(data, 0.0, ALPHA, BETA, "u2")
+        h0 = lift_at(data, 0.0, ALPHA, BETA, "u2")
         assert l2_norm(dec.w[0] + h0) <= 1e-12 * l2_norm(h0)
 
 
@@ -530,13 +530,13 @@ def counting_blocks(monkeypatch):
     """The times of every free-wave lift (one per forcing table of
     direct_w_solve), one list per lift."""
     blocks = []
-    original = evolution._free_lift
+    original = evolution.normal_form_h
 
     def counting(f, times, *args):
         blocks.append(list(times))
         return original(f, times, *args)
 
-    monkeypatch.setattr(evolution, "_free_lift", counting)
+    monkeypatch.setattr(evolution, "normal_form_h", counting)
     return blocks
 
 
@@ -587,10 +587,10 @@ class TestDirectSolve:
         f = route_data(256, seed=402)
         times = [0.5 * j * 1e-3 for j in range(5)]
         for kind in ("u2", "uubar", "ubar2"):
-            big_f, h = evolution._free_lift(f, times, ALPHA, BETA, kind)
+            big_f, h = normal_form_h(f, times, ALPHA, BETA, kind)
             for t, f_row, h_row in zip(times, big_f, h, strict=True):
                 assert np.array_equal(SpectralField(f.grid, f_row).coeffs, free_propagate(t, f).coeffs)
-                assert np.array_equal(SpectralField(f.grid, h_row).coeffs, normal_form_h(f, t, ALPHA, BETA, kind).coeffs)
+                assert np.array_equal(SpectralField(f.grid, h_row).coeffs, lift_at(f, t, ALPHA, BETA, kind).coeffs)
 
     @pytest.mark.parametrize("kind", ["u2", "uubar", "ubar2"])
     def test_paired_rows_match_per_time_fields(self, kind, monkeypatch):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -291,12 +292,21 @@ class TestReports:
         assert doc["config_sha256"] == config_sha256(cfg)
         assert "created" in doc
 
-    def test_config_sha_tracks_content(self):
+    def test_config_sha_tracks_content(self, tmp_path):
         a = default_config()
         b = default_config()
         assert config_sha256(a) == config_sha256(b)
         b["run"]["seed"] = 9999
         assert config_sha256(a) != config_sha256(b)
+        # the output directory is no experiment setting: one config written to
+        # two directories reads one digest, and a changed seed another
+        docs = {}
+        for name, extra in (("a", []), ("b", []), ("seed", ["--seed", "9999"])):
+            assert main(["identity", "--out", str(tmp_path / name)] + extra) == 0
+            docs[name] = json.loads((tmp_path / name / "identity.json").read_text())
+        assert docs["a"]["config"]["run"]["out"] == str(tmp_path / "a")
+        assert docs["b"]["config"]["run"]["out"] == str(tmp_path / "b")
+        assert docs["a"]["config_sha256"] == docs["b"]["config_sha256"] != docs["seed"]["config_sha256"]
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +647,12 @@ class TestOneBackend:
         script = (
             "import sys, numpy as np\n"
             "import qnls.cli\n"
-            "from qnls.bilinear import apply_lift\n"
+            "from qnls.bilinear import lift_coeffs\n"
             "from qnls.roughdata import DataSpec, gen_rough_data\n"
-            "from qnls.spectral import Grid\n"
-            "u, v = (gen_rough_data(DataSpec(0.0, 16.0, seed=s), Grid(64)) for s in (3, 4))\n"
-            f"np.save({str(out)!r}, apply_lift('ubar2', 0.6, 0.2, u, v).coeffs)\n"
+            "from qnls.spectral import Grid, SpectralField\n"
+            "g = Grid(64)\n"
+            "u, v = (gen_rough_data(DataSpec(0.0, 16.0, seed=s), g) for s in (3, 4))\n"
+            f"np.save({str(out)!r}, SpectralField(g, lift_coeffs('ubar2', 0.6, 0.2, g, u.coeffs, v.coeffs)).coeffs)\n"
             "print('numba' in sys.modules)\n"
         )
         env = child_env()
@@ -669,23 +680,31 @@ UNUSED_PUBLIC = {
 }
 
 
+def package_trees():
+    """The parsed source of each module of the package, by file name."""
+    src = Path(qnls.__file__).resolve().parent
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+
+
+def names_used(node):
+    """Every name that node reads, loads as an attribute or imports, once per use."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
 class TestPublicNames:
     def test_every_public_name_is_used_in_the_package(self):
-        src = Path(qnls.__file__).resolve().parent
-        trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+        trees = package_trees()
         # the package binds nothing but its version: callers import submodules
         init = trees["__init__.py"].body
         assert [type(node) for node in init] == [ast.Expr, ast.Assign]
         assert [target.id for target in init[1].targets] == ["__version__"]
-        used = set()
-        for tree in trees.values():
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    used.update(alias.name for alias in node.names)
+        used = {name for tree in trees.values() for name in names_used(tree)}
         unused = {
             node.name
             for tree in trees.values()
@@ -695,6 +714,26 @@ class TestPublicNames:
             and node.name not in used
         }
         assert unused == UNUSED_PUBLIC
+
+    def test_every_private_helper_is_used_in_the_package(self):
+        # a module-level _helper that nothing names outside its own definition
+        # is dead code left behind by a change; a module that defines a
+        # helper of the same name uses its own
+        trees = package_trees()
+        helpers = {
+            module: {node.name: node for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+            for module, tree in trees.items()
+        }
+        uses = {module: Counter(names_used(tree)) for module, tree in trees.items()}
+        orphans = {
+            f"{module}:{name}"
+            for module, defs in helpers.items()
+            for name, node in defs.items()
+            if uses[module][name] == Counter(names_used(node))[name]
+            and not any(uses[other][name] for other in trees if name not in helpers[other])
+        }
+        assert orphans == set()
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +769,26 @@ class TestBenchmarkHarness:
         rows = re.findall(r"^\| (criterion [^|]*?) \| (\d+/\d+) \| ([^|]*?) \|$", readme, re.MULTILINE)
         assert len(rows) == len(expected)
         assert {check: (passes, where) for check, passes, where in rows} == expected
+        # each gated scalar's min..max over the seeds, at the printed precision
+        values = {}
+        for seeds in workloads.values():
+            for criteria in seeds.values():
+                for number, record in criteria.items():
+                    for scalar, value in record["scalars"].items():
+                        values.setdefault((f"criterion {number}", scalar), []).append(value)
+        row = r"^\| (criterion \d) \| (\S+) \| (-?[\d.]+)\.\.(-?[\d.]+) \| [^|]* \|$"
+        ranges = re.findall(row, readme, re.MULTILINE)
+        assert {(check, scalar) for check, scalar, _lo, _hi in ranges} == {
+            ("criterion 2", "min_fit"), ("criterion 3", "min_margin"), ("criterion 3", "min_u_fit"),
+            ("criterion 5", "C.ppm1"), ("criterion 5", "C.ppm2"), ("criterion 5", "C.ppm4"),
+            ("criterion 5", "ppm4_size_slope"), ("criterion 6", "spread"), ("criterion 8", "order_23"),
+        }
+        for check, scalar, lo, hi in ranges:
+            seen = values[(check, scalar)]
+            assert len(seen) == 16, (check, scalar)
+            for printed, value in ((lo, min(seen)), (hi, max(seen))):
+                places = len(printed.partition(".")[2])
+                assert printed == f"{value:.{places}f}", (check, scalar)
 
     def test_every_traced_name_resolves(self):
         # a renamed package function would silently drop out of the trace
