@@ -52,7 +52,6 @@ inputs and of the kept output.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,9 +66,9 @@ class BilinearSymbol:
 
     Args:
         name: short identifier used in reports.
-        fill: callable (XI, ETA, tol) -> complex matrix of weights; cells
-            outside the symbol's admissible set must be exactly zero.  tol
-            is half the grid frequency spacing, for sharp-cutoff tests.
+        fill: callable (XI, ETA) -> complex matrix of weights; cells
+            outside the symbol's admissible set must be exactly zero (sharp
+            cutoffs compare against HALF_SPACING).
         conj_first / conj_second: whether the slot enters conjugated.
     """
 
@@ -86,8 +85,7 @@ class BilinearSymbol:
         mat = self._cache.get(key)
         if mat is None:
             xi = grid.frequencies
-            tol = math.pi / grid.length  # half of the frequency spacing
-            mat = np.asarray(self.fill(xi[:, None], xi[None, :], tol), dtype=np.complex128)
+            mat = np.asarray(self.fill(xi[:, None], xi[None, :]), dtype=np.complex128)
             ny = grid.nyquist_index
             mat[ny, :] = 0.0
             mat[:, ny] = 0.0
@@ -127,17 +125,23 @@ def _weight(alpha, beta, XI, ETA):
 def g_symbol(alpha: float, beta: float) -> BilinearSymbol:
     """The quadratic nonlinearity's weight, both slots plain, no cutoffs."""
 
-    def fill(XI, ETA, tol):
+    def fill(XI, ETA):
         return _weight(alpha, beta, XI, ETA).astype(np.complex128)
 
     return BilinearSymbol(f"g(a={alpha:g},b={beta:g})", fill)
 
 
+# half the grid frequency spacing on the 2*pi torus: the sharp cutoffs of the
+# symbols compare the grid frequencies, which are integers only up to
+# rounding, against it
+HALF_SPACING = 0.5
+
 # (first slot conjugated, second slot conjugated) of each interaction kind
 KIND_FLAGS = {"u2": (False, False), "uubar": (False, True), "ubar2": (True, True)}
 
 
-def _admissible_mask(kind, XI, ETA, tol):
+def _admissible_mask(kind, XI, ETA):
+    tol = HALF_SPACING
     if kind == "u2":
         return (XI > tol) & (ETA > tol)
     if kind == "uubar":
@@ -168,13 +172,13 @@ def normal_form_pair(kind: str, alpha: float, beta: float) -> tuple:
     if kind not in KIND_FLAGS:
         raise ValueError(f"unknown interaction kind {kind!r}")
 
-    def t_fill(XI, ETA, tol):
-        mask = _admissible_mask(kind, XI, ETA, tol)
+    def t_fill(XI, ETA):
+        mask = _admissible_mask(kind, XI, ETA)
         safe = np.where(mask, _mismatch(kind, XI, ETA), 1.0)
         return np.where(mask, _weight(alpha, beta, XI, ETA) / (1j * safe), 0.0)
 
-    def g_fill(XI, ETA, tol):
-        mask = _admissible_mask(kind, XI, ETA, tol)
+    def g_fill(XI, ETA):
+        mask = _admissible_mask(kind, XI, ETA)
         return np.where(mask, _weight(alpha, beta, XI, ETA), 0.0).astype(np.complex128)
 
     tag = f"{kind}(a={alpha:g},b={beta:g})"
@@ -254,7 +258,7 @@ def kind_factors(kind: str, alpha: float, beta: float, grid: Grid) -> KindFactor
     if kind not in KIND_FLAGS:
         raise ValueError(f"unknown interaction kind {kind!r}")
     xi = grid.frequencies
-    tol = math.pi / grid.length  # half of the frequency spacing
+    tol = HALF_SPACING
     nonzero = np.abs(xi) > tol
     safe_xi = np.where(nonzero, xi, 1.0)
     w_in = bracket(xi, alpha)

@@ -216,8 +216,10 @@ def check_ranges(cfg, path=None) -> None:
         bad.append(f"[rates] k_lo must be >= 1, got {rates['k_lo']}")
     if rates["k_hi"] < rates["k_lo"] + 1:  # the slope fit needs two scales
         bad.append(f"[rates] k_hi must be >= k_lo + 1 = {rates['k_lo'] + 1}, got {rates['k_hi']}")
-    if rates["n_t"] < 2 or rates["n_t"] % 2:
-        bad.append(f"[rates] n_t must be positive and even, got {rates['n_t']}")
+    # a box holds the rows tau - xi^2 in {-2, -1, 1, 2}; below 6 rows of the
+    # 2*pi period two of them fall on one row or on the dropped Nyquist row
+    if rates["n_t"] < 6 or rates["n_t"] % 2:
+        bad.append(f"[rates] n_t must be even and >= 6, got {rates['n_t']}")
     kinds = rates["kinds"]
     if kinds != ["all"]:
         unknown = [k for k in kinds if k not in KIND_ORDER]

@@ -64,6 +64,7 @@ import numpy as np
 from .bilinear import KIND_FLAGS, factored_product, kind_factors, lift_coeffs, pair_g_coeffs
 from .spacetime import sobolev_norm
 from .spectral import (
+    TWO_PI,
     BandGrid,
     Grid,
     SpectralField,
@@ -121,7 +122,6 @@ class EvolutionConfig:
     t_final: float
     kind: str = "u2"
     variables: str = "u"
-    length: float = 2.0 * math.pi
     n_saves: int = 11
 
     def __post_init__(self):
@@ -133,7 +133,7 @@ class EvolutionConfig:
             raise ValueError("dt and t_final must be positive")
         if self.n_saves < 2:
             raise ValueError("n_saves must be at least 2")
-        grid = Grid(self.n_points, self.length)
+        grid = Grid(self.n_points)
         phase = self.dt * grid.guard_frequency**2
         if phase > 10.0 + 1e-12:
             raise ValueError(
@@ -146,7 +146,7 @@ class EvolutionConfig:
 
     @property
     def grid(self) -> Grid:
-        return Grid(self.n_points, self.length)
+        return Grid(self.n_points)
 
     @property
     def exponents(self):
@@ -228,11 +228,11 @@ def _phased(frequencies: np.ndarray, dt: float, nonlin):
     return stage
 
 
-def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, save_steps):
+def _integrate_core(frequencies: np.ndarray, u0: np.ndarray, dt: float, n_steps: int, stage, save_steps):
     """Integrating-factor RK4 (Lawson 1967) on raw coefficient arrays: u0 is
-    one flow's 1-D array or a (B, m) array of B flows, one per row, laid out
-    on layout (a Grid, or the flows' stage BandGrid: its frequencies and
-    length).
+    one flow's 1-D array or a (B, m) array of B flows, one per row, whose
+    slots hold the frequencies (a Grid's, or the flows' stage BandGrid's);
+    a row's L2 norm is sqrt(2 pi) times its l2 norm.
 
     stage(x, j, k) -> coeffs is e_k^-1 N(e_k x, j dt/2) for the integrating
     factor e_k = exp(i xi^2 k dt/2) over k = 0, 1 or 2 half steps; it must
@@ -241,8 +241,8 @@ def _integrate_core(layout, u0: np.ndarray, dt: float, n_steps: int, stage, save
     j = 2s, 2s + 1, 2s + 1, 2s + 2, the time being j dt/2.  The blow-up
     guard takes every row's L2 norm after each step and raises for the
     first row that trips."""
-    e_full = _phases(layout.frequencies, dt)[1]
-    scale = math.sqrt(layout.length)
+    e_full = _phases(frequencies, dt)[1]
+    scale = math.sqrt(TWO_PI)
     u = u0.copy()
     refs = np.maximum(scale * _row_norms(u), 1e-300)
     saves = {}
@@ -325,7 +325,7 @@ def integrate_batch(configs, initials) -> list:
     sg, stage = _stage(configs)
     u0 = sg.embed(np.stack([f.coeffs for f in initials]))
     save_steps = _save_schedule(first.n_steps, first.n_saves)
-    saves = _integrate_core(sg, u0, first.dt, first.n_steps, stage, set(save_steps))
+    saves = _integrate_core(sg.frequencies, u0, first.dt, first.n_steps, stage, set(save_steps))
     saves = {s: sg.extract(saves[s]) for s in save_steps}
     times = [s * first.dt for s in save_steps]
     out = []
@@ -453,7 +453,7 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     w0 = -1.0 * SpectralField(grid, table(0)[0][0])
     save_steps = _save_schedule(config.n_steps, config.n_saves)
     stage = _phased(grid.frequencies, dt, nonlin)
-    saves = _integrate_core(grid, w0.coeffs, dt, config.n_steps, stage, set(save_steps))
+    saves = _integrate_core(grid.frequencies, w0.coeffs, dt, config.n_steps, stage, set(save_steps))
     times = [s * dt for s in save_steps]
     states = [SpectralField(grid, saves[s]) for s in save_steps]
     return Trajectory(config, times, states, [l2_norm(st) for st in states], timing)

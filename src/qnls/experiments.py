@@ -50,6 +50,7 @@ from .rates import KIND_ORDER, expected_slope, product_rate_experiment
 from .roughdata import DataSpec, gen_rough_data
 from .spacetime import fit_line, fitted_regularity, sobolev_norm
 from .spectral import (
+    TWO_PI,
     Grid,
     SpectralField,
     free_propagate,
@@ -106,7 +107,7 @@ def identity_inputs(cfg, kind_idx=0, pair=0):
     # band reaches 2 band_limit; each term of the identity weighs it by
     # about <xi>^2 there, and the residual's norms square and sum the terms
     term = float(np.abs(f.coeffs).sum()) * float(np.abs(g.coeffs).sum()) * (1.0 + (2.0 * c["band_limit"]) ** 2)
-    if not math.isfinite(term * term * grid.n * grid.length):
+    if not math.isfinite(term * term * grid.n * TWO_PI):
         raise ValueError(f"the products of data with amplitude {c['amplitude']:g} and sigma {c['sigma']:g} overflow")
     return f, g
 
@@ -551,8 +552,8 @@ def measure_integrator_order(cfg) -> dict:
     }
 
 
-def measure_partition_deviation(n_points: int = 1024) -> float:
-    grid = Grid(n_points)
+def measure_partition_deviation() -> float:
+    grid = Grid(1024)
     xi = grid.frequencies
     top = max_band(grid)
     total = lp_bump(xi).copy()

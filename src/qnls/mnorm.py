@@ -187,10 +187,14 @@ def _unit(rng, shape) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def alternating_max(model: MnormModel, iters: int = 8, seed: int = 0, sweeps: int = 10) -> tuple:
+# sweeps of the three slot solves per restart of alternating_max
+SWEEPS = 10
+
+
+def alternating_max(model: MnormModel, iters: int = 8, seed: int = 0) -> tuple:
     """Best trilinear value over unit slot vectors found by alternating
-    exact single-slot maximization (slot 3, then 1, then 2), maximized over
-    seeded restarts.
+    exact single-slot maximization (slot 3, then 1, then 2, SWEEPS times),
+    maximized over seeded restarts.
 
     Returns the best value, the first restart that reached it (-1 when no
     restart ran a sweep) and that restart's value after each sweep."""
@@ -205,7 +209,7 @@ def alternating_max(model: MnormModel, iters: int = 8, seed: int = 0, sweeps: in
         rng = np.random.default_rng([int(seed), restart])
         u = [_unit(rng, tri.sizes[0]), _unit(rng, tri.sizes[1]), None]
         values = []
-        for _ in range(sweeps):
+        for _ in range(SWEEPS):
             for slot, partial in solves:
                 p = partial(*(u[i] for i in range(3) if i != slot), tri)
                 nrm = float(np.linalg.norm(p))

@@ -27,15 +27,16 @@ The eight kinds:
 
 The boxes and the output multiplier are defined on n_x = 2^(k+3) points,
 where every box and every product is representable; the time grid is fixed
-(default 256 points over one period).
+(default 256 points over one 2*pi period, which puts tau on the integer
+lattice).
 
 A cell works on space-time coefficients and runs no time-axis transform.
 Each occupied xi column of a factor's box holds its draws on a few rows
-tau0 + r, 0 <= r < R (R = 5 at t_total = 2*pi: tau - xi^2 in {-2, -1, 1,
-2}), so its windowed time samples are a rank-R synthesis, (cis[:, :R] @ C)
-times the column's phase and window, and its X^{0,b} norm is a quadratic
-form C^H Q C whose R x R blocks come from the circularly shifted
-coefficients of the window.
+tau0 + r, 0 <= r < R (R = 5: tau - xi^2 in {-2, -1, 1, 2}), so its
+windowed time samples are a rank-R synthesis, (cis[:, :R] @ C) times the
+column's phase and window, and its X^{0,b} norm is a quadratic form
+C^H Q C whose R x R blocks come from the circularly shifted coefficients
+of the window.
 
 Along x a cell moves each factor onto a small transform grid in one or two
 parts.  A dyadic box |xi| ~ 2^k has two sign halves, each 2^k wide and
@@ -254,13 +255,13 @@ def _thin_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _time_tables(n_t: int, t_total: float) -> tuple:
+def _time_tables(n_t: int) -> tuple:
     """(cis, cisw, what) of one time grid: cis[t, tau] = exp(2 pi i tau t / n_t),
     cisw = (window / n_t) * cis, and what the window's discrete Fourier
     coefficients fft(window) / n_t.  Read-only; worker threads share them."""
     t = np.arange(n_t)
     cis = np.exp((2j * math.pi / n_t) * (np.outer(t, t) % n_t))
-    window = window_weights(n_t, t_total)
+    window = window_weights(n_t)
     cisw = cis * (window / n_t)[:, None]
     what = np.fft.fft(window) / n_t
     for a in (cis, cisw, what):
@@ -290,7 +291,7 @@ class _Box(NamedTuple):
     (R, columns) coefficient block C of each draw, in the row-major order
     of the box mask that synth_cells fills, and q the (columns, R, R)
     quadratic form with ||W u||^2_{X^{0,b}} = sum_j C_j^H q_j C_j (up to
-    the factor t_total * 2 pi)."""
+    the factor (2 pi)^2)."""
 
     freqs: np.ndarray
     tau0: np.ndarray
@@ -310,7 +311,7 @@ class _Side(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _box_table(k: int, pattern: str, side: str, weight_b: float, n_t: int, t_total: float) -> _Box:
+def _box_table(k: int, pattern: str, side: str, weight_b: float, n_t: int) -> _Box:
     """The _Box of the box with |xi| in _band(pattern, k) on the given xi
     side and modulation in [1, 2] on the 2^(k+3)-point grid, with its
     X^{0,b} form at b = weight_b.
@@ -318,9 +319,10 @@ def _box_table(k: int, pattern: str, side: str, weight_b: float, n_t: int, t_tot
     The parabola distance is computed on the band's columns only.  Kinds
     share boxes, so the cache holds every box of a default sweep (six per
     scale) and each is built once; every array is read-only because worker
-    threads share it; an empty box raises."""
+    threads share it; an empty box raises (no box at an even n_t is
+    empty, so this is a guard)."""
     grid = Grid(2 ** (k + 3))
-    cols, sub, dist = box_columns(grid, n_t, t_total, *_band(pattern, k), 1.0, 2.0, 1, side)
+    cols, sub, dist = box_columns(grid, n_t, *_band(pattern, k), 1.0, 2.0, 1, side)
     sub[n_t // 2, :] = False
     sub[:, cols == grid.n // 2] = False
     occupied = sub.any(axis=0)
@@ -341,7 +343,7 @@ def _box_table(k: int, pattern: str, side: str, weight_b: float, n_t: int, t_tot
     place = ((rows - tau0[col]) % n_t) * cols.size + col
     # q_j = sum_sigma wsh[j, sigma] conj(what[sigma - r]) what[sigma - s]: the
     # windowed coefficient of row tau0_j + sigma is sum_r what[sigma - r] C_rj
-    _cis, _cisw, what = _time_tables(n_t, t_total)
+    _cis, _cisw, what = _time_tables(n_t)
     weight = (1.0 + dist) ** (2.0 * weight_b)
     weight[n_t // 2, :] = 0.0
     sigma = np.arange(n_t)
@@ -485,7 +487,7 @@ def _parts(freqs: np.ndarray, halves: tuple, n: int) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float) -> _CellTables:
+def _cell_tables(kind: str, k: int, delta: float, n_t: int) -> _CellTables:
     """Everything of a rate cell that does not depend on the seed.
 
     The two factors' boxes come from _box_table, shared with every kind
@@ -499,8 +501,8 @@ def _cell_tables(kind: str, k: int, delta: float, n_t: int, t_total: float) -> _
     conj2, v_pattern, out_pattern, vb_tag, u_side, v_side = KINDS[kind]
     grid = Grid(2 ** (k + 3))
     bv = 0.5 + delta if vb_tag == "plus" else 0.5 - delta
-    u_box = _box_table(k, "band", u_side, 0.5 + delta, n_t, t_total)
-    v_box = _box_table(k, v_pattern, v_side, bv, n_t, t_total)
+    u_box = _box_table(k, "band", u_side, 0.5 + delta, n_t)
+    v_box = _box_table(k, v_pattern, v_side, bv, n_t)
     mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
     mult[grid.n // 2] = 0.0
     u_freqs, v_freqs = u_box.freqs, v_box.freqs
@@ -544,7 +546,7 @@ def _part_buffers(tables: _CellTables) -> tuple:
     return _scatter.buffers
 
 
-def _draws(side: _Side, seed, t_total: float) -> tuple:
+def _draws(side: _Side, seed) -> tuple:
     """(C, norm): the (R, columns) coefficient block of one factor's random
     field and the X^{0,b} norm of the windowed field, the quadratic form
     sum_j C_j^H q_j C_j.  The ratio is scale-invariant in each factor, so
@@ -555,10 +557,10 @@ def _draws(side: _Side, seed, t_total: float) -> tuple:
     flat = c.reshape(-1).view(np.float64).reshape(-1, 2)
     flat[place, 0] = rng.standard_normal(place.size)
     flat[place, 1] = rng.standard_normal(place.size)
-    return c, math.sqrt(t_total * TWO_PI * float(np.einsum("rj,jrs,sj->", c.conj(), q, c).real))
+    return c, math.sqrt(TWO_PI * TWO_PI * float(np.einsum("rj,jrs,sj->", c.conj(), q, c).real))
 
 
-def _windowed_side(side: _Side, c: np.ndarray, rows: slice, n_t: int, t_total: float, buffers: tuple) -> list:
+def _windowed_side(side: _Side, c: np.ndarray, rows: slice, n_t: int, buffers: tuple) -> list:
     """Space-time samples of each part on the time rows rows (up to one
     constant factor) of the windowed field with coefficient block c.
 
@@ -568,7 +570,7 @@ def _windowed_side(side: _Side, c: np.ndarray, rows: slice, n_t: int, t_total: f
     copy leaves empty are re-zeroed; each buffer then takes one inverse
     x-transform in place and its leading rows are returned as that part's
     samples.  No time-axis transform runs."""
-    cis, cisw, _what = _time_tables(n_t, t_total)
+    cis, cisw, _what = _time_tables(n_t)
     samples = _thin_matmul(cis[rows, : c.shape[0]], c)
     # a product written into a column slice of the buffer runs row by row
     # and costs about twice one over the contiguous samples plus a copy
@@ -626,7 +628,7 @@ def _group_square(group: _Group, sums: list, n_t: int, n: int) -> float:
     return total
 
 
-def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: float) -> float:
+def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int) -> float:
     """Ratio for a single (kind, scale, seed) cell.
 
     Draws the same cells as synth_cells on the box of each factor and
@@ -637,11 +639,11 @@ def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: floa
     the groups' row sums carry from block to block and are squared once at
     the end.  The groups keep disjoint output frequencies, so their squared
     projected norms add up."""
-    tables = _cell_tables(kind, k, delta, n_t, t_total)
+    tables = _cell_tables(kind, k, delta, n_t)
     u_bufs, v_bufs = _part_buffers(tables)
     kind_id = KIND_ORDER.index(kind)
-    cu, nu = _draws(tables.u, [seed_key, kind_id, k, 0], t_total)
-    cv, nv = _draws(tables.v, [seed_key, kind_id, k, 1], t_total)
+    cu, nu = _draws(tables.u, [seed_key, kind_id, k, 0])
+    cv, nv = _draws(tables.v, [seed_key, kind_id, k, 1])
     if nu == 0.0 or nv == 0.0:
         return float("nan")
     alt = np.ones(tables.rows)
@@ -649,8 +651,8 @@ def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: floa
     totals = [[[0.0, 0.0] for _run in range(1 if g.parseval else len(g.out_runs))] for g in tables.groups]
     for start in range(0, n_t, tables.rows):
         rows = slice(start, min(start + tables.rows, n_t))
-        us = _windowed_side(tables.u, cu, rows, n_t, t_total, u_bufs)
-        vs = _windowed_side(tables.v, cv, rows, n_t, t_total, v_bufs)
+        us = _windowed_side(tables.u, cu, rows, n_t, u_bufs)
+        vs = _windowed_side(tables.v, cv, rows, n_t, v_bufs)
         if KINDS[kind][0]:
             for v in vs:
                 np.conjugate(v, out=v)
@@ -659,7 +661,7 @@ def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int, t_total: floa
                 run[0] += sq
                 run[1] += flip
     sq = sum(_group_square(group, total, n_t, tables.n) for group, total in zip(tables.groups, totals))
-    l2 = math.sqrt(t_total * TWO_PI * sq)
+    l2 = math.sqrt(TWO_PI * TWO_PI * sq)
     # the parts above are ifft2 of the coefficients on the (n_t, n) grid:
     # each lacks a factor n_t * n, and the coefficients of the product are
     # fft2 / (n_t * n)
@@ -672,7 +674,6 @@ def product_rate_experiment(
     delta: float = 0.05,
     n_seeds: int = 16,
     n_t: int = 256,
-    t_total: float = TWO_PI,
     seed: int = 0,
     threads: int = 1,
 ) -> RateReport:
@@ -690,7 +691,7 @@ def product_rate_experiment(
     ks = list(range(k_lo, k_hi + 1))
 
     def work(k, i):
-        return _one_cell(kind, k, delta, seed * 1000003 + i, n_t, t_total)
+        return _one_cell(kind, k, delta, seed * 1000003 + i, n_t)
 
     # k-major: each scale's tables are built once, here, before its cells run
     ratios, grid_n, transforms, block_rows = {}, {}, {}, {}
@@ -699,7 +700,7 @@ def product_rate_experiment(
         run = pool.map if pool is not None else map
         for k in ks:
             start = time.perf_counter()
-            tables = _cell_tables(kind, k, delta, n_t, t_total)
+            tables = _cell_tables(kind, k, delta, n_t)
             tables_s += time.perf_counter() - start
             grid_n[k], transforms[k], block_rows[k] = tables.n, tables.transforms, tables.rows
             ratios[k] = [float(v) for v in run(work, [k] * n_seeds, range(n_seeds))]

@@ -1,16 +1,17 @@
 """Sobolev measurement, dyadic regularity fits, and discrete space-time norms.
 
-Space-time fields live on an (n_t x n_x) grid that is periodic in both
-directions, with expansions
+Space-time fields live on an (n_t x n_x) grid on the 2*pi torus in x with
+a 2*pi time period, with expansions
 
     u(t, x) = sum_{tau, xi} C(tau, xi) exp(i(tau t + xi x)),
 
-tau_p = 2*pi*p / t_total and xi the spatial grid frequencies.  The default
-t_total = 2*pi puts tau on the integer lattice, so integer-frequency free
-waves exp(i(xi x + xi^2 t)) are exactly periodic and sit on single cells.
+tau_p = p and xi the spatial grid frequencies (both computed as 2*pi *
+fftfreq(n, 2*pi / n), so up to rounding).  The 2*pi time period puts tau on
+the integer lattice, so integer-frequency free waves exp(i(xi x + xi^2 t))
+are exactly periodic and sit on single cells.
 
 The parabola weight uses the wrapped representative of tau - sign*xi^2
-closest to zero (the frequency axis is periodic with period n_t * dtau);
+closest to zero (the frequency axis is periodic with period n_t);
 both Nyquist lines are zeroed, matching the spatial convention.
 """
 
@@ -29,9 +30,9 @@ from .spectral import TWO_PI, Grid, SpectralField, lp_annulus, lp_bump, max_band
 # ----------------------------------------------------------------------------
 
 def sobolev_norm(s: float, field: SpectralField) -> float:
-    """H^s norm: length * sum <xi>^(2s) |uhat|^2 under the square root."""
+    """H^s norm: 2*pi * sum <xi>^(2s) |uhat|^2 under the square root."""
     w = (1.0 + field.grid.frequencies**2) ** s
-    return math.sqrt(field.grid.length * float(np.sum(w * np.abs(field.coeffs) ** 2)))
+    return math.sqrt(TWO_PI * float(np.sum(w * np.abs(field.coeffs) ** 2)))
 
 
 def dyadic_profile(field: SpectralField):
@@ -41,10 +42,10 @@ def dyadic_profile(field: SpectralField):
     power = np.abs(field.coeffs) ** 2
     ks = np.arange(0, max_band(grid) + 1)
     norms = np.empty(len(ks))
-    norms[0] = math.sqrt(grid.length * float(np.sum(lp_bump(xi) ** 2 * power)))
+    norms[0] = math.sqrt(TWO_PI * float(np.sum(lp_bump(xi) ** 2 * power)))
     for k in ks[1:]:
         sym = lp_annulus(xi / float(2**k))
-        norms[k] = math.sqrt(grid.length * float(np.sum(sym**2 * power)))
+        norms[k] = math.sqrt(TWO_PI * float(np.sum(sym**2 * power)))
     return ks, norms
 
 
@@ -102,37 +103,29 @@ def fitted_regularity(field: SpectralField, k_lo: int | None = None, k_hi: int |
 # ----------------------------------------------------------------------------
 
 class SpaceTimeField:
-    """Dense space-time samples on a doubly periodic grid.
+    """Dense space-time samples over one 2*pi time period.
 
     Attributes:
         grid: the spatial Grid.
-        t_total: time period.
         values: (n_t, n_x) complex collocation samples.
         windowed: whether a time cutoff has been applied (required before
             any norm with b > 0 is meaningful).
     """
 
-    __slots__ = ("grid", "t_total", "values", "windowed")
+    __slots__ = ("grid", "values", "windowed")
 
-    def __init__(self, grid: Grid, t_total: float, values, windowed: bool = False):
+    def __init__(self, grid: Grid, values, windowed: bool = False):
         v = np.array(values, dtype=np.complex128)
         if v.ndim != 2 or v.shape[1] != grid.n:
             raise ValueError(f"values shape {v.shape} does not match grid n={grid.n}")
-        if not (t_total > 0):
-            raise ValueError("t_total must be positive")
         v.setflags(write=False)
         self.grid = grid
-        self.t_total = float(t_total)
         self.values = v
         self.windowed = bool(windowed)
 
     @property
     def n_t(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_t) * (self.t_total / self.n_t)
 
     def spectral(self) -> np.ndarray:
         """(n_t, n_x) space-time coefficients, Nyquist lines zeroed."""
@@ -142,48 +135,48 @@ class SpaceTimeField:
         return c
 
     def tau(self) -> np.ndarray:
-        return TWO_PI * np.fft.fftfreq(self.n_t, d=self.t_total / self.n_t)
+        return TWO_PI * np.fft.fftfreq(self.n_t, d=TWO_PI / self.n_t)
 
     def conj(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self.t_total, np.conj(self.values), self.windowed)
+        return SpaceTimeField(self.grid, np.conj(self.values), self.windowed)
 
 
-def from_spacetime_coeffs(grid: Grid, t_total: float, coeffs, windowed: bool = False) -> SpaceTimeField:
+def from_spacetime_coeffs(grid: Grid, coeffs) -> SpaceTimeField:
     c = np.array(coeffs, dtype=np.complex128)
     n_t = c.shape[0]
     c[n_t // 2, :] = 0.0
     c[:, grid.n // 2] = 0.0
     values = (n_t * grid.n) * np.fft.ifft2(c)
-    return SpaceTimeField(grid, t_total, values, windowed)
+    return SpaceTimeField(grid, values)
 
 
-def window_weights(n_t: int, t_total: float) -> np.ndarray:
+def window_weights(n_t: int) -> np.ndarray:
     """Time cutoff: identically 1 on the central half period, smooth decay
     to exactly 0 at the period boundaries."""
-    t = np.arange(n_t) * (t_total / n_t)
-    return lp_bump((t - 0.5 * t_total) / (0.25 * t_total))
+    t = np.arange(n_t) * (TWO_PI / n_t)
+    return lp_bump((t - 0.5 * TWO_PI) / (0.25 * TWO_PI))
 
 
 def apply_window(stf: SpaceTimeField) -> SpaceTimeField:
-    w = window_weights(stf.n_t, stf.t_total)
-    return SpaceTimeField(stf.grid, stf.t_total, stf.values * w[:, None], windowed=True)
+    w = window_weights(stf.n_t)
+    return SpaceTimeField(stf.grid, stf.values * w[:, None], windowed=True)
 
 
-def parabola_distance(n_t: int, t_total: float, xi, parabola_sign: int = 1) -> np.ndarray:
+def parabola_distance(n_t: int, xi, parabola_sign: int = 1) -> np.ndarray:
     """(n_t, len(xi)) wrapped |tau - sign*xi^2|: the representative closest
-    to zero modulo the period n_t * dtau of the tau axis.
+    to zero modulo the period n_t of the tau axis.
 
     Elementwise in xi, so a subset of the frequencies gives bit-for-bit the
     same values as the matching columns of the full table."""
-    tau = TWO_PI * np.fft.fftfreq(n_t, d=t_total / n_t)[:, None]
-    period = n_t * (TWO_PI / t_total)
+    tau = TWO_PI * np.fft.fftfreq(n_t, d=TWO_PI / n_t)[:, None]
+    period = float(n_t)
     m = tau - float(parabola_sign) * np.asarray(xi, dtype=np.float64)[None, :] ** 2
     return np.abs(m - period * np.round(m / period))
 
 
 def st_l2_norm(stf: SpaceTimeField) -> float:
     c = stf.spectral()
-    return math.sqrt(stf.t_total * stf.grid.length * float(np.sum(np.abs(c) ** 2)))
+    return math.sqrt(TWO_PI * TWO_PI * float(np.sum(np.abs(c) ** 2)))
 
 
 def xsb_norm(s: float, b: float, stf: SpaceTimeField, parabola_sign: int = 1) -> float:
@@ -198,16 +191,16 @@ def xsb_norm(s: float, b: float, stf: SpaceTimeField, parabola_sign: int = 1) ->
     if b > 0 and not stf.windowed:
         raise ValueError("b > 0 requires a windowed field (apply_window first)")
     c = stf.spectral()
-    dist = parabola_distance(stf.n_t, stf.t_total, stf.grid.frequencies, parabola_sign)
+    dist = parabola_distance(stf.n_t, stf.grid.frequencies, parabola_sign)
     w = (1.0 + stf.grid.frequencies[None, :] ** 2) ** s * (1.0 + dist) ** (2.0 * b)
-    return math.sqrt(stf.t_total * stf.grid.length * float(np.sum(w * np.abs(c) ** 2)))
+    return math.sqrt(TWO_PI * TWO_PI * float(np.sum(w * np.abs(c) ** 2)))
 
 
 # ----------------------------------------------------------------------------
 # synthetic box-localized fields
 # ----------------------------------------------------------------------------
 
-def synth_cells(grid: Grid, n_t: int, t_total: float, mask, seed) -> SpaceTimeField:
+def synth_cells(grid: Grid, n_t: int, mask, seed) -> SpaceTimeField:
     """Unit-L2 field with independent complex Gaussians on the masked cells.
 
     mask is boolean (n_t, n_x) over (tau index, xi index); Nyquist lines are
@@ -222,14 +215,13 @@ def synth_cells(grid: Grid, n_t: int, t_total: float, mask, seed) -> SpaceTimeFi
     draws = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / math.sqrt(2.0)
     c = np.zeros((n_t, grid.n), dtype=np.complex128)
     c[mask] = draws
-    c /= math.sqrt(t_total * grid.length * float(np.sum(np.abs(c) ** 2)))
-    return from_spacetime_coeffs(grid, t_total, c)
+    c /= math.sqrt(TWO_PI * TWO_PI * float(np.sum(np.abs(c) ** 2)))
+    return from_spacetime_coeffs(grid, c)
 
 
 def box_columns(
     grid: Grid,
     n_t: int,
-    t_total: float,
     freq_lo: float,
     freq_hi: float,
     mod_lo: float,
@@ -252,14 +244,13 @@ def box_columns(
     else:
         raise ValueError(f"xi_side must be 'both', '+' or '-', got {xi_side!r}")
     cols = np.flatnonzero(fsel)
-    dist = parabola_distance(n_t, t_total, xi[cols], parabola_sign)
+    dist = parabola_distance(n_t, xi[cols], parabola_sign)
     return cols, (dist >= mod_lo) & (dist <= mod_hi), dist
 
 
 def box_mask(
     grid: Grid,
     n_t: int,
-    t_total: float,
     freq_lo: float,
     freq_hi: float,
     mod_lo: float,
@@ -270,7 +261,7 @@ def box_mask(
     """Cells with |xi| in [freq_lo, freq_hi] (optionally one-sided) and
     wrapped |tau - sign*xi^2| in [mod_lo, mod_hi]: the box of box_columns
     on the whole (n_t, n_x) grid."""
-    cols, sub, _dist = box_columns(grid, n_t, t_total, freq_lo, freq_hi, mod_lo, mod_hi, parabola_sign, xi_side)
+    cols, sub, _dist = box_columns(grid, n_t, freq_lo, freq_hi, mod_lo, mod_hi, parabola_sign, xi_side)
     mask = np.zeros((n_t, grid.n), dtype=bool)
     mask[:, cols] = sub
     return mask
@@ -287,7 +278,7 @@ def st_spatial_multiplier(stf: SpaceTimeField, mult) -> SpaceTimeField:
     coeffs = np.fft.fft(stf.values, axis=1) / stf.grid.n
     coeffs *= mult[None, :]
     values = stf.grid.n * np.fft.ifft(coeffs, axis=1)
-    return SpaceTimeField(stf.grid, stf.t_total, values, stf.windowed)
+    return SpaceTimeField(stf.grid, values, stf.windowed)
 
 
 def st_product(u: SpaceTimeField, v: SpaceTimeField, conj_second: bool = False) -> SpaceTimeField:
@@ -295,7 +286,7 @@ def st_product(u: SpaceTimeField, v: SpaceTimeField, conj_second: bool = False) 
 
     Exact for factors band-limited to the guard index; the windowed flag of
     the result is inherited (a product of cut-off factors is cut off)."""
-    if u.grid != v.grid or u.n_t != v.n_t or u.t_total != v.t_total:
+    if u.grid != v.grid or u.n_t != v.n_t:
         raise ValueError("space-time grids do not match")
     vv = np.conj(v.values) if conj_second else v.values
-    return SpaceTimeField(u.grid, u.t_total, u.values * vv, u.windowed and v.windowed)
+    return SpaceTimeField(u.grid, u.values * vv, u.windowed and v.windowed)

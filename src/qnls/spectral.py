@@ -2,18 +2,23 @@
 
 Conventions (used consistently everywhere in the package):
 
+* the domain is the 2*pi torus: the paper's line is replaced by the circle
+  of period 2*pi, and no other period is supported;
 * fields are expansions u(x) = sum_xi uhat(xi) exp(i xi x) over the grid
-  frequencies xi_j = 2*pi*j / length, stored in numpy FFT index order;
+  frequencies xi_j = j, computed as 2*pi * fftfreq(n, 2*pi / n), which
+  rounds some of them off the integers, and stored in numpy FFT index
+  order;
 * collocation samples are n times the inverse FFT of the coefficients and
   coefficients the forward FFT of the samples divided by n, so a unit
   single-mode coefficient gives exp(i xi x) with peak amplitude 1;
 * the Nyquist coefficient (index n/2) is always zero: constructors drop it
   and every operator preserves that;
-* ||u||_L2^2 = length * sum |uhat|^2.
+* ||u||_L2^2 = 2*pi * sum |uhat|^2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,44 +27,38 @@ TWO_PI = 2.0 * math.pi
 
 
 class Grid:
-    """Uniform periodic spatial grid.
+    """Uniform spatial grid on the 2*pi torus.
 
     Args:
         n_points: number of collocation points; a power of two, at least 16.
-        length: period of the domain (default 2*pi, which makes the grid
-            frequencies consecutive integers).
     """
 
-    def __init__(self, n_points: int, length: float = TWO_PI):
+    def __init__(self, n_points: int):
         n = int(n_points)
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 16, got {n_points}")
-        if not (length > 0):
-            raise ValueError(f"length must be positive, got {length}")
         self.n = n
-        self.length = float(length)
-        self.x = np.arange(n) * (self.length / n)
-        # xi_j = 2*pi*j/length in FFT index order (j = 0..n/2-1, -n/2..-1)
-        self.frequencies = TWO_PI * np.fft.fftfreq(n, d=self.length / n)
+        # xi_j = j in FFT index order (j = 0..n/2-1, -n/2..-1), up to rounding
+        self.frequencies = TWO_PI * np.fft.fftfreq(n, d=TWO_PI / n)
         self.nyquist_index = n // 2
         # largest index magnitude admitted as input to a bilinear operation
         self.guard_index = n // 4
-        self.guard_frequency = TWO_PI * self.guard_index / self.length
-        self.x.setflags(write=False)
+        self.guard_frequency = float(self.guard_index)
         self.frequencies.setflags(write=False)
 
+    @property
+    def length(self) -> float:
+        """The period of the domain, 2*pi."""
+        return TWO_PI
+
     def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.n == other.n
-            and self.length == other.length
-        )
+        return isinstance(other, Grid) and self.n == other.n
 
     def __hash__(self):
-        return hash((self.n, self.length))
+        return hash(self.n)
 
     def __repr__(self):
-        return f"Grid(n_points={self.n}, length={self.length!r})"
+        return f"Grid(n_points={self.n})"
 
 
 class SpectralField:
@@ -110,18 +109,13 @@ class SpectralField:
         return f"SpectralField(n={self.grid.n}, l2={l2_norm(self):.6g})"
 
 
-_REV_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _reversal(n: int):
-    """Index permutation sending coefficient at xi to the slot of -xi."""
-    try:
-        return _REV_CACHE[n]
-    except KeyError:
-        rev = (-np.arange(n)) % n
-        rev.setflags(write=False)
-        _REV_CACHE[n] = rev
-        return rev
+    """Index permutation sending coefficient at xi to the slot of -xi
+    (read-only)."""
+    rev = (-np.arange(n)) % n
+    rev.setflags(write=False)
+    return rev
 
 
 def conj_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -160,9 +154,9 @@ class BandGrid:
     that bound.  Signed index j of either band sits in slot j mod m.
 
     frequencies holds the grid frequency of each input-band slot (0 in the
-    other slots) and mask the output band, so a Grid and a BandGrid both
-    give the RK4 loop the frequencies and the length it needs.  One
-    instance is built per (grid, k_in, k_out); its arrays are read-only.
+    other slots), from which the RK4 loop builds its integrating factor on
+    the m slots, and mask the output band.  One instance is built per
+    (grid, k_in, k_out); its arrays are read-only.
     """
 
     _built: dict = {}
@@ -181,7 +175,6 @@ class BandGrid:
         if not (0 <= k_in < n // 2 and 0 <= k_out <= min(2 * k_in, n // 2 - 1)):
             raise ValueError(f"bands k_in={k_in}, k_out={k_out} do not fit a product on n={n}")
         self.grid = grid
-        self.length = grid.length
         self.m = m = fft_size(2 * k_in + k_out, 2 * n)
         # (slots, grid indices) of the runs 0..k and -k..-1 of each band
         self._in, self._out = (((slice(0, k + 1),) * 2, (slice(m - k, m), slice(n - k, n))) for k in (k_in, k_out))
@@ -220,8 +213,8 @@ def _moved(coeffs: np.ndarray, runs, size: int) -> np.ndarray:
 
 
 def l2_norm(field: SpectralField) -> float:
-    """Spatial L2 norm, length * sum|uhat|^2 under the square root."""
-    return math.sqrt(field.grid.length * float(np.sum(np.abs(field.coeffs) ** 2)))
+    """Spatial L2 norm, 2*pi * sum|uhat|^2 under the square root."""
+    return math.sqrt(TWO_PI * float(np.sum(np.abs(field.coeffs) ** 2)))
 
 
 def bracket(x, s: float) -> np.ndarray:
@@ -268,8 +261,7 @@ def max_band(grid: Grid) -> int:
     The band-k symbol is supported in |xi| < 2^(k+1); it fits when
     2^(k+1) <= largest grid frequency magnitude.
     """
-    top = TWO_PI * grid.nyquist_index / grid.length
-    return int(math.floor(math.log2(top))) - 1
+    return int(math.floor(math.log2(grid.nyquist_index))) - 1
 
 
 def sign_project(sign: str, field: SpectralField) -> SpectralField:

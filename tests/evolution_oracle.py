@@ -118,5 +118,5 @@ def per_time_direct_w_solve(config, f):
     w0 = -1.0 * lift_at(f, 0.0, alpha, beta, config.kind)
     steps = evolution._save_schedule(config.n_steps, config.n_saves)
     stage = evolution._phased(grid.frequencies, config.dt, nonlin)
-    saves = evolution._integrate_core(grid, w0.coeffs, config.dt, config.n_steps, stage, set(steps))
+    saves = evolution._integrate_core(grid.frequencies, w0.coeffs, config.dt, config.n_steps, stage, set(steps))
     return [saves[s] for s in steps]

@@ -205,10 +205,10 @@ def test_criterion_5_sweep_is_nondegenerate(mnorm_result):
 def test_criterion_5_fails_on_a_slot_3_only_maximizer(cfg, monkeypatch):
     # negative control: each sweep solves slot 3 only, so slots 1 and 2 keep
     # their random start
-    def slot_3_only(model, iters=8, seed=0, sweeps=10):
+    def slot_3_only(model, iters=8, seed=0):
         if model.empty:
             return 0.0, -1, ()
-        runs = restart_runs(model.triples, iters, seed, sweeps, slots=(2,))
+        runs = restart_runs(model.triples, iters, seed, mnorm.SWEEPS, slots=(2,))
         finals = [r[-1] for r in runs]
         first = finals.index(max(finals))
         return finals[first], first, tuple(runs[first])

@@ -133,7 +133,7 @@ class TestIntegrate:
             return np.full_like(coeffs, np.nan)
 
         with pytest.raises(BlowUpError, match="not finite") as info:
-            _integrate_core(g, data.coeffs, 1e-3, 10, nan_stage, {0, 10})
+            _integrate_core(g.frequencies, data.coeffs, 1e-3, 10, nan_stage, {0, 10})
         assert info.value.t == pytest.approx(1e-3)
         assert math.isnan(info.value.norm)
 
@@ -232,7 +232,7 @@ class TestIntegrateBatch:
             return out
 
         with pytest.raises(BlowUpError, match="in row 2.*not finite") as info:
-            _integrate_core(g, rows, 1e-3, 10, stage, set())
+            _integrate_core(g.frequencies, rows, 1e-3, 10, stage, set())
         assert info.value.row == 2
         assert info.value.t == pytest.approx(1e-3)
         assert math.isnan(info.value.norm)
@@ -637,7 +637,7 @@ class TestDirectSolve:
             calls.append((j, k))
             return np.zeros_like(coeffs)
 
-        _integrate_core(Grid(16), np.zeros(16, complex), 0.1, 7, stage, set())
+        _integrate_core(Grid(16).frequencies, np.zeros(16, complex), 0.1, 7, stage, set())
         assert calls == [(2 * s + j, k) for s in range(7) for j, k in ((0, 0), (1, 1), (1, 1), (2, 2))]
 
 

@@ -120,6 +120,7 @@ class TestConfig:
             "[rates]\nn_seeds = 0\n",
             "[rates]\nn_t = 0\n",
             "[rates]\nn_t = 63\n",
+            "[rates]\nn_t = 4\n",
             "[rates]\nkinds = gain1, nope\n",
             "[rates]\nkinds = all, gain1\n",
             "[rates]\nkinds = gain1, gain1\n",
@@ -697,7 +698,81 @@ def names_used(node):
             yield from (alias.name for alias in sub.names)
 
 
+# defaulted parameters that no package call sets, as module.function(name):
+# the options of the dense space-time oracle and weighted_product's
+# conjugations, which only the tests set; cli.main's argv, which the tests
+# pass; load_config's path, which the benchmark worker passes.  This set may
+# only shrink.
+TEST_ONLY_PARAMETERS = {
+    "spacetime.xsb_norm(parabola_sign)", "spacetime.box_mask(parabola_sign)", "spacetime.box_mask(xi_side)",
+    "spacetime.st_product(conj_second)", "bilinear.weighted_product(conj_first)",
+    "bilinear.weighted_product(conj_second)", "cli.main(argv)", "config.load_config(path)",
+}
+
+
+def unset_defaulted_parameters(trees):
+    """module.function(name) of each defaulted parameter of a package
+    function that no call in the package sets, by keyword or by position.
+
+    A call matches every function of its bare name, and a class name calls
+    the class's __init__ and __new__.  The fields of a dataclass or a
+    NamedTuple are the parameters of its class name, and dataclasses.replace
+    sets them by keyword.  A method's positions count self, so a call's
+    first argument sets the parameter after it.  A call with *args sets
+    every positional parameter, one with **kwargs every parameter."""
+    signatures = []  # (owner, {name a call uses: positional parameters}, defaulted parameters)
+    for module, tree in trees.items():
+        scopes = [(tree, None)]
+        while scopes:
+            scope, cls = scopes.pop()
+            prefix = f"{module[:-3]}.{cls}." if cls else f"{module[:-3]}."
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((node, node.name))
+                    record = any(getattr(b, "id", None) == "NamedTuple" for b in node.bases) or any(
+                        "dataclass" in ast.unparse(d) for d in node.decorator_list)
+                    fields = [f for f in node.body if record and isinstance(f, ast.AnnAssign)]
+                    positional = [f.target.id for f in fields]
+                    defaulted = [f.target.id for f in fields if f.value is not None]
+                    signatures.append((prefix + node.name, {node.name: positional, "replace": []}, defaulted))
+                    continue
+                scopes.append((node, None))
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                if cls is not None and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list):
+                    positional = positional[1:]
+                names = {node.name: positional}
+                if cls is not None and node.name in ("__init__", "__new__"):
+                    names[cls] = positional
+                signatures.append((prefix + node.name, names, defaulted))
+    calls = []  # (name called, positional count, *args given, keywords)
+    for tree in trees.values():
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            calls.append((name, len(call.args), starred, {kw.arg for kw in call.keywords}))
+    return {
+        f"{owner}({param})"
+        for owner, names, defaulted in signatures
+        for param in defaulted
+        if not any(
+            name in names and (param in keywords or None in keywords or (param in names[name] and (
+                starred or names[name].index(param) < count)))
+            for name, count, starred, keywords in calls
+        )
+    }
+
+
 class TestPublicNames:
+    def test_every_defaulted_parameter_is_set_in_the_package(self):
+        # a default that no package caller overrides is a knob with one value
+        # in use; it goes, or it is listed as one that only the tests set
+        assert unset_defaulted_parameters(package_trees()) == TEST_ONLY_PARAMETERS
+
     def test_every_public_name_is_used_in_the_package(self):
         trees = package_trees()
         # the package binds nothing but its version: callers import submodules

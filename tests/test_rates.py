@@ -34,20 +34,20 @@ from qnls.spacetime import (
     window_weights,
     xsb_norm,
 )
-from qnls.spectral import Grid, lp_annulus
+from qnls.spectral import TWO_PI, Grid, lp_annulus
 
 
-def oracle_cell(kind, k, delta, seed_key, n_t, t_total):
+def oracle_cell(kind, k, delta, seed_key, n_t):
     """The rate cell as a composition of SpaceTimeField operations on dense
     (n_t, 2^(k+3)) fields: the slow, independent reference for _one_cell."""
     conj2, v_pattern, out_pattern, vb_tag, u_side, v_side = KINDS[kind]
     grid = Grid(2 ** (k + 3))
     kind_id = KIND_ORDER.index(kind)
 
-    u_mask = box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side)
-    v_mask = box_mask(grid, n_t, t_total, *_band(v_pattern, k), 1.0, 2.0, 1, v_side)
-    u = synth_cells(grid, n_t, t_total, u_mask, [seed_key, kind_id, k, 0])
-    v = synth_cells(grid, n_t, t_total, v_mask, [seed_key, kind_id, k, 1])
+    u_mask = box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side)
+    v_mask = box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, 1, v_side)
+    u = synth_cells(grid, n_t, u_mask, [seed_key, kind_id, k, 0])
+    v = synth_cells(grid, n_t, v_mask, [seed_key, kind_id, k, 1])
 
     wu = apply_window(u)
     wv = apply_window(v)
@@ -68,14 +68,14 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
-def _boxes(kind, k, delta, n_t, t_total):
+def _boxes(kind, k, delta, n_t):
     """(mask, b) of the u and v factors of a kind on the 2^(k+3)-point grid,
     Nyquist row and column cleared."""
     _conj2, v_pattern, _out, vb_tag, u_side, v_side = KINDS[kind]
     grid = Grid(2 ** (k + 3))
     masks = (
-        box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side),
-        box_mask(grid, n_t, t_total, *_band(v_pattern, k), 1.0, 2.0, 1, v_side),
+        box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side),
+        box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, 1, v_side),
     )
     for mask in masks:
         mask[n_t // 2, :] = False
@@ -84,7 +84,7 @@ def _boxes(kind, k, delta, n_t, t_total):
     return grid, ((masks[0], 0.5 + delta), (masks[1], bv))
 
 
-def fft_side(mask, b, seed, grid, n_t, t_total, n, parts):
+def fft_side(mask, b, seed, grid, n_t, n, parts):
     """One factor's windowed samples, scattered onto one n-point buffer per
     part and inverse-transformed along x there, and its X^{0,b} norm, by an
     inverse and a forward time-axis FFT on the occupied columns: the rate
@@ -93,16 +93,16 @@ def fft_side(mask, b, seed, grid, n_t, t_total, n, parts):
     s puts frequency xi of its columns in column (xi - s) mod n."""
     cols = np.flatnonzero(mask.any(axis=0))
     sub = mask[:, cols]
-    weight = (1.0 + parabola_distance(n_t, t_total, grid.frequencies[cols])) ** (2.0 * b)
+    weight = (1.0 + parabola_distance(n_t, grid.frequencies[cols])) ** (2.0 * b)
     count = int(np.count_nonzero(sub))
     rng = np.random.default_rng(seed)
     c = np.zeros(sub.shape, dtype=np.complex128)
     c[sub] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     samples = np.fft.ifft(c, axis=0)
-    samples *= window_weights(n_t, t_total)[:, None]
+    samples *= window_weights(n_t)[:, None]
     cw = np.fft.fft(samples, axis=0)
     cw[n_t // 2, :] = 0.0
-    norm = math.sqrt(t_total * 2 * np.pi * float(np.sum(weight * (cw.real**2 + cw.imag**2))))
+    norm = math.sqrt(TWO_PI * TWO_PI * float(np.sum(weight * (cw.real**2 + cw.imag**2))))
     freqs = np.where(cols < grid.n // 2, cols, cols - grid.n)
     buffers = []
     for part in parts:
@@ -155,8 +155,8 @@ def test_output_multiplier_patterns():
 
 def test_one_cell_ratio_positive_and_deterministic():
     for kind in ("gain1", "kkk1", "plusminus"):
-        r1 = _one_cell(kind, 3, 0.05, 7, 64, 2 * np.pi)
-        r2 = _one_cell(kind, 3, 0.05, 7, 64, 2 * np.pi)
+        r1 = _one_cell(kind, 3, 0.05, 7, 64)
+        r2 = _one_cell(kind, 3, 0.05, 7, 64)
         assert r1 == r2
         assert np.isfinite(r1) and r1 > 0
 
@@ -166,33 +166,30 @@ def test_one_cell_matches_dense_oracle(kind):
     for k in (3, 4, 5):
         for n_t in (64, 256):
             for seed_key in (3, 1000004):
-                fast = _one_cell(kind, k, 0.05, seed_key, n_t, 2 * np.pi)
-                slow = oracle_cell(kind, k, 0.05, seed_key, n_t, 2 * np.pi)
+                fast = _one_cell(kind, k, 0.05, seed_key, n_t)
+                slow = oracle_cell(kind, k, 0.05, seed_key, n_t)
                 assert np.isfinite(slow) and slow > 0
                 assert _rel(fast, slow) <= 1e-13, (k, n_t, seed_key, fast, slow)
 
 
-# k = 8 is the largest default scale; t_total != 2*pi puts tau off the integer
-# lattice, so the boxes and weights differ from the default ones.  At k = 7
-# and 8 gain2, kkk1 and kkkk1 split both factors into sign halves and sum two
-# pair products in one group, gain1 and kkk2 split u into two groups (gain1's
-# by Parseval along x); plusminus (one-sided, 540 of 2048 points at k = 8) and
-# gain3 (800 of 1024 at k = 7) transform whole factors
+# k = 8 is the largest default scale.  At k = 7 and 8 gain2, kkk1 and kkkk1
+# split both factors into sign halves and sum two pair products in one group,
+# gain1 and kkk2 split u into two groups (gain1's by Parseval along x);
+# plusminus (one-sided, 540 of 2048 points at k = 8) and gain3 (800 of 1024 at
+# k = 7) transform whole factors
 LARGE_CASES = [
-    *((kind, k, 256, 2 * np.pi) for kind in ("gain1", "gain2", "kkk1", "kkk2", "kkkk1") for k in (7, 8)),
-    ("kkk1", 7, 256, 3.0),
-    ("gain2", 4, 64, 3.0),
-    ("plusminus", 8, 256, 2 * np.pi),
-    ("gain3", 7, 256, 2 * np.pi),
+    *((kind, k) for kind in ("gain1", "gain2", "kkk1", "kkk2", "kkkk1") for k in (7, 8)),
+    ("plusminus", 8),
+    ("gain3", 7),
 ]
 
 
 def test_one_cell_matches_dense_oracle_large_and_off_lattice():
-    for kind, k, n_t, t_total in LARGE_CASES:
-        fast = _one_cell(kind, k, 0.05, 11, n_t, t_total)
-        slow = oracle_cell(kind, k, 0.05, 11, n_t, t_total)
+    for kind, k in LARGE_CASES:
+        fast = _one_cell(kind, k, 0.05, 11, 256)
+        slow = oracle_cell(kind, k, 0.05, 11, 256)
         assert np.isfinite(slow) and slow > 0
-        assert _rel(fast, slow) <= 1e-13, (kind, k, t_total, fast, slow)
+        assert _rel(fast, slow) <= 1e-13, (kind, k, fast, slow)
 
 
 def _occupied_freqs(mask, n_t):
@@ -220,11 +217,11 @@ def test_cell_grid_alias_free(kind):
         full_mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
         full_mult[grid.n // 2] = 0.0
         for n_t in (64, 256):
-            tables = _cell_tables(kind, k, 0.05, n_t, 2 * np.pi)
+            tables = _cell_tables(kind, k, 0.05, n_t)
             m = tables.n
             assert m % 2 == 0 and m <= grid.n
-            u = _occupied_freqs(box_mask(grid, n_t, 2 * np.pi, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
-            v = _occupied_freqs(box_mask(grid, n_t, 2 * np.pi, *_band(v_pattern, k), 1.0, 2.0, 1, v_side), n_t)
+            u = _occupied_freqs(box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
+            v = _occupied_freqs(box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, 1, v_side), n_t)
             computed = np.zeros((u.size, v.size), dtype=bool)
             outputs = []
             for group in tables.groups:
@@ -281,7 +278,7 @@ CELL_TRANSFORMS = {"gain1": 3, "gain2": 5, "gain3": 2, "kkk1": 5, "kkk2": 5, "kk
 
 @pytest.mark.parametrize("kind", KIND_ORDER)
 def test_cell_grid_sizes(kind):
-    tables = [_cell_tables(kind, k, 0.05, 256, 2 * np.pi) for k in range(3, 9)]
+    tables = [_cell_tables(kind, k, 0.05, 256) for k in range(3, 9)]
     assert [t.n for t in tables] == CELL_GRID_N[kind]
     assert {t.transforms for t in tables} == {CELL_TRANSFORMS[kind]}
 
@@ -301,7 +298,7 @@ def test_plan_search_skips_one_sided_splits(kind, monkeypatch):
     for k in range(3, 9):
         searched.clear()
         _cell_tables.cache_clear()
-        tables = _cell_tables(kind, k, 0.05, 256, 2 * np.pi)
+        tables = _cell_tables(kind, k, 0.05, 256)
         u_freqs, v_freqs, sign, mult = searched[0][:4]
         one_sided = [freqs.min() >= 0 or freqs.max() < 0 for freqs in (u_freqs, v_freqs)]
         choices = [(su, sv) for sv in (False, True) for su in (False, True)]
@@ -313,20 +310,26 @@ def test_plan_search_skips_one_sided_splits(kind, monkeypatch):
     _cell_tables.cache_clear()
 
 
-def test_empty_box_rejected():
-    # period n_t * dtau = 1: every wrapped modulation is <= 1/2, so no cell
-    # has modulation in [1, 2]
-    with pytest.raises(ValueError):
-        oracle_cell("gain1", 3, 0.05, 0, 4, 8 * np.pi)
-    with pytest.raises(ValueError):
-        _one_cell("gain1", 3, 0.05, 0, 4, 8 * np.pi)
+def test_empty_box_rejected(monkeypatch):
+    # no box of the 2*pi period is empty, down to n_t = 2, which the config
+    # rejects; the guard still raises for a band that holds no grid column
+    for n_t in (2, 4):
+        for k in range(1, 9):
+            for pattern in ("band", "muchless", "broad"):
+                for side in ("both", "+", "-"):
+                    assert rates._box_table(k, pattern, side, 0.55, n_t).tau0.size > 0
+    rates._box_table.cache_clear()
+    _cell_tables.cache_clear()
+    monkeypatch.setattr(rates, "_band", lambda pattern, k: (2.0 ** (k + 4), 2.0 ** (k + 5)))
+    with pytest.raises(ValueError, match="empty"):
+        _one_cell("gain1", 3, 0.05, 0, 64)
 
 
 @pytest.mark.parametrize("kind", KIND_ORDER)
 def test_table_masks_equal_box_mask(kind):
-    for k, n_t, t_total in ((3, 64, 2 * np.pi), (6, 256, 2 * np.pi), (4, 64, 3.0), (4, 64, 8.0)):
-        tables = _cell_tables(kind, k, 0.05, n_t, t_total)
-        grid, boxes = _boxes(kind, k, 0.05, n_t, t_total)
+    for k, n_t in ((3, 64), (6, 256)):
+        tables = _cell_tables(kind, k, 0.05, n_t)
+        grid, boxes = _boxes(kind, k, 0.05, n_t)
         freqs = np.where(np.arange(grid.n) < grid.n // 2, np.arange(grid.n), np.arange(grid.n) - grid.n)
         for (parts, tau0, place, q), (mask, _b) in zip((tables.u, tables.v), boxes):
             span, ncols = q.shape[1], tau0.size
@@ -362,16 +365,14 @@ def test_table_masks_equal_box_mask(kind):
             # cyclic window that holds each column's rows
             assert np.all(sub[tau0, np.arange(ncols)] == 1)
             assert span == max(_span(np.flatnonzero(sub[:, j]), n_t) for j in range(ncols))
-            if t_total == 2 * np.pi:
-                assert span == 5  # tau - xi^2 in {-2, -1, 1, 2}
+            assert span == 5  # tau - xi^2 in {-2, -1, 1, 2}
             assert not (tau0.flags.writeable or place.flags.writeable or q.flags.writeable)
         assert not any(group.mult.flags.writeable for group in tables.groups)
-    assert not any(a.flags.writeable for a in _time_tables(64, 3.0))
+    assert not any(a.flags.writeable for a in _time_tables(64))
 
 
-@pytest.mark.parametrize("t_total", [2 * np.pi, 3.0, 8.0], ids=["2pi", "3", "8"])
-@pytest.mark.parametrize("n_t", [64, 256])
-def test_quadratic_form_matches_fft_side(n_t, t_total):
+@pytest.mark.parametrize("n_t", [64, 256], ids=["64-2pi", "256-2pi"])
+def test_quadratic_form_matches_fft_side(n_t):
     # the samples of each block of 24 time rows, transformed in place in the
     # leading rows of the scatter buffers, and the X^{0,b} norm of each
     # factor, against the time-axis FFT pair, for seeded draws; the buffers
@@ -380,17 +381,17 @@ def test_quadratic_form_matches_fft_side(n_t, t_total):
     block = 24
     for kind in ("gain1", "gain3", "kkkk1", "plusminus"):
         for k in (3, 4, 5):
-            tables = _cell_tables(kind, k, 0.05, n_t, t_total)
-            grid, boxes = _boxes(kind, k, 0.05, n_t, t_total)
+            tables = _cell_tables(kind, k, 0.05, n_t)
+            grid, boxes = _boxes(kind, k, 0.05, n_t)
             for slot, (side, (mask, b)) in enumerate(zip((tables.u, tables.v), boxes)):
                 for seed in ([7, slot], [1000004, k]):
-                    c, norm = _draws(side, seed, t_total)
-                    ref, ref_norm = fft_side(mask, b, seed, grid, n_t, t_total, tables.n, side.parts)
+                    c, norm = _draws(side, seed)
+                    ref, ref_norm = fft_side(mask, b, seed, grid, n_t, tables.n, side.parts)
                     assert _rel(norm, ref_norm) <= 1e-13, (kind, k, slot)
                     buffers = [np.full((block, tables.n), 3.0 - 1.0j) for _part in side.parts]
                     for start in range(0, n_t, block):
                         rows = slice(start, min(start + block, n_t))
-                        samples = _windowed_side(side, c, rows, n_t, t_total, buffers)
+                        samples = _windowed_side(side, c, rows, n_t, buffers)
                         for full, buffer, want in zip(samples, buffers, ref, strict=True):
                             assert full.base is buffer and full.shape == (rows.stop - start, tables.n)
                             assert np.max(np.abs(full - want[rows])) <= 1e-13 * np.max(np.abs(want)), (kind, k, slot)
@@ -401,8 +402,8 @@ def _one_block(monkeypatch, kind, k, seed_key, n_t):
     with monkeypatch.context() as m:
         m.setattr(rates, "_BLOCK_BYTES", 1 << 40)
         _cell_tables.cache_clear()
-        assert _cell_tables(kind, k, 0.05, n_t, 2 * np.pi).rows == n_t
-        ratio = _one_cell(kind, k, 0.05, seed_key, n_t, 2 * np.pi)
+        assert _cell_tables(kind, k, 0.05, n_t).rows == n_t
+        ratio = _one_cell(kind, k, 0.05, seed_key, n_t)
     _cell_tables.cache_clear()
     return ratio
 
@@ -412,10 +413,10 @@ def test_blocked_cell_matches_one_block(kind, monkeypatch):
     # the default blocks (one block up to k = 5, several at k = 8) against
     # the whole cell in one block
     for k in range(3, 9):
-        rows = _cell_tables(kind, k, 0.05, 256, 2 * np.pi).rows
+        rows = _cell_tables(kind, k, 0.05, 256).rows
         assert rows == 256 if k <= 5 else k < 8 or rows < 256, (k, rows)
         for seed_key in (3, 1000004):
-            blocked = _one_cell(kind, k, 0.05, seed_key, 256, 2 * np.pi)
+            blocked = _one_cell(kind, k, 0.05, seed_key, 256)
             whole = _one_block(monkeypatch, kind, k, seed_key, 256)
             assert _rel(blocked, whole) <= 1e-13, (k, seed_key, blocked, whole)
 
@@ -428,14 +429,14 @@ def test_short_last_block_matches_one_block(n_t, monkeypatch):
     for kind in KIND_ORDER:
         for k in (3, 4, 5):
             whole = _one_block(monkeypatch, kind, k, 5, n_t)
-            tables = _cell_tables(kind, k, 0.05, n_t, 2 * np.pi)
+            tables = _cell_tables(kind, k, 0.05, n_t)
             parts = len(tables.u.parts) + len(tables.v.parts)
             width = tables.n * parts + 2 * max(tables.u.tau0.size, tables.v.tau0.size)
             with monkeypatch.context() as m:
                 m.setattr(rates, "_BLOCK_BYTES", 16 * width * 20)
                 _cell_tables.cache_clear()
-                assert _cell_tables(kind, k, 0.05, n_t, 2 * np.pi).rows == 16 and n_t % 16 == 8
-                blocked = _one_cell(kind, k, 0.05, 5, n_t, 2 * np.pi)
+                assert _cell_tables(kind, k, 0.05, n_t).rows == 16 and n_t % 16 == 8
+                blocked = _one_cell(kind, k, 0.05, 5, n_t)
             _cell_tables.cache_clear()
             assert _rel(blocked, whole) <= 1e-13, (kind, k, blocked, whole)
 
@@ -458,15 +459,15 @@ def test_kkk3_cell_memory_stays_in_blocks():
     # transient allocations stay under 1.5 MB (the samples and gathered
     # phases of u's 514 columns over all 256 rows alone take 4.2 MB), and
     # no part buffer holds more rows than a block
-    _one_cell("kkk3", 8, 0.05, 1, 256, 2 * np.pi)
+    _one_cell("kkk3", 8, 0.05, 1, 256)
     tracemalloc.start()
     try:
-        _one_cell("kkk3", 8, 0.05, 2, 256, 2 * np.pi)
+        _one_cell("kkk3", 8, 0.05, 2, 256)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 1.5e6, peak
-    tables = _cell_tables("kkk3", 8, 0.05, 256, 2 * np.pi)
+    tables = _cell_tables("kkk3", 8, 0.05, 256)
     buffers = [b for side in rates._scatter.buffers for b in side]
     assert rates._scatter.tables is tables and len(buffers) == 2
     assert all(b.shape == (tables.rows, 1600) for b in buffers) and tables.rows < 256
@@ -474,15 +475,14 @@ def test_kkk3_cell_memory_stays_in_blocks():
 
 @pytest.mark.parametrize("n_t", [64, 256])
 def test_wrapping_and_nyquist_columns(n_t):
-    # at t_total = 2 pi a column xi holds rows xi^2 + {-2, -1, 1, 2} mod n_t:
+    # a column xi holds rows xi^2 + {-2, -1, 1, 2} mod n_t:
     # they wrap past tau = 0 when xi^2 = 0 or 1 mod n_t (xi^2 = -1, -2 are
     # not squares mod 4), and one of them is the excluded Nyquist row when
     # xi^2 = n_t/2 + 1 mod n_t.  Each such column alone, in the quadratic
     # form, against the time-axis FFT pair
-    t_total = 2 * np.pi
     k = 5
-    tables = _cell_tables("gain1", k, 0.05, n_t, t_total)
-    grid, ((mask, b), _v) = _boxes("gain1", k, 0.05, n_t, t_total)
+    tables = _cell_tables("gain1", k, 0.05, n_t)
+    grid, ((mask, b), _v) = _boxes("gain1", k, 0.05, n_t)
     cols = np.flatnonzero(mask.any(axis=0))
     sq = (grid.frequencies[cols].astype(np.int64) ** 2) % n_t
     wrap = np.flatnonzero(np.isin(sq, (0, 1)))
@@ -501,14 +501,14 @@ def test_wrapping_and_nyquist_columns(n_t):
             vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
             c = np.zeros(q.shape[1], dtype=np.complex128)
             c[(rows - tau0[j]) % n_t] = vals
-            form = t_total * 2 * np.pi * float(np.real(np.conj(c) @ q[j] @ c))
+            form = TWO_PI * TWO_PI * float(np.real(np.conj(c) @ q[j] @ c))
             # the oracle draws from a seed; feed it these values instead
             samples = np.zeros(n_t, dtype=np.complex128)
             samples[rows] = vals
-            cw = np.fft.fft(np.fft.ifft(samples) * window_weights(n_t, t_total))
+            cw = np.fft.fft(np.fft.ifft(samples) * window_weights(n_t))
             cw[n_t // 2] = 0.0
-            weight = (1.0 + parabola_distance(n_t, t_total, grid.frequencies[cols[j : j + 1]])[:, 0]) ** (2.0 * b)
-            ref = t_total * 2 * np.pi * float(np.sum(weight * np.abs(cw) ** 2))
+            weight = (1.0 + parabola_distance(n_t, grid.frequencies[cols[j : j + 1]])[:, 0]) ** (2.0 * b)
+            ref = TWO_PI * TWO_PI * float(np.sum(weight * np.abs(cw) ** 2))
             assert _rel(form, ref) <= 1e-13, (j, form, ref)
 
 
@@ -522,21 +522,21 @@ def test_parseval_flag_iff_multiplier_one_on_span(kind):
         grid = Grid(2 ** (k + 3))
         full_mult = np.ones(grid.n) if out_pattern is None else _output_multiplier(grid, out_pattern, k)
         full_mult[grid.n // 2] = 0.0
-        for n_t, t_total in ((64, 2 * np.pi), (256, 2 * np.pi), (64, 8.0)):
-            tables = _cell_tables(kind, k, 0.05, n_t, t_total)
-            u = _occupied_freqs(box_mask(grid, n_t, t_total, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
-            v = _occupied_freqs(box_mask(grid, n_t, t_total, *_band(v_pattern, k), 1.0, 2.0, 1, v_side), n_t)
+        for n_t in (64, 256):
+            tables = _cell_tables(kind, k, 0.05, n_t)
+            u = _occupied_freqs(box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
+            v = _occupied_freqs(box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, 1, v_side), n_t)
             for group in tables.groups:
                 sums = np.concatenate([
                     np.add.outer(u[_positions(tables.u.parts[a])], sign * v[_positions(tables.v.parts[b])]).ravel()
                     for a, b in group.pairs
                 ])
                 span = np.arange(sums.min(), sums.max() + 1)
-                assert group.parseval == bool(np.all(full_mult[span % grid.n] == 1.0)), (k, n_t, t_total)
+                assert group.parseval == bool(np.all(full_mult[span % grid.n] == 1.0)), (k, n_t)
     # in the default sweep the unprojected kinds take the x-side Parseval and
     # the other projected kinds do not (gain1: the next test)
     if kind != "gain1":
-        flags = {g.parseval for k in range(3, 9) for g in _cell_tables(kind, k, 0.05, 256, 2 * np.pi).groups}
+        flags = {g.parseval for k in range(3, 9) for g in _cell_tables(kind, k, 0.05, 256).groups}
         assert flags == {out_pattern is None}
 
 
@@ -546,7 +546,7 @@ def test_gain1_projection_is_one_wherever_its_products_land():
     # projection falls below 1, so the projection cuts nothing and no fault
     # in it can move gain1's ratios
     for k in range(3, 9):
-        groups = _cell_tables("gain1", k, 0.05, 256, 2 * np.pi).groups
+        groups = _cell_tables("gain1", k, 0.05, 256).groups
         assert groups and all(group.parseval for group in groups), k
 
 
@@ -558,7 +558,7 @@ def test_experiment_report_shape():
     assert all(m > 0 for m in rep.medians)
     assert not rep.degenerate
     assert len(rep.ratios[3]) == 3
-    assert rep.grid_n == {k: _cell_tables("gain3", k, 0.05, 64, 2 * np.pi).n for k in (3, 4, 5)}
+    assert rep.grid_n == {k: _cell_tables("gain3", k, 0.05, 64).n for k in (3, 4, 5)}
     assert rep.tables_s > 0
     assert np.isfinite(rep.slope) and np.isfinite(rep.stderr)
 
@@ -591,14 +591,14 @@ def test_scatter_buffers_do_not_leak_between_tables():
     # same cell computed first in a fresh cache, on a fresh thread that
     # holds no scatter buffers yet
     sequence = [("gain1", 8), ("kkk1", 8), ("gain1", 8), ("gain2", 8), ("plusminus", 7), ("gain2", 8), ("gain1", 7)]
-    after = [_one_cell(kind, k, 0.05, 5, 256, 2 * np.pi) for kind, k in sequence]
+    after = [_one_cell(kind, k, 0.05, 5, 256) for kind, k in sequence]
     fresh = []
     for kind, k in sequence:
         _cell_tables.cache_clear()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            fresh.append(pool.submit(_one_cell, kind, k, 0.05, 5, 256, 2 * np.pi).result(timeout=60))
+            fresh.append(pool.submit(_one_cell, kind, k, 0.05, 5, 256).result(timeout=60))
     assert after == fresh
-    shared = [_cell_tables(kind, k, 0.05, 256, 2 * np.pi) for kind, k in (("gain2", 8), ("plusminus", 7))]
+    shared = [_cell_tables(kind, k, 0.05, 256) for kind, k in (("gain2", 8), ("plusminus", 7))]
     assert [(t.n, len(t.u.parts) + len(t.v.parts)) for t in shared] == [(270, 4), (270, 2)]
 
 
@@ -619,7 +619,7 @@ def test_box_tables_built_once_per_box():
     _cell_tables.cache_clear()
     for kind in KIND_ORDER:
         for k in range(3, 9):
-            _cell_tables(kind, k, 0.05, 256, 2 * np.pi)
+            _cell_tables(kind, k, 0.05, 256)
     info = rates._box_table.cache_info()
     assert info.misses == info.currsize == len(_default_boxes()) == 36
     assert info.hits == 2 * 48 - 36
@@ -629,11 +629,11 @@ def test_cells_from_shared_boxes_equal_fresh_builds():
     # every cell of the sweep, its boxes built by whichever kind came first,
     # against the same cell built alone from empty caches
     rates._box_table.cache_clear()
-    shared = {(kind, k): _one_cell(kind, k, 0.05, 21, 64, 2 * np.pi) for kind in KIND_ORDER for k in range(3, 9)}
+    shared = {(kind, k): _one_cell(kind, k, 0.05, 21, 64) for kind in KIND_ORDER for k in range(3, 9)}
     for (kind, k), ratio in shared.items():
         rates._box_table.cache_clear()
         _cell_tables.cache_clear()
-        assert _one_cell(kind, k, 0.05, 21, 64, 2 * np.pi) == ratio, (kind, k)
+        assert _one_cell(kind, k, 0.05, 21, 64) == ratio, (kind, k)
 
 
 def test_box_tables_hold_only_band_columns(monkeypatch):
@@ -642,8 +642,8 @@ def test_box_tables_hold_only_band_columns(monkeypatch):
     # by the box's occupied columns
     tables, original = [], spacetime.parabola_distance
 
-    def recording(n_t, t_total, xi, parabola_sign=1):
-        dist = original(n_t, t_total, xi, parabola_sign)
+    def recording(n_t, xi, parabola_sign=1):
+        dist = original(n_t, xi, parabola_sign)
         tables.append((np.size(xi), weakref.ref(dist)))
         return dist
 
@@ -651,7 +651,7 @@ def test_box_tables_hold_only_band_columns(monkeypatch):
     rates._box_table.cache_clear()
     for k, pattern, side, b in sorted(_default_boxes()):
         n = 2 ** (k + 3)
-        box = rates._box_table(k, pattern, side, b, 256, 2 * np.pi)
+        box = rates._box_table(k, pattern, side, b, 256)
         lo, hi = _band(pattern, k)
         xi = Grid(n).frequencies
         band = (np.abs(xi) >= lo) & (np.abs(xi) <= hi) & (np.sign(xi) != {"+": -1, "-": 1}.get(side, 0))

@@ -24,16 +24,16 @@ from qnls.spectral import Grid, SpectralField
 TWO_PI = 2 * np.pi
 
 
-def synth_boxed(N, L, parabola_sign, seed, grid, n_t=256, t_total=TWO_PI, xi_side="both"):
+def synth_boxed(N, L, parabola_sign, seed, grid, n_t=256, xi_side="both"):
     """Unit-norm random field on the dyadic box |xi| ~ N, |tau -+ xi^2| ~ L."""
-    mask = box_mask(grid, n_t, t_total, N, 2.0 * N, L, 2.0 * L, parabola_sign, xi_side)
-    return synth_cells(grid, n_t, t_total, mask, seed)
+    mask = box_mask(grid, n_t, N, 2.0 * N, L, 2.0 * L, parabola_sign, xi_side)
+    return synth_cells(grid, n_t, mask, seed)
 
 
 def st_single_mode(grid, n_t, tau, k, amp=1.0):
     c = np.zeros((n_t, grid.n), dtype=complex)
     c[tau % n_t, k % grid.n] = amp
-    return from_spacetime_coeffs(grid, TWO_PI, c)
+    return from_spacetime_coeffs(grid, c)
 
 
 class TestSobolevAndProfile:
@@ -83,14 +83,14 @@ class TestSpaceTimeBasics:
     def test_st_l2_quadrature(self):
         g = Grid(64)
         vals = np.ones((32, 64), complex)
-        f = SpaceTimeField(g, TWO_PI, vals, windowed=False)
+        f = SpaceTimeField(g, vals, windowed=False)
         assert st_l2_norm(f) == pytest.approx(math.sqrt(TWO_PI * TWO_PI))
 
     def test_spectral_roundtrip_and_nyquist(self):
         g = Grid(64)
         rng = np.random.default_rng(0)
         c = rng.standard_normal((32, 64)) + 1j * rng.standard_normal((32, 64))
-        f = from_spacetime_coeffs(g, TWO_PI, c)
+        f = from_spacetime_coeffs(g, c)
         spec = f.spectral()
         assert np.all(spec[16, :] == 0)  # time Nyquist line
         assert np.all(spec[:, 32] == 0)  # space Nyquist line
@@ -101,11 +101,11 @@ class TestSpaceTimeBasics:
 
     def test_tau_lattice(self):
         g = Grid(16)
-        f = SpaceTimeField(g, TWO_PI, np.ones((8, 16), complex), windowed=False)
+        f = SpaceTimeField(g, np.ones((8, 16), complex), windowed=False)
         np.testing.assert_allclose(f.tau(), [0, 1, 2, 3, -4, -3, -2, -1])
 
     def test_conj_swaps_parabola_sign(self):
-        u = synth_boxed(8.0, 16.0, +1, [3, 1], Grid(64), n_t=32, t_total=TWO_PI)
+        u = synth_boxed(8.0, 16.0, +1, [3, 1], Grid(64), n_t=32)
         uw = apply_window(u)
         assert xsb_norm(0.7, 0.4, uw.conj(), +1) == pytest.approx(
             xsb_norm(0.7, 0.4, uw, -1), rel=1e-12
@@ -129,7 +129,7 @@ class TestXsbNorm:
         assert w_off > w_on
 
     def test_wrapping_distance(self):
-        # with n_t=32 and T=2pi the tau period is 32; tau=-15 and tau=17
+        # with n_t=32 the tau period is 32; tau=-15 and tau=17
         # are the same lattice point relative to xi^2 = 1
         g = Grid(64)
         a = st_single_mode(g, 32, -15, 1)
@@ -149,7 +149,7 @@ class TestXsbNorm:
 
 class TestWindow:
     def test_window_profile(self):
-        w = window_weights(64, TWO_PI)
+        w = window_weights(64)
         # flat region around the middle of [0, T]
         assert w[32] == pytest.approx(1.0)
         assert w[0] == pytest.approx(0.0, abs=1e-12)
@@ -160,18 +160,18 @@ class TestWindow:
         f = st_single_mode(g, 32, 0, 1)
         fw = apply_window(f)
         assert fw.windowed and not f.windowed
-        np.testing.assert_allclose(fw.values, f.values * window_weights(32, TWO_PI)[:, None])
+        np.testing.assert_allclose(fw.values, f.values * window_weights(32)[:, None])
 
 
 class TestSynthesis:
     def test_boxed_unit_norm_and_support(self):
         g = Grid(128)
-        u = synth_boxed(8.0, 16.0, +1, [0, 2], g, n_t=64, t_total=TWO_PI)
+        u = synth_boxed(8.0, 16.0, +1, [0, 2], g, n_t=64)
         assert st_l2_norm(u) == pytest.approx(1.0, rel=1e-12)
         spec = u.spectral()
         xi = g.frequencies
         tau = u.tau()
-        mask = box_mask(g, 64, TWO_PI, 8.0, 2 * 8.0, 16.0, 2 * 16.0, +1)
+        mask = box_mask(g, 64, 8.0, 2 * 8.0, 16.0, 2 * 16.0, +1)
         assert np.max(np.abs(spec[~mask])) < 1e-15
         # frequency support inside |xi| in [8, 16]
         cols = np.any(np.abs(spec) > 1e-15, axis=0)
@@ -182,14 +182,14 @@ class TestSynthesis:
 
     def test_seed_determinism(self):
         g = Grid(64)
-        a = synth_boxed(4.0, 8.0, +1, [5, 7], g, n_t=32, t_total=TWO_PI)
-        b = synth_boxed(4.0, 8.0, +1, [5, 7], g, n_t=32, t_total=TWO_PI)
+        a = synth_boxed(4.0, 8.0, +1, [5, 7], g, n_t=32)
+        b = synth_boxed(4.0, 8.0, +1, [5, 7], g, n_t=32)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_one_sided_boxes(self):
         g = Grid(64)
-        up = synth_boxed(4.0, 8.0, +1, [1], g, n_t=32, t_total=TWO_PI, xi_side="+")
-        dn = synth_boxed(4.0, 8.0, +1, [1], g, n_t=32, t_total=TWO_PI, xi_side="-")
+        up = synth_boxed(4.0, 8.0, +1, [1], g, n_t=32, xi_side="+")
+        dn = synth_boxed(4.0, 8.0, +1, [1], g, n_t=32, xi_side="-")
         xi = g.frequencies
         assert np.max(np.abs(up.spectral()[:, xi < 0])) < 1e-15
         assert np.max(np.abs(dn.spectral()[:, xi > 0])) < 1e-15
@@ -197,7 +197,7 @@ class TestSynthesis:
     def test_empty_mask_rejected(self):
         g = Grid(64)
         with pytest.raises(ValueError):
-            synth_cells(g, 32, TWO_PI, np.zeros((32, 64), bool), [1])
+            synth_cells(g, 32, np.zeros((32, 64), bool), [1])
 
 
 class TestProducts:
