@@ -52,7 +52,6 @@ inputs and of the kept output.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -190,18 +189,12 @@ def normal_form_pair(kind: str, alpha: float, beta: float) -> tuple:
 # FFT products
 # ----------------------------------------------------------------------------
 
-def weighted_product(
-    inner: float,
-    outer: float,
-    u: SpectralField,
-    v: SpectralField,
-    conj_first: bool = False,
-    conj_second: bool = False,
-) -> SpectralField:
-    """<D>^outer [ (<D>^inner u') * (<D>^inner v') ] with optional slot
-    conjugations, the pointwise product taken on a doubled grid and
-    truncated to the original one (content beyond the representable band
-    is dropped); with inner = outer = 0 it is the plain product.
+def weighted_product(inner: float, outer: float, u: SpectralField, v: SpectralField) -> SpectralField:
+    """<D>^outer [ (<D>^inner u) * (<D>^inner v) ], the pointwise product
+    taken on a doubled grid and truncated to the original one (content
+    beyond the representable band is dropped); with inner = outer = 0 it is
+    the plain product.  A conjugated slot takes the conjugate field
+    (u.conj()).
 
     With inner = alpha, outer = beta - alpha this is the smoothing weight:
     it must agree with apply_bilinear(g_symbol(alpha, beta), u, v) to
@@ -212,8 +205,8 @@ def weighted_product(
     n = u.grid.n
     half = n // 2
     big = []
-    for field, conj in ((u, conj_first), (v, conj_second)):
-        c = bessel_potential(inner, field.conj() if conj else field).coeffs
+    for field in (u, v):
+        c = bessel_potential(inner, field).coeffs
         padded = np.zeros(2 * n, dtype=np.complex128)
         padded[:half] = c[:half]
         padded[2 * n - half :] = c[half:]
@@ -346,18 +339,6 @@ def pair_g_coeffs(kind: str, alpha: float, beta: float, grid: Grid, u: np.ndarra
 # the defining identity, measured discretely
 # ----------------------------------------------------------------------------
 
-@dataclass
-class ResonanceReport:
-    """Outcome of one discrete check of the normal-form identity."""
-
-    symbol: str
-    t: float
-    dt: float
-    defect_norm: float
-    rhs_norm: float
-    residual: float
-
-
 def leibniz_residual(
     t_sym: BilinearSymbol,
     g_sym: BilinearSymbol,
@@ -365,7 +346,7 @@ def leibniz_residual(
     g: SpectralField,
     t: float,
     dt: float,
-) -> ResonanceReport:
+) -> float:
     """Relative defect of (d/dt + i d^2/dx^2) T(U, V) = G(U, V) on free waves.
 
     U, V are the free evolutions of f, g; the time derivative is a central
@@ -389,5 +370,4 @@ def leibniz_residual(
     defect = SpectralField(grid, ddt + lap - rhs.coeffs)
     dn = l2_norm(defect)
     rn = l2_norm(rhs)
-    residual = dn / rn if rn > 0 else (0.0 if dn == 0.0 else float("inf"))
-    return ResonanceReport(t_sym.name, t, dt, dn, rn, residual)
+    return dn / rn if rn > 0 else (0.0 if dn == 0.0 else float("inf"))

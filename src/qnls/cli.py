@@ -43,7 +43,7 @@ _COMMANDS = {
     "identity": _Command(
         acceptance.criterion_1, "residual of the time-derivative identity for the lift symbols",
         [("identity.csv", ["kind", "pair", "dt", "residual", "residual_half", "ratio"], "rows")],
-        ["max_residual", "min_ratio", "max_ratio"]),
+        ["max_residual", "min_ratio", "max_ratio", "timing"]),
     "decompose": _Command(
         acceptance.criterion_3, "split a solution into free + lift + remainder and fit regularities",
         [("decompose_v.csv", ["t", "fit_free", "fit_lift", "fit_remainder", "margin", "remainder_l2"], "v_rows"),

@@ -57,22 +57,12 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .bilinear import KIND_FLAGS, factored_product, kind_factors, lift_coeffs, pair_g_coeffs
-from .spacetime import sobolev_norm
-from .spectral import (
-    TWO_PI,
-    BandGrid,
-    Grid,
-    SpectralField,
-    bessel_potential,
-    bracket,
-    free_propagate,
-    l2_norm,
-)
+from .spectral import TWO_PI, BandGrid, Grid, SpectralField, bracket, l2_norm
 
 # the pointwise product of each kind, in place on physical samples p
 _KIND_SQUARE = {
@@ -458,81 +448,3 @@ def direct_w_solve(config: EvolutionConfig, f: SpectralField) -> Trajectory:
     states = [SpectralField(grid, saves[s]) for s in save_steps]
     return Trajectory(config, times, states, [l2_norm(st) for st in states], timing)
 
-
-# ----------------------------------------------------------------------------
-# stability experiments
-# ----------------------------------------------------------------------------
-
-@dataclass
-class LipschitzReport:
-    epsilons: list
-    ratios: list
-    # sup_t ||u(t) - e^{-it d^2} f||_{H^-1/2} / ||f||_{H^-1/2} of the base flow
-    nonlinear_share: float = float("nan")
-    # the base flow, then one perturbed flow per epsilon
-    flows: list = dataclass_field(default_factory=list)
-
-    @property
-    def spread(self) -> float:
-        finite = [r for r in self.ratios if r > 0]
-        return max(finite) / min(finite) if finite else float("inf")
-
-
-def lipschitz_experiment(f: SpectralField, g: SpectralField, eps_list, config: EvolutionConfig) -> LipschitzReport:
-    """Difference-quotient stability of the solution map.
-
-    For each eps, integrates data f and f + eps*g and records
-    sup_t ||u_eps(t) - u(t)||_{H^-1/2} / (eps ||g||_{H^-1/2}); a roughly
-    constant ratio across decades of eps is the numerical signature of the
-    Lipschitz property.  The base flow and every perturbed flow run as one
-    batch."""
-    g_norm = sobolev_norm(-0.5, g)
-    if g_norm == 0:
-        raise ValueError("perturbation direction has zero H^-1/2 norm")
-    eps_list = [float(eps) for eps in eps_list]
-    flows = integrate_batch(
-        [config] * (1 + len(eps_list)), [f] + [f + eps * g for eps in eps_list]
-    )
-    base = flows[0]
-    ratios = []
-    for eps, pert in zip(eps_list, flows[1:]):
-        worst = 0.0
-        for su, sp in zip(base.states, pert.states):
-            diff = sobolev_norm(-0.5, sp - su)
-            worst = max(worst, diff / (eps * g_norm))
-        ratios.append(worst)
-    f_norm = sobolev_norm(-0.5, f)
-    share = float("nan")
-    if f_norm > 0:
-        nonlinear = (sobolev_norm(-0.5, su - free_propagate(t, f)) for t, su in zip(base.times, base.states))
-        share = max(nonlinear) / f_norm
-    return LipschitzReport(eps_list, ratios, share, flows)
-
-
-@dataclass
-class SubstitutionReport:
-    dts: list
-    sup_diffs: list
-    # z-form and u-form flow at each dt, in that order
-    flows: list = dataclass_field(default_factory=list)
-
-
-def substitution_check(z0: SpectralField, config: EvolutionConfig) -> SubstitutionReport:
-    """Compare the two equivalent routes to the rough evolution.
-
-    Route one integrates the z-form equation and lifts each snapshot by
-    <D>^beta (beta = config.beta); route two integrates the u-form
-    equation from the lifted data.  The two flows at one dt run as one
-    batch.  The report records sup_t ||u(t) - <D>^beta z(t)||_L2 at the
-    configured dt and at dt/2."""
-    sups, dts, flows = [], [], []
-    for dt in (config.dt, 0.5 * config.dt):
-        cfg_z, cfg_u = (replace(config, dt=dt, variables=v) for v in ("z", "u"))
-        traj_z, traj_u = integrate_batch([cfg_z, cfg_u], [z0, bessel_potential(config.beta, z0)])
-        worst = 0.0
-        for zu, uu in zip(traj_z.states, traj_u.states):
-            worst = max(worst, l2_norm(uu - bessel_potential(config.beta, zu)))
-        sups.append(worst)
-        dts.append(dt)
-        flows += [traj_z, traj_u]
-    return SubstitutionReport(dts, sups, flows)

@@ -1,20 +1,24 @@
 """Experiment drivers: pure functions from a config dict to result dicts.
 
-Each driver draws its own deterministic seed stream from [run] seed, runs
-the relevant operators, and returns plain rows/scalars; writing artifacts
-and judging thresholds happens in the command-line layer and the
+Each driver draws its own deterministic seed stream from [run] seed, builds
+its flows and operators, measures them and returns plain rows/scalars: the
+experiments live here, the integrator module holds none.  Writing
+artifacts and judging thresholds happens in the command-line layer and the
 acceptance suite, which both call into this module.
 
 Each section that draws rough data builds its inputs in one *_inputs
 function ([infra] in two: order_inputs and route_inputs): the grid, the
 data (with its regularity fit where the section has a fit window) and the
-flows.  Each raises ValueError for keys it cannot build from, and
-config.check_ranges calls each once to range-check a config."""
+flows, which [decompose], [lipschitz], [subst] and [simulate] build from
+their keys through _section_flow.  Each raises ValueError for keys it
+cannot build from, and config.check_ranges calls each once to range-check
+a config."""
 
 from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,10 +37,8 @@ from .evolution import (
     direct_w_solve,
     integrate,
     integrate_batch,
-    lipschitz_experiment,
     normal_form_h,
     remainder_forcing,
-    substitution_check,
 )
 from .mnorm import (
     BoxSpec,
@@ -53,6 +55,7 @@ from .spectral import (
     TWO_PI,
     Grid,
     SpectralField,
+    bessel_potential,
     free_propagate,
     l2_norm,
     lp_annulus,
@@ -86,6 +89,17 @@ def _datum(cfg, sec, idx=0) -> SpectralField:
     return gen_rough_data(spec, Grid(c["n_points"]))
 
 
+def _section_flow(cfg, sec, variables="u", kind="u2") -> EvolutionConfig:
+    """The flow of a section from its n_points, dt, t_final and n_saves, at
+    [run] alpha and beta; [subst] beta, the one section beta, overrides
+    [run] beta."""
+    c, run = cfg[sec], cfg["run"]
+    return EvolutionConfig(
+        c["n_points"], run["alpha"], c.get("beta", run["beta"]), c["dt"], c["t_final"],
+        kind=kind, variables=variables, n_saves=c["n_saves"],
+    )
+
+
 # ----------------------------------------------------------------------------
 # resonance identity
 # ----------------------------------------------------------------------------
@@ -113,6 +127,9 @@ def identity_inputs(cfg, kind_idx=0, pair=0):
 
 
 def run_identity(cfg) -> dict:
+    """The identity's residual at dt and dt/2 per kind and pair; `timing`
+    belongs in the JSON report only."""
+    start = time.perf_counter()
     c = cfg["identity"]
     run = cfg["run"]
     rows = []
@@ -120,10 +137,10 @@ def run_identity(cfg) -> dict:
         t_sym, g_sym = normal_form_pair(kind, run["alpha"], run["beta"])
         for pair in range(c["n_pairs"]):
             f, g = identity_inputs(cfg, kind_idx, pair)
-            rep = leibniz_residual(t_sym, g_sym, f, g, c["t"], c["dt"])
-            rep_half = leibniz_residual(t_sym, g_sym, f, g, c["t"], 0.5 * c["dt"])
-            ratio = rep.residual / rep_half.residual if rep_half.residual > 0 else float("nan")
-            rows.append((kind, pair, c["dt"], rep.residual, rep_half.residual, ratio))
+            residual = leibniz_residual(t_sym, g_sym, f, g, c["t"], c["dt"])
+            residual_half = leibniz_residual(t_sym, g_sym, f, g, c["t"], 0.5 * c["dt"])
+            ratio = residual / residual_half if residual_half > 0 else float("nan")
+            rows.append((kind, pair, c["dt"], residual, residual_half, ratio))
     residuals = [r[3] for r in rows]
     ratios = [r[5] for r in rows]
     return {
@@ -131,6 +148,7 @@ def run_identity(cfg) -> dict:
         "max_residual": max(residuals),
         "min_ratio": min(ratios),
         "max_ratio": max(ratios),
+        "timing": {"wall_s": time.perf_counter() - start},
     }
 
 
@@ -145,6 +163,9 @@ def smoothing_inputs(cfg, i=0):
 
 
 def run_smoothing(cfg) -> dict:
+    """The lift's fitted regularity per datum; `timing` belongs in the JSON
+    report (`qnls all`) only."""
+    start = time.perf_counter()
     c = cfg["smoothing"]
     rows = []
     for i in range(c["n_seeds"]):
@@ -153,7 +174,8 @@ def run_smoothing(cfg) -> dict:
         fit = fitted_regularity(h0, c["fit_lo"], c["fit_hi"])
         rows.append((i, fit.sigma, fit.stderr, data_fit.sigma))
     fits = [r[1] for r in rows]
-    return {"rows": rows, "min_fit": min(fits), "median_fit": float(np.median(fits))}
+    return {"rows": rows, "min_fit": min(fits), "median_fit": float(np.median(fits)),
+            "timing": {"wall_s": time.perf_counter() - start}}
 
 
 # ----------------------------------------------------------------------------
@@ -189,7 +211,6 @@ def decompose_inputs(cfg):
     evolution), their flows, and fu's regularity fit on the fit window.
     f is fitted too: the v-rows fit it as the free wave at t = 0."""
     c = cfg["decompose"]
-    run = cfg["run"]
     f = _datum(cfg, "decompose", 0)
     fu = gen_rough_data(
         DataSpec(c["u_sigma"], c["freq_hi"], amplitude=c["u_amplitude"], seed=_seed(cfg, "decompose", 1)),
@@ -197,13 +218,7 @@ def decompose_inputs(cfg):
     )
     fitted_regularity(f, c["fit_lo"], c["fit_hi"])
     u_data_fit = fitted_regularity(fu, c["fit_lo"], c["fit_hi"]).sigma
-    vcfg, ucfg = (
-        EvolutionConfig(
-            c["n_points"], run["alpha"], run["beta"], c["dt"], c["t_final"],
-            kind="u2", variables=variables, n_saves=c["n_saves"],
-        )
-        for variables in ("v", "u")
-    )
+    vcfg, ucfg = (_section_flow(cfg, "decompose", variables) for variables in ("v", "u"))
     return f, fu, vcfg, ucfg, u_data_fit
 
 
@@ -406,38 +421,44 @@ def run_mnorm(cfg) -> dict:
 def lipschitz_inputs(cfg):
     """The base datum f, the direction g (unit in H^-1/2) and the flow."""
     c = cfg["lipschitz"]
-    run = cfg["run"]
     f = _datum(cfg, "lipschitz", 0)
     g_raw = gen_rough_data(DataSpec(c["g_sigma"], c["freq_hi"], seed=_seed(cfg, "lipschitz", 1)), f.grid)
     with np.errstate(over="ignore"):
         g_norm = sobolev_norm(-0.5, g_raw)
     if not math.isfinite(g_norm):
         raise ValueError(f"the H^-1/2 norm of the direction with g_sigma {c['g_sigma']:g} overflows")
-    g = (1.0 / g_norm) * g_raw
-    ecfg = EvolutionConfig(
-        c["n_points"], run["alpha"], run["beta"], c["dt"], c["t_final"],
-        kind="u2", variables="u", n_saves=c["n_saves"],
-    )
-    return f, g, ecfg
+    return f, (1.0 / g_norm) * g_raw, _section_flow(cfg, "lipschitz")
 
 
 def run_lipschitz(cfg) -> dict:
-    """Difference-quotient ratios over the epsilons; the base flow and the
-    perturbed flows run as one batch.  `health` (per flow), the base flow's
-    `nonlinear_share` and `timing` belong in the JSON report only."""
+    """Difference-quotient stability of the solution map: for each epsilon,
+    sup_t ||u_eps(t) - u(t)||_{H^-1/2} / (eps ||g||_{H^-1/2}) between the
+    flows of f + eps g and of f.  A roughly constant ratio across decades of
+    epsilon is the numerical signature of the Lipschitz property.  The base
+    flow and the perturbed flows run as one batch.  `health` (per flow),
+    `nonlinear_share` (sup_t ||u(t) - e^{-it d^2} f||_{H^-1/2} /
+    ||f||_{H^-1/2} of the base flow) and `timing` belong in the JSON report
+    only."""
     start = time.perf_counter()
     f, g, ecfg = lipschitz_inputs(cfg)
-    rep = lipschitz_experiment(f, g, cfg["lipschitz"]["epsilons"], ecfg)
-    rows = list(zip(rep.epsilons, rep.ratios))
-    health = [_flow_health(rep.flows[0], flow="base")]
-    health += [
-        _flow_health(traj, flow="perturbed", epsilon=eps) for eps, traj in zip(rep.epsilons, rep.flows[1:])
-    ]
+    epsilons = [float(eps) for eps in cfg["lipschitz"]["epsilons"]]
+    base, *perturbed = integrate_batch([ecfg] * (1 + len(epsilons)), [f] + [f + eps * g for eps in epsilons])
+    g_norm = sobolev_norm(-0.5, g)
+    ratios = []
+    for eps, pert in zip(epsilons, perturbed):
+        worst = 0.0
+        for su, sp in zip(base.states, pert.states):
+            worst = max(worst, sobolev_norm(-0.5, sp - su) / (eps * g_norm))
+        ratios.append(worst)
+    finite = [r for r in ratios if r > 0]
+    nonlinear = (sobolev_norm(-0.5, su - free_propagate(t, f)) for t, su in zip(base.times, base.states))
+    health = [_flow_health(base, flow="base")]
+    health += [_flow_health(traj, flow="perturbed", epsilon=eps) for eps, traj in zip(epsilons, perturbed)]
     return {
-        "rows": rows,
-        "spread": rep.spread,
-        "ratios": rep.ratios,
-        "nonlinear_share": rep.nonlinear_share,
+        "rows": list(zip(epsilons, ratios)),
+        "spread": max(finite) / min(finite) if finite else float("inf"),
+        "ratios": ratios,
+        "nonlinear_share": max(nonlinear) / sobolev_norm(-0.5, f),
         "health": health,
         "timing": {"wall_s": time.perf_counter() - start},
     }
@@ -445,26 +466,29 @@ def run_lipschitz(cfg) -> dict:
 
 def subst_inputs(cfg):
     """The z-form datum and the flow of the substitution check."""
-    c = cfg["subst"]
-    ecfg = EvolutionConfig(
-        c["n_points"], cfg["run"]["alpha"], c["beta"], c["dt"], c["t_final"],
-        kind="u2", variables="u", n_saves=c["n_saves"],
-    )
-    return _datum(cfg, "subst"), ecfg
+    return _datum(cfg, "subst"), _section_flow(cfg, "subst")
 
 
 def run_subst(cfg) -> dict:
-    """Substitution defect at dt and dt/2; the z-form and u-form flows at
-    one dt run as one batch.  `health` (per flow) and `timing` belong in the
-    JSON report only."""
+    """The substitution defect sup_t ||u(t) - <D>^beta z(t)||_L2 at dt and
+    dt/2 ([subst] beta): the z-form flow, each snapshot lifted by
+    <D>^beta, against the u-form flow from the lifted datum.  The two flows
+    at one dt run as one batch.  `health` (per flow) and `timing` belong in
+    the JSON report only."""
     start = time.perf_counter()
     z0, ecfg = subst_inputs(cfg)
-    rep = substitution_check(z0, ecfg)
-    rows = list(zip(rep.dts, rep.sup_diffs))
-    health = [_flow_health(traj, flow=traj.config.variables, dt=traj.config.dt) for traj in rep.flows]
+    rows, health = [], []
+    for dt in (ecfg.dt, 0.5 * ecfg.dt):
+        configs = [replace(ecfg, dt=dt, variables=v) for v in ("z", "u")]
+        traj_z, traj_u = integrate_batch(configs, [z0, bessel_potential(ecfg.beta, z0)])
+        worst = 0.0
+        for zu, uu in zip(traj_z.states, traj_u.states):
+            worst = max(worst, l2_norm(uu - bessel_potential(ecfg.beta, zu)))
+        rows.append((dt, worst))
+        health += [_flow_health(traj, flow=traj.config.variables, dt=dt) for traj in (traj_z, traj_u)]
     return {
         "rows": rows,
-        "max_sup": max(rep.sup_diffs),
+        "max_sup": max(sup for _dt, sup in rows),
         "health": health,
         "timing": {"wall_s": time.perf_counter() - start},
     }
@@ -473,11 +497,7 @@ def run_subst(cfg) -> dict:
 def simulate_inputs(cfg):
     """The datum and the flow of the simulate command."""
     c = cfg["simulate"]
-    ecfg = EvolutionConfig(
-        c["n_points"], cfg["run"]["alpha"], cfg["run"]["beta"], c["dt"], c["t_final"],
-        kind=c["kind"], variables=c["variables"], n_saves=c["n_saves"],
-    )
-    return _datum(cfg, "simulate"), ecfg
+    return _datum(cfg, "simulate"), _section_flow(cfg, "simulate", c["variables"], c["kind"])
 
 
 def run_simulate(cfg):

@@ -281,12 +281,12 @@ def st_spatial_multiplier(stf: SpaceTimeField, mult) -> SpaceTimeField:
     return SpaceTimeField(stf.grid, values, stf.windowed)
 
 
-def st_product(u: SpaceTimeField, v: SpaceTimeField, conj_second: bool = False) -> SpaceTimeField:
-    """Pointwise space-time product (second factor optionally conjugated).
+def st_product(u: SpaceTimeField, v: SpaceTimeField) -> SpaceTimeField:
+    """Pointwise space-time product; a conjugated factor is passed as
+    v.conj().
 
     Exact for factors band-limited to the guard index; the windowed flag of
     the result is inherited (a product of cut-off factors is cut off)."""
     if u.grid != v.grid or u.n_t != v.n_t:
         raise ValueError("space-time grids do not match")
-    vv = np.conj(v.values) if conj_second else v.values
-    return SpaceTimeField(u.grid, u.values * vv, u.windowed and v.windowed)
+    return SpaceTimeField(u.grid, u.values * v.values, u.windowed and v.windowed)

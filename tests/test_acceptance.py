@@ -229,13 +229,13 @@ def test_criterion_6_lipschitz_spread(cfg):
 def test_criterion_6_fails_on_misaligned_saves(cfg, monkeypatch):
     # negative control: each perturbed flow's save j + 1 is compared with
     # the base flow's save j
-    batch = evolution.integrate_batch
+    batch = experiments.integrate_batch
 
     def shifted(configs, initials):
         base, *perturbed = batch(configs, initials)
         return [base] + [replace(traj, states=traj.states[1:]) for traj in perturbed]
 
-    monkeypatch.setattr(evolution, "integrate_batch", shifted)
+    monkeypatch.setattr(experiments, "integrate_batch", shifted)
     res = acceptance.criterion_6(cfg)
     assert not res.passed
     assert res.data["spread"] > 5.0
@@ -251,8 +251,8 @@ def test_criterion_7_substitution_defect(cfg):
 def test_criterion_7_fails_on_a_wrong_lift(cfg, monkeypatch):
     # negative control: the snapshots and the u-form data are lifted by
     # beta + 0.1 while both flows keep beta
-    lift = evolution.bessel_potential
-    monkeypatch.setattr(evolution, "bessel_potential", lambda s, field: lift(s + 0.1, field))
+    lift = experiments.bessel_potential
+    monkeypatch.setattr(experiments, "bessel_potential", lambda s, field: lift(s + 0.1, field))
     res = acceptance.criterion_7(cfg)
     assert not res.passed
     assert res.data["max_sup"] > 1e-8

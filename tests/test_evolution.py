@@ -15,10 +15,10 @@ from qnls.evolution import (
     direct_w_solve,
     integrate,
     integrate_batch,
-    lipschitz_experiment,
     normal_form_h,
-    substitution_check,
 )
+from qnls.config import check_ranges, default_config
+from qnls.experiments import run_lipschitz, run_subst
 from qnls.roughdata import DataSpec, gen_rough_data
 from qnls.spectral import (
     BandGrid,
@@ -371,8 +371,8 @@ def truncate_guard(field):
 def rhs_oracle(cfg, f):
     """The doubled-grid weighted product, truncated to the guard band."""
     inner, outer = cfg.exponents
-    conj = {"u2": (False, False), "uubar": (False, True), "ubar2": (True, True)}[cfg.kind]
-    return truncate_guard(weighted_product(inner, outer, f, f, conj_first=conj[0], conj_second=conj[1]))
+    first, second = {"u2": (False, False), "uubar": (False, True), "ubar2": (True, True)}[cfg.kind]
+    return truncate_guard(weighted_product(inner, outer, f.conj() if first else f, f.conj() if second else f))
 
 
 def rel_l2(a, b):
@@ -505,13 +505,13 @@ def uncached_direct_w_solve(cfg, f):
     the paired forcing recomputed in every stage."""
     grid = cfg.grid
     t_sym, g_sym = normal_form_pair(cfg.kind, cfg.alpha, cfg.beta)
-    conj = (t_sym.conj_first, t_sym.conj_second)
     guard = in_guard_band(grid)
 
     def nonlin(coeffs, t):
         big_f = free_propagate(t, f)
         v = big_f + apply_bilinear(t_sym, big_f, big_f) + SpectralField(grid, coeffs)
-        full = weighted_product(cfg.alpha, cfg.beta - cfg.alpha, v, v, *conj)
+        slots = (v.conj() if conj else v for conj in (t_sym.conj_first, t_sym.conj_second))
+        full = weighted_product(cfg.alpha, cfg.beta - cfg.alpha, *slots)
         paired = apply_bilinear(g_sym, big_f, big_f)
         return np.where(guard, full.coeffs, 0.0) - paired.coeffs
 
@@ -641,19 +641,25 @@ class TestDirectSolve:
         assert calls == [(2 * s + j, k) for s in range(7) for j, k in ((0, 0), (1, 1), (1, 1), (2, 2))]
 
 
+def small_flow_config(section, **keys):
+    """The default config with a 64-point, 20-step flow of smooth data in
+    [section] and the given keys, range-checked."""
+    cfg = default_config()
+    cfg[section].update(n_points=64, dt=1e-3, t_final=0.02, n_saves=3, sigma=3.0, freq_hi=8.0, **keys)
+    check_ranges(cfg)
+    return cfg
+
+
 class TestLipschitz:
     def test_nonlinear_share_and_flows(self):
-        cfg = EvolutionConfig(64, ALPHA, BETA, 1e-3, 0.02, n_saves=3)
-        g = smooth_data(64, seed=12, amp=1.0)
         shares = []
         for amp in (1e-9, 0.5):
-            f = smooth_data(64, seed=11, amp=amp)
-            rep = lipschitz_experiment(f, g, [1e-3, 1e-2], cfg)
-            assert len(rep.flows) == 3
-            for flow, data in zip(rep.flows, [f, f + 1e-3 * g, f + 1e-2 * g]):
-                want = integrate(cfg, data)
-                assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(flow.states, want.states))
-            shares.append(rep.nonlinear_share)
+            res = run_lipschitz(small_flow_config("lipschitz", amplitude=amp, epsilons=[1e-3, 1e-2]))
+            # the base flow and one perturbed flow per epsilon, each 20 steps
+            flows = [(h["flow"], h["steps"]) for h in res["health"]]
+            assert flows == [("base", 20), ("perturbed", 20), ("perturbed", 20)]
+            assert [eps for eps, _ratio in res["rows"]] == [1e-3, 1e-2]
+            shares.append(res["nonlinear_share"])
         # the share scales with the amplitude: quadratic nonlinearity over linear data
         assert shares[0] < 1e-8
         assert shares[1] > 1e-3
@@ -661,11 +667,9 @@ class TestLipschitz:
 
 class TestSubstitution:
     def test_smooth_variable_change_commutes(self):
-        z0 = smooth_data(64, seed=7, amp=0.5)
-        cfg = EvolutionConfig(64, ALPHA, 0.3, 1e-3, 0.02, n_saves=3)
-        rep = substitution_check(z0, cfg)
-        assert len(rep.dts) == 2
-        assert max(rep.sup_diffs) <= 1e-10
+        res = run_subst(small_flow_config("subst", beta=0.3, amplitude=0.5))
+        assert [dt for dt, _sup in res["rows"]] == [1e-3, 5e-4]
+        assert res["max_sup"] <= 1e-10
 
     def test_weight_commutation_identity(self):
         # the u-form nonlinearity of lifted data equals the lifted z-form one

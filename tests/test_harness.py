@@ -321,6 +321,7 @@ class TestCli:
         assert (tmp_path / "identity.csv").exists()
         doc = json.loads((tmp_path / "identity.json").read_text())
         assert doc["results"]["max_residual"] <= 1e-5
+        assert doc["results"]["timing"]["wall_s"] > 0
 
     def test_seed_flag_changes_artifacts(self, tmp_path):
         main(["identity", "--out", str(tmp_path / "a"), "--seed", "1"])
@@ -421,6 +422,13 @@ class TestCli:
         assert (tmp_path / "acceptance.csv").read_text().splitlines() == [
             "number,name,passed,detail", "1,first,1,ok", "8,eighth,0,off"
         ]
+
+    def test_every_criterion_reports_its_wall_time(self, tmp_path):
+        tiny = ROOT / "perfbench" / "tiny.cfg"
+        assert main(["all", "--config", str(tiny), "--out", str(tmp_path)]) in (0, 1)
+        criteria = json.loads((tmp_path / "acceptance.json").read_text())["results"]["criteria"]
+        assert [c["number"] for c in criteria] == list(range(1, 9))
+        assert all(c["timing"]["wall_s"] > 0 for c in criteria)
 
     def test_mnorm_report_health_and_timing(self, tmp_path):
         p = tmp_path / "small.cfg"
@@ -699,15 +707,38 @@ def names_used(node):
 
 
 # defaulted parameters that no package call sets, as module.function(name):
-# the options of the dense space-time oracle and weighted_product's
-# conjugations, which only the tests set; cli.main's argv, which the tests
-# pass; load_config's path, which the benchmark worker passes.  This set may
-# only shrink.
+# the options of the dense space-time oracle, which only the tests set;
+# cli.main's argv, which the tests pass; load_config's path, which the
+# benchmark worker passes.  This set may only shrink.
 TEST_ONLY_PARAMETERS = {
     "spacetime.xsb_norm(parabola_sign)", "spacetime.box_mask(parabola_sign)", "spacetime.box_mask(xi_side)",
-    "spacetime.st_product(conj_second)", "bilinear.weighted_product(conj_first)",
-    "bilinear.weighted_product(conj_second)", "cli.main(argv)", "config.load_config(path)",
+    "cli.main(argv)", "config.load_config(path)",
 }
+
+# the package modules each module imports: the numerics below the drivers
+# (experiments), the criteria (acceptance), the config and the command line.
+# This map may only shrink.
+PACKAGE_IMPORTS = {
+    "__init__": set(), "__main__": {"cli"}, "_kernels": set(), "acceptance": {"experiments"},
+    "bilinear": {"_kernels", "spectral"}, "cli": {"acceptance", "config", "evolution", "experiments", "reports"},
+    "config": {"experiments", "rates"}, "evolution": {"bilinear", "spectral"},
+    "experiments": {"bilinear", "evolution", "mnorm", "rates", "roughdata", "spacetime", "spectral"},
+    "mnorm": {"_kernels"}, "rates": {"spacetime", "spectral"}, "reports": set(), "roughdata": {"spectral"},
+    "spacetime": {"spectral"}, "spectral": set(),
+}
+NUMERICS = ("_kernels", "bilinear", "evolution", "mnorm", "rates", "roughdata", "spacetime", "spectral")
+
+
+def package_imports(trees):
+    """The package modules that each module imports, read from its relative imports."""
+    graph = {}
+    for module, tree in trees.items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= {node.module} if node.module else {alias.name for alias in node.names}
+        graph[module[:-3]] = imported
+    return graph
 
 
 def unset_defaulted_parameters(trees):
@@ -768,6 +799,14 @@ def unset_defaulted_parameters(trees):
 
 
 class TestPublicNames:
+    def test_modules_import_only_the_layers_below(self):
+        # the integrator and the normal form measure no experiment, and no
+        # numerics module reaches up into the drivers, criteria, config or CLI
+        graph = package_imports(package_trees())
+        assert graph["evolution"] == {"bilinear", "spectral"}
+        assert all(not graph[module] & {"experiments", "acceptance", "config", "cli"} for module in NUMERICS)
+        assert graph == PACKAGE_IMPORTS
+
     def test_every_defaulted_parameter_is_set_in_the_package(self):
         # a default that no package caller overrides is a knob with one value
         # in use; it goes, or it is listed as one that only the tests set

@@ -58,7 +58,7 @@ def oracle_cell(kind, k, delta, seed_key, n_t):
     if nu == 0.0 or nv == 0.0:
         return float("nan")
 
-    prod = st_product(wu, wv, conj_second=conj2)
+    prod = st_product(wu, wv.conj() if conj2 else wv)
     if out_pattern is not None:
         prod = st_spatial_multiplier(prod, _output_multiplier(grid, out_pattern, k))
     return st_l2_norm(prod) / (nu * nv)

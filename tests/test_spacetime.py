@@ -213,7 +213,7 @@ class TestProducts:
         g = Grid(64)
         u = st_single_mode(g, 32, 2, 3)
         v = st_single_mode(g, 32, 5, 4, amp=2j)
-        p = st_product(u, v, conj_second=True)
+        p = st_product(u, v.conj())
         spec = p.spectral()
         assert spec[(2 - 5) % 32, (3 - 4) % 64] == pytest.approx(np.conj(2j))
 
