@@ -427,6 +427,11 @@ def lipschitz_inputs(cfg):
         g_norm = sobolev_norm(-0.5, g_raw)
     if not math.isfinite(g_norm):
         raise ValueError(f"the H^-1/2 norm of the direction with g_sigma {c['g_sigma']:g} overflows")
+    # the ratios divide by the direction's norm, the nonlinear share by the datum's
+    for what, norm in ((f"direction with g_sigma {c['g_sigma']:g}", g_norm),
+                       (f"datum with amplitude {c['amplitude']:g}", sobolev_norm(-0.5, f))):
+        if norm == 0.0:
+            raise ValueError(f"the H^-1/2 norm of the {what} underflows to 0")
     return f, (1.0 / g_norm) * g_raw, _section_flow(cfg, "lipschitz")
 
 

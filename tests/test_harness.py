@@ -171,6 +171,8 @@ class TestConfig:
             "[identity]\namplitude = 0\n",
             "[lipschitz]\ng_sigma = -1000\n",
             "[lipschitz]\ng_sigma = -140\n",
+            "[lipschitz]\ng_sigma = 2000\n",
+            "[lipschitz]\namplitude = 1e-170\n",
             "[simulate]\namplitude = 1e308\nsigma = -2\n",
             "[identity]\namplitude = 1e200\n",
         ],
