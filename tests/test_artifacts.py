@@ -37,6 +37,14 @@ def assert_numbers_close(name, got, want):
         assert same or abs(x - y) <= REL_TOL * max(abs(x), abs(y)), f"{name}: {a} != {b}"
 
 
+def first_difference(got, want):
+    """The first line where got and want (texts) differ, as old -> new."""
+    for number, (new, old) in enumerate(zip(got.splitlines(), want.splitlines()), start=1):
+        if new != old:
+            return f"line {number}: {old!r} -> {new!r}"
+    return "the line counts differ"
+
+
 @pytest.mark.parametrize("config, command", [(c, k) for c in CONFIGS for k in COMMANDS])
 def test_artifacts_match_the_manifest(config, command, tmp_path):
     want = RECORD["runs"][config][command]
@@ -44,13 +52,14 @@ def test_artifacts_match_the_manifest(config, command, tmp_path):
     got = {"stdout": stdout, **files}
     assert code == want["exit"]
     assert set(got) == set(want["sha256"])
+    recorded = {name: "\n".join(RECORD["contents"][digest]) + "\n" for name, digest in want["sha256"].items()}
     if platform_key() == RECORD["platform"]:
-        assert {name: sha256(text) for name, text in got.items()} == want["sha256"]
+        for name, text in got.items():
+            assert sha256(text) == want["sha256"][name], f"{name} moved at {first_difference(text, recorded[name])}"
         return
     warnings.warn(
         f"artifacts recorded on {RECORD['platform']['machine']} with numpy {RECORD['platform']['numpy']}: "
         f"comparing numbers at {REL_TOL:g} relative, not bytes"
     )
     for name, text in got.items():
-        recorded = "\n".join(RECORD["contents"][want["sha256"][name]]) + "\n"
-        assert_numbers_close(name, text, recorded)
+        assert_numbers_close(name, text, recorded[name])
