@@ -52,12 +52,6 @@ SCHEMA = {
         "out": (str, "qnls_out"),
     },
     "identity": {
-        "n_points": (_int, 64),
-        "band_limit": (_float, 3.0),
-        "sigma": (_float, 3.0),
-        "amplitude": (_float, 1.0),
-        "dt": (_float, 1e-3),
-        "t": (_float, 0.1),
         "n_pairs": (_int, 8),
     },
     "smoothing": {
@@ -129,13 +123,7 @@ SCHEMA = {
     },
     "infra": {
         "n_points": (_int, 256),
-        "order_n": (_int, 64),
-        "order_dt": (_float, 0.02),
         "order_t_final": (_float, 0.4),
-        "order_sigma": (_float, 1.0),
-        "order_freq_hi": (_float, 8.0),
-        "order_amplitude": (_float, 1.0),
-        "route_dt": (_float, 2.5e-4),
         "route_t_final": (_float, 0.05),
     },
 }
@@ -187,7 +175,6 @@ def read_config(path) -> dict:
 # makes its section's grid, data (fitted on the section's fit window) and
 # flows, and raises ValueError for keys it cannot make them from
 _INPUT_BUILDERS = (
-    ("[identity]", experiments.identity_inputs),
     ("[smoothing]", experiments.smoothing_inputs),
     ("[decompose]", experiments.decompose_inputs),
     ("[lipschitz]", experiments.lipschitz_inputs),
@@ -235,8 +222,6 @@ def check_ranges(cfg, path=None) -> None:
         bad.append(f"[mnorm] iters must be >= 1, got {mnorm['iters']}")
     if mnorm["tiny_grid"] < 2:
         bad.append(f"[mnorm] tiny_grid must be >= 2, got {mnorm['tiny_grid']}")
-    if cfg["identity"]["dt"] <= 0:
-        bad.append(f"[identity] dt must be positive, got {cfg['identity']['dt']:g}")
     for sec, key in (("rates", "n_seeds"), ("identity", "n_pairs"), ("smoothing", "n_seeds")):
         if cfg[sec][key] < 1:
             bad.append(f"[{sec}] {key} must be >= 1, got {cfg[sec][key]}")

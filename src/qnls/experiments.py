@@ -6,13 +6,15 @@ experiments live here, the integrator module holds none.  Writing
 artifacts and judging thresholds happens in the command-line layer and the
 acceptance suite, which both call into this module.
 
-Each section that draws rough data builds its inputs in one *_inputs
-function ([infra] in two: order_inputs and route_inputs): the grid, the
-data (with its regularity fit where the section has a fit window) and the
-flows, which [decompose], [lipschitz], [subst] and [simulate] build from
-their keys through _section_flow.  Each raises ValueError for keys it
-cannot build from, and config.check_ranges calls each once to range-check
-a config."""
+Each section whose keys shape its rough data or flows builds its inputs in
+one *_inputs function ([infra] in two: order_inputs and route_inputs): the
+grid, the data (with its regularity fit where the section has a fit
+window) and the flows, which [decompose], [lipschitz], [subst] and
+[simulate] build from their keys through _section_flow.  Each raises
+ValueError for keys it cannot build from, and config.check_ranges calls
+each once to range-check a config.  The identity check (criterion 1) and
+the order check's datum and step (criterion 8) are fixed here, on the
+setups their gates are calibrated on."""
 
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bilinear import (
+    KIND_FLAGS,
     apply_bilinear,
     g_symbol,
     leibniz_residual,
@@ -52,7 +55,6 @@ from .rates import KIND_ORDER, expected_slope, product_rate_experiment
 from .roughdata import DataSpec, gen_rough_data
 from .spacetime import fit_line, fitted_regularity, sobolev_norm
 from .spectral import (
-    TWO_PI,
     Grid,
     SpectralField,
     bessel_potential,
@@ -104,43 +106,28 @@ def _section_flow(cfg, sec, variables="u", kind="u2") -> EvolutionConfig:
 # resonance identity
 # ----------------------------------------------------------------------------
 
-LIFT_KINDS = ("u2", "uubar", "ubar2")
-
-
-def identity_inputs(cfg, kind_idx=0, pair=0):
-    """The data (f, g) of one pair of the identity check; raises ValueError
-    when the pair's products overflow."""
-    c = cfg["identity"]
-    grid = Grid(c["n_points"])
-    base = _seed(cfg, "identity", kind_idx * 1000 + pair)
-    f, g = (
-        gen_rough_data(DataSpec(c["sigma"], c["band_limit"], amplitude=c["amplitude"], seed=seed), grid)
-        for seed in (base, base + 500)
-    )
-    # sum|f| sum|g| bounds every coefficient of the pair's product, whose
-    # band reaches 2 band_limit; each term of the identity weighs it by
-    # about <xi>^2 there, and the residual's norms square and sum the terms
-    term = float(np.abs(f.coeffs).sum()) * float(np.abs(g.coeffs).sum()) * (1.0 + (2.0 * c["band_limit"]) ** 2)
-    if not math.isfinite(term * term * grid.n * TWO_PI):
-        raise ValueError(f"the products of data with amplitude {c['amplitude']:g} and sigma {c['sigma']:g} overflow")
-    return f, g
+LIFT_KINDS = tuple(KIND_FLAGS)
 
 
 def run_identity(cfg) -> dict:
-    """The identity's residual at dt and dt/2 per kind and pair; `timing`
-    belongs in the JSON report only."""
+    """The identity's residual at dt and dt/2 per kind and pair, at t = 0.1
+    and dt = 1e-3 on pairs of smooth data (sigma 3 on |xi| <= 3, amplitude
+    1) on 64 points: the setup its gate is calibrated on.  `timing` belongs
+    in the JSON report only."""
     start = time.perf_counter()
-    c = cfg["identity"]
     run = cfg["run"]
+    grid = Grid(64)
+    t, dt = 0.1, 1e-3
     rows = []
     for kind_idx, kind in enumerate(LIFT_KINDS):
         t_sym, g_sym = normal_form_pair(kind, run["alpha"], run["beta"])
-        for pair in range(c["n_pairs"]):
-            f, g = identity_inputs(cfg, kind_idx, pair)
-            residual = leibniz_residual(t_sym, g_sym, f, g, c["t"], c["dt"])
-            residual_half = leibniz_residual(t_sym, g_sym, f, g, c["t"], 0.5 * c["dt"])
+        for pair in range(cfg["identity"]["n_pairs"]):
+            base = _seed(cfg, "identity", kind_idx * 1000 + pair)
+            f, g = (gen_rough_data(DataSpec(3.0, 3.0, amplitude=1.0, seed=seed), grid) for seed in (base, base + 500))
+            residual = leibniz_residual(t_sym, g_sym, f, g, t, dt)
+            residual_half = leibniz_residual(t_sym, g_sym, f, g, t, 0.5 * dt)
             ratio = residual / residual_half if residual_half > 0 else float("nan")
-            rows.append((kind, pair, c["dt"], residual, residual_half, ratio))
+            rows.append((kind, pair, dt, residual, residual_half, ratio))
     residuals = [r[3] for r in rows]
     ratios = [r[5] for r in rows]
     return {
@@ -545,17 +532,14 @@ def reference_apply_bilinear(sym, u, v):
 
 
 def order_inputs(cfg):
-    """The order check's datum and its flows at order_dt times 1, 1/2, 1/4 and 1/16, by that factor."""
-    c = cfg["infra"]
+    """The order check's datum (sigma 1 on |xi| <= 8, amplitude 1, on 64
+    points) and its flows to [infra] order_t_final at dt = 0.02 times 1,
+    1/2, 1/4 and 1/16, by that factor: the setup its gate is calibrated on."""
     run = cfg["run"]
-    data = gen_rough_data(
-        DataSpec(c["order_sigma"], c["order_freq_hi"], amplitude=c["order_amplitude"],
-                 seed=_seed(cfg, "infra", 0)),
-        Grid(c["order_n"]),
-    )
+    data = gen_rough_data(DataSpec(1.0, 8.0, amplitude=1.0, seed=_seed(cfg, "infra", 0)), Grid(64))
     configs = {
         scale: EvolutionConfig(
-            c["order_n"], run["alpha"], run["beta"], c["order_dt"] * scale, c["order_t_final"],
+            64, run["alpha"], run["beta"], 0.02 * scale, cfg["infra"]["order_t_final"],
             kind="u2", variables="u", n_saves=2,
         )
         for scale in (1.0, 0.5, 0.25, 1.0 / 16.0)
@@ -640,13 +624,13 @@ def measure_forcing_deviation(cfg) -> float:
 
 def route_inputs(cfg, kind_idx=0):
     """The route check's datum (smooth, on |xi| <= 8) and v-form flow for
-    LIFT_KINDS[kind_idx], on [infra] n_points."""
+    LIFT_KINDS[kind_idx] at dt = 2.5e-4, on [infra] n_points."""
     c = cfg["infra"]
     run = cfg["run"]
     spec = DataSpec(3.0, 8.0, amplitude=0.3, seed=_seed(cfg, "infra", 400 + kind_idx))
     data = gen_rough_data(spec, Grid(c["n_points"]))
     ecfg = EvolutionConfig(
-        c["n_points"], run["alpha"], run["beta"], c["route_dt"], c["route_t_final"],
+        c["n_points"], run["alpha"], run["beta"], 2.5e-4, c["route_t_final"],
         kind=LIFT_KINDS[kind_idx], variables="v", n_saves=6,
     )
     return data, ecfg

@@ -73,10 +73,10 @@ work fits in a per-core L2 cache: the sum of |X|^2 and the (-1)^t
 alternating sums of each group carry from block to block and are squared
 once at the end.  Every block starts on an even row, so the alternating
 sums keep the global row parity.  At the default n_t = 256 every cell up
-to k = 5 is one block.  Every transform runs in place, in per-thread
-scatter buffers of one block's rows for each part, and only the columns
-the scatter leaves empty are re-zeroed, so a cell allocates no (n_t, M)
-array and no part buffer has more rows than its block.  The dense
+to k = 5 is one block.  Every transform runs in place, in the cell's
+buffers of one block's rows for each part, and only the columns the
+scatter leaves empty are zeroed, so a cell allocates no (n_t, M) array
+and no part buffer has more rows than its block.  The dense
 SpaceTimeField composition in spacetime.py (synth_cells, apply_window,
 xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) on the 2^(k+3)
 grid computes the same ratio and is the reference the tests compare the
@@ -86,7 +86,6 @@ cell against.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -526,24 +525,19 @@ def _cell_tables(kind: str, k: int, delta: float, n_t: int) -> _CellTables:
     )
 
 
-_scatter = threading.local()
-
-
 def _part_buffers(tables: _CellTables) -> tuple:
-    """This thread's (tables.rows, tables.n) scatter buffers for tables, one
-    per part of each factor; new tables get new buffers.
+    """One cell's (tables.rows, tables.n) part buffers, one per part of each
+    factor, left unzeroed.
 
     A cell runs each block of time rows through these buffers (the last,
-    shorter block through their leading rows) and transforms in place, so
-    they hold no zeros from one block to the next: _windowed_side re-zeroes
-    the columns of each buffer that its part's runs do not write."""
-    if getattr(_scatter, "tables", None) is not tables:
-        _scatter.buffers = tuple(
-            tuple(np.zeros((tables.rows, tables.n), dtype=np.complex128) for _part in side.parts)
-            for side in (tables.u, tables.v)
-        )
-        _scatter.tables = tables
-    return _scatter.buffers
+    shorter block through their leading rows) and transforms in place:
+    _windowed_side writes every column of a buffer's rows in each block,
+    the columns of its part's runs from the samples and the rest (the
+    part's gaps) with zeros."""
+    return tuple(
+        tuple(np.empty((tables.rows, tables.n), dtype=np.complex128) for _part in side.parts)
+        for side in (tables.u, tables.v)
+    )
 
 
 def _draws(side: _Side, seed) -> tuple:
@@ -566,8 +560,8 @@ def _windowed_side(side: _Side, c: np.ndarray, rows: slice, n_t: int, buffers: t
 
     Column j holds the draws C_j on rows tau0_j + r, so its windowed samples
     are (cis[rows, :R] @ C)_j times the phase cisw[rows, tau0_j], copied into
-    the leading rows of its part's scatter buffer after the columns the
-    copy leaves empty are re-zeroed; each buffer then takes one inverse
+    the leading rows of its part's buffer after the columns the
+    copy leaves empty are zeroed; each buffer then takes one inverse
     x-transform in place and its leading rows are returned as that part's
     samples.  No time-axis transform runs."""
     cis, cisw, _what = _time_tables(n_t)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 
@@ -48,8 +48,6 @@ def write_gnuplot(path, comment, columns, rows) -> Path:
 
 
 def _jsonable(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -41,7 +41,7 @@ class TestConfig:
         assert cfg["run"]["alpha"] == 0.6
         assert cfg["run"]["beta"] == 0.2
         assert cfg["rates"]["k_hi"] == 8
-        assert cfg["identity"]["dt"] == 1e-3
+        assert cfg["identity"]["n_pairs"] == 8
 
     def test_file_overrides(self, tmp_path):
         p = tmp_path / "a.cfg"
@@ -132,8 +132,6 @@ class TestConfig:
             "[simulate]\nn_points = 7\n",
             "[simulate]\nn_points = 6\n",
             "[decompose]\nn_points = 24\n",
-            "[identity]\nn_points = 8\n",
-            "[infra]\norder_n = 100\n",
             "[lipschitz]\ndt = 0\n",
             "[subst]\ndt = -2.5e-4\n",
             "[decompose]\ndt = 3e-5\n",
@@ -153,9 +151,7 @@ class TestConfig:
             "[simulate]\nkind = cubic\n",
             "[simulate]\nvariables = w\n",
             "[smoothing]\nfreq_hi = 512\n",
-            "[identity]\nband_limit = 0.5\n",
             "[infra]\nn_points = 16\n",
-            "[identity]\ndt = 0\n",
             "[identity]\nn_pairs = 0\n",
             "[smoothing]\nn_seeds = 0\n",
             "[run]\nseed = 1e400\n",
@@ -168,13 +164,11 @@ class TestConfig:
             "[decompose]\nsigma = -1000\n",
             "[smoothing]\namplitude = 0\n",
             "[smoothing]\nsigma = 1000\n",
-            "[identity]\namplitude = 0\n",
             "[lipschitz]\ng_sigma = -1000\n",
             "[lipschitz]\ng_sigma = -140\n",
             "[lipschitz]\ng_sigma = 2000\n",
             "[lipschitz]\namplitude = 1e-170\n",
             "[simulate]\namplitude = 1e308\nsigma = -2\n",
-            "[identity]\namplitude = 1e200\n",
         ],
     )
     def test_out_of_range_rejected(self, tmp_path, text):
@@ -184,6 +178,19 @@ class TestConfig:
             load_config(p)
         assert main(["identity", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("section, key", [
+        ("identity", "n_points"), ("identity", "band_limit"), ("identity", "sigma"), ("identity", "amplitude"),
+        ("identity", "dt"), ("identity", "t"), ("infra", "order_n"), ("infra", "order_dt"),
+        ("infra", "order_sigma"), ("infra", "order_freq_hi"), ("infra", "order_amplitude"), ("infra", "route_dt"),
+    ])
+    def test_fixed_setup_key_rejected(self, tmp_path, section, key):
+        # criteria 1 and 8 fix their grid, data and steps in experiments.py,
+        # on the setups their gates are calibrated on, so no config sets them
+        p = tmp_path / "a.cfg"
+        p.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
+            load_config(p)
+        assert main(["identity", "--config", str(p), "--out", str(tmp_path)]) == 2
 
     def test_beta_zero_loads(self, tmp_path):
         # the lower end of [0, 1/2) is legal in both sections that carry beta
@@ -730,6 +737,22 @@ PACKAGE_IMPORTS = {
 }
 NUMERICS = ("_kernels", "bilinear", "evolution", "mnorm", "rates", "roughdata", "spacetime", "spectral")
 
+# config keys that perfbench/tiny.cfg leaves at their defaults, as
+# "[section] key": the paper's parameters, the data and flows of the
+# measured experiments, the rate sweep's lowest band and its kinds, the
+# [simulate] run, and the seed, threads and output directory.  Every other
+# key is one that a workload sets.  This set may only shrink.
+KEPT_KEYS = {
+    "[run] alpha", "[run] beta", "[run] delta", "[run] seed", "[run] threads", "[run] out",
+    "[smoothing] sigma", "[smoothing] amplitude",
+    "[decompose] sigma", "[decompose] amplitude", "[decompose] u_sigma", "[decompose] u_amplitude",
+    "[rates] k_lo", "[rates] kinds",
+    "[lipschitz] sigma", "[lipschitz] amplitude", "[lipschitz] g_sigma",
+    "[subst] beta", "[subst] dt", "[subst] sigma", "[subst] freq_hi", "[subst] amplitude",
+    "[simulate] n_points", "[simulate] variables", "[simulate] kind", "[simulate] dt", "[simulate] t_final",
+    "[simulate] n_saves", "[simulate] sigma", "[simulate] freq_hi", "[simulate] amplitude",
+}
+
 
 def package_imports(trees):
     """The package modules that each module imports, read from its relative imports."""
@@ -808,6 +831,14 @@ class TestPublicNames:
         assert graph["evolution"] == {"bilinear", "spectral"}
         assert all(not graph[module] & {"experiments", "acceptance", "config", "cli"} for module in NUMERICS)
         assert graph == PACKAGE_IMPORTS
+
+    def test_every_config_key_is_set_by_a_workload_or_kept(self):
+        # a key that no workload moves off its default is an option with one
+        # value in use; it becomes a constant, or it is listed as kept
+        tiny = config.read_config(ROOT / "perfbench" / "tiny.cfg")
+        unset = {f"[{sec}] {key}" for sec, keys in config.SCHEMA.items() for key, (_parser, default) in keys.items()
+                 if tiny[sec][key] == default}
+        assert unset == KEPT_KEYS
 
     def test_every_defaulted_parameter_is_set_in_the_package(self):
         # a default that no package caller overrides is a knob with one value

@@ -3,7 +3,6 @@ import math
 import sys
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -453,24 +452,33 @@ def test_block_rows_balanced_within_budget():
             assert rows in (8, n_t) or -(-n_t // (rows - 8)) > blocks, (n_t, width)
 
 
-def test_kkk3_cell_memory_stays_in_blocks():
+def test_kkk3_cell_memory_stays_in_blocks(monkeypatch):
     # the widest default cell (kkk3 at k = 8, two 1,600-point parts): with
-    # its tables and this thread's scatter buffers built, one cell's
-    # transient allocations stay under 1.5 MB (the samples and gathered
-    # phases of u's 514 columns over all 256 rows alone take 4.2 MB), and
-    # no part buffer holds more rows than a block
+    # its tables built, one cell's transient allocations stay under 1.5 MB
+    # besides its part buffers (the samples and gathered phases of u's 514
+    # columns over all 256 rows alone take 4.2 MB), and no part buffer
+    # holds more rows than a block
+    buffers, original = [], rates._part_buffers
+
+    def recording(tables):
+        made = original(tables)
+        buffers.extend(b for side in made for b in side)
+        return made
+
+    monkeypatch.setattr(rates, "_part_buffers", recording)
     _one_cell("kkk3", 8, 0.05, 1, 256)
+    buffers.clear()
     tracemalloc.start()
     try:
         _one_cell("kkk3", 8, 0.05, 2, 256)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5e6, peak
     tables = _cell_tables("kkk3", 8, 0.05, 256)
-    buffers = [b for side in rates._scatter.buffers for b in side]
-    assert rates._scatter.tables is tables and len(buffers) == 2
+    parts = len(tables.u.parts) + len(tables.v.parts)
+    assert len(buffers) == parts == 2
     assert all(b.shape == (tables.rows, 1600) for b in buffers) and tables.rows < 256
+    assert peak <= 1.5e6 + parts * tables.rows * tables.n * 16, peak
 
 
 @pytest.mark.parametrize("n_t", [64, 256])
@@ -564,11 +572,11 @@ def test_experiment_report_shape():
 
 
 def test_threads_do_not_change_values():
-    # k runs over three scales, so every worker thread switches tables and
-    # part buffers; a short switch interval makes the threads interleave.
-    # gain1's v side occupies few columns of its buffer, so a column left
-    # over from another table would change its values; gain2 up to k = 7
-    # splits both factors, four part buffers per thread
+    # k runs over three scales, so every worker thread switches tables; a
+    # short switch interval makes the threads interleave.  gain1's v side
+    # occupies few columns of its buffer, so a column the cell left unwritten
+    # would change its values; gain2 up to k = 7 splits both factors, four
+    # part buffers per cell
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -581,23 +589,8 @@ def test_threads_do_not_change_values():
             assert a.grid_n == b.grid_n and a.transforms == b.transforms
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_scatter_buffers_do_not_leak_between_tables():
-    # one thread runs gain1 -> kkk1 -> gain1 -> gain2 -> plusminus -> gain2
-    # at k = 8 and 7, then switches to gain1 at k = 7; gain2 at k = 8 and
-    # plusminus at k = 7 share the 270-point grid but gain2 scatters into
-    # four part buffers and plusminus into two.  Each cell must equal the
-    # same cell computed first in a fresh cache, on a fresh thread that
-    # holds no scatter buffers yet
-    sequence = [("gain1", 8), ("kkk1", 8), ("gain1", 8), ("gain2", 8), ("plusminus", 7), ("gain2", 8), ("gain1", 7)]
-    after = [_one_cell(kind, k, 0.05, 5, 256) for kind, k in sequence]
-    fresh = []
-    for kind, k in sequence:
-        _cell_tables.cache_clear()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            fresh.append(pool.submit(_one_cell, kind, k, 0.05, 5, 256).result(timeout=60))
-    assert after == fresh
+    # one grid size, different part counts: gain2 at k = 8 transforms four
+    # parts on 270 points and plusminus at k = 7 two
     shared = [_cell_tables(kind, k, 0.05, 256) for kind, k in (("gain2", 8), ("plusminus", 7))]
     assert [(t.n, len(t.u.parts) + len(t.v.parts)) for t in shared] == [(270, 4), (270, 2)]
 
