@@ -178,16 +178,19 @@ class TestConfig:
             load_config(p)
         assert main(["identity", "--config", str(p), "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("section, key", [
-        ("identity", "n_points"), ("identity", "band_limit"), ("identity", "sigma"), ("identity", "amplitude"),
-        ("identity", "dt"), ("identity", "t"), ("infra", "order_n"), ("infra", "order_dt"),
-        ("infra", "order_sigma"), ("infra", "order_freq_hi"), ("infra", "order_amplitude"), ("infra", "route_dt"),
+    @pytest.mark.parametrize("section, key, value", [
+        ("identity", "n_points", "8"), ("identity", "band_limit", "0.5"), ("identity", "sigma", "1"),
+        ("identity", "amplitude", "0"), ("identity", "amplitude", "1e200"), ("identity", "dt", "0"),
+        ("identity", "t", "1"), ("infra", "order_n", "100"), ("infra", "order_dt", "1"),
+        ("infra", "order_sigma", "1"), ("infra", "order_freq_hi", "1"), ("infra", "order_amplitude", "1"),
+        ("infra", "route_dt", "1"),
     ])
-    def test_fixed_setup_key_rejected(self, tmp_path, section, key):
+    def test_fixed_setup_key_rejected(self, tmp_path, section, key, value):
         # criteria 1 and 8 fix their grid, data and steps in experiments.py,
-        # on the setups their gates are calibrated on, so no config sets them
+        # on the setups their gates are calibrated on, so no config sets them,
+        # whatever the value (in range or not)
         p = tmp_path / "a.cfg"
-        p.write_text(f"[{section}]\n{key} = 1\n")
+        p.write_text(f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
             load_config(p)
         assert main(["identity", "--config", str(p), "--out", str(tmp_path)]) == 2
