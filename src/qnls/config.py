@@ -57,7 +57,6 @@ SCHEMA = {
     "smoothing": {
         "n_points": (_int, 1024),
         "sigma": (_float, 0.0),
-        "amplitude": (_float, 1.0),
         "freq_hi": (_float, 256.0),
         "n_seeds": (_int, 16),
         "fit_lo": (_int, 3),

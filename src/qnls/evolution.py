@@ -81,19 +81,9 @@ BLOWUP_FACTOR = 1.0e6
 
 class BlowUpError(RuntimeError):
     """L2 mass exceeded the blow-up guard, or stopped being finite, during
-    integration.  row is the index of the flow that tripped in a batch
-    (0 for a single flow)."""
-
-    def __init__(self, t, norm, initial_norm, row=0):
-        if math.isfinite(norm):
-            what = f"exceeds {BLOWUP_FACTOR:.0e} x initial {initial_norm:.3e}"
-        else:
-            what = "is not finite"
-        super().__init__(f"blow-up guard tripped at t={t:.6g} in row {row}: L2 norm {norm:.3e} {what}")
-        self.t = t
-        self.norm = norm
-        self.initial_norm = initial_norm
-        self.row = row
+    integration.  The message names the time, the row of the flow that
+    tripped in a batch (0 for a single flow), its L2 norm and, for a finite
+    norm, the initial norm it is measured against."""
 
 
 @dataclass(frozen=True)
@@ -262,7 +252,10 @@ def _integrate_core(frequencies: np.ndarray, u0: np.ndarray, dt: float, n_steps:
         tripped = ~(norms <= BLOWUP_FACTOR * refs)  # a NaN norm trips too
         if tripped.any():
             row = int(np.argmax(tripped))
-            raise BlowUpError((step + 1) * dt, float(norms[row]), float(refs[row]), row)
+            norm, ref = float(norms[row]), float(refs[row])
+            what = f"exceeds {BLOWUP_FACTOR:.0e} x initial {ref:.3e}" if math.isfinite(norm) else "is not finite"
+            t = (step + 1) * dt
+            raise BlowUpError(f"blow-up guard tripped at t={t:.6g} in row {row}: L2 norm {norm:.3e} {what}")
         if step + 1 in save_steps:
             saves[step + 1] = u.copy()
     return saves

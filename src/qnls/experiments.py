@@ -144,9 +144,13 @@ def run_identity(cfg) -> dict:
 # ----------------------------------------------------------------------------
 
 def smoothing_inputs(cfg, i=0):
-    """Datum i of the smoothing check and its regularity fit on the fit window."""
-    f = _datum(cfg, "smoothing", i)
-    return f, fitted_regularity(f, cfg["smoothing"]["fit_lo"], cfg["smoothing"]["fit_hi"])
+    """Datum i of the smoothing check and its regularity fit on the fit
+    window.  The datum has amplitude 1: the lift T is bilinear, so scaling
+    the datum scales every band of T(f, f) alike and leaves its fit as it is."""
+    c = cfg["smoothing"]
+    f = gen_rough_data(DataSpec(c["sigma"], c["freq_hi"], amplitude=1.0, seed=_seed(cfg, "smoothing", i)),
+                       Grid(c["n_points"]))
+    return f, fitted_regularity(f, c["fit_lo"], c["fit_hi"])
 
 
 def run_smoothing(cfg) -> dict:
@@ -616,7 +620,7 @@ def measure_forcing_deviation(cfg) -> float:
     forcing = SpectralField(grid, remainder_forcing("u2", alpha, beta, grid, v.coeffs, g_pair))
     on_guard = np.abs(grid.frequencies) <= grid.guard_frequency
     full = weighted_product(alpha, beta - alpha, v, v)
-    fplus = sign_project("+", big_f)
+    fplus = sign_project(big_f)
     paired = weighted_product(alpha, beta - alpha, fplus, fplus)
     target = SpectralField(grid, np.where(on_guard, full.coeffs, 0.0)) - paired
     return l2_norm(forcing - target) / max(l2_norm(target), 1e-300)

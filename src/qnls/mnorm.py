@@ -65,8 +65,6 @@ class BoxSpec:
 class MnormModel:
     """Discretized instance: lattices, admissibility tables, measure factor."""
 
-    box: BoxSpec
-    H: float
     xi_grids: tuple  # three 1-D arrays
     mu_grids: tuple  # three 1-D arrays
     ix3: np.ndarray  # (nxi1, nxi2) slot-3 xi index or -1
@@ -161,10 +159,7 @@ def build_model(box: BoxSpec, H: float, n_tau: int = 64, n_xi: int = 64) -> Mnor
         np.nonzero(ends)[2] + 1,
     )
     triples = Triples(runs, order, tuple(len(x) * n for x, n in zip(xi_grids, n_mu)))
-    return MnormModel(
-        box, float(H), xi_grids, mu_grids, ix3, shift,
-        dxi, dmus, lo3, nneg3, triples,
-    )
+    return MnormModel(xi_grids, mu_grids, ix3, shift, dxi, dmus, lo3, nneg3, triples)
 
 
 @dataclass
@@ -173,8 +168,7 @@ class MnormEstimate:
     empty: bool
     n_triples: int
     n_runs: int  # runs of slot-2 cells the triples form
-    raw: float
-    best_restart: int = -1  # first restart reaching raw
+    best_restart: int = -1  # first restart reaching the best value
     sweep_values: tuple = ()  # that restart's value after each sweep
 
 
@@ -241,10 +235,10 @@ def multiplier_lower_bound(
     """
     model = build_model(box, H, n_tau, n_xi)
     if model.empty:
-        return MnormEstimate(0.0, True, 0, 0, 0.0)
+        return MnormEstimate(0.0, True, 0, 0)
     raw, best, values = alternating_max(model, iters=iters, seed=seed)
     return MnormEstimate(
-        model.measure_factor * raw, False, count_triples(model), model.triples.n_runs, raw, best, values
+        model.measure_factor * raw, False, count_triples(model), model.triples.n_runs, best, values
     )
 
 

@@ -134,13 +134,10 @@ def expected_slope(kind: str, delta: float):
 
 @dataclass
 class RateReport:
-    kind: str
-    delta: float
     ks: list
     medians: list
     slope: float
     stderr: float
-    n_seeds: int
     degenerate: bool = False
     ratios: dict = field(default_factory=dict)  # k -> list over seeds
     grid_n: dict = field(default_factory=dict)  # k -> transform grid points
@@ -321,7 +318,7 @@ def _box_table(k: int, pattern: str, side: str, weight_b: float, n_t: int) -> _B
     threads share it; an empty box raises (no box at an even n_t is
     empty, so this is a guard)."""
     grid = Grid(2 ** (k + 3))
-    cols, sub, dist = box_columns(grid, n_t, *_band(pattern, k), 1.0, 2.0, 1, side)
+    cols, sub, dist = box_columns(grid, n_t, *_band(pattern, k), 1.0, 2.0, side)
     sub[n_t // 2, :] = False
     sub[:, cols == grid.n // 2] = False
     occupied = sub.any(axis=0)
@@ -705,5 +702,4 @@ def product_rate_experiment(
         slope, stderr = float("nan"), float("nan")
     else:
         slope, stderr = fit_line(ks, np.log2(medians))
-    return RateReport(kind, delta, ks, medians, slope, stderr, n_seeds, degenerate, ratios, grid_n, transforms,
-                      block_rows, tables_s)
+    return RateReport(ks, medians, slope, stderr, degenerate, ratios, grid_n, transforms, block_rows, tables_s)

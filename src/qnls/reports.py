@@ -4,12 +4,14 @@ CSV rule: identical config + seed must reproduce byte-identical files, so
 CSVs carry no timestamps, floats are printed with '%.17g', newlines are LF,
 encoding UTF-8.  The JSON report envelope does carry a timestamp (it is a
 log, not a dataset); the config echo and its sha256, which leaves out
-the output directory, make reruns attributable."""
+the output directory, make reruns attributable.  JSON files are strict
+JSON: a NaN or infinite value is written as null."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -54,7 +56,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if hasattr(obj, "tolist"):
         return _jsonable(obj.tolist())
-    if isinstance(obj, float) and obj != obj:  # NaN -> null, valid JSON
+    if isinstance(obj, float) and not math.isfinite(obj):  # NaN and +-inf -> null, valid JSON
         return None
     return obj
 
@@ -64,7 +66,7 @@ def config_sha256(cfg) -> str:
     directory does not change the experiment."""
     settings = _jsonable(cfg)
     settings["run"] = {key: value for key, value in settings["run"].items() if key != "out"}
-    blob = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(settings, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -81,7 +83,7 @@ def write_report(path, experiment, cfg, results, passed=None) -> Path:
     }
     if passed is not None:
         doc["passed"] = bool(passed)
-    p.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
+    p.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8", newline="\n")
     return p
 
 
@@ -116,5 +118,6 @@ def write_trajectory(directory, name, trajectory) -> tuple:
         "length": grid.length,
     }
     side_path = directory / f"{name}.json"
-    side_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
+    side_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8",
+                         newline="\n")
     return csv_path, side_path

@@ -10,7 +10,7 @@ fftfreq(n, 2*pi / n), so up to rounding).  The 2*pi time period puts tau on
 the integer lattice, so integer-frequency free waves exp(i(xi x + xi^2 t))
 are exactly periodic and sit on single cells.
 
-The parabola weight uses the wrapped representative of tau - sign*xi^2
+The parabola weight uses the wrapped representative of tau - xi^2
 closest to zero (the frequency axis is periodic with period n_t);
 both Nyquist lines are zeroed, matching the spatial convention.
 """
@@ -53,9 +53,6 @@ def dyadic_profile(field: SpectralField):
 class RegularityFit:
     sigma: float
     stderr: float
-    k_lo: int
-    k_hi: int
-    n_bands: int
 
 
 def fit_line(xs, ys) -> tuple[float, float]:
@@ -71,7 +68,7 @@ def fit_line(xs, ys) -> tuple[float, float]:
     return slope, math.sqrt(float(np.sum(resid**2)) / dof / sxx)
 
 
-def regularity_fit(ks, norms, k_lo: int | None = None, k_hi: int | None = None) -> RegularityFit:
+def regularity_fit(ks, norms, k_lo: int, k_hi: int) -> RegularityFit:
     """Least-squares Sobolev index from a dyadic profile.
 
     Fits log2||P_k u|| against k on the window [k_lo, k_hi] (bands only,
@@ -81,8 +78,7 @@ def regularity_fit(ks, norms, k_lo: int | None = None, k_hi: int | None = None) 
     """
     ks = np.asarray(ks)
     norms = np.asarray(norms, dtype=np.float64)
-    lo = 1 if k_lo is None else int(k_lo)
-    hi = int(ks[-1]) if k_hi is None else int(k_hi)
+    lo, hi = int(k_lo), int(k_hi)
     if hi > ks[-1]:
         raise ValueError(f"regularity fit window ends at band {hi}, above the profile's top band {ks[-1]}")
     sel = (ks >= max(lo, 1)) & (ks <= hi) & (norms > 0)
@@ -90,10 +86,10 @@ def regularity_fit(ks, norms, k_lo: int | None = None, k_hi: int | None = None) 
     if kk.size < 4:
         raise ValueError(f"regularity fit needs >= 4 usable bands in [{lo}, {hi}], got {kk.size}")
     slope, stderr = fit_line(kk, np.log2(norms[sel]))
-    return RegularityFit(-slope, stderr, int(kk[0]), int(kk[-1]), kk.size)
+    return RegularityFit(-slope, stderr)
 
 
-def fitted_regularity(field: SpectralField, k_lo: int | None = None, k_hi: int | None = None) -> RegularityFit:
+def fitted_regularity(field: SpectralField, k_lo: int, k_hi: int) -> RegularityFit:
     ks, norms = dyadic_profile(field)
     return regularity_fit(ks, norms, k_lo, k_hi)
 
@@ -134,9 +130,6 @@ class SpaceTimeField:
         c[:, self.grid.n // 2] = 0.0
         return c
 
-    def tau(self) -> np.ndarray:
-        return TWO_PI * np.fft.fftfreq(self.n_t, d=TWO_PI / self.n_t)
-
     def conj(self) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, np.conj(self.values), self.windowed)
 
@@ -162,15 +155,15 @@ def apply_window(stf: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(stf.grid, stf.values * w[:, None], windowed=True)
 
 
-def parabola_distance(n_t: int, xi, parabola_sign: int = 1) -> np.ndarray:
-    """(n_t, len(xi)) wrapped |tau - sign*xi^2|: the representative closest
-    to zero modulo the period n_t of the tau axis.
+def parabola_distance(n_t: int, xi) -> np.ndarray:
+    """(n_t, len(xi)) wrapped |tau - xi^2|: the representative closest to
+    zero modulo the period n_t of the tau axis.
 
     Elementwise in xi, so a subset of the frequencies gives bit-for-bit the
     same values as the matching columns of the full table."""
     tau = TWO_PI * np.fft.fftfreq(n_t, d=TWO_PI / n_t)[:, None]
     period = float(n_t)
-    m = tau - float(parabola_sign) * np.asarray(xi, dtype=np.float64)[None, :] ** 2
+    m = tau - np.asarray(xi, dtype=np.float64)[None, :] ** 2
     return np.abs(m - period * np.round(m / period))
 
 
@@ -179,19 +172,17 @@ def st_l2_norm(stf: SpaceTimeField) -> float:
     return math.sqrt(TWO_PI * TWO_PI * float(np.sum(np.abs(c) ** 2)))
 
 
-def xsb_norm(s: float, b: float, stf: SpaceTimeField, parabola_sign: int = 1) -> float:
-    """Dispersive space-time norm with weight <xi>^2s (1+|tau -+ xi^2|)^2b.
+def xsb_norm(s: float, b: float, stf: SpaceTimeField) -> float:
+    """Dispersive space-time norm with weight <xi>^2s (1+|tau - xi^2|)^2b.
 
     The parabola distance uses the wrapped representative closest to zero.
     For b > 0 the norm is only meaningful after a time cutoff; calling it
     on an unwindowed field raises.
     """
-    if parabola_sign not in (1, -1):
-        raise ValueError("parabola_sign must be +1 or -1")
     if b > 0 and not stf.windowed:
         raise ValueError("b > 0 requires a windowed field (apply_window first)")
     c = stf.spectral()
-    dist = parabola_distance(stf.n_t, stf.grid.frequencies, parabola_sign)
+    dist = parabola_distance(stf.n_t, stf.grid.frequencies)
     w = (1.0 + stf.grid.frequencies[None, :] ** 2) ** s * (1.0 + dist) ** (2.0 * b)
     return math.sqrt(TWO_PI * TWO_PI * float(np.sum(w * np.abs(c) ** 2)))
 
@@ -226,13 +217,12 @@ def box_columns(
     freq_hi: float,
     mod_lo: float,
     mod_hi: float,
-    parabola_sign: int = 1,
     xi_side: str = "both",
 ) -> tuple:
     """(cols, mask, dist) of the box of box_mask on its frequency band: the
     grid's columns with |xi| in [freq_lo, freq_hi] (optionally one-sided)
     in FFT order, the (n_t, cols.size) cells of those columns with wrapped
-    |tau - sign*xi^2| in [mod_lo, mod_hi], and parabola_distance on those
+    |tau - xi^2| in [mod_lo, mod_hi], and parabola_distance on those
     columns, which is computed for them only."""
     xi = grid.frequencies
     if xi_side == "both":
@@ -244,7 +234,7 @@ def box_columns(
     else:
         raise ValueError(f"xi_side must be 'both', '+' or '-', got {xi_side!r}")
     cols = np.flatnonzero(fsel)
-    dist = parabola_distance(n_t, xi[cols], parabola_sign)
+    dist = parabola_distance(n_t, xi[cols])
     return cols, (dist >= mod_lo) & (dist <= mod_hi), dist
 
 
@@ -255,13 +245,12 @@ def box_mask(
     freq_hi: float,
     mod_lo: float,
     mod_hi: float,
-    parabola_sign: int = 1,
     xi_side: str = "both",
 ) -> np.ndarray:
     """Cells with |xi| in [freq_lo, freq_hi] (optionally one-sided) and
-    wrapped |tau - sign*xi^2| in [mod_lo, mod_hi]: the box of box_columns
+    wrapped |tau - xi^2| in [mod_lo, mod_hi]: the box of box_columns
     on the whole (n_t, n_x) grid."""
-    cols, sub, _dist = box_columns(grid, n_t, freq_lo, freq_hi, mod_lo, mod_hi, parabola_sign, xi_side)
+    cols, sub, _dist = box_columns(grid, n_t, freq_lo, freq_hi, mod_lo, mod_hi, xi_side)
     mask = np.zeros((n_t, grid.n), dtype=bool)
     mask[:, cols] = sub
     return mask

@@ -94,9 +94,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return SpectralField(self.grid, -self.coeffs)
-
     def conj(self):
         """Complex conjugate field: coefficients conj(uhat(-xi))."""
         return SpectralField(self.grid, conj_coeffs(self.coeffs))
@@ -239,15 +236,13 @@ def lp_bump(x) -> np.ndarray:
     r = |x| - 1.
     """
     ax = np.abs(np.asarray(x, dtype=np.float64))
-    scalar = ax.ndim == 0
-    ax = np.atleast_1d(ax)
     out = np.zeros_like(ax)
     out[ax <= 1.0] = 1.0
     mid = (ax > 1.0) & (ax < 2.0)
     r = ax[mid] - 1.0
     with np.errstate(over="ignore", divide="ignore"):
         out[mid] = np.exp(1.0 - 1.0 / (1.0 - r * r))
-    return out[0] if scalar else out
+    return out
 
 
 def lp_annulus(x) -> np.ndarray:
@@ -264,16 +259,12 @@ def max_band(grid: Grid) -> int:
     return int(math.floor(math.log2(grid.nyquist_index))) - 1
 
 
-def sign_project(sign: str, field: SpectralField) -> SpectralField:
-    """Sharp frequency half-line projection.
+def sign_project(field: SpectralField) -> SpectralField:
+    """Sharp projection onto the half-line xi > 0; the zero mode is dropped.
 
-    '+' keeps xi > 0, '-' keeps xi < 0; the zero mode belongs to neither.
+    The projection onto xi < 0 is sign_project(field.conj()).conj().
     """
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    xi = field.grid.frequencies
-    mask = xi > 0 if sign == "+" else xi < 0
-    return SpectralField(field.grid, np.where(mask, field.coeffs, 0.0))
+    return SpectralField(field.grid, np.where(field.grid.frequencies > 0, field.coeffs, 0.0))
 
 
 def free_propagate(t: float, field: SpectralField) -> SpectralField:

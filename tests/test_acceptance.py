@@ -87,6 +87,24 @@ def test_criterion_2_lift_gains_regularity(cfg):
     assert res["min_fit"] >= 0.40
 
 
+@pytest.mark.parametrize("scale", [0.37, 50.0])
+def test_criterion_2_fit_does_not_depend_on_the_amplitude(cfg, monkeypatch, scale):
+    # the lift T is bilinear: scaling the datum by c scales T(f, f) by c^2
+    # in every band, which leaves the fitted regularity as it is; so the
+    # smoothing check needs no amplitude key
+    base = experiments.run_smoothing(cfg)
+    inputs = experiments.smoothing_inputs
+
+    def scaled(cfg, i=0):
+        f, fit = inputs(cfg, i)
+        return scale * f, fit
+
+    monkeypatch.setattr(experiments, "smoothing_inputs", scaled)
+    res = experiments.run_smoothing(cfg)
+    assert res["min_fit"] == pytest.approx(base["min_fit"], rel=1e-12)
+    assert res["median_fit"] == pytest.approx(base["median_fit"], rel=1e-12)
+
+
 def test_criterion_2_fails_on_g_for_t(cfg, monkeypatch):
     # negative control: the lift built from G, T's weight without the resonance division
     lift = experiments.normal_form_h

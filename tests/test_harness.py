@@ -162,7 +162,6 @@ class TestConfig:
             "[decompose]\nu_amplitude = 0\n",
             "[decompose]\nu_sigma = 1000\n",
             "[decompose]\nsigma = -1000\n",
-            "[smoothing]\namplitude = 0\n",
             "[smoothing]\nsigma = 1000\n",
             "[lipschitz]\ng_sigma = -1000\n",
             "[lipschitz]\ng_sigma = -140\n",
@@ -183,12 +182,13 @@ class TestConfig:
         ("identity", "amplitude", "0"), ("identity", "amplitude", "1e200"), ("identity", "dt", "0"),
         ("identity", "t", "1"), ("infra", "order_n", "100"), ("infra", "order_dt", "1"),
         ("infra", "order_sigma", "1"), ("infra", "order_freq_hi", "1"), ("infra", "order_amplitude", "1"),
-        ("infra", "route_dt", "1"),
+        ("infra", "route_dt", "1"), ("smoothing", "amplitude", "0"),
     ])
     def test_fixed_setup_key_rejected(self, tmp_path, section, key, value):
         # criteria 1 and 8 fix their grid, data and steps in experiments.py,
-        # on the setups their gates are calibrated on, so no config sets them,
-        # whatever the value (in range or not)
+        # on the setups their gates are calibrated on, and criterion 2 draws
+        # its data at amplitude 1, on which its bilinear lift's fit does not
+        # depend; so no config sets them, whatever the value (in range or not)
         p = tmp_path / "a.cfg"
         p.write_text(f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
@@ -271,6 +271,11 @@ class TestRoughData:
 # artifact writers
 # ---------------------------------------------------------------------------
 
+def reject_constant(name):
+    """parse_constant for json.loads: NaN and Infinity are not JSON."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestReports:
     def test_fmt_rules(self):
         assert fmt(True) == "1"
@@ -295,15 +300,28 @@ class TestReports:
     def test_report_envelope(self, tmp_path):
         cfg = default_config()
         p = tmp_path / "r.json"
-        write_report(p, "demo", cfg, {"value": 1.5, "nan": float("nan")}, passed=True)
-        doc = json.loads(p.read_text())
+        results = {"value": 1.5, "nan": float("nan"), "inf": [float("inf"), np.float64(-np.inf)]}
+        write_report(p, "demo", cfg, results, passed=True)
+        doc = json.loads(p.read_text(), parse_constant=reject_constant)
         assert doc["experiment"] == "demo"
         assert doc["passed"] is True
         assert doc["results"]["value"] == 1.5
         assert doc["results"]["nan"] is None
+        assert doc["results"]["inf"] == [None, None]
         assert doc["config"]["run"]["alpha"] == 0.6
         assert doc["config_sha256"] == config_sha256(cfg)
         assert "created" in doc
+
+    def test_infinite_spread_is_strict_json(self, tmp_path):
+        # at epsilons this small f + eps g rounds to f, so every Lipschitz
+        # ratio is 0 and the spread inf; the report writes it as null, not
+        # as Infinity
+        tiny = (ROOT / "perfbench" / "tiny.cfg").read_text(encoding="utf-8")
+        p = tmp_path / "eps.cfg"
+        p.write_text(re.sub(r"(?m)^epsilons = .*$", "epsilons = 1e-300, 1e-299", tiny))
+        assert main(["lipschitz", "--config", str(p), "--out", str(tmp_path)]) == 1
+        doc = json.loads((tmp_path / "lipschitz.json").read_text(), parse_constant=reject_constant)
+        assert doc["results"]["spread"] is None
 
     def test_config_sha_tracks_content(self, tmp_path):
         a = default_config()
@@ -722,10 +740,7 @@ def names_used(node):
 # the options of the dense space-time oracle, which only the tests set;
 # cli.main's argv, which the tests pass; load_config's path, which the
 # benchmark worker passes.  This set may only shrink.
-TEST_ONLY_PARAMETERS = {
-    "spacetime.xsb_norm(parabola_sign)", "spacetime.box_mask(parabola_sign)", "spacetime.box_mask(xi_side)",
-    "cli.main(argv)", "config.load_config(path)",
-}
+TEST_ONLY_PARAMETERS = {"spacetime.box_mask(xi_side)", "cli.main(argv)", "config.load_config(path)"}
 
 # the package modules each module imports: the numerics below the drivers
 # (experiments), the criteria (acceptance), the config and the command line.
@@ -747,7 +762,7 @@ NUMERICS = ("_kernels", "bilinear", "evolution", "mnorm", "rates", "roughdata", 
 # key is one that a workload sets.  This set may only shrink.
 KEPT_KEYS = {
     "[run] alpha", "[run] beta", "[run] delta", "[run] seed", "[run] threads", "[run] out",
-    "[smoothing] sigma", "[smoothing] amplitude",
+    "[smoothing] sigma",
     "[decompose] sigma", "[decompose] amplitude", "[decompose] u_sigma", "[decompose] u_amplitude",
     "[rates] k_lo", "[rates] kinds",
     "[lipschitz] sigma", "[lipschitz] amplitude", "[lipschitz] g_sigma",

@@ -537,7 +537,8 @@ class TestAlternating:
         est = multiplier_lower_bound(box, h, n_tau=4, n_xi=8, iters=4, seed=2)
         assert not est.empty
         assert est.n_triples == 20
-        assert est.value == pytest.approx(est.raw * build_model(box, h, 4, 8).measure_factor)
+        model = build_model(box, h, 4, 8)
+        assert est.value == pytest.approx(model.measure_factor * alternating_max(model, iters=4, seed=2)[0])
 
     def test_seed_determinism(self):
         box, h = TINY_A

@@ -43,8 +43,8 @@ def oracle_cell(kind, k, delta, seed_key, n_t):
     grid = Grid(2 ** (k + 3))
     kind_id = KIND_ORDER.index(kind)
 
-    u_mask = box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side)
-    v_mask = box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, 1, v_side)
+    u_mask = box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, u_side)
+    v_mask = box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, v_side)
     u = synth_cells(grid, n_t, u_mask, [seed_key, kind_id, k, 0])
     v = synth_cells(grid, n_t, v_mask, [seed_key, kind_id, k, 1])
 
@@ -73,8 +73,8 @@ def _boxes(kind, k, delta, n_t):
     _conj2, v_pattern, _out, vb_tag, u_side, v_side = KINDS[kind]
     grid = Grid(2 ** (k + 3))
     masks = (
-        box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side),
-        box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, 1, v_side),
+        box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, u_side),
+        box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, v_side),
     )
     for mask in masks:
         mask[n_t // 2, :] = False
@@ -219,8 +219,8 @@ def test_cell_grid_alias_free(kind):
             tables = _cell_tables(kind, k, 0.05, n_t)
             m = tables.n
             assert m % 2 == 0 and m <= grid.n
-            u = _occupied_freqs(box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
-            v = _occupied_freqs(box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, 1, v_side), n_t)
+            u = _occupied_freqs(box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, u_side), n_t)
+            v = _occupied_freqs(box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, v_side), n_t)
             computed = np.zeros((u.size, v.size), dtype=bool)
             outputs = []
             for group in tables.groups:
@@ -532,8 +532,8 @@ def test_parseval_flag_iff_multiplier_one_on_span(kind):
         full_mult[grid.n // 2] = 0.0
         for n_t in (64, 256):
             tables = _cell_tables(kind, k, 0.05, n_t)
-            u = _occupied_freqs(box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, 1, u_side), n_t)
-            v = _occupied_freqs(box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, 1, v_side), n_t)
+            u = _occupied_freqs(box_mask(grid, n_t, 2**k, 2 ** (k + 1), 1.0, 2.0, u_side), n_t)
+            v = _occupied_freqs(box_mask(grid, n_t, *_band(v_pattern, k), 1.0, 2.0, v_side), n_t)
             for group in tables.groups:
                 sums = np.concatenate([
                     np.add.outer(u[_positions(tables.u.parts[a])], sign * v[_positions(tables.v.parts[b])]).ravel()
@@ -560,7 +560,6 @@ def test_gain1_projection_is_one_wherever_its_products_land():
 
 def test_experiment_report_shape():
     rep = product_rate_experiment("gain3", (3, 5), 0.05, n_seeds=3, n_t=64, seed=5)
-    assert rep.kind == "gain3"
     assert rep.ks == [3, 4, 5]
     assert len(rep.medians) == 3
     assert all(m > 0 for m in rep.medians)
@@ -635,8 +634,8 @@ def test_box_tables_hold_only_band_columns(monkeypatch):
     # by the box's occupied columns
     tables, original = [], spacetime.parabola_distance
 
-    def recording(n_t, xi, parabola_sign=1):
-        dist = original(n_t, xi, parabola_sign)
+    def recording(n_t, xi):
+        dist = original(n_t, xi)
         tables.append((np.size(xi), weakref.ref(dist)))
         return dist
 

@@ -24,9 +24,9 @@ from qnls.spectral import Grid, SpectralField
 TWO_PI = 2 * np.pi
 
 
-def synth_boxed(N, L, parabola_sign, seed, grid, n_t=256, xi_side="both"):
-    """Unit-norm random field on the dyadic box |xi| ~ N, |tau -+ xi^2| ~ L."""
-    mask = box_mask(grid, n_t, N, 2.0 * N, L, 2.0 * L, parabola_sign, xi_side)
+def synth_boxed(N, L, seed, grid, n_t=256, xi_side="both"):
+    """Unit-norm random field on the dyadic box |xi| ~ N, |tau - xi^2| ~ L."""
+    mask = box_mask(grid, n_t, N, 2.0 * N, L, 2.0 * L, xi_side)
     return synth_cells(grid, n_t, mask, seed)
 
 
@@ -69,12 +69,13 @@ class TestSobolevAndProfile:
 
     def test_fit_needs_enough_bands(self):
         with pytest.raises(ValueError):
-            regularity_fit([0, 1, 2], [1.0, 0.5, 0.25])
+            regularity_fit([0, 1, 2], [1.0, 0.5, 0.25], 1, 2)
 
     def test_fit_window_above_top_band_rejected(self):
-        # bands 3..8 alone would make a six-band fit; a window to 9 is an error
+        # bands 3..8 alone make a six-band fit of norms 2^-k, so sigma 1; a
+        # window to 9 is an error
         ks, norms = np.arange(9), 2.0 ** -np.arange(9.0)
-        assert regularity_fit(ks, norms, 3, 8).n_bands == 6
+        assert regularity_fit(ks, norms, 3, 8).sigma == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(ValueError, match="top band 8"):
             regularity_fit(ks, norms, 3, 9)
 
@@ -99,17 +100,6 @@ class TestSpaceTimeBasics:
         c2[:, 32] = 0
         np.testing.assert_allclose(spec, c2, atol=1e-12)
 
-    def test_tau_lattice(self):
-        g = Grid(16)
-        f = SpaceTimeField(g, np.ones((8, 16), complex), windowed=False)
-        np.testing.assert_allclose(f.tau(), [0, 1, 2, 3, -4, -3, -2, -1])
-
-    def test_conj_swaps_parabola_sign(self):
-        u = synth_boxed(8.0, 16.0, +1, [3, 1], Grid(64), n_t=32)
-        uw = apply_window(u)
-        assert xsb_norm(0.7, 0.4, uw.conj(), +1) == pytest.approx(
-            xsb_norm(0.7, 0.4, uw, -1), rel=1e-12
-        )
 
 
 class TestXsbNorm:
@@ -117,15 +107,15 @@ class TestXsbNorm:
         g = Grid(64)
         f = st_single_mode(g, 32, 5, 3, amp=2.0)
         want = math.sqrt(TWO_PI * TWO_PI) * 2.0 * (1 + 9) ** 0.65
-        assert xsb_norm(1.3, 0.0, f, +1) == pytest.approx(want, rel=1e-12)
+        assert xsb_norm(1.3, 0.0, f) == pytest.approx(want, rel=1e-12)
 
     def test_weight_sits_on_parabola(self):
-        # tau = xi^2 line carries weight 1 for sign +1
+        # the tau = xi^2 line carries weight 1
         g = Grid(64)
         on = st_single_mode(g, 32, 9, 3)    # tau = 9 = 3^2
         off = st_single_mode(g, 32, 13, 3)  # distance 4
-        w_on = xsb_norm(0.0, 0.5, apply_window(on), +1)
-        w_off = xsb_norm(0.0, 0.5, apply_window(off), +1)
+        w_on = xsb_norm(0.0, 0.5, apply_window(on))
+        w_off = xsb_norm(0.0, 0.5, apply_window(off))
         assert w_off > w_on
 
     def test_wrapping_distance(self):
@@ -134,17 +124,15 @@ class TestXsbNorm:
         g = Grid(64)
         a = st_single_mode(g, 32, -15, 1)
         b = st_single_mode(g, 32, 17, 1)
-        assert xsb_norm(0.0, 0.5, apply_window(a), +1) == pytest.approx(
-            xsb_norm(0.0, 0.5, apply_window(b), +1), rel=1e-12
+        assert xsb_norm(0.0, 0.5, apply_window(a)) == pytest.approx(
+            xsb_norm(0.0, 0.5, apply_window(b)), rel=1e-12
         )
 
     def test_unwindowed_positive_b_rejected(self):
         g = Grid(64)
         f = st_single_mode(g, 32, 0, 1)
         with pytest.raises(ValueError):
-            xsb_norm(0.0, 0.3, f, +1)
-        with pytest.raises(ValueError):
-            xsb_norm(0.0, 0.3, f, 0)
+            xsb_norm(0.0, 0.3, f)
 
 
 class TestWindow:
@@ -166,12 +154,12 @@ class TestWindow:
 class TestSynthesis:
     def test_boxed_unit_norm_and_support(self):
         g = Grid(128)
-        u = synth_boxed(8.0, 16.0, +1, [0, 2], g, n_t=64)
+        u = synth_boxed(8.0, 16.0, [0, 2], g, n_t=64)
         assert st_l2_norm(u) == pytest.approx(1.0, rel=1e-12)
         spec = u.spectral()
         xi = g.frequencies
-        tau = u.tau()
-        mask = box_mask(g, 64, 8.0, 2 * 8.0, 16.0, 2 * 16.0, +1)
+        tau = np.fft.fftfreq(64, d=1.0 / 64)  # the integer tau lattice, in FFT order
+        mask = box_mask(g, 64, 8.0, 2 * 8.0, 16.0, 2 * 16.0)
         assert np.max(np.abs(spec[~mask])) < 1e-15
         # frequency support inside |xi| in [8, 16]
         cols = np.any(np.abs(spec) > 1e-15, axis=0)
@@ -182,14 +170,14 @@ class TestSynthesis:
 
     def test_seed_determinism(self):
         g = Grid(64)
-        a = synth_boxed(4.0, 8.0, +1, [5, 7], g, n_t=32)
-        b = synth_boxed(4.0, 8.0, +1, [5, 7], g, n_t=32)
+        a = synth_boxed(4.0, 8.0, [5, 7], g, n_t=32)
+        b = synth_boxed(4.0, 8.0, [5, 7], g, n_t=32)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_one_sided_boxes(self):
         g = Grid(64)
-        up = synth_boxed(4.0, 8.0, +1, [1], g, n_t=32, xi_side="+")
-        dn = synth_boxed(4.0, 8.0, +1, [1], g, n_t=32, xi_side="-")
+        up = synth_boxed(4.0, 8.0, [1], g, n_t=32, xi_side="+")
+        dn = synth_boxed(4.0, 8.0, [1], g, n_t=32, xi_side="-")
         xi = g.frequencies
         assert np.max(np.abs(up.spectral()[:, xi < 0])) < 1e-15
         assert np.max(np.abs(dn.spectral()[:, xi > 0])) < 1e-15
