@@ -1,11 +1,14 @@
 """Acceptance suite: eight numbered checks, one pass/fail line each.
 
-Every check re-runs its experiment from the active config, compares the
-result against a fixed tolerance, and reports a single line.  The same
-functions back the ``qnls all`` command and tests/test_acceptance.py."""
+Every check re-runs its experiment from the active config through timed,
+compares the result against a fixed tolerance, and reports a single line.
+This module holds every gate and every run's wall time; the drivers in
+experiments.py only measure.  The same functions back the ``qnls all``
+command and tests/test_acceptance.py."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from . import experiments
@@ -25,8 +28,17 @@ class CriterionResult:
         return f"{tag} [{self.number}] {self.name}: {self.detail}"
 
 
+def timed(driver, cfg) -> dict:
+    """driver(cfg), its result dict with the run's wall seconds set as
+    timing.wall_s beside the phase times the driver measured."""
+    start = time.perf_counter()
+    res = driver(cfg)
+    res.setdefault("timing", {})["wall_s"] = time.perf_counter() - start
+    return res
+
+
 def criterion_1(cfg) -> CriterionResult:
-    res = experiments.run_identity(cfg)
+    res = timed(experiments.run_identity, cfg)
     ok = res["max_residual"] <= 1e-5 and 3.5 <= res["min_ratio"] and res["max_ratio"] <= 4.5
     detail = (
         f"max relative residual {res['max_residual']:.3e} (tol 1e-05), "
@@ -36,7 +48,7 @@ def criterion_1(cfg) -> CriterionResult:
 
 
 def criterion_2(cfg) -> CriterionResult:
-    res = experiments.run_smoothing(cfg)
+    res = timed(experiments.run_smoothing, cfg)
     ok = res["min_fit"] >= 0.40
     detail = (
         f"min fitted regularity of the quadratic lift {res['min_fit']:.3f} "
@@ -46,7 +58,7 @@ def criterion_2(cfg) -> CriterionResult:
 
 
 def criterion_3(cfg) -> CriterionResult:
-    res = experiments.run_decompose(cfg)
+    res = timed(experiments.run_decompose, cfg)
     ok = res["min_margin"] >= 0.3 and res["min_u_fit"] >= -0.65
     detail = (
         f"min remainder-vs-free regularity margin {res['min_margin']:.3f} (want >= 0.3); "
@@ -56,24 +68,45 @@ def criterion_3(cfg) -> CriterionResult:
     return CriterionResult(3, "solution decomposition", ok, detail, res)
 
 
+def expected_slope(kind: str, delta: float):
+    """(target, tolerance) of the continuum rate that criterion 4 checks the
+    fitted slope against; gain3/kkk3 carry a one-sided floor instead.
+
+    These are rates on the line.  The periodic rate cells do not reach the
+    two-sided targets, so the gate marks five kinds OFF and fails (README
+    *Known-red checks*); the acceptance tests compare the slope with the
+    periodic prediction instead."""
+    if kind in ("gain1", "gain2", "kkk1", "kkk2", "plusminus"):
+        return -(0.5 - delta), 0.1
+    if kind == "kkkk1":
+        return -(0.5 - 5.0 * delta), 0.12
+    if kind in ("gain3", "kkk3"):
+        return -0.1, None  # floor
+    raise ValueError(f"unknown rate kind {kind!r}")
+
+
 def criterion_4(cfg) -> CriterionResult:
-    res = experiments.run_rates(cfg)
-    bad = [r for r in res["slope_rows"] if not r[5]]
-    ok = not bad
-    pieces = []
-    for kind, slope, _stderr, target, tol, k_ok in res["slope_rows"]:
-        if tol == "":
+    """Each kind's slope against expected_slope; the verdicts go into the
+    result as `slope_rows` (kind, slope, stderr, target, tolerance or "",
+    ok), in the order of the kinds' reports."""
+    res = timed(experiments.run_rates, cfg)
+    slope_rows, pieces = [], []
+    for kind, rep in res["reports"].items():
+        target, tol = expected_slope(kind, cfg["run"]["delta"])
+        if tol is None:
+            ok = (not rep.degenerate) and rep.slope >= target
             want = f">= {target:+.3f}"
         else:
+            ok = (not rep.degenerate) and abs(rep.slope - target) <= tol
             want = f"{target:+.3f}+-{tol:.2f}"
-        mark = "ok" if k_ok else "OFF"
-        pieces.append(f"{kind} {slope:+.3f} (want {want}, {mark})")
-    detail = "; ".join(pieces)
-    return CriterionResult(4, "dyadic product rates", ok, detail, res)
+        slope_rows.append((kind, rep.slope, rep.stderr, target, tol if tol is not None else "", ok))
+        pieces.append(f"{kind} {rep.slope:+.3f} (want {want}, {'ok' if ok else 'OFF'})")
+    res["slope_rows"] = slope_rows
+    return CriterionResult(4, "dyadic product rates", all(row[5] for row in slope_rows), "; ".join(pieces), res)
 
 
 def criterion_5(cfg) -> CriterionResult:
-    res = experiments.run_mnorm(cfg)
+    res = timed(experiments.run_mnorm, cfg)
     c_ok = all(v <= 50.0 for v in res["family_c"].values())
     tiny_ok = res["max_tiny_reldiff"] <= 0.05
     ok = c_ok and tiny_ok
@@ -86,21 +119,21 @@ def criterion_5(cfg) -> CriterionResult:
 
 
 def criterion_6(cfg) -> CriterionResult:
-    res = experiments.run_lipschitz(cfg)
+    res = timed(experiments.run_lipschitz, cfg)
     ok = res["spread"] <= 5.0
     detail = f"ratio spread {res['spread']:.3f} over epsilons (want <= 5)"
     return CriterionResult(6, "data-to-solution stability", ok, detail, res)
 
 
 def criterion_7(cfg) -> CriterionResult:
-    res = experiments.run_subst(cfg)
+    res = timed(experiments.run_subst, cfg)
     ok = res["max_sup"] <= 1e-8
     detail = f"max sup-norm substitution defect {res['max_sup']:.3e} (want <= 1e-08)"
     return CriterionResult(7, "smooth-variable substitution", ok, detail, res)
 
 
 def criterion_8(cfg) -> CriterionResult:
-    res = experiments.run_infra(cfg)
+    res = timed(experiments.run_infra, cfg)
     order = res["order"]["order_23"]
     checks = [
         (abs(order - 4.0) <= 0.2, f"integrator order {order:.3f} (want 4.0+-0.2)"),

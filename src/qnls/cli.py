@@ -99,7 +99,8 @@ def cmd_criterion(name, cfg, out_dir) -> int:
 
 
 def cmd_simulate(cfg, out_dir) -> int:
-    res, traj = experiments.run_simulate(cfg)
+    res = acceptance.timed(experiments.run_simulate, cfg)
+    traj = res["trajectory"]
     write_trajectory(out_dir, "trajectory", traj)
     write_csv(os.path.join(out_dir, "simulate_l2.csv"), ["t", "l2"], res["rows"])
     write_report(os.path.join(out_dir, "simulate.json"), "simulate", cfg,
@@ -117,8 +118,7 @@ def cmd_all(cfg, out_dir) -> int:
               ["number", "name", "passed", "detail"], summary)
     write_report(os.path.join(out_dir, "acceptance.json"), "acceptance", cfg,
                  {"criteria": [{"number": r.number, "name": r.name, "passed": r.passed,
-                                "detail": r.detail,
-                                **({"timing": r.data["timing"]} if "timing" in r.data else {})}
+                                "detail": r.detail, "timing": r.data["timing"]}
                                for r in results]},
                  passed=all(r.passed for r in results))
     n_bad = sum(1 for r in results if not r.passed)

@@ -123,6 +123,9 @@ class EvolutionConfig:
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-8 * max(1.0, steps):
             raise ValueError(f"dt={self.dt:g} does not divide t_final={self.t_final:g}")
+        if self.n_saves > self.n_steps + 1:
+            raise ValueError(f"n_saves={self.n_saves} exceeds the {self.n_steps + 1} step times "
+                             f"from 0 to t_final={self.t_final:g} at dt={self.dt:g}")
 
     @property
     def grid(self) -> Grid:
@@ -269,8 +272,9 @@ def _row_norms(u: np.ndarray) -> np.ndarray:
 
 
 def _save_schedule(n_steps: int, n_saves: int):
-    idx = sorted({int(round(j * n_steps / (n_saves - 1))) for j in range(n_saves)})
-    return idx
+    """The n_saves steps nearest to even spacing from 0 to n_steps: distinct
+    and increasing, as EvolutionConfig keeps n_saves <= n_steps + 1."""
+    return [int(round(j * n_steps / (n_saves - 1))) for j in range(n_saves)]
 
 
 def _check_initial(grid: Grid, initial: SpectralField):

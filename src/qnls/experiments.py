@@ -2,9 +2,10 @@
 
 Each driver draws its own deterministic seed stream from [run] seed, builds
 its flows and operators, measures them and returns plain rows/scalars: the
-experiments live here, the integrator module holds none.  Writing
-artifacts and judging thresholds happens in the command-line layer and the
-acceptance suite, which both call into this module.
+experiments live here, the integrator module holds none.  The command-line
+layer writes the artifacts; the acceptance suite judges every threshold and
+times each driver's whole run.  A driver's `timing` holds only the phases
+it measures inside its run.
 
 Each section whose keys shape its rough data or flows builds its inputs in
 one *_inputs function ([infra] in two: order_inputs and route_inputs): the
@@ -51,7 +52,7 @@ from .mnorm import (
     exhaustive_lower_bound,
     multiplier_lower_bound,
 )
-from .rates import KIND_ORDER, expected_slope, product_rate_experiment
+from .rates import KIND_ORDER, product_rate_experiment
 from .roughdata import DataSpec, gen_rough_data
 from .spacetime import fit_line, fitted_regularity, sobolev_norm
 from .spectral import (
@@ -112,9 +113,7 @@ LIFT_KINDS = tuple(KIND_FLAGS)
 def run_identity(cfg) -> dict:
     """The identity's residual at dt and dt/2 per kind and pair, at t = 0.1
     and dt = 1e-3 on pairs of smooth data (sigma 3 on |xi| <= 3, amplitude
-    1) on 64 points: the setup its gate is calibrated on.  `timing` belongs
-    in the JSON report only."""
-    start = time.perf_counter()
+    1) on 64 points: the setup its gate is calibrated on."""
     run = cfg["run"]
     grid = Grid(64)
     t, dt = 0.1, 1e-3
@@ -135,7 +134,6 @@ def run_identity(cfg) -> dict:
         "max_residual": max(residuals),
         "min_ratio": min(ratios),
         "max_ratio": max(ratios),
-        "timing": {"wall_s": time.perf_counter() - start},
     }
 
 
@@ -154,9 +152,7 @@ def smoothing_inputs(cfg, i=0):
 
 
 def run_smoothing(cfg) -> dict:
-    """The lift's fitted regularity per datum; `timing` belongs in the JSON
-    report (`qnls all`) only."""
-    start = time.perf_counter()
+    """The lift's fitted regularity per datum."""
     c = cfg["smoothing"]
     rows = []
     for i in range(c["n_seeds"]):
@@ -165,8 +161,7 @@ def run_smoothing(cfg) -> dict:
         fit = fitted_regularity(h0, c["fit_lo"], c["fit_hi"])
         rows.append((i, fit.sigma, fit.stderr, data_fit.sigma))
     fits = [r[1] for r in rows]
-    return {"rows": rows, "min_fit": min(fits), "median_fit": float(np.median(fits)),
-            "timing": {"wall_s": time.perf_counter() - start}}
+    return {"rows": rows, "min_fit": min(fits), "median_fit": float(np.median(fits))}
 
 
 # ----------------------------------------------------------------------------
@@ -216,9 +211,8 @@ def decompose_inputs(cfg):
 def run_decompose(cfg) -> dict:
     """The v-form decomposition and the u-form route difference; the two
     flows run as one batch.  min_margin_t and min_u_fit_t are the save
-    times of the two minima (the first such save on a tie); they, `health`
-    (per flow) and `timing` belong in the JSON report only."""
-    start = time.perf_counter()
+    times of the two minima (the first such save on a tie); they and
+    `health` (per flow) belong in the JSON report only."""
     c = cfg["decompose"]
     f, fu, vcfg, ucfg, u_data_fit = decompose_inputs(cfg)
     traj, traj_u = integrate_batch([vcfg, ucfg], [f, fu])
@@ -250,7 +244,6 @@ def run_decompose(cfg) -> dict:
         "min_u_fit": min_u[1],
         "min_u_fit_t": min_u[0],
         "health": [_flow_health(traj, flow="v"), _flow_health(traj_u, flow="u")],
-        "timing": {"wall_s": time.perf_counter() - start},
     }
 
 
@@ -259,14 +252,15 @@ def run_decompose(cfg) -> dict:
 # ----------------------------------------------------------------------------
 
 def run_rates(cfg) -> dict:
+    """Each kind's RateReport, median ratio per k and slope; `health` (per
+    kind) and `timing` (`tables_s`, the seed-independent tables of every
+    kind) belong in the JSON report only."""
     c = cfg["rates"]
     run = cfg["run"]
     kinds = list(KIND_ORDER) if c["kinds"] == ["all"] else list(c["kinds"])
     reports = {}
     rows = []
-    slope_rows = []
     health = {}
-    start = time.perf_counter()
     for kind in kinds:
         rep = product_rate_experiment(
             kind,
@@ -280,23 +274,13 @@ def run_rates(cfg) -> dict:
         reports[kind] = rep
         for k, med in zip(rep.ks, rep.medians):
             rows.append((kind, k, med))
-        target, tol = expected_slope(kind, run["delta"])
-        if tol is None:
-            ok = (not rep.degenerate) and rep.slope >= target
-        else:
-            ok = (not rep.degenerate) and abs(rep.slope - target) <= tol
-        slope_rows.append((kind, rep.slope, rep.stderr, target, tol if tol is not None else "", ok))
         health[kind] = _ratio_health(rep)
     return {
         "reports": reports,
         "rows": rows,
-        "slope_rows": slope_rows,
         "slopes": {kind: rep.slope for kind, rep in reports.items()},
         "health": health,
-        "timing": {
-            "wall_s": time.perf_counter() - start,
-            "tables_s": sum(rep.tables_s for rep in reports.values()),
-        },
+        "timing": {"tables_s": sum(rep.tables_s for rep in reports.values())},
     }
 
 
@@ -348,9 +332,8 @@ def run_mnorm(cfg) -> dict:
     """Sweep and tiny-instance results; `health` (per sweep box: the restart
     that found the best value, its value after each sweep, the triple count
     and the number of runs the triples form)
-    and `timing` (the whole run, the nine sweep boxes, and the tiny
-    instances' alternating and search passes) belong in the JSON report
-    only."""
+    and `timing` (the nine sweep boxes, and the tiny instances' alternating
+    and search passes) belong in the JSON report only."""
     start = time.perf_counter()
     c = cfg["mnorm"]
     sweep_rows = []
@@ -400,8 +383,8 @@ def run_mnorm(cfg) -> dict:
         "max_tiny_reldiff": max_tiny,
         "ppm4_size_slope": size_slope,
         "health": health,
-        "timing": {"wall_s": time.perf_counter() - start, "sweep_s": sweep_s,
-                   "tiny_alternating_s": tiny_alternating_s, "tiny_search_s": tiny_search_s},
+        "timing": {"sweep_s": sweep_s, "tiny_alternating_s": tiny_alternating_s,
+                   "tiny_search_s": tiny_search_s},
     }
 
 
@@ -410,7 +393,9 @@ def run_mnorm(cfg) -> dict:
 # ----------------------------------------------------------------------------
 
 def lipschitz_inputs(cfg):
-    """The base datum f, the direction g (unit in H^-1/2) and the flow."""
+    """The base datum f, the direction g (unit in H^-1/2) and the flow.
+    Each epsilon must move f: one for which f + eps g rounds to f in every
+    coefficient gives a ratio of 0 that measures nothing."""
     c = cfg["lipschitz"]
     f = _datum(cfg, "lipschitz", 0)
     g_raw = gen_rough_data(DataSpec(c["g_sigma"], c["freq_hi"], seed=_seed(cfg, "lipschitz", 1)), f.grid)
@@ -423,7 +408,11 @@ def lipschitz_inputs(cfg):
                        (f"datum with amplitude {c['amplitude']:g}", sobolev_norm(-0.5, f))):
         if norm == 0.0:
             raise ValueError(f"the H^-1/2 norm of the {what} underflows to 0")
-    return f, (1.0 / g_norm) * g_raw, _section_flow(cfg, "lipschitz")
+    g = (1.0 / g_norm) * g_raw
+    for eps in c["epsilons"]:
+        if np.array_equal((f + eps * g).coeffs, f.coeffs):
+            raise ValueError(f"epsilon {eps:g} leaves the datum unchanged: f + eps g rounds to f")
+    return f, g, _section_flow(cfg, "lipschitz")
 
 
 def run_lipschitz(cfg) -> dict:
@@ -433,9 +422,7 @@ def run_lipschitz(cfg) -> dict:
     epsilon is the numerical signature of the Lipschitz property.  The base
     flow and the perturbed flows run as one batch.  `health` (per flow),
     `nonlinear_share` (sup_t ||u(t) - e^{-it d^2} f||_{H^-1/2} /
-    ||f||_{H^-1/2} of the base flow) and `timing` belong in the JSON report
-    only."""
-    start = time.perf_counter()
+    ||f||_{H^-1/2} of the base flow) belong in the JSON report only."""
     f, g, ecfg = lipschitz_inputs(cfg)
     epsilons = [float(eps) for eps in cfg["lipschitz"]["epsilons"]]
     base, *perturbed = integrate_batch([ecfg] * (1 + len(epsilons)), [f] + [f + eps * g for eps in epsilons])
@@ -456,7 +443,6 @@ def run_lipschitz(cfg) -> dict:
         "ratios": ratios,
         "nonlinear_share": max(nonlinear) / sobolev_norm(-0.5, f),
         "health": health,
-        "timing": {"wall_s": time.perf_counter() - start},
     }
 
 
@@ -469,9 +455,8 @@ def run_subst(cfg) -> dict:
     """The substitution defect sup_t ||u(t) - <D>^beta z(t)||_L2 at dt and
     dt/2 ([subst] beta): the z-form flow, each snapshot lifted by
     <D>^beta, against the u-form flow from the lifted datum.  The two flows
-    at one dt run as one batch.  `health` (per flow) and `timing` belong in
-    the JSON report only."""
-    start = time.perf_counter()
+    at one dt run as one batch.  `health` (per flow) belongs in the JSON
+    report only."""
     z0, ecfg = subst_inputs(cfg)
     rows, health = [], []
     for dt in (ecfg.dt, 0.5 * ecfg.dt):
@@ -486,7 +471,6 @@ def run_subst(cfg) -> dict:
         "rows": rows,
         "max_sup": max(sup for _dt, sup in rows),
         "health": health,
-        "timing": {"wall_s": time.perf_counter() - start},
     }
 
 
@@ -496,19 +480,17 @@ def simulate_inputs(cfg):
     return _datum(cfg, "simulate"), _section_flow(cfg, "simulate", c["variables"], c["kind"])
 
 
-def run_simulate(cfg):
-    """One flow and its L2 history; `health` and `timing` belong in the
+def run_simulate(cfg) -> dict:
+    """One flow, its trajectory and its L2 history; `health` belongs in the
     JSON report only."""
-    start = time.perf_counter()
     data, ecfg = simulate_inputs(cfg)
     traj = integrate(ecfg, data)
-    rows = list(zip(traj.times, traj.l2_history))
     return {
-        "rows": rows,
+        "trajectory": traj,
+        "rows": list(zip(traj.times, traj.l2_history)),
         "final_l2": traj.l2_history[-1],
         "health": [_flow_health(traj, flow=ecfg.variables)],
-        "timing": {"wall_s": time.perf_counter() - start},
-    }, traj
+    }
 
 
 # ----------------------------------------------------------------------------
@@ -666,8 +648,8 @@ def measure_route_equivalence(cfg) -> dict:
 
 def run_infra(cfg) -> dict:
     """The five infrastructure checks; `health` (the route check's flows)
-    and `timing` (the whole run, the order check, and per kind the route
-    check and its forcing tables) belong in the JSON report only."""
+    and `timing` (the order check, and per kind the route check and its
+    forcing tables) belong in the JSON report only."""
     start = time.perf_counter()
     order = measure_integrator_order(cfg)
     order_s = time.perf_counter() - start
@@ -683,10 +665,5 @@ def run_infra(cfg) -> dict:
         "route_rows": route["rows"],
         "max_route_dev": max(r[1] for r in route["rows"]),
         "health": route["health"],
-        "timing": {
-            "wall_s": time.perf_counter() - start,
-            "order_s": order_s,
-            "route_s": route["route_s"],
-            "forcing_s": route["forcing_s"],
-        },
+        "timing": {"order_s": order_s, "route_s": route["route_s"], "forcing_s": route["forcing_s"]},
     }

@@ -345,21 +345,18 @@ def _blocks(rows, cols, n_rows, n_cols):
             for members in (np.flatnonzero(roots == r) for r in np.unique(roots))]
 
 
-def exhaustive_max(model: MnormModel, grid_points: int = 96) -> float:
+def exhaustive_lower_bound(
+    box: BoxSpec, H: float, n_tau: int, n_xi: int, grid_points: int = 96
+) -> float:
     """Independent search oracle for tiny instances: full sphere sweep of the
-    least-active slot with the other two slots solved exactly."""
+    least-active slot with the other two slots solved exactly, times the
+    model's measure factor; 0 for an empty model."""
+    model = build_model(box, H, n_tau, n_xi)
     if model.empty:
         return 0.0
     if max(model.triples.sizes) > 400:
         raise ValueError("search oracle is restricted to tiny instances")
-    return trilinear_sphere_max(*model.triples.cells, grid_points=grid_points)
-
-
-def exhaustive_lower_bound(
-    box: BoxSpec, H: float, n_tau: int, n_xi: int, grid_points: int = 96
-) -> float:
-    model = build_model(box, H, n_tau, n_xi)
-    return model.measure_factor * exhaustive_max(model, grid_points)
+    return model.measure_factor * trilinear_sphere_max(*model.triples.cells, grid_points=grid_points)
 
 
 # ----------------------------------------------------------------------------

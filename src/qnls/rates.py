@@ -74,9 +74,9 @@ alternating sums of each group carry from block to block and are squared
 once at the end.  Every block starts on an even row, so the alternating
 sums keep the global row parity.  At the default n_t = 256 every cell up
 to k = 5 is one block.  Every transform runs in place, in the cell's
-buffers of one block's rows for each part, and only the columns the
-scatter leaves empty are zeroed, so a cell allocates no (n_t, M) array
-and no part buffer has more rows than its block.  The dense
+buffers of one block's rows for each part, zeroed before each block's
+scatter, so a cell allocates no (n_t, M) array and no part buffer has
+more rows than its block.  The dense
 SpaceTimeField composition in spacetime.py (synth_cells, apply_window,
 xsb_norm, st_product, st_spatial_multiplier, st_l2_norm) on the 2^(k+3)
 grid computes the same ratio and is the reference the tests compare the
@@ -112,24 +112,6 @@ KINDS = {
 }
 
 KIND_ORDER = list(KINDS)
-
-
-def expected_slope(kind: str, delta: float):
-    """(target, tolerance) of the continuum rate that the criterion-4 gate
-    of ``qnls all`` checks the fitted slope against; gain3/kkk3 carry a
-    one-sided floor instead.
-
-    These are rates on the line.  The periodic rate cells do not reach the
-    two-sided targets, so the gate marks five kinds OFF and fails (README
-    *Known-red checks*); the acceptance tests compare the slope with the
-    periodic prediction instead."""
-    if kind in ("gain1", "gain2", "kkk1", "kkk2", "plusminus"):
-        return -(0.5 - delta), 0.1
-    if kind == "kkkk1":
-        return -(0.5 - 5.0 * delta), 0.12
-    if kind in ("gain3", "kkk3"):
-        return -0.1, None  # floor
-    raise ValueError(f"unknown rate kind {kind!r}")
 
 
 @dataclass
@@ -269,12 +251,10 @@ class _Part(NamedTuple):
     """The occupied columns of a factor, or of one sign half of it, on the
     transform grid: frequency xi sits in column (xi - shift) mod n.  runs are
     the (destination, source) slices from the factor's samples (one column
-    per occupied column of its box) into the part's n-point buffer, and gaps
-    the slices of the buffer's columns that no run writes."""
+    per occupied column of its box) into the part's n-point buffer."""
 
     shift: int
     runs: tuple
-    gaps: tuple
 
 
 class _Box(NamedTuple):
@@ -290,17 +270,6 @@ class _Box(NamedTuple):
     the factor (2 pi)^2)."""
 
     freqs: np.ndarray
-    tau0: np.ndarray
-    place: np.ndarray
-    q: np.ndarray
-
-
-class _Side(NamedTuple):
-    """One factor's box on a kind's transform grid: its _Parts (the whole
-    box, or its two sign halves) and the shared tau0, place and q of its
-    _Box."""
-
-    parts: tuple
     tau0: np.ndarray
     place: np.ndarray
     q: np.ndarray
@@ -373,14 +342,17 @@ class _Group(NamedTuple):
 
 class _CellTables(NamedTuple):
     """The seed-independent part of one (kind, k) rate cell: the transform
-    grid n, the two factors' _Sides on it, the _Groups of their parts, the
-    number of (n_t, n) transforms a cell runs (one inverse per part, one
-    forward per group without parseval) and the time rows per block
+    grid n, the two factors' shared _Boxes, the _Parts of each on that grid
+    (the whole box, or its two sign halves), the _Groups of those parts,
+    the number of (n_t, n) transforms a cell runs (one inverse per part,
+    one forward per group without parseval) and the time rows per block
     (_block_rows)."""
 
     n: int
-    u: _Side
-    v: _Side
+    u: _Box
+    v: _Box
+    u_parts: tuple
+    v_parts: tuple
     groups: tuple
     transforms: int
     rows: int
@@ -477,8 +449,7 @@ def _parts(freqs: np.ndarray, halves: tuple, n: int) -> tuple:
     for shift, a, b in halves:
         cols = (freqs[a:b] - shift) % n
         runs = tuple((dest, slice(a + src.start, a + src.stop)) for dest, src in _column_runs(cols))
-        gaps = tuple(dest for dest, _src in _column_runs(np.setdiff1d(np.arange(n), cols)))
-        parts.append(_Part(shift, runs, gaps))
+        parts.append(_Part(shift, runs))
     return tuple(parts)
 
 
@@ -514,8 +485,10 @@ def _cell_tables(kind: str, k: int, delta: float, n_t: int) -> _CellTables:
     width = n * (len(u_halves) + len(v_halves)) + 2 * max(u_freqs.size, v_freqs.size)
     return _CellTables(
         n,
-        _Side(_parts(u_freqs, u_halves, n), u_box.tau0, u_box.place, u_box.q),
-        _Side(_parts(v_freqs, v_halves, n), v_box.tau0, v_box.place, v_box.q),
+        u_box,
+        v_box,
+        _parts(u_freqs, u_halves, n),
+        _parts(v_freqs, v_halves, n),
         tuple(_group(*g, mult, n) for g in groups),
         transforms,
         _block_rows(n_t, width),
@@ -528,21 +501,20 @@ def _part_buffers(tables: _CellTables) -> tuple:
 
     A cell runs each block of time rows through these buffers (the last,
     shorter block through their leading rows) and transforms in place:
-    _windowed_side writes every column of a buffer's rows in each block,
-    the columns of its part's runs from the samples and the rest (the
-    part's gaps) with zeros."""
+    _windowed_side zeroes a buffer's rows in each block and then writes the
+    columns of its part's runs from the samples."""
     return tuple(
-        tuple(np.empty((tables.rows, tables.n), dtype=np.complex128) for _part in side.parts)
-        for side in (tables.u, tables.v)
+        tuple(np.empty((tables.rows, tables.n), dtype=np.complex128) for _part in parts)
+        for parts in (tables.u_parts, tables.v_parts)
     )
 
 
-def _draws(side: _Side, seed) -> tuple:
+def _draws(box: _Box, seed) -> tuple:
     """(C, norm): the (R, columns) coefficient block of one factor's random
     field and the X^{0,b} norm of the windowed field, the quadratic form
     sum_j C_j^H q_j C_j.  The ratio is scale-invariant in each factor, so
     the draws are not normalised."""
-    _parts, tau0, place, q = side
+    _freqs, tau0, place, q = box
     rng = np.random.default_rng(seed)
     c = np.zeros((q.shape[1], tau0.size), dtype=np.complex128)
     flat = c.reshape(-1).view(np.float64).reshape(-1, 2)
@@ -551,26 +523,25 @@ def _draws(side: _Side, seed) -> tuple:
     return c, math.sqrt(TWO_PI * TWO_PI * float(np.einsum("rj,jrs,sj->", c.conj(), q, c).real))
 
 
-def _windowed_side(side: _Side, c: np.ndarray, rows: slice, n_t: int, buffers: tuple) -> list:
-    """Space-time samples of each part on the time rows rows (up to one
-    constant factor) of the windowed field with coefficient block c.
+def _windowed_side(box: _Box, parts: tuple, c: np.ndarray, rows: slice, n_t: int, buffers: tuple) -> list:
+    """Space-time samples of each of a factor's parts on the time rows rows
+    (up to one constant factor) of the windowed field on its box with
+    coefficient block c.
 
     Column j holds the draws C_j on rows tau0_j + r, so its windowed samples
     are (cis[rows, :R] @ C)_j times the phase cisw[rows, tau0_j], copied into
-    the leading rows of its part's buffer after the columns the
-    copy leaves empty are zeroed; each buffer then takes one inverse
-    x-transform in place and its leading rows are returned as that part's
-    samples.  No time-axis transform runs."""
+    the leading rows of its part's buffer once those rows are zeroed; each
+    buffer then takes one inverse x-transform in place and its leading rows
+    are returned as that part's samples.  No time-axis transform runs."""
     cis, cisw, _what = _time_tables(n_t)
     samples = _thin_matmul(cis[rows, : c.shape[0]], c)
     # a product written into a column slice of the buffer runs row by row
     # and costs about twice one over the contiguous samples plus a copy
-    samples *= np.take(cisw[rows], side.tau0, axis=1)
+    samples *= np.take(cisw[rows], box.tau0, axis=1)
     out = []
-    for part, buffer in zip(side.parts, buffers):
+    for part, buffer in zip(parts, buffers):
         full = buffer[: samples.shape[0]]
-        for gap in part.gaps:
-            full[:, gap] = 0.0
+        full.fill(0.0)
         for dest, src in part.runs:
             full[:, dest] = samples[:, src]
         np.fft.ifft(full, axis=1, out=full)
@@ -642,8 +613,8 @@ def _one_cell(kind: str, k: int, delta: float, seed_key, n_t: int) -> float:
     totals = [[[0.0, 0.0] for _run in range(1 if g.parseval else len(g.out_runs))] for g in tables.groups]
     for start in range(0, n_t, tables.rows):
         rows = slice(start, min(start + tables.rows, n_t))
-        us = _windowed_side(tables.u, cu, rows, n_t, u_bufs)
-        vs = _windowed_side(tables.v, cv, rows, n_t, v_bufs)
+        us = _windowed_side(tables.u, tables.u_parts, cu, rows, n_t, u_bufs)
+        vs = _windowed_side(tables.v, tables.v_parts, cv, rows, n_t, v_bufs)
         if KINDS[kind][0]:
             for v in vs:
                 np.conjugate(v, out=v)

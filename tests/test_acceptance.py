@@ -36,12 +36,12 @@ def identity_result(cfg):
 
 @pytest.fixture(scope="module")
 def rates_result(cfg):
-    return experiments.run_rates(cfg)
+    return acceptance.criterion_4(cfg).data
 
 
 @pytest.fixture(scope="module")
 def infra_result(cfg):
-    return experiments.run_infra(cfg)
+    return acceptance.criterion_8(cfg).data
 
 
 # --- criterion 1: time-derivative identity of the lift symbols ------------
@@ -166,6 +166,15 @@ def test_criterion_3_fails_on_a_half_lift(cfg, monkeypatch):
 # gain2).  A gain2 or kkk1 cell that loses its output projection fails here
 # (test below); a gain1 cell that loses it does not (gap 0.002).
 SLOPE_TOL = 0.06
+
+
+def test_expected_slope_values():
+    assert acceptance.expected_slope("gain1", 0.05) == (-0.45, 0.1)
+    assert acceptance.expected_slope("kkkk1", 0.05) == (-0.25, 0.12)
+    target, tol = acceptance.expected_slope("gain3", 0.05)
+    assert target == -0.1 and tol is None
+    with pytest.raises(ValueError):
+        acceptance.expected_slope("nope", 0.05)
 
 
 def _predicted(cfg, kind):

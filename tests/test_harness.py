@@ -168,6 +168,9 @@ class TestConfig:
             "[lipschitz]\ng_sigma = 2000\n",
             "[lipschitz]\namplitude = 1e-170\n",
             "[simulate]\namplitude = 1e308\nsigma = -2\n",
+            "[lipschitz]\nepsilons = 1e-300, 1e-299\n",
+            "[simulate]\nn_points = 64\nt_final = 0.005\nn_saves = 50\nfreq_hi = 8\n",
+            "[infra]\nroute_t_final = 1e-3\n",
         ],
     )
     def test_out_of_range_rejected(self, tmp_path, text):
@@ -312,14 +315,16 @@ class TestReports:
         assert doc["config_sha256"] == config_sha256(cfg)
         assert "created" in doc
 
-    def test_infinite_spread_is_strict_json(self, tmp_path):
-        # at epsilons this small f + eps g rounds to f, so every Lipschitz
-        # ratio is 0 and the spread inf; the report writes it as null, not
-        # as Infinity
-        tiny = (ROOT / "perfbench" / "tiny.cfg").read_text(encoding="utf-8")
-        p = tmp_path / "eps.cfg"
-        p.write_text(re.sub(r"(?m)^epsilons = .*$", "epsilons = 1e-300, 1e-299", tiny))
-        assert main(["lipschitz", "--config", str(p), "--out", str(tmp_path)]) == 1
+    def test_infinite_spread_is_strict_json(self, tmp_path, monkeypatch):
+        # perturbed flows started from f itself make every Lipschitz ratio 0
+        # and the spread inf; the report writes it as null, not as Infinity
+        from qnls import experiments
+
+        batch = experiments.integrate_batch
+        monkeypatch.setattr(experiments, "integrate_batch",
+                            lambda configs, initials: batch(configs, [initials[0]] * len(initials)))
+        tiny = ROOT / "perfbench" / "tiny.cfg"
+        assert main(["lipschitz", "--config", str(tiny), "--out", str(tmp_path)]) == 1
         doc = json.loads((tmp_path / "lipschitz.json").read_text(), parse_constant=reject_constant)
         assert doc["results"]["spread"] is None
 
@@ -437,17 +442,14 @@ class TestCli:
 
     def test_all_report_carries_criterion_timing(self, tmp_path, monkeypatch):
         results = [
-            acceptance.CriterionResult(1, "first", True, "ok", {"rows": []}),
+            acceptance.CriterionResult(1, "first", True, "ok", {"rows": [], "timing": {"wall_s": 0.25}}),
             acceptance.CriterionResult(8, "eighth", False, "off", {"timing": {"wall_s": 0.5, "route_s": {"u2": 0.1}}}),
         ]
         monkeypatch.setattr(acceptance, "run_all", lambda cfg: results)
         assert main(["all", "--out", str(tmp_path)]) == 1
         criteria = json.loads((tmp_path / "acceptance.json").read_text())["results"]["criteria"]
-        assert [set(c) for c in criteria] == [
-            {"number", "name", "passed", "detail"},
-            {"number", "name", "passed", "detail", "timing"},
-        ]
-        assert criteria[1]["timing"] == {"wall_s": 0.5, "route_s": {"u2": 0.1}}
+        assert [set(c) for c in criteria] == [{"number", "name", "passed", "detail", "timing"}] * 2
+        assert [c["timing"] for c in criteria] == [{"wall_s": 0.25}, {"wall_s": 0.5, "route_s": {"u2": 0.1}}]
         # timing stays out of the CSV
         assert (tmp_path / "acceptance.csv").read_text().splitlines() == [
             "number,name,passed,detail", "1,first,1,ok", "8,eighth,0,off"
@@ -459,6 +461,36 @@ class TestCli:
         criteria = json.loads((tmp_path / "acceptance.json").read_text())["results"]["criteria"]
         assert [c["number"] for c in criteria] == list(range(1, 9))
         assert all(c["timing"]["wall_s"] > 0 for c in criteria)
+
+    def test_only_acceptance_times_a_run(self, tmp_path, monkeypatch):
+        # the drivers measure and acceptance.timed takes each run's wall
+        # time: no experiments.run_* result carries wall_s, while every
+        # criterion's result and the simulate report do
+        from qnls import experiments
+
+        timing_keys = {}
+
+        def spy(name, driver):
+            def wrapper(cfg):
+                res = driver(cfg)
+                timing_keys[name] = set(res.get("timing", {}))
+                return res
+            return wrapper
+
+        drivers = {f"run_{name}" for name in ("identity", "smoothing", "decompose", "rates", "mnorm",
+                                               "lipschitz", "subst", "simulate", "infra")}
+        assert drivers == {name for name in vars(experiments) if name.startswith("run_")}
+        for name in drivers:
+            monkeypatch.setattr(experiments, name, spy(name, getattr(experiments, name)))
+        tiny = ROOT / "perfbench" / "tiny.cfg"
+        cfg = load_config(tiny)
+        for criterion in acceptance.CRITERIA:
+            assert criterion(cfg).data["timing"]["wall_s"] > 0
+        assert not any("wall_s" in keys for keys in timing_keys.values()), timing_keys
+        assert main(["simulate", "--config", str(tiny), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "simulate.json").read_text())["results"]["timing"]["wall_s"] > 0
+        assert set(timing_keys) == drivers
+        assert "wall_s" not in timing_keys["run_simulate"]
 
     def test_mnorm_report_health_and_timing(self, tmp_path):
         p = tmp_path / "small.cfg"

@@ -18,7 +18,6 @@ from qnls.mnorm import (
     build_model,
     count_triples,
     exhaustive_lower_bound,
-    exhaustive_max,
     multiplier_lower_bound,
     trilinear_sphere_max,
 )
@@ -183,7 +182,7 @@ class TestBuildModel:
         assert m.empty
         est = multiplier_lower_bound(box, 2.0, n_tau=4, n_xi=8)
         assert est.empty and est.value == 0.0 and est.n_triples == 0
-        assert alternating_max(m) == (0.0, -1, ()) and exhaustive_max(m) == 0.0
+        assert alternating_max(m) == (0.0, -1, ()) and exhaustive_lower_bound(box, 2.0, n_tau=4, n_xi=8) == 0.0
 
     def test_triples_known_instance(self):
         box, h = TINY_A
@@ -553,7 +552,7 @@ class TestGuards:
         m = build_model(box, 64.0, n_tau=64, n_xi=64)
         if not m.empty:
             with pytest.raises(ValueError):
-                exhaustive_max(m)
+                exhaustive_lower_bound(box, 64.0, n_tau=64, n_xi=64)
 
 
 class TestBounds:
